@@ -3,7 +3,7 @@
 
 Produces, under the output directory: the facet file of each instance,
 its decomposition tree JSON, and a summary table with the fold
-counters and the 6m + 10n accounting.  Every round trip is verified
+counters and the 6m + 10n + base accounting.  Every round trip is verified
 exactly before anything is written.
 """
 
@@ -11,7 +11,7 @@ import argparse
 import json
 from pathlib import Path
 
-from psf import Complex, g2, g3
+from psf import g2, g3
 from psf.corpus import edge_folded_instance, suspension_instance, vertex_folded_instance
 from psf.decompose import MODE_EDGE, MODE_ONE, MODE_SUSPENSION, decompose, rebuild
 from psf.fileio import format_complex
@@ -43,12 +43,8 @@ def main() -> int:
         (out / f"{name}.tree.json").write_text(
             json.dumps(tree.to_dict(), indent=2, sort_keys=True) + "\n"
         )
-        m, n = tree.edge_fold_count, tree.vertex_fold_count
-        base = sum(
-            g2(Complex(s.facets)) for s in tree.steps if s.kind == "suspension_base"
-        )
         rows.append((name, len(k.vertices), g2(k), g3(k),
-                     len(singular_vertices(k)), m, n, base, 6 * m + 10 * n + base))
+                     len(singular_vertices(k)), *tree.g2_accounting()))
 
     header = (f"{'instance':<18} {'f0':>4} {'g2':>4} {'g3':>4} {'sing':>5}"
               f" {'m':>3} {'n':>3} {'base':>5} {'total':>6}")

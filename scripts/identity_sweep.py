@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Large randomized identity sweep with per-law timing.
+"""Large randomized identity sweep with its total run time.
 
 Runs the same checks as `psf verify-identities` but at a configurable
-scale and with a wall-clock breakdown, which is handy when tuning the
-generators.
+scale, and prints the total wall-clock time and the time per script,
+which is handy when tuning the generators.
 """
 
 import argparse

@@ -188,6 +188,46 @@ def connected_sum(k1: Complex, k2: Complex, pairing) -> Complex:
     return Complex(facets)
 
 
+def _pair_ok(k: Complex, y: int, z: int, shared) -> bool:
+    """Whether y and z may be identified: z is not a neighbor of y and
+    every common neighbor of y and z lies in the shared face.
+
+    This is the whole per-pair condition of handle additions (shared
+    face empty), vertex folds (a vertex x) and edge folds (an edge uv).
+    In a fold, x (or u and v) lies in both facets and so is always a
+    common neighbor; for a vertex fold the condition says that x is the
+    only one.
+    """
+    ny = k.neighbors(y)
+    return z not in ny and ny & k.neighbors(z) <= shared
+
+
+def _check_pairs(k: Complex, f1: Simplex, f2: Simplex, mapping, shared) -> tuple[bool, str]:
+    """The pairing fixes the shared face, is a bijection f1 -> f2, and
+    every other identified pair passes ``_pair_ok``."""
+    if any(mapping.get(x) != x for x in shared):
+        return False, f"shared face {sorted(shared)} is not mapped to itself"
+    if sorted(mapping) != list(f1) or sorted(set(mapping.values())) != list(f2):
+        return False, "pairing is not a bijection between the two facets"
+    for y in f1:
+        z = mapping[y]
+        if y not in shared and not _pair_ok(k, y, z, shared):
+            if z in k.neighbors(y):
+                return False, f"identified vertices {y} and {z} are adjacent"
+            extra = sorted(k.neighbors(y) & k.neighbors(z) - shared)
+            return False, f"identified vertices {y} and {z} share neighbors {extra}"
+    return True, "admissible"
+
+
+def _linking_edge(k: Complex, f1: Simplex, f2: Simplex) -> Optional[tuple[int, int]]:
+    """An edge of K from a vertex of f1 to a vertex of f2, or None."""
+    for v in f1:
+        linked = k.neighbors(v).intersection(f2)
+        if linked:
+            return v, min(linked)
+    return None
+
+
 def check_handle_admissible(k: Complex, facet1, facet2, pairing) -> tuple[bool, str]:
     """Disjoint facets, no edge of K joining them, and no common neighbors
     for identified pairs.
@@ -199,28 +239,19 @@ def check_handle_admissible(k: Complex, facet1, facet2, pairing) -> tuple[bool, 
     """
     f1 = _require_facet(k, facet1)
     f2 = _require_facet(k, facet2)
-    mapping = _as_mapping(pairing)
     if set(f1) & set(f2):
         raise FacetsShareVertices(f"facets share vertices {sorted(set(f1) & set(f2))}")
-    if sorted(mapping) != list(f1) or sorted(mapping.values()) != list(f2):
-        return False, "pairing is not a bijection between the two facets"
-    for v in f1:
-        for w in f1:
-            if mapping[w] in k.neighbors(v):
-                return False, f"edge {v}-{mapping[w]} links the facets"
-    for v in f1:
-        common = k.neighbors(v) & k.neighbors(mapping[v])
-        if common:
-            return False, f"{v} and {mapping[v]} share neighbors {sorted(common)}"
-    return True, "admissible"
+    edge = _linking_edge(k, f1, f2)
+    if edge is not None:
+        return False, f"edge {edge[0]}-{edge[1]} links the facets"
+    return _check_pairs(k, f1, f2, _as_mapping(pairing), set())
 
 
 def handle_addition(k: Complex, facet1, facet2, pairing) -> Complex:
     ok, reason = check_handle_admissible(k, facet1, facet2, pairing)
     if not ok:
         raise InadmissibleIdentification(reason)
-    mapping = _as_mapping(pairing)
-    return _identify(k, mapping, simplex(facet1))
+    return _identify(k, _as_mapping(pairing), simplex(facet1))
 
 
 def check_vertex_fold_admissible(k: Complex, facet1, facet2, pairing) -> tuple[bool, str]:
@@ -228,25 +259,10 @@ def check_vertex_fold_admissible(k: Complex, facet1, facet2, pairing) -> tuple[b
     non-adjacent and having x as their only common neighbor."""
     f1 = _require_facet(k, facet1)
     f2 = _require_facet(k, facet2)
-    mapping = _as_mapping(pairing)
     shared = set(f1) & set(f2)
     if len(shared) != 1:
         return False, f"facets intersect in {sorted(shared)}, not a single vertex"
-    x = shared.pop()
-    if mapping.get(x) != x:
-        return False, f"fixed vertex {x} is not mapped to itself"
-    if sorted(mapping) != list(f1) or sorted(set(mapping.values())) != list(f2):
-        return False, "pairing is not a bijection between the two facets"
-    for y in f1:
-        if y == x:
-            continue
-        z = mapping[y]
-        if z in k.neighbors(y):
-            return False, f"identified vertices {y} and {z} are adjacent"
-        common = k.neighbors(y) & k.neighbors(z)
-        if common != {x}:
-            return False, f"common neighbors of {y} and {z} are {sorted(common)}, not [{x}]"
-    return True, "admissible"
+    return _check_pairs(k, f1, f2, _as_mapping(pairing), shared)
 
 
 def vertex_fold(k: Complex, facet1, facet2, pairing) -> Complex:
@@ -261,28 +277,10 @@ def check_edge_fold_admissible(k: Complex, facet1, facet2, pairing) -> tuple[boo
     identified pair must run through u or v."""
     f1 = _require_facet(k, facet1)
     f2 = _require_facet(k, facet2)
-    mapping = _as_mapping(pairing)
     shared = set(f1) & set(f2)
     if len(shared) != 2:
         return False, f"facets intersect in {sorted(shared)}, not an edge"
-    u, v = sorted(shared)
-    if not k.has_face((u, v)):
-        return False, f"shared vertices {u}, {v} do not span an edge"
-    if mapping.get(u) != u or mapping.get(v) != v:
-        return False, f"fixed edge {u}{v} is not mapped identically"
-    if sorted(mapping) != list(f1) or sorted(set(mapping.values())) != list(f2):
-        return False, "pairing is not a bijection between the two facets"
-    for y in f1:
-        if y in (u, v):
-            continue
-        z = mapping[y]
-        if z in k.neighbors(y):
-            return False, f"identified vertices {y} and {z} are adjacent"
-        common = k.neighbors(y) & k.neighbors(z)
-        if not common <= {u, v}:
-            extra = sorted(common - {u, v})
-            return False, f"{y} and {z} share neighbors {extra} outside the fixed edge"
-    return True, "admissible"
+    return _check_pairs(k, f1, f2, _as_mapping(pairing), shared)
 
 
 def edge_fold(k: Complex, facet1, facet2, pairing) -> Complex:
@@ -293,6 +291,8 @@ def edge_fold(k: Complex, facet1, facet2, pairing) -> Complex:
 
 
 # -- admissible-pair searches -------------------------------------------
+
+_HANDLE_ATTEMPTS = 400  # facet pairs a seeded handle search samples
 
 
 def _facet_pairs_sharing(k: Complex, count: int):
@@ -313,42 +313,45 @@ def _facet_pairs_sharing(k: Complex, count: int):
                 yield key
 
 
-def _bijections_fixing(f1: Simplex, f2: Simplex, fixed: set[int]):
-    rest1 = [v for v in f1 if v not in fixed]
-    rest2 = [v for v in f2 if v not in fixed]
-    for perm in itertools.permutations(rest2):
-        mapping = {v: v for v in fixed}
-        mapping.update(zip(rest1, perm))
-        yield mapping
+def _admissible_bijections(k: Complex, f1: Simplex, f2: Simplex, shared: set[int]):
+    """Bijections f1 -> f2 fixing ``shared`` whose other pairs all pass
+    ``_pair_ok``, in ``itertools.permutations`` order.
+
+    Pair verdicts are tabled once per facet pair, so each permutation
+    costs a few lookups instead of a full admissibility check.
+    """
+    rest1 = [v for v in f1 if v not in shared]
+    rest2 = [v for v in f2 if v not in shared]
+    table = [[_pair_ok(k, y, z, shared) for z in rest2] for y in rest1]
+    for perm in itertools.permutations(range(len(rest2))):
+        if all(row[j] for row, j in zip(table, perm)):
+            mapping = {v: v for v in sorted(shared)}
+            mapping.update(zip(rest1, (rest2[j] for j in perm)))
+            yield mapping
+
+
+def _fold_triples(k: Complex, size: int, fixed_face):
+    """Admissible fold triples on facet pairs meeting in ``size`` vertices,
+    or only in ``fixed_face`` when it is given."""
+    for f1, f2 in _facet_pairs_sharing(k, size):
+        shared = set(f1) & set(f2)
+        if fixed_face is None or shared == set(fixed_face):
+            for mapping in _admissible_bijections(k, f1, f2, shared):
+                yield f1, f2, mapping
 
 
 def find_vertex_folds(k: Complex, fixed_vertex: Optional[int] = None):
     """Yield admissible (facet1, facet2, mapping) vertex-fold triples."""
-    for f1, f2 in _facet_pairs_sharing(k, 1):
-        x = (set(f1) & set(f2)).pop()
-        if fixed_vertex is not None and x != fixed_vertex:
-            continue
-        for mapping in _bijections_fixing(f1, f2, {x}):
-            ok, _ = check_vertex_fold_admissible(k, f1, f2, mapping)
-            if ok:
-                yield f1, f2, mapping
+    yield from _fold_triples(k, 1, None if fixed_vertex is None else (fixed_vertex,))
 
 
 def find_edge_folds(k: Complex, fixed_edge: Optional[tuple[int, int]] = None):
-    for f1, f2 in _facet_pairs_sharing(k, 2):
-        shared = tuple(sorted(set(f1) & set(f2)))
-        if fixed_edge is not None and shared != tuple(sorted(fixed_edge)):
-            continue
-        if not k.has_face(shared):
-            continue
-        for mapping in _bijections_fixing(f1, f2, set(shared)):
-            ok, _ = check_edge_fold_admissible(k, f1, f2, mapping)
-            if ok:
-                yield f1, f2, mapping
+    yield from _fold_triples(k, 2, fixed_edge)
 
 
-def find_handles(k: Complex, rng: Optional[SplitMix64] = None, attempts: int = 400):
-    """Yield admissible (facet1, facet2, mapping) handle triples.
+def find_handles(k: Complex, rng: Optional[SplitMix64] = None):
+    """Yield admissible (facet1, facet2, mapping) handle triples, at most
+    one per facet pair.
 
     With an rng, candidate pairs are sampled instead of scanned, which
     is the behaviour random build scripts want.
@@ -358,31 +361,24 @@ def find_handles(k: Complex, rng: Optional[SplitMix64] = None, attempts: int = 4
         pairs = itertools.combinations(facets, 2)
     else:
         def sampled():
-            for _ in range(attempts):
+            for _ in range(_HANDLE_ATTEMPTS):
                 f1 = rng.choice(facets)
                 f2 = rng.choice(facets)
                 if f1 < f2:
                     yield f1, f2
         pairs = sampled()
     for f1, f2 in pairs:
-        if set(f1) & set(f2):
+        if set(f1) & set(f2) or _linking_edge(k, f1, f2) is not None:
             continue
-        for mapping in _bijections_fixing(f1, f2, set()):
-            try:
-                ok, _ = check_handle_admissible(k, f1, f2, mapping)
-            except FacetsShareVertices:
-                break
-            if ok:
-                yield f1, f2, mapping
-                break
+        for mapping in _admissible_bijections(k, f1, f2, set()):
+            yield f1, f2, mapping
+            break
 
 
 def random_admissible(kind: str, k: Complex, rng: SplitMix64, **kwargs):
     """First admissible triple for ``kind`` in seeded-random order, or None."""
     if kind == "handle":
-        for triple in find_handles(k, rng=rng):
-            return triple
-        return None
+        return next(find_handles(k, rng=rng), None)
     finder = {"vertex_fold": find_vertex_folds, "edge_fold": find_edge_folds}[kind]
     triples = list(finder(k, **kwargs))
     if not triples:
@@ -393,6 +389,31 @@ def random_admissible(kind: str, k: Complex, rng: SplitMix64, **kwargs):
 # -- stacked spheres ----------------------------------------------------
 
 
+def _fresh_boundary(k: Complex) -> Complex:
+    """Boundary of a (dim + 1)-simplex on the labels just above those of ``k``."""
+    offset = max(k.vertices) + 1
+    return Complex(itertools.combinations(range(offset, offset + k.dim + 2), k.dim + 1))
+
+
+def _glue_fresh_boundary(k: Complex, rng: SplitMix64, fixed: tuple[int, ...] = (),
+                         src: Optional[Simplex] = None) -> tuple[Complex, dict[int, int]]:
+    """A fresh simplex boundary and the pairing that glues ``src`` to a
+    random facet of it.
+
+    The fixed vertices go to the first vertices of that facet and the
+    rest of ``src`` in order to the rest.  Without ``src``, the facet
+    through the fixed vertices with the newest labels is used, which
+    grows a linear arm.
+    """
+    if src is None:
+        src = max((f for f in k.facets if set(fixed) <= set(f)),
+                  key=lambda f: sorted(f, reverse=True))
+    summand = _fresh_boundary(k)
+    target = summand.facets[rng.randrange(len(summand.facets))]
+    rest = [v for v in src if v not in fixed]
+    return summand, dict(zip(list(fixed) + rest, target))
+
+
 def stacked_sphere(d: int, k: int, seed: int) -> Complex:
     """k-fold connected sum of boundary d+1-simplices with seeded random gluings."""
     if d < 2 or k < 1:
@@ -400,9 +421,7 @@ def stacked_sphere(d: int, k: int, seed: int) -> Complex:
     rng = SplitMix64(seed)
     current = boundary_simplex(d + 1)
     for _ in range(k - 1):
-        summand = boundary_simplex(d + 1)
-        offset = max(current.vertices) + 1
-        summand = summand.relabel({v: v + offset for v in summand.vertices})
+        summand = _fresh_boundary(current)
         source = rng.choice(current.facets)
         target = rng.choice(summand.facets)
         perm = rng.shuffle(list(target))

@@ -18,6 +18,7 @@ from typing import Optional
 from .complexes import Complex, ComplexError
 from .build import (
     SplitMix64,
+    _glue_fresh_boundary,
     boundary_simplex,
     cone,
     connected_sum,
@@ -105,12 +106,28 @@ def _need(step: dict, key: str):
     return step[key]
 
 
-def _pairs(step: dict) -> dict[int, int]:
-    pairs = _need(step, "pairs")
+def _field(step: dict, key: str, convert, optional: bool = False):
+    """``convert`` applied to a step field; a missing or malformed field
+    is a ScriptError.  An optional field may be absent or null."""
+    if optional and step.get(key) is None:
+        return None
+    value = _need(step, key)
     try:
-        return {int(a): int(b) for a, b in pairs}
+        return convert(value)
     except (TypeError, ValueError) as exc:
-        raise ScriptError(f"bad pairs in step {step}: {exc}") from exc
+        raise ScriptError(f"bad field {key!r} in step {step}: {exc}") from exc
+
+
+def _labels(value) -> list[int]:
+    return [int(v) for v in value]
+
+
+def _facet_list(value) -> list[list[int]]:
+    return [_labels(f) for f in value]
+
+
+def _pair_map(value) -> dict[int, int]:
+    return {int(a): int(b) for a, b in value}
 
 
 def validate_script(doc: dict) -> list[dict]:
@@ -144,17 +161,17 @@ def replay(doc: dict) -> ReplayResult:
     for i, step in enumerate(steps):
         op = step["op"]
         if op == "boundary_simplex":
-            result = boundary_simplex(int(_need(step, "n")))
+            result = boundary_simplex(_field(step, "n", int))
         elif op == "stacked_sphere":
             result = stacked_sphere(
-                int(_need(step, "d")), int(_need(step, "k")), int(_need(step, "seed"))
+                _field(step, "d", int), _field(step, "k", int), _field(step, "seed", int)
             )
         elif op == "complex":
-            result = Complex(_need(step, "facets"))
+            result = Complex(_field(step, "facets", _facet_list))
         elif op == "connected_sum":
             left = complexes[_need(step, "left")]
             right = complexes[_need(step, "right")]
-            result = connected_sum(left, right, _pairs(step))
+            result = connected_sum(left, right, _field(step, "pairs", _pair_map))
         elif op in ("handle_addition", "vertex_fold", "edge_fold"):
             operand = complexes[_need(step, "operand")]
             fn = {
@@ -162,16 +179,25 @@ def replay(doc: dict) -> ReplayResult:
                 "vertex_fold": vertex_fold,
                 "edge_fold": edge_fold,
             }[op]
-            result = fn(operand, _need(step, "source_facet"), _need(step, "target_facet"), _pairs(step))
+            result = fn(
+                operand,
+                _field(step, "source_facet", _labels),
+                _field(step, "target_facet", _labels),
+                _field(step, "pairs", _pair_map),
+            )
         elif op == "facet_subdivision":
             operand = complexes[_need(step, "operand")]
-            result = facet_subdivision(operand, _need(step, "facet"), step.get("new_vertex"))
+            result = facet_subdivision(
+                operand, _field(step, "facet", _labels), _field(step, "new_vertex", int, True)
+            )
         elif op == "one_vertex_suspension":
             operand = complexes[_need(step, "operand")]
-            result = one_vertex_suspension(operand, int(_need(step, "vertex")), step.get("apex"))
+            result = one_vertex_suspension(
+                operand, _field(step, "vertex", int), _field(step, "apex", int, True)
+            )
         elif op == "cone":
             operand = complexes[_need(step, "operand")]
-            result = cone(int(_need(step, "vertex")), operand)
+            result = cone(_field(step, "vertex", int), operand)
         else:  # pragma: no cover - validate_script rejects unknown ops
             raise ScriptError(f"unhandled op {op!r}")
 
@@ -252,22 +278,13 @@ class _ScriptBuilder:
                           newest: bool = False) -> None:
         cur = self.current
         cur_idx = self.current_index
-        d = cur.dim
-        leaf = boundary_simplex(d + 1)
-        offset = max(cur.vertices) + 1
-        leaf = leaf.relabel({v: v + offset for v in leaf.vertices})
+        src = None
+        if not newest:
+            candidates = [f for f in cur.facets if set(fixed) <= set(f)]
+            src = candidates[rng.randrange(len(candidates))]
+        leaf, mapping = _glue_fresh_boundary(cur, rng, fixed, src)
         leaf_idx = self.add(
             {"op": "complex", "facets": [list(f) for f in leaf.facets]}, leaf
-        )
-        candidates = [f for f in cur.facets if all(v in f for v in fixed)]
-        if newest:
-            src = max(candidates, key=lambda f: sorted(f, reverse=True))
-        else:
-            src = candidates[rng.randrange(len(candidates))]
-        tgt = leaf.facets[rng.randrange(len(leaf.facets))]
-        mapping = dict(zip(fixed, tgt[: len(fixed)]))
-        mapping.update(
-            zip([v for v in src if v not in fixed], [v for v in tgt if v not in mapping.values()])
         )
         step = {
             "op": "connected_sum",

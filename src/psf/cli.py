@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 
 from .complexes import Complex, ComplexError
-from .build import ConstructionError
 from .buildscript import ScriptError, load_script, replay
 from .decompose import (
     MODES,
@@ -105,7 +104,9 @@ def cmd_build(args) -> int:
     doc = load_script(Path(args.script).read_text())
     try:
         result = replay(doc)
-    except (ConstructionError, ComplexError) as exc:
+    except ScriptError:
+        raise  # a malformed step is a parse error
+    except ComplexError as exc:
         print(f"build failed: {exc}")
         return EXIT_LEDGER
     print(f"{'step':>4} {'op':<22} {'g2':>6} {'g3':>6}  delta(g2,g3)  check")
@@ -140,8 +141,7 @@ def cmd_decompose(args) -> int:
         print(f"decomposition failed: {exc}")
         return EXIT_CHECK_FAILED
     counters = tree.counters
-    m = tree.edge_fold_count
-    n = tree.vertex_fold_count
+    m, n, base_g2, total = tree.g2_accounting()
     print(
         "counters:",
         f"edge_folds={m}",
@@ -149,12 +149,7 @@ def cmd_decompose(args) -> int:
         f"connected_sums={counters.get('connected_sums', 0)}",
         f"inverse_subdivisions={counters.get('inverse_subdivisions', 0)}",
     )
-    base_g2 = sum(
-        g2(Complex(s.facets))
-        for s in tree.steps
-        if s.kind == "suspension_base" or (s.kind == "leaf" and s.leaf_kind == "irreducible_base")
-    )
-    print(f"g2 accounting: 6*{m} + 10*{n} + {base_g2} = {6 * m + 10 * n + base_g2}, g2(input) = {g2(k)}")
+    print(f"g2 accounting: 6*{m} + 10*{n} + {base_g2} = {total}, g2(input) = {g2(k)}")
     if args.output:
         Path(args.output).write_text(json.dumps(tree.to_dict(), indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.output}")

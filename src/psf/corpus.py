@@ -15,6 +15,7 @@ from typing import Optional
 from .complexes import Complex, Simplex
 from .build import (
     SplitMix64,
+    _glue_fresh_boundary,
     boundary_simplex,
     connected_sum,
     edge_fold,
@@ -51,45 +52,26 @@ class BuildRecord:
         return [image for k, image in self.fold_images if k == kind]
 
 
-def _glue_summand(cur: Complex, d: int, rng: SplitMix64, fixed: tuple[int, ...],
-                  src: Optional[Simplex] = None) -> Complex:
-    """Connected-sum a fresh simplex boundary onto ``cur``.
-
-    Without an explicit source facet, the facet through the fixed
-    vertices with the newest labels is used, which grows a linear arm.
-    """
-    summand = boundary_simplex(d + 1)
-    offset = max(cur.vertices) + 1
-    summand = summand.relabel({v: v + offset for v in summand.vertices})
-    if src is None:
-        candidates = [f for f in cur.facets if all(v in f for v in fixed)]
-        src = max(candidates, key=lambda f: sorted(f, reverse=True))
-    target = summand.facets[rng.randrange(len(summand.facets))]
-    mapping = dict(zip(fixed, target[: len(fixed)]))
-    rest_target = [v for v in target if v not in mapping.values()]
-    mapping.update(zip([v for v in src if v not in fixed], rest_target))
-    return connected_sum(cur, summand, mapping)
-
-
 def linear_chain(d: int, summands: int, seed: int, fixed: tuple[int, ...] = ()) -> Complex:
     """Stacked d-sphere built as a linear chain of simplex boundaries.
 
     Every identified facet contains the ``fixed`` vertices, so they
     survive the whole chain and the far ends meet only in them.
     """
-    rng = SplitMix64(seed)
-    cur = boundary_simplex(d + 1)
-    for _ in range(summands - 1):
-        cur = _glue_summand(cur, d, rng, fixed)
-    return cur
+    return grow_arm(boundary_simplex(d + 1), SplitMix64(seed), fixed, summands - 1)
 
 
-def grow_arm(cur: Complex, d: int, rng: SplitMix64, fixed: tuple[int, ...],
+def grow_arm(cur: Complex, rng: SplitMix64, fixed: tuple[int, ...],
              summands: int, first_src: Optional[Simplex] = None) -> Complex:
-    """Extend a complex by a linear arm through the fixed vertices."""
-    cur = _glue_summand(cur, d, rng, fixed, src=first_src)
-    for _ in range(summands - 1):
-        cur = _glue_summand(cur, d, rng, fixed)
+    """Extend a complex by a linear arm through the fixed vertices.
+
+    Each summand is a fresh simplex boundary glued to the facet through
+    the fixed vertices with the newest labels; ``first_src`` overrides
+    that facet for the first summand.
+    """
+    for i in range(summands):
+        src = first_src if i == 0 else None
+        cur = connected_sum(cur, *_glue_fresh_boundary(cur, rng, fixed, src))
     return cur
 
 
@@ -107,7 +89,7 @@ def _fold_at_vertex(record: BuildRecord, d: int, rng: SplitMix64, t: int,
     if avoid is not None:
         options = [f for f in k.facets if t in f and avoid not in f]
         first_src = _pick(rng, options)
-    k = grow_arm(k, d, rng, (t,), arm, first_src=first_src)
+    k = grow_arm(k, rng, (t,), arm, first_src=first_src)
     record.sums += arm
     folds = list(find_vertex_folds(k, fixed_vertex=t))
     if avoid is not None:
@@ -123,7 +105,7 @@ def _fold_at_vertex(record: BuildRecord, d: int, rng: SplitMix64, t: int,
 
 def _fold_at_edge(record: BuildRecord, rng: SplitMix64, u: int, v: int,
                   arm: int = EDGE_ARM) -> None:
-    k = grow_arm(record.complex, 4, rng, (u, v), arm)
+    k = grow_arm(record.complex, rng, (u, v), arm)
     record.sums += arm
     folds = list(find_edge_folds(k, fixed_edge=(u, v)))
     if not folds:
@@ -138,10 +120,10 @@ def _fold_at_edge(record: BuildRecord, rng: SplitMix64, u: int, v: int,
 def decorate(record: BuildRecord, rng: SplitMix64, sums: int = 0, subdivisions: int = 0) -> None:
     """Optimality-preserving extras: sums with fresh simplex boundaries
     and facet subdivisions at random facets."""
-    d = record.complex.dim
     for _ in range(sums):
         src = _pick(rng, record.complex.facets)
-        record.complex = _glue_summand(record.complex, d, rng, (), src=src)
+        summand, mapping = _glue_fresh_boundary(record.complex, rng, (), src)
+        record.complex = connected_sum(record.complex, summand, mapping)
         record.sums += 1
         record.sum_joints.append(src)
         record.history.append(f"connected_sum at {src}")

@@ -10,7 +10,6 @@ identical vertex labels, not merely up to isomorphism.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass, field
 from math import comb
@@ -18,10 +17,9 @@ from typing import Optional
 
 from .complexes import Complex, ComplexError, Simplex, UnknownVertex, fresh_labels, simplex
 from .build import (
+    InadmissibleFold,
     connected_sum,
     edge_fold,
-    check_edge_fold_admissible,
-    check_vertex_fold_admissible,
     facet_subdivision,
     one_vertex_suspension,
     vertex_fold,
@@ -37,7 +35,12 @@ from .separation import (
     require_missing_facet,
     separation_report,
 )
-from .verify import classify_vertex, is_normal_pseudomanifold, optimality_check
+from .verify import (
+    _is_boundary_simplex,
+    classify_vertex,
+    is_normal_pseudomanifold,
+    optimality_check,
+)
 
 
 class DecompositionError(ComplexError):
@@ -102,9 +105,9 @@ def inverse_facet_subdivision(k: Complex, u: int) -> Complex:
     if len(k.vertices) < d + 3:
         raise MinimalComplex("complex has no room for an inverse subdivision")
     link = k.link((u,))
-    vs = tuple(sorted(link.vertices))
-    if len(vs) != d + 1 or link.maximal_faces != frozenset(itertools.combinations(vs, d)):
+    if link.dim != d - 1 or not _is_boundary_simplex(link):
         raise LinkNotSimplexBoundary(f"link of {u} is not the boundary of a {d}-simplex")
+    vs = tuple(sorted(link.vertices))
     if k.has_face(vs):
         raise SimplexAlreadyPresent(f"simplex {vs} already present; retriangulation case")
     facets = {f for f in k.maximal_faces if u not in f}
@@ -178,6 +181,67 @@ def _witness_side(x: int, witnesses, v_plus, v_minus) -> int:
     )
 
 
+def _require_separation(k: Complex, t: Simplex, fixed, report: Optional[SeparationReport]):
+    """The fold signature along ``t``: no vertex of the fixed face
+    separates its link, every other vertex of t does.  Returns the
+    separation report and the other vertices."""
+    if report is None:
+        report = separation_report(k, t)
+    for y in fixed:
+        if report.per_vertex[y].separates:
+            raise PreconditionUnmet(f"boundary of {t} minus {y} separates the link of {y}")
+    others = [x for x in t if x not in fixed]
+    for x in others:
+        if not report.per_vertex[x].separates:
+            raise PreconditionUnmet(f"vertex {x} does not separate its link")
+    return report, others
+
+
+def _copy_negative_side(k: Complex, t: Simplex, pivot: int, report: SeparationReport,
+                        others: list[int], skip: Optional[int] = None):
+    """Rewrite the facets on the negative side of the cut along ``t``.
+
+    Each vertex in ``others`` gets a fresh copy; a facet through some of
+    them keeps its labels when its non-tau witnesses lie on the positive
+    side of their links and takes the copies otherwise.  Facets through
+    ``skip`` are dropped.  Returns the rewritten facets and the copies.
+    """
+    sides, _anchors = oriented_sides(k, t, pivot, report)
+    tau_set = set(t)
+    tables = {x: _side_vertex_tables(sides[x], tau_set) for x in others}
+    copy = dict(zip(others, fresh_labels(k, len(others))))
+
+    rewritten: set[Simplex] = set()
+    for f in k.maximal_faces:
+        if skip in f:
+            continue
+        overlap = [x for x in f if x in copy]
+        if overlap:
+            witnesses = [w for w in f if w not in tau_set]
+            side_votes = {_witness_side(x, witnesses, *tables[x]) for x in overlap}
+            if len(side_votes) != 1:
+                raise SideAssignmentInconsistent(
+                    f"facet {f} is assigned to different sides by its tau-vertices"
+                )
+            if side_votes.pop() == 1:
+                f = tuple(sorted(copy.get(x, x) for x in f))
+        rewritten.add(f)
+    return rewritten, copy
+
+
+def _refold(fold, k: Complex, unfolded: Complex, source: Simplex, target: Simplex,
+            mapping: dict[int, int]) -> UnfoldResult:
+    """Record the forward fold of an unfolding after checking that it is
+    admissible and reproduces ``k`` exactly."""
+    try:
+        refolded = fold(unfolded, source, target, mapping)
+    except InadmissibleFold as exc:
+        raise DecompositionError(f"reconstructed fold is not admissible: {exc}") from exc
+    if refolded != k:
+        raise DecompositionError("folding the unfolded complex does not reproduce the input")
+    return UnfoldResult(unfolded, source, target, tuple(sorted(mapping.items())))
+
+
 def vertex_unfold(k: Complex, tau, v: int, report: Optional[SeparationReport] = None) -> UnfoldResult:
     """Undo a vertex folding at ``v`` whose merged facet became ``tau``.
 
@@ -189,54 +253,12 @@ def vertex_unfold(k: Complex, tau, v: int, report: Optional[SeparationReport] = 
     t = require_missing_facet(k, tau)
     if v not in t:
         raise PreconditionUnmet(f"vertex {v} is not in {t}")
-    if report is None:
-        report = separation_report(k, t)
-    if report.per_vertex[v].separates:
-        raise PreconditionUnmet(f"boundary of {t} minus {v} separates the link of {v}")
-    others = [x for x in t if x != v]
-    for x in others:
-        if not report.per_vertex[x].separates:
-            raise PreconditionUnmet(f"vertex {x} does not separate its link")
-
-    sides, _anchors = oriented_sides(k, t, v, report)
-    tau_set = set(t)
-    tables = {x: _side_vertex_tables(sides[x], tau_set) for x in others}
-
-    fresh = fresh_labels(k, len(others))
-    prime = dict(zip(others, fresh))
-
-    rewritten: set[Simplex] = set()
-    for f in k.maximal_faces:
-        if v in f:
-            continue
-        overlap = [x for x in f if x in prime]
-        if not overlap:
-            rewritten.add(f)
-            continue
-        witnesses = [w for w in f if w not in tau_set]
-        side_votes = {_witness_side(x, witnesses, *tables[x]) for x in overlap}
-        if len(side_votes) != 1:
-            raise SideAssignmentInconsistent(
-                f"facet {f} is assigned to different sides by its tau-vertices"
-            )
-        if side_votes.pop() == 0:
-            rewritten.add(f)
-        else:
-            rewritten.add(tuple(sorted(prime[x] if x in prime else x for x in f)))
-
+    report, others = _require_separation(k, t, (v,), report)
+    rewritten, prime = _copy_negative_side(k, t, v, report, others, skip=v)
     boundary = [r for r, fs in Complex(rewritten).ridge_facet_map().items() if len(fs) == 1]
-    facets = rewritten | {tuple(sorted(r + (v,))) for r in boundary}
-    unfolded = Complex(facets)
-
-    source = t
-    target = tuple(sorted([v] + fresh))
-    mapping = {v: v, **prime}
-    ok, reason = check_vertex_fold_admissible(unfolded, source, target, mapping)
-    if not ok:
-        raise DecompositionError(f"reconstructed fold is not admissible: {reason}")
-    if vertex_fold(unfolded, source, target, mapping) != k:
-        raise DecompositionError("folding the unfolded complex does not reproduce the input")
-    return UnfoldResult(unfolded, source, target, tuple(sorted(mapping.items())))
+    unfolded = Complex(rewritten | {tuple(sorted(r + (v,))) for r in boundary})
+    target = tuple(sorted([v, *prime.values()]))
+    return _refold(vertex_fold, k, unfolded, t, target, {v: v, **prime})
 
 
 def edge_unfold(k: Complex, tau, edge, report: Optional[SeparationReport] = None) -> UnfoldResult:
@@ -247,57 +269,17 @@ def edge_unfold(k: Complex, tau, edge, report: Optional[SeparationReport] = None
         raise PreconditionUnmet(f"edge {u}{v} is not inside {t}")
     if not k.has_face((u, v)):
         raise PreconditionUnmet(f"{u}{v} is not an edge")
-    if report is None:
-        report = separation_report(k, t)
-    others = [x for x in t if x not in (u, v)]
-    for y in (u, v):
-        if report.per_vertex[y].separates:
-            raise PreconditionUnmet(f"boundary of {t} minus {y} separates the link of {y}")
-    for x in others:
-        if not report.per_vertex[x].separates:
-            raise PreconditionUnmet(f"vertex {x} does not separate its link")
+    report, others = _require_separation(k, t, (u, v), report)
     edge_link = k.link((u, v))
     if len(_cut_components(edge_link, set(others))) != 1:
         raise PreconditionUnmet(
             f"link of {u}{v} is separated by the boundary of {tuple(others)}; handle case"
         )
 
-    sides, _anchors = oriented_sides(k, t, u, report)
-    tau_set = set(t)
-    tables = {x: _side_vertex_tables(sides[x], tau_set) for x in others}
-
-    fresh = fresh_labels(k, len(others))
-    minus_copy = dict(zip(others, fresh))
-
-    rewritten: set[Simplex] = set()
-    for f in k.maximal_faces:
-        overlap = [x for x in f if x in minus_copy]
-        if not overlap:
-            rewritten.add(f)
-            continue
-        witnesses = [w for w in f if w not in tau_set]
-        side_votes = {_witness_side(x, witnesses, *tables[x]) for x in overlap}
-        if len(side_votes) != 1:
-            raise SideAssignmentInconsistent(
-                f"facet {f} is assigned to different sides by its tau-vertices"
-            )
-        if side_votes.pop() == 0:
-            rewritten.add(f)
-        else:
-            rewritten.add(tuple(sorted(minus_copy.get(x, x) for x in f)))
-
-    source = t
-    target = tuple(sorted([u, v] + fresh))
-    facets = rewritten | {source, target}
-    unfolded = Complex(facets)
-
-    mapping = {u: u, v: v, **minus_copy}
-    ok, reason = check_edge_fold_admissible(unfolded, source, target, mapping)
-    if not ok:
-        raise DecompositionError(f"reconstructed fold is not admissible: {reason}")
-    if edge_fold(unfolded, source, target, mapping) != k:
-        raise DecompositionError("folding the unfolded complex does not reproduce the input")
-    return UnfoldResult(unfolded, source, target, tuple(sorted(mapping.items())))
+    rewritten, minus_copy = _copy_negative_side(k, t, u, report, others)
+    target = tuple(sorted([u, v, *minus_copy.values()]))
+    unfolded = Complex(rewritten | {t, target})
+    return _refold(edge_fold, k, unfolded, t, target, {u: u, v: v, **minus_copy})
 
 
 def recognize_one_vertex_suspension(k: Complex, t: int, t1: int):
@@ -415,6 +397,19 @@ class DecompositionTree:
     def edge_fold_count(self) -> int:
         return self.counters.get("edge_folds", 0)
 
+    def g2_accounting(self) -> tuple[int, int, int, int]:
+        """``(m, n, base, 6m + 10n + base)`` for m edge folds and n vertex
+        folds, where base is the g2 of the terminal bases (suspension bases
+        and irreducible leaves); the total is the g2 the tree accounts for."""
+        m, n = self.edge_fold_count, self.vertex_fold_count
+        base = sum(
+            _g2(Complex(s.facets))
+            for s in self.steps
+            if s.kind == "suspension_base"
+            or (s.kind == "leaf" and s.leaf_kind == "irreducible_base")
+        )
+        return m, n, base, 6 * m + 10 * n + base
+
     def leaves(self) -> list[TreeNode]:
         return [s for s in self.steps if s.kind in ("leaf", "suspension_base")]
 
@@ -480,13 +475,6 @@ def rebuild(tree: DecompositionTree) -> Complex:
 
 
 # -- the decomposition engine ----------------------------------------------
-
-
-def _is_boundary_simplex(k: Complex) -> bool:
-    vs = sorted(k.vertices)
-    return len(vs) == k.dim + 2 and k.maximal_faces == frozenset(
-        itertools.combinations(vs, k.dim + 1)
-    )
 
 
 def _debug_enabled(debug: Optional[bool]) -> bool:
@@ -572,10 +560,8 @@ class _Engine:
         outside = sorted(v for v in k.vertices if v != t and v not in k.neighbors(t))
         for u in outside:
             link = k.link((u,))
-            vs = tuple(sorted(link.vertices))
-            if len(vs) == k.dim + 1 and link.maximal_faces == frozenset(
-                itertools.combinations(vs, k.dim)
-            ):
+            if link.dim == k.dim - 1 and _is_boundary_simplex(link):
+                vs = tuple(sorted(link.vertices))
                 reduced = inverse_facet_subdivision(k, u)
                 self.counters["inverse_subdivisions"] += 1
                 child = self.build(reduced, t, t1)

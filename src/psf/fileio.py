@@ -8,6 +8,8 @@ mutually inverse on canonical files.
 
 from __future__ import annotations
 
+import re
+
 from .complexes import Complex, ComplexError
 
 
@@ -25,8 +27,8 @@ def parse_complex(text: str) -> Complex:
         if not line.strip():
             continue
         row: list[int] = []
-        for token in line.split():
-            column = raw.index(token) + 1
+        for match in re.finditer(r"\S+", line):
+            token, column = match.group(), match.start() + 1
             try:
                 label = int(token)
             except ValueError:

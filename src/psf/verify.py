@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .complexes import Complex, Simplex, UnknownVertex
+from .enumeration import DimensionTooSmall
 from .enumeration import g2 as _g2
 from .enumeration import g3 as _g3
 
@@ -70,46 +71,42 @@ def is_pseudomanifold(k: Complex) -> bool:
     return all(len(fs) == 2 for fs in k.ridge_facet_map().values())
 
 
+def _connected(nodes, adjacent) -> bool:
+    """Whether a depth-first search from one node reaches all of ``nodes``."""
+    nodes = list(nodes)
+    if len(nodes) <= 1:
+        return True
+    seen = {nodes[0]}
+    stack = [nodes[0]]
+    while stack:
+        for u in adjacent(stack.pop()):
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == len(nodes)
+
+
 def is_strongly_connected(k: Complex) -> bool:
     """Connectivity of the facet graph with ridge-sharing adjacency."""
-    facets = list(k.maximal_faces)
-    if len(facets) <= 1:
-        return True
-    adjacency = _facet_adjacency(k)
-    seen = {facets[0]}
-    stack = [facets[0]]
-    while stack:
-        for g in adjacency[stack.pop()]:
-            if g not in seen:
-                seen.add(g)
-                stack.append(g)
-    return len(seen) == len(facets)
-
-
-def _facet_adjacency(k: Complex) -> dict[Simplex, list[Simplex]]:
     adjacency: dict[Simplex, list[Simplex]] = {f: [] for f in k.maximal_faces}
     for fs in k.ridge_facet_map().values():
         for f1, f2 in itertools.combinations(fs, 2):
             adjacency[f1].append(f2)
             adjacency[f2].append(f1)
-    return adjacency
+    return _connected(adjacency, adjacency.__getitem__)
 
 
 def _complex_connected(k: Complex) -> bool:
     """Connectivity through the 1-skeleton (vertices joined by edges)."""
-    verts = list(k.vertices)
-    if len(verts) <= 1:
-        return True
-    if k.dim < 1:
-        return False
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        for u in k.neighbors(stack.pop()):
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(verts)
+    return _connected(k.vertices, k.neighbors)
+
+
+def _is_boundary_simplex(k: Complex) -> bool:
+    """Whether ``k`` is the boundary of a (dim + 1)-simplex."""
+    vs = sorted(k.vertices)
+    return len(vs) == k.dim + 2 and k.maximal_faces == frozenset(
+        itertools.combinations(vs, k.dim + 1)
+    )
 
 
 def is_normal_pseudomanifold(k: Complex) -> NormalityReport:
@@ -191,15 +188,11 @@ def _gf2_rank(columns: list[int]) -> int:
 # -- derived recognisers --------------------------------------------------
 
 
-class DimensionTooSmallForStackedness(ValueError):
-    pass
-
-
 def is_stacked_sphere(k: Complex) -> bool:
     """Normal pseudomanifold with vanishing g_2; for dimension >= 3 that
     characterises iterated connected sums of simplex boundaries."""
     if k.dim < 3:
-        raise DimensionTooSmallForStackedness("stackedness test needs dimension >= 3")
+        raise DimensionTooSmall("stackedness test needs dimension >= 3")
     return is_normal_pseudomanifold(k).normal and _g2(k) == 0
 
 
@@ -222,11 +215,10 @@ def _sphere_certificate_3d(link: Complex, depth: int = 0) -> Optional[str]:
         return "stacked"
     for u in sorted(link.vertices):
         lk_u = link.link((u,))
-        vs = sorted(lk_u.vertices)
         if (
-            len(vs) == 4
-            and lk_u.maximal_faces == frozenset(itertools.combinations(vs, 3))
-            and not link.has_face(vs)
+            lk_u.dim == 2
+            and _is_boundary_simplex(lk_u)
+            and not link.has_face(lk_u.vertices)
         ):
             inner = _sphere_certificate_3d(inverse_facet_subdivision(link, u), depth + 1)
             if inner:

@@ -32,6 +32,15 @@ def test_parse_errors_positioned():
     assert err.value.column == 3
 
 
+def test_parse_error_column_of_repeated_token():
+    from psf.fileio import ParseError
+
+    with pytest.raises(ParseError) as err:
+        parse_complex("1 11 2 1\n")
+    assert (err.value.line, err.value.column) == (1, 8)
+    assert "line 1, column 8: repeated vertex 1" in str(err.value)
+
+
 def test_comments_and_blank_lines():
     text = "# a sphere\n\n0 1 2  # facet one\n0 1 3\n0 2 3\n1 2 3\n"
     assert parse_complex(text) == boundary_simplex(3)
@@ -92,6 +101,19 @@ def test_build_rejects_bad_script(tmp_path, capsys):
     script = tmp_path / "script.json"
     script.write_text(json.dumps({"version": 1, "steps": [{"op": "nope"}]}))
     assert main(["build", str(script)]) == 2
+
+
+@pytest.mark.parametrize("steps", [
+    [{"op": "boundary_simplex", "n": "x"}],
+    [{"op": "complex", "facets": 5}],
+    [{"op": "boundary_simplex", "n": 5},
+     {"op": "facet_subdivision", "operand": 0, "facet": [0, 1, 2, 3, 4], "new_vertex": "q"}],
+], ids=["non-integer-n", "non-list-facets", "non-integer-new-vertex"])
+def test_build_malformed_step_exit_code(tmp_path, capsys, steps):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"version": 1, "steps": steps}))
+    assert main(["build", str(script)]) == 2
+    assert "parse error: bad field" in capsys.readouterr().err
 
 
 def test_build_inadmissible_fold_exit_code(tmp_path):

@@ -254,10 +254,10 @@ def test_suspension_tree_g2_bookkeeping():
     record = suspension_instance(53, extra_vertex_folds=1)
     k, t = record.complex, record.tracked
     tree = decompose(k, t, mode=MODE_SUSPENSION)
-    base_g2 = sum(
-        g2(Complex(s.facets)) for s in tree.steps if s.kind == "suspension_base"
-    )
-    assert g2(k) == 10 * tree.vertex_fold_count + 6 * tree.edge_fold_count + base_g2
+    m, n, base_g2, total = tree.g2_accounting()
+    assert (m, n) == (tree.edge_fold_count, tree.vertex_fold_count)
+    assert base_g2 > 0  # the suspension base carries the g2 the folds do not
+    assert g2(k) == total == 6 * m + 10 * n + base_g2
 
 
 def test_env_debug_verify(monkeypatch):

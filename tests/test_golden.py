@@ -4,7 +4,9 @@ Each entry hashes (sha256) one artifact: a random build script, the
 facet file of a seeded corpus instance, or the decomposition tree JSON
 of a folded instance.  A refactor of the constructors, the fold
 searches or the engine must leave every digest unchanged; a deliberate
-change of output has to update the table and say why.
+change of output has to update the table and say why.  Running this
+file with ``PYTHONPATH=src python3 tests/test_golden.py`` prints the
+table for the current code.
 """
 
 import hashlib
