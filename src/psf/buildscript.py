@@ -118,8 +118,15 @@ def _field(step: dict, key: str, convert, optional: bool = False):
         raise ScriptError(f"bad field {key!r} in step {step}: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """``value`` if it is a JSON integer; booleans, floats and strings raise."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _labels(value) -> list[int]:
-    return [int(v) for v in value]
+    return [_integer(v) for v in value]
 
 
 def _facet_list(value) -> list[list[int]]:
@@ -127,13 +134,13 @@ def _facet_list(value) -> list[list[int]]:
 
 
 def _pair_map(value) -> dict[int, int]:
-    return {int(a): int(b) for a, b in value}
+    return {_integer(a): _integer(b) for a, b in value}
 
 
 def validate_script(doc: dict) -> list[dict]:
     if not isinstance(doc, dict):
         raise ScriptError("script document must be a JSON object")
-    if doc.get("version") != SCRIPT_VERSION:
+    if type(doc.get("version")) is not int or doc["version"] != SCRIPT_VERSION:
         raise ScriptError(f"script version must be {SCRIPT_VERSION}")
     steps = doc.get("steps")
     if not isinstance(steps, list) or not steps:
@@ -147,7 +154,7 @@ def validate_script(doc: dict) -> list[dict]:
         for key in ("operand", "left", "right"):
             if key in step:
                 ref = step[key]
-                if not isinstance(ref, int) or not (0 <= ref < i):
+                if type(ref) is not int or not (0 <= ref < i):
                     raise ScriptError(f"step {i} references invalid step {ref!r}")
     return steps
 
@@ -161,10 +168,12 @@ def replay(doc: dict) -> ReplayResult:
     for i, step in enumerate(steps):
         op = step["op"]
         if op == "boundary_simplex":
-            result = boundary_simplex(_field(step, "n", int))
+            result = boundary_simplex(_field(step, "n", _integer))
         elif op == "stacked_sphere":
             result = stacked_sphere(
-                _field(step, "d", int), _field(step, "k", int), _field(step, "seed", int)
+                _field(step, "d", _integer),
+                _field(step, "k", _integer),
+                _field(step, "seed", _integer),
             )
         elif op == "complex":
             result = Complex(_field(step, "facets", _facet_list))
@@ -188,16 +197,16 @@ def replay(doc: dict) -> ReplayResult:
         elif op == "facet_subdivision":
             operand = complexes[_need(step, "operand")]
             result = facet_subdivision(
-                operand, _field(step, "facet", _labels), _field(step, "new_vertex", int, True)
+                operand, _field(step, "facet", _labels), _field(step, "new_vertex", _integer, True)
             )
         elif op == "one_vertex_suspension":
             operand = complexes[_need(step, "operand")]
             result = one_vertex_suspension(
-                operand, _field(step, "vertex", int), _field(step, "apex", int, True)
+                operand, _field(step, "vertex", _integer), _field(step, "apex", _integer, True)
             )
         elif op == "cone":
             operand = complexes[_need(step, "operand")]
-            result = cone(_field(step, "vertex", int), operand)
+            result = cone(_field(step, "vertex", _integer), operand)
         else:  # pragma: no cover - validate_script rejects unknown ops
             raise ScriptError(f"unhandled op {op!r}")
 

@@ -11,6 +11,7 @@ identical vertex labels, not merely up to isomorphism.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 from typing import Optional
@@ -38,6 +39,7 @@ from .separation import (
 from .verify import (
     _is_boundary_simplex,
     classify_vertex,
+    classify_vertices,
     is_normal_pseudomanifold,
     optimality_check,
 )
@@ -206,7 +208,7 @@ def _copy_negative_side(k: Complex, t: Simplex, pivot: int, report: SeparationRe
     side of their links and takes the copies otherwise.  Facets through
     ``skip`` are dropped.  Returns the rewritten facets and the copies.
     """
-    sides, _anchors = oriented_sides(k, t, pivot, report)
+    sides = oriented_sides(k, t, pivot, report)
     tau_set = set(t)
     tables = {x: _side_vertex_tables(sides[x], tau_set) for x in others}
     copy = dict(zip(others, fresh_labels(k, len(others))))
@@ -309,6 +311,24 @@ def recognize_one_vertex_suspension(k: Complex, t: int, t1: int):
 # -- decomposition trees ---------------------------------------------------
 
 
+# JSON fields of a tree node besides its kind and leaf kind, in output
+# order, with the number of list levels above their integers.
+_FIELDS = {
+    "children": 1, "n": 0, "vertex": 0, "apex": 0, "facets": 2, "missing_facet": 1,
+    "edge": 1, "facet": 1, "source_facet": 1, "target_facet": 1, "pairs": 2,
+}
+
+# Per node kind: its number of children and the fields its replay needs.
+_SHAPES = {
+    "leaf": (0, ("facets",)),
+    "suspension_base": (0, ("facets", "vertex", "apex")),
+    "inverse_subdivision": (1, ("facet",)),
+    "vertex_unfold": (1, ("source_facet", "target_facet", "pairs")),
+    "edge_unfold": (1, ("source_facet", "target_facet", "pairs")),
+    "split": (2, ("pairs",)),
+}
+
+
 @dataclass
 class TreeNode:
     """One decomposition step.
@@ -323,7 +343,7 @@ class TreeNode:
 
     kind: str
     children: tuple[int, ...] = ()
-    leaf_kind: Optional[str] = None  # boundary_simplex | stacked_sphere | irreducible_base
+    leaf_kind: Optional[str] = None  # boundary_simplex | irreducible_base
     facets: Optional[tuple[Simplex, ...]] = None
     n: Optional[int] = None
     missing_facet: Optional[Simplex] = None
@@ -337,50 +357,43 @@ class TreeNode:
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
-        if self.children:
-            out["children"] = list(self.children)
-        for key in ("leaf_kind", "n", "vertex", "apex"):
+        if self.leaf_kind is not None:
+            out["leaf_kind"] = self.leaf_kind
+        for key in _FIELDS:
             value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        if self.facets is not None:
-            out["facets"] = [list(f) for f in self.facets]
-        for key in ("missing_facet", "edge", "facet", "source_facet", "target_facet"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = list(value)
-        if self.pairs is not None:
-            out["pairs"] = [list(p) for p in self.pairs]
+            if value not in (None, ()):
+                out[key] = _lists(value)
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "TreeNode":
-        def tup(x):
-            return None if x is None else tuple(x)
+        if not (isinstance(data, dict) and isinstance(data.get("kind"), str)
+                and isinstance(data.get("leaf_kind"), (str, type(None)))):
+            raise MalformedTree(f"bad tree node {data!r}: kind and leaf_kind must be strings")
+        fields = {}
+        for key, depth in _FIELDS.items():
+            if data.get(key) is not None:
+                try:
+                    fields[key] = _integers(data[key], depth)
+                except TypeError as exc:
+                    raise MalformedTree(f"bad field {key!r} in tree node {data!r}: {exc}") from exc
+        return cls(data["kind"], leaf_kind=data.get("leaf_kind"), **fields)
 
-        def tup2(x):
-            return None if x is None else tuple(tuple(p) for p in x)
 
-        try:
-            return cls(
-                kind=data["kind"],
-                children=tuple(data.get("children", ())),
-                leaf_kind=data.get("leaf_kind"),
-                facets=None
-                if data.get("facets") is None
-                else tuple(tuple(f) for f in data["facets"]),
-                n=data.get("n"),
-                missing_facet=tup(data.get("missing_facet")),
-                vertex=data.get("vertex"),
-                edge=tup(data.get("edge")),
-                apex=data.get("apex"),
-                facet=tup(data.get("facet")),
-                source_facet=tup(data.get("source_facet")),
-                target_facet=tup(data.get("target_facet")),
-                pairs=tup2(data.get("pairs")),
-            )
-        except (KeyError, TypeError) as exc:
-            raise MalformedTree(f"bad tree node {data!r}: {exc}") from exc
+def _integers(value, depth: int):
+    """``value`` as ``depth`` levels of nested tuples over JSON integers;
+    booleans, floats and strings raise TypeError."""
+    if depth == 0:
+        if type(value) is not int:
+            raise TypeError(f"expected an integer, got {value!r}")
+        return value
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, got {value!r}")
+    return tuple(_integers(v, depth - 1) for v in value)
+
+
+def _lists(value):
+    return [_lists(v) for v in value] if isinstance(value, tuple) else value
 
 
 @dataclass
@@ -423,13 +436,21 @@ class DecompositionTree:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecompositionTree":
-        if not isinstance(data, dict) or data.get("version") != 1:
+        version = data.get("version") if isinstance(data, dict) else None
+        if type(version) is not int or version != 1:
             raise MalformedTree("tree document must carry version 1")
-        steps = [TreeNode.from_dict(s) for s in data.get("steps", [])]
+        steps = data.get("steps", [])
+        if not isinstance(steps, list):
+            raise MalformedTree("steps must be a list")
         root = data.get("root")
-        if not isinstance(root, int):
+        if type(root) is not int:
             raise MalformedTree("missing root index")
-        tree = cls(steps, root, dict(data.get("counters", {})))
+        counters = data.get("counters", {})
+        if not isinstance(counters, dict) or not all(
+            isinstance(name, str) and type(value) is int for name, value in counters.items()
+        ):
+            raise MalformedTree("counters must map names to integers")
+        tree = cls([TreeNode.from_dict(s) for s in steps], root, dict(counters))
         tree.validate()
         return tree
 
@@ -437,9 +458,21 @@ class DecompositionTree:
         if not (0 <= self.root < len(self.steps)):
             raise MalformedTree("root index out of range")
         for i, node in enumerate(self.steps):
+            if node.kind not in _SHAPES:
+                raise MalformedTree(f"unknown node kind {node.kind!r}")
+            arity, needed = _SHAPES[node.kind]
+            if len(node.children) != arity:
+                raise MalformedTree(
+                    f"{node.kind} node {i} has {len(node.children)} children, expected {arity}"
+                )
             for c in node.children:
                 if not (0 <= c < i):
                     raise MalformedTree(f"node {i} references child {c}")
+            for key in needed:
+                if getattr(node, key) is None:
+                    raise MalformedTree(f"{node.kind} node {i} lacks {key}")
+            if node.pairs is not None and any(len(p) != 2 for p in node.pairs):
+                raise MalformedTree(f"{node.kind} node {i} has a pair of the wrong length")
 
 
 def rebuild(tree: DecompositionTree) -> Complex:
@@ -448,15 +481,10 @@ def rebuild(tree: DecompositionTree) -> Complex:
     built: list[Optional[Complex]] = [None] * len(tree.steps)
     for i, node in enumerate(tree.steps):
         kids = [built[c] for c in node.children]
-        if node.kind in ("leaf",):
-            if node.facets is None:
-                raise MalformedTree(f"leaf node {i} lacks facets")
+        if node.kind == "leaf":
             built[i] = Complex(node.facets)
         elif node.kind == "suspension_base":
-            if node.facets is None or node.vertex is None or node.apex is None:
-                raise MalformedTree(f"suspension node {i} incomplete")
-            base = Complex(node.facets)
-            built[i] = one_vertex_suspension(base, node.vertex, apex=node.apex)
+            built[i] = one_vertex_suspension(Complex(node.facets), node.vertex, apex=node.apex)
         elif node.kind == "inverse_subdivision":
             (child,) = kids
             built[i] = facet_subdivision(child, node.facet, new_vertex=node.vertex)
@@ -466,21 +494,13 @@ def rebuild(tree: DecompositionTree) -> Complex:
         elif node.kind == "edge_unfold":
             (child,) = kids
             built[i] = edge_fold(child, node.source_facet, node.target_facet, dict(node.pairs))
-        elif node.kind == "split":
+        else:  # split; validate() admits no other kind
             a, b = kids
             built[i] = connected_sum(a, b, dict(node.pairs))
-        else:
-            raise MalformedTree(f"unknown node kind {node.kind!r}")
     return built[tree.root]
 
 
 # -- the decomposition engine ----------------------------------------------
-
-
-def _debug_enabled(debug: Optional[bool]) -> bool:
-    if debug is not None:
-        return debug
-    return os.environ.get("PSF_DEBUG_VERIFY", "") == "1"
 
 
 class _Engine:
@@ -488,23 +508,7 @@ class _Engine:
         self.mode = mode
         self.debug = debug
         self.steps: list[TreeNode] = []
-        self.counters = {
-            "vertex_folds": 0,
-            "edge_folds": 0,
-            "connected_sums": 0,
-            "inverse_subdivisions": 0,
-        }
-        self.irreducible = False
         self.budget = 100_000
-
-    def emit(self, node: TreeNode) -> int:
-        self.steps.append(node)
-        return len(self.steps) - 1
-
-    def spend(self):
-        self.budget -= 1
-        if self.budget < 0:
-            raise DecompositionError("step budget exhausted; decomposition does not terminate")
 
     def verdict(self, k: Complex, v: Optional[int]) -> Optional[str]:
         if v is None or v not in k.vertices:
@@ -521,28 +525,50 @@ class _Engine:
         if not report.normal:
             raise DecompositionError(f"intermediate complex is not normal: {report}")
         if t is not None and t in k.vertices:
-            opt = optimality_check(k, t)
-            if not opt.optimal:
+            if not optimality_check(k, t).optimal:
                 raise DecompositionError(f"optimality lost at vertex {t}")
 
-    # -- main recursion --
+    # -- the work-stack loop --
 
-    def build(self, k: Complex, t: Optional[int], t1: Optional[int]) -> int:
-        self.spend()
+    def run(self, k: Complex, t: Optional[int], t1: Optional[int]) -> int:
+        """Reduce ``k`` depth first and return the index of its node.
+
+        Parts are expanded in order and each node is recorded after its
+        children, so node indices follow the post-order of the tree.
+        """
+        node, parts = self.step(k, t, t1)
+        stack = [(node, iter(parts), [])]
+        while True:
+            node, parts, children = stack[-1]
+            part = next(parts, None)
+            if part is not None:
+                child, child_parts = self.step(*part)
+                stack.append((child, iter(child_parts), []))
+                continue
+            stack.pop()
+            node.children = tuple(children)
+            self.steps.append(node)
+            index = len(self.steps) - 1
+            if not stack:
+                return index
+            stack[-1][2].append(index)  # a child of the node below
+
+    def step(self, k: Complex, t: Optional[int], t1: Optional[int]) -> tuple[TreeNode, list]:
+        """Reduce one complex: its node, without children yet, and the
+        ``(complex, t, t1)`` parts that become those children."""
+        self.budget -= 1
+        if self.budget < 0:
+            raise DecompositionError("step budget exhausted; decomposition does not terminate")
         self.check_state(k, t)
         if _is_boundary_simplex(k):
-            return self.emit(
-                TreeNode("leaf", leaf_kind="boundary_simplex", n=k.dim + 1, facets=k.facets)
-            )
-        status = self.verdict(k, t)
-        if status != "singular":
-            return self.build_stacked(k, t, t1)
-        return self.build_singular(k, t, t1)
+            return TreeNode("leaf", leaf_kind="boundary_simplex", n=k.dim + 1, facets=k.facets), []
+        if self.verdict(k, t) != "singular":
+            return self.stacked(k, t, t1)
+        return self.singular(k, t, t1)
 
-    def build_stacked(self, k: Complex, t, t1) -> int:
+    def stacked(self, k: Complex, t, t1):
         if _g2(k) != 0:
-            self.irreducible = True
-            return self.emit(TreeNode("leaf", leaf_kind="irreducible_base", facets=k.facets))
+            return TreeNode("leaf", leaf_kind="irreducible_base", facets=k.facets), []
         missing = sorted(k.missing_simplices(k.dim))
         if not missing:
             raise NoMissingFacetFound(
@@ -553,9 +579,9 @@ class _Engine:
             raise DecompositionError(
                 f"missing facet {missing[0]} of a stacked complex classified as {cls.kind}"
             )
-        return self.apply_split(k, missing[0], t, t1)
+        return self.split(k, missing[0], t, t1)
 
-    def build_singular(self, k: Complex, t: int, t1) -> int:
+    def singular(self, k: Complex, t: int, t1):
         # reduction outside the star of t
         outside = sorted(v for v in k.vertices if v != t and v not in k.neighbors(t))
         for u in outside:
@@ -563,16 +589,7 @@ class _Engine:
             if link.dim == k.dim - 1 and _is_boundary_simplex(link):
                 vs = tuple(sorted(link.vertices))
                 reduced = inverse_facet_subdivision(k, u)
-                self.counters["inverse_subdivisions"] += 1
-                child = self.build(reduced, t, t1)
-                return self.emit(
-                    TreeNode(
-                        "inverse_subdivision",
-                        children=(child,),
-                        vertex=u,
-                        facet=vs,
-                    )
-                )
+                return TreeNode("inverse_subdivision", vertex=u, facet=vs), [(reduced, t, t1)]
         if outside:
             u = outside[0]
             link = k.link((u,))
@@ -587,7 +604,7 @@ class _Engine:
                     f"no reinsertable missing facet in the link of {u}; retriangulation case"
                 )
             missing = tuple(sorted(in_complex[0] + (u,)))
-            return self.apply_classified(k, missing, t, t1)
+            return self.classified(k, missing, t, t1)
 
         # all vertices are now in the star of t; the 2-skeleton must match it
         for f2 in sorted(k.faces(2)):
@@ -601,32 +618,17 @@ class _Engine:
                 found = recognize_one_vertex_suspension(k, t, t1)
                 if found:
                     base, pole = found
-                    base_link = base.link((pole,))
-                    if _g2(base) != _g2(base_link):
-                        raise DecompositionError(
-                            f"suspension base is not g2-minimal at {pole}"
-                        )
-                    return self.emit(
-                        TreeNode(
-                            "suspension_base",
-                            vertex=pole,
-                            apex=t,
-                            facets=base.facets,
-                        )
-                    )
+                    if _g2(base) != _g2(base.link((pole,))):
+                        raise DecompositionError(f"suspension base is not g2-minimal at {pole}")
+                    return TreeNode("suspension_base", vertex=pole, apex=t, facets=base.facets), []
 
-        interior = sorted(
-            f3
-            for f3 in k.faces(3)
-            if t not in f3 and not k.has_face(f3 + (t,))
-        )
+        interior = sorted(f3 for f3 in k.faces(3) if t not in f3 and not k.has_face(f3 + (t,)))
         if not interior:
-            self.irreducible = True
-            return self.emit(TreeNode("leaf", leaf_kind="irreducible_base", facets=k.facets))
+            return TreeNode("leaf", leaf_kind="irreducible_base", facets=k.facets), []
 
         tau = self.choose_interior(k, interior, t, t1)
         missing = tuple(sorted(tau + (t,)))
-        return self.apply_classified(k, missing, t, t1)
+        return self.classified(k, missing, t, t1)
 
     def choose_interior(self, k: Complex, interior, t, t1) -> Simplex:
         if self.mode == MODE_SUSPENSION and t1 is not None:
@@ -639,80 +641,55 @@ class _Engine:
                 return nonsingular[0]
         return interior[0]
 
-    def apply_classified(self, k: Complex, missing, t, t1) -> int:
+    def classified(self, k: Complex, missing, t, t1):
         cls = classify_missing_facet(k, missing)
         if cls.kind == "connected_sum_split":
-            return self.apply_split(k, missing, t, t1)
+            return self.split(k, missing, t, t1)
         if cls.kind == "vertex_fold":
             unfold = vertex_unfold(k, missing, cls.vertex, report=cls.report)
-            self.counters["vertex_folds"] += 1
             got = _g2(k) - _g2(unfold.complex)
             expected = comb(k.dim + 1, 2)
             if got != expected:
                 raise DecompositionError(f"vertex unfold changed g2 by {got}, expected {expected}")
-            child = self.build(unfold.complex, t, t1)
-            return self.emit(
-                TreeNode(
-                    "vertex_unfold",
-                    children=(child,),
-                    missing_facet=simplex(missing),
-                    vertex=cls.vertex,
-                    source_facet=unfold.source_facet,
-                    target_facet=unfold.target_facet,
-                    pairs=unfold.pairs,
-                )
-            )
-        if cls.kind == "edge_fold":
+            kind, where = "vertex_unfold", {"vertex": cls.vertex}
+        elif cls.kind == "edge_fold":
             if self.mode != MODE_EDGE:
-                raise ModeMismatch(
-                    f"edge-fold signature at {cls.edge} in mode {self.mode!r}"
-                )
+                raise ModeMismatch(f"edge-fold signature at {cls.edge} in mode {self.mode!r}")
             unfold = edge_unfold(k, missing, cls.edge, report=cls.report)
-            self.counters["edge_folds"] += 1
-            child = self.build(unfold.complex, t, t1)
-            return self.emit(
-                TreeNode(
-                    "edge_unfold",
-                    children=(child,),
-                    missing_facet=simplex(missing),
-                    edge=cls.edge,
-                    source_facet=unfold.source_facet,
-                    target_facet=unfold.target_facet,
-                    pairs=unfold.pairs,
-                )
-            )
-        if cls.kind == "handle_like":
+            kind, where = "edge_unfold", {"edge": cls.edge}
+        elif cls.kind == "handle_like":
             raise DecompositionError(
                 f"missing facet {tuple(missing)} carries a handle signature; optimal inputs cannot"
             )
-        raise DecompositionError(f"missing facet {tuple(missing)} is unclassified")
+        else:
+            raise DecompositionError(f"missing facet {tuple(missing)} is unclassified")
+        node = TreeNode(
+            kind,
+            missing_facet=simplex(missing),
+            source_facet=unfold.source_facet,
+            target_facet=unfold.target_facet,
+            pairs=unfold.pairs,
+            **where,
+        )
+        return node, [(unfold.complex, t, t1)]
 
-    def apply_split(self, k: Complex, missing, t, t1) -> int:
+    def split(self, k: Complex, missing, t, t1):
         split = split_connected_sum(k, missing)
-        self.counters["connected_sums"] += 1
 
         def locate(part: Complex, v, mapped):
-            if v is None:
-                return None
             w = mapped.get(v, v)
             return w if w in part.vertices else None
 
-        child_a = self.build(
-            split.part_a, locate(split.part_a, t, {}), locate(split.part_a, t1, {})
+        parts = [
+            (part, locate(part, t, mapped), locate(part, t1, mapped))
+            for part, mapped in ((split.part_a, {}), (split.part_b, split.pairing))
+        ]
+        node = TreeNode(
+            "split",
+            missing_facet=split.missing_facet,
+            pairs=tuple(sorted(split.pairing.items())),
         )
-        child_b = self.build(
-            split.part_b,
-            locate(split.part_b, t, split.pairing),
-            locate(split.part_b, t1, split.pairing),
-        )
-        return self.emit(
-            TreeNode(
-                "split",
-                children=(child_a, child_b),
-                missing_facet=split.missing_facet,
-                pairs=tuple(sorted(split.pairing.items())),
-            )
-        )
+        return node, parts
 
 
 def decompose(
@@ -723,12 +700,15 @@ def decompose(
 ) -> DecompositionTree:
     """Decompose an optimal normal 4-pseudomanifold into certified leaves.
 
-    The loop exhausts inverse facet subdivisions outside the star of
-    ``t``, locates a missing facet through ``t``, classifies it,
-    applies the matching inverse operation and recurses.  ``mode``
-    selects the route for two singularities: either termination at a
+    Each step reduces one complex: it exhausts inverse facet
+    subdivisions outside the star of ``t``, locates a missing facet
+    through ``t``, classifies it and applies the matching inverse
+    operation, whose results are the parts still to reduce.  One loop
+    over a work stack reduces the parts depth first, so the Python
+    stack does not grow with the depth of the tree.  ``mode`` selects
+    the route for two singularities: either termination at a
     recognised one-vertex suspension or edge unfoldings along the
-    singular edge.
+    singular edge.  The counters are read off the finished tree.
     """
     if mode not in MODES:
         raise ModeMismatch(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -741,8 +721,6 @@ def decompose(
         raise DecompositionError(f"input is not a normal pseudomanifold: {report}")
     if not optimality_check(k, t).optimal:
         raise NotOptimal(f"complex is not g2- and g3-optimal at vertex {t}")
-
-    from .verify import classify_vertices
 
     verdicts = classify_vertices(k)
     unknown = [v for v, verdict in verdicts.items() if verdict.status == "unknown"]
@@ -757,10 +735,19 @@ def decompose(
         raise ModeMismatch(f"tracked vertex {t} is not singular; singular set is {singular}")
     t1 = next((v for v in singular if v != t), None)
 
-    engine = _Engine(mode, _debug_enabled(debug))
-    root = engine.build(k, t, t1)
-    tree = DecompositionTree(engine.steps, root, engine.counters)
-    tree.counters["irreducible"] = int(engine.irreducible)
+    if debug is None:
+        debug = os.environ.get("PSF_DEBUG_VERIFY", "") == "1"
+    engine = _Engine(mode, debug)
+    root = engine.run(k, t, t1)
+    kinds = Counter(node.kind for node in engine.steps)
+    counters = {
+        "vertex_folds": kinds["vertex_unfold"],
+        "edge_folds": kinds["edge_unfold"],
+        "connected_sums": kinds["split"],
+        "inverse_subdivisions": kinds["inverse_subdivision"],
+        "irreducible": int(any(node.leaf_kind == "irreducible_base" for node in engine.steps)),
+    }
+    tree = DecompositionTree(engine.steps, root, counters)
     if engine.debug and rebuild(tree) != k:
         raise DecompositionError("tree replay does not reproduce the input")
     return tree

@@ -200,8 +200,8 @@ def oriented_sides(k: Complex, tau, anchor_vertex: int, report: Optional[Separat
     all anchors and side polarities of all separating vertices are
     solved as one parity system; the anchor ridge opposite
     ``anchor_vertex`` is oriented with its smaller label positive.
-    Returns ``(sides, anchors)`` where ``sides[x] = (plus, minus)``
-    facet sets, or raises ``SideAssignmentInconsistent``.
+    Returns ``sides`` with ``sides[x] = (plus, minus)`` facet sets, or
+    raises ``SideAssignmentInconsistent``.
     """
     t = simplex(tau)
     if anchor_vertex not in t:
@@ -262,14 +262,7 @@ def oriented_sides(k: Complex, tau, anchor_vertex: int, report: Optional[Separat
         if polarity == 1:
             plus, minus = minus, plus
         out[x] = (plus, minus)
-    oriented_anchors = {}
-    for y in t:
-        node = ("ridge", y)
-        if node in parity:
-            _, p = find(node)
-            q0, q1 = anchors[y]
-            oriented_anchors[y] = (q0, q1) if (p ^ flip) == 0 else (q1, q0)
-    return out, oriented_anchors
+    return out
 
 
 def two_sided(k: Complex, tau, v: int) -> tuple[bool, str]:

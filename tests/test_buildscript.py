@@ -42,6 +42,8 @@ def test_schema_rejections():
     with pytest.raises(ScriptError):
         validate_script({"version": 2, "steps": []})
     with pytest.raises(ScriptError):
+        validate_script({"version": True, "steps": [{"op": "boundary_simplex", "n": 5}]})
+    with pytest.raises(ScriptError):
         validate_script({"version": 1, "steps": []})
     with pytest.raises(ScriptError):
         validate_script({"version": 1, "steps": [{"op": "frobnicate"}]})

@@ -103,17 +103,40 @@ def test_build_rejects_bad_script(tmp_path, capsys):
     assert main(["build", str(script)]) == 2
 
 
-@pytest.mark.parametrize("steps", [
-    [{"op": "boundary_simplex", "n": "x"}],
-    [{"op": "complex", "facets": 5}],
-    [{"op": "boundary_simplex", "n": 5},
-     {"op": "facet_subdivision", "operand": 0, "facet": [0, 1, 2, 3, 4], "new_vertex": "q"}],
-], ids=["non-integer-n", "non-list-facets", "non-integer-new-vertex"])
-def test_build_malformed_step_exit_code(tmp_path, capsys, steps):
+_B5 = {"op": "boundary_simplex", "n": 5}
+_B5_FACETS = [list(f) for f in boundary_simplex(5).facets]
+_BAD_FIELD = "parse error: bad field"
+
+
+@pytest.mark.parametrize("steps, message", [
+    ([{"op": "boundary_simplex", "n": "x"}], _BAD_FIELD),
+    ([{"op": "complex", "facets": 5}], _BAD_FIELD),
+    ([_B5, {"op": "facet_subdivision", "operand": 0, "facet": [0, 1, 2, 3, 4],
+            "new_vertex": "q"}], _BAD_FIELD),
+    ([{"op": "boundary_simplex", "n": 5.9}], _BAD_FIELD),
+    ([{"op": "boundary_simplex", "n": True}], _BAD_FIELD),
+    ([{"op": "boundary_simplex", "n": "5"}], _BAD_FIELD),
+    ([_B5, {"op": "one_vertex_suspension", "operand": 0, "vertex": 0, "apex": 1.5}],
+     _BAD_FIELD),
+    ([{"op": "complex", "facets": [[0, 1, 2.0], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}],
+     _BAD_FIELD),
+    ([{"op": "complex", "facets": [[0, 1, True], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}],
+     _BAD_FIELD),
+    ([_B5, {"op": "facet_subdivision", "operand": 0, "facet": [0, 1, 2, 3, "4"]}],
+     _BAD_FIELD),
+    ([_B5, {"op": "complex", "facets": _B5_FACETS},
+      {"op": "connected_sum", "left": 0, "right": 1,
+       "pairs": [[0, 0.0], [1, 1], [2, 2], [3, 3], [4, 4]]}], _BAD_FIELD),
+    ([_B5, _B5, {"op": "cone", "operand": True, "vertex": 9}], None),
+], ids=["non-integer-n", "non-list-facets", "non-integer-new-vertex", "float-n", "bool-n",
+        "string-n", "float-apex", "float-label", "bool-label", "string-label", "float-pair",
+        "bool-reference"])
+def test_build_malformed_step_exit_code(tmp_path, capsys, steps, message):
     script = tmp_path / "script.json"
     script.write_text(json.dumps({"version": 1, "steps": steps}))
     assert main(["build", str(script)]) == 2
-    assert "parse error: bad field" in capsys.readouterr().err
+    if message is not None:
+        assert message in capsys.readouterr().err
 
 
 def test_build_inadmissible_fold_exit_code(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -223,6 +224,41 @@ def test_malformed_tree_rejected():
         DecompositionTree.from_dict(
             {"version": 1, "root": 0, "steps": [{"kind": "split", "children": [2, 3]}]}
         )
+    leaf = {"kind": "leaf", "leaf_kind": "boundary_simplex", "n": 2, "facets": [[0], [1]]}
+    split = {"kind": "split", "children": [0], "missing_facet": [0], "pairs": [[0, 2]]}
+    for change in (
+        {"steps": [dict(leaf, children="a")]},
+        {"steps": 5},
+        {"counters": [1]},
+        {"steps": [dict(leaf, facets=[[0, "x"]])]},
+        {"steps": [leaf, split], "root": 1},
+        {"steps": [leaf, leaf], "root": True},
+        {"version": True},
+        {"version": 1.0},
+    ):
+        doc = {"version": 1, "root": 0, "counters": {}, "steps": [leaf], **change}
+        with pytest.raises(MalformedTree):
+            rebuild(DecompositionTree.from_dict(doc))
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_decompose_stack_does_not_grow_with_tree_depth():
+    # A recursive engine needs about 65 frames above its caller on this
+    # chain and the work-stack loop about 15, whatever the tree depth.
+    chain = linear_chain(4, 40, 5, fixed=(0,))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 40)
+    try:
+        tree = decompose(chain, 0, mode=MODE_ONE)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert rebuild(tree) == chain
 
 
 def test_optimality_preserved_across_steps():
