@@ -60,7 +60,11 @@ def simplex(vertices: Iterable[int]) -> Simplex:
 
 def _antichain(faces: Iterable[Simplex]) -> frozenset[Simplex]:
     """Drop faces contained in another face of the collection."""
-    unique = sorted(set(faces), key=len, reverse=True)
+    unique = set(faces)
+    if len({len(f) for f in unique}) <= 1:
+        # distinct simplices of one length never contain one another
+        return frozenset(unique)
+    unique = sorted(unique, key=len, reverse=True)
     kept: list[set[int]] = []
     out: list[Simplex] = []
     for f in unique:

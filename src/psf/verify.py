@@ -3,17 +3,21 @@ homology over the two-element field, stacked-sphere recognition,
 singular-vertex classification and optimality certificates.
 
 Sphere recognition for 3-dimensional links is deliberately three-valued.
-Every link this library's own constructions produce carries a
-constructive certificate (stacked, or reducible to simplex boundaries
-by inverse subdivisions and connected-sum splits); anything else is
-reported as unknown rather than guessed.
+The certified 3-spheres are the stacked ones: normal pseudomanifolds
+with g2 = f1 - 4 f0 + 10 = 0.  Reducing a link by inverse facet
+subdivisions and connected-sum splits certifies nothing more, because
+an inverse subdivision removes one vertex and its four edges, leaving
+g2 unchanged, and a split shares only the four vertices and six edges
+of the missing facet between its parts, so g2 adds up over them; every
+link reducible to simplex boundaries therefore already has g2 = 0.  A
+link with sphere homology and g2 > 0 is reported as unknown rather than
+guessed.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .complexes import Complex, Simplex, UnknownVertex
 from .enumeration import DimensionTooSmall
@@ -110,6 +114,16 @@ def _is_boundary_simplex(k: Complex) -> bool:
 
 
 def is_normal_pseudomanifold(k: Complex) -> NormalityReport:
+    """Purity, ridge degrees, strong connectivity and connected links.
+
+    The links checked are those of every face of dimension at most
+    dim - 2, the empty face included, in order of dimension and then of
+    label.  No link is built: one pass over the facets collects the
+    facets through each such face, and the link of the face is connected
+    exactly when the residues ``f - face`` of those facets form one
+    connected piece, the vertices of each residue being joined to each
+    other.
+    """
     pure = k.is_pure
     witnesses: dict = {}
 
@@ -126,11 +140,13 @@ def is_normal_pseudomanifold(k: Complex) -> NormalityReport:
 
     links_ok = True
     if pure and k.dim >= 1:
-        bad_links = []
-        for dim_face in range(-1, k.dim - 1):
-            for face in sorted(k.faces(dim_face)):
-                if not _complex_connected(k.link(face)):
-                    bad_links.append(face)
+        through: list[dict[Simplex, list[Simplex]]] = [{} for _ in range(k.dim)]
+        for f in k.maximal_faces:
+            for size, faces in enumerate(through):
+                for face in itertools.combinations(f, size):
+                    faces.setdefault(face, []).append(f)
+        bad_links = [face for faces in through for face in sorted(faces)
+                     if not _residues_connected(face, faces[face])]
         if bad_links:
             links_ok = False
             witnesses["disconnected_links"] = bad_links[:10]
@@ -138,6 +154,16 @@ def is_normal_pseudomanifold(k: Complex) -> NormalityReport:
         links_ok = False
 
     return NormalityReport(pure, ridge_ok, strong, links_ok, witnesses)
+
+
+def _residues_connected(face: Simplex, facets: list[Simplex]) -> bool:
+    """Whether the link of ``face``, given the facets through it, is connected."""
+    joined: dict[int, set[int]] = {}
+    for f in facets:
+        residue = [v for v in f if v not in face]
+        for v in residue:
+            joined.setdefault(v, set()).update(residue)
+    return _connected(joined, joined.__getitem__)
 
 
 # -- homology over GF(2) -------------------------------------------------
@@ -196,54 +222,12 @@ def is_stacked_sphere(k: Complex) -> bool:
     return is_normal_pseudomanifold(k).normal and _g2(k) == 0
 
 
-def _sphere_certificate_3d(link: Complex, depth: int = 0) -> Optional[str]:
-    """Constructive 3-sphere certificate, or None when undecided.
-
-    Certified spheres are the stacked ones, plus anything reducible to
-    certified spheres by inverse facet subdivisions and connected-sum
-    splits along missing facets.
-    """
-    from .decompose import NotSplit, inverse_facet_subdivision, split_connected_sum
-    from .separation import classify_missing_facet
-
-    if depth > 64 or link.dim != 3:
-        return None
-    report = is_normal_pseudomanifold(link)
-    if not report.normal:
-        return None
-    if _g2(link) == 0:
-        return "stacked"
-    for u in sorted(link.vertices):
-        lk_u = link.link((u,))
-        if (
-            lk_u.dim == 2
-            and _is_boundary_simplex(lk_u)
-            and not link.has_face(lk_u.vertices)
-        ):
-            inner = _sphere_certificate_3d(inverse_facet_subdivision(link, u), depth + 1)
-            if inner:
-                return f"subdivide({u})->{inner}"
-    for tau in sorted(link.missing_simplices(3)):
-        cls = classify_missing_facet(link, tau)
-        if cls.kind != "connected_sum_split":
-            continue
-        try:
-            split = split_connected_sum(link, tau)
-        except NotSplit:
-            continue
-        left = _sphere_certificate_3d(split.part_a, depth + 1)
-        right = _sphere_certificate_3d(split.part_b, depth + 1)
-        if left and right:
-            return f"split({''.join(map(str, tau))})"
-    return None
-
-
 def classify_vertex(k: Complex, v: int) -> SingularityVerdict:
     """Decide whether the link of ``v`` is a triangulated sphere.
 
     Two-dimensional links are decided exactly through the Euler
     characteristic; three-dimensional links get a homology witness for
-    singularity or a constructive sphere certificate, and otherwise the
+    singularity or the certificate ``"stacked"``, and otherwise the
     verdict is unknown.
     """
     if v not in k.vertices:
@@ -262,9 +246,8 @@ def classify_vertex(k: Complex, v: int) -> SingularityVerdict:
     betti = homology_gf2(link)
     if betti != (0, 0, 0, 1):
         return SingularityVerdict(v, "singular", f"link gf2 betti {betti}")
-    cert = _sphere_certificate_3d(link)
-    if cert:
-        return SingularityVerdict(v, "nonsingular", cert)
+    if is_stacked_sphere(link):
+        return SingularityVerdict(v, "nonsingular", "stacked")
     return SingularityVerdict(v, "unknown", "sphere-like homology but no constructive certificate")
 
 

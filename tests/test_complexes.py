@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,9 @@ from psf import (
     is_isomorphic,
     join,
 )
-from psf.build import boundary_simplex, one_vertex_suspension, stacked_sphere
+from psf.build import boundary_simplex, facet_subdivision, one_vertex_suspension, stacked_sphere
+from psf.complexes import _antichain
+from psf.corpus import edge_folded_instance, suspension_instance, vertex_folded_instance
 
 
 def triangle_circle():
@@ -191,6 +194,69 @@ def test_is_isomorphic_distinguishes_same_f_vector():
     # two stacked spheres with equal f-vectors but different gluing trees
     path = stacked_sphere(4, 3, 2)
     assert is_isomorphic(path, path.relabel({v: v + 50 for v in path.vertices}))
+
+
+def _incidence_graph(nx, k):
+    """Vertex-facet incidence graph; its kind-preserving isomorphisms are
+    exactly the vertex bijections carrying maximal faces onto maximal faces."""
+    g = nx.Graph()
+    g.add_nodes_from((("v", v) for v in k.vertices), kind="vertex")
+    g.add_nodes_from((("f", f) for f in k.maximal_faces), kind="facet")
+    g.add_edges_from((("v", v), ("f", f)) for f in k.maximal_faces for v in f)
+    return g
+
+
+def test_is_isomorphic_agrees_with_vf2():
+    nx = pytest.importorskip("networkx")
+
+    def vf2(a, b):
+        return nx.is_isomorphic(
+            _incidence_graph(nx, a),
+            _incidence_graph(nx, b),
+            node_match=lambda x, y: x["kind"] == y["kind"],
+        )
+
+    rng = random.Random(2024)
+    bases = [
+        boundary_simplex(5),
+        stacked_sphere(3, 6, 4),
+        stacked_sphere(4, 5, 8),
+        vertex_folded_instance(3).complex,
+        edge_folded_instance(4).complex,
+        suspension_instance(5).complex,
+    ]
+    pairs = []
+    for k in bases:
+        labels = sorted(k.vertices)
+        for _ in range(2):
+            pairs.append((k, k.relabel(dict(zip(labels, rng.sample(range(200), len(labels)))))))
+    # near misses: equal f-vectors, isomorphic or not
+    spheres = [stacked_sphere(4, 4, seed) for seed in range(10)]
+    pairs += list(itertools.combinations(spheres, 2))
+    folded = vertex_folded_instance(3).complex
+    subdivided = [facet_subdivision(folded, f) for f in folded.facets[:8]]
+    pairs += list(itertools.combinations(subdivided, 2))
+
+    outcomes = []
+    for a, b in pairs:
+        mapping = is_isomorphic(a, b)
+        assert (mapping is not None) == vf2(a, b)
+        if mapping is not None:
+            assert a.relabel(mapping) == b
+        outcomes.append(mapping is not None)
+    assert len(set(outcomes[len(bases) * 2:])) == 2
+
+
+def _antichain_reference(faces):
+    faces = set(faces)
+    return frozenset(f for f in faces if not any(set(f) < set(g) for g in faces))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 6), max_size=5).map(lambda s: tuple(sorted(s))),
+                max_size=12))
+def test_antichain_matches_quadratic_filter(faces):
+    assert _antichain(faces) == _antichain_reference(faces)
 
 
 @settings(max_examples=30, deadline=None)

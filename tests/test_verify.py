@@ -1,7 +1,17 @@
 import itertools
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from psf import Complex, g2, join
-from psf.build import boundary_simplex, cone, facet_subdivision, one_vertex_suspension, stacked_sphere
+from psf.build import (
+    boundary_simplex,
+    cone,
+    connected_sum,
+    facet_subdivision,
+    one_vertex_suspension,
+    stacked_sphere,
+)
 from psf.corpus import (
     edge_folded_instance,
     handle_instance,
@@ -88,6 +98,62 @@ def test_normality_report_on_corpus():
     assert is_normal_pseudomanifold(vertex_folded_instance(5).complex).normal
 
 
+def reference_link_connectivity(k):
+    """The link-building definition of link connectivity.
+
+    Builds the link of every face of dimension at most dim - 2 and runs
+    a search over its 1-skeleton.  Returns ``links_connected`` and the
+    ``disconnected_links`` witness list (None when there is none).
+    """
+    if not (k.is_pure and k.dim >= 1):
+        return False, None
+    bad = []
+    for dim_face in range(-1, k.dim - 1):
+        for face in sorted(k.faces(dim_face)):
+            link = k.link(face)
+            start = min(link.vertices)
+            seen, stack = {start}, [start]
+            while stack:
+                for u in link.neighbors(stack.pop()):
+                    if u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+            if seen != link.vertices:
+                bad.append(face)
+    return not bad, bad[:10] or None
+
+
+def assert_links_match_reference(k):
+    report = is_normal_pseudomanifold(k)
+    assert (report.links_connected, report.witnesses.get("disconnected_links")) == (
+        reference_link_connectivity(k)
+    )
+
+
+def test_link_connectivity_matches_link_building_definition(shared_corpus):
+    assert_links_match_reference(pinched_complex())
+    two_edges = Complex([[0, 1], [2, 3]])
+    assert_links_match_reference(two_edges)
+    assert is_normal_pseudomanifold(two_edges).witnesses["disconnected_links"] == [()]
+    assert_links_match_reference(Complex([[0]]))
+    for _, k in shared_corpus:
+        assert_links_match_reference(k)
+
+
+@st.composite
+def pure_complexes(draw):
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(dim + 1, dim + 5))
+    facet = st.sets(st.integers(0, n - 1), min_size=dim + 1, max_size=dim + 1)
+    return Complex(draw(st.lists(facet, min_size=1, max_size=12)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pure_complexes())
+def test_link_connectivity_matches_reference_on_random_pure_complexes(k):
+    assert_links_match_reference(k)
+
+
 def test_pinched_complex_fails_link_connectivity():
     p = pinched_complex()
     report = is_normal_pseudomanifold(p)
@@ -166,6 +232,26 @@ def test_classify_unknown_for_uncertified_sphere_link():
     apex = max(susp.vertices)
     assert is_normal_pseudomanifold(susp).normal
     assert classify_vertex(susp, apex).status == "unknown"
+
+
+def test_classify_unknown_for_subdivided_sum_with_positive_g2():
+    # the join of two triangles (g2 = 1), summed with a stacked sphere and
+    # subdivided: a normal 3-sphere with 11 vertices, missing facets and
+    # g2 = 1, which no certificate covers
+    circles = join(boundary_simplex(2), Complex([[3, 4], [4, 5], [3, 5]]))
+    summand = stacked_sphere(3, 2, 1).relabel({v: v + 10 for v in range(6)})
+    sphere = connected_sum(circles, summand, dict(zip(circles.facets[0], summand.facets[0])))
+    for _ in range(3):
+        sphere = facet_subdivision(sphere, sphere.facets[-1])
+    assert len(sphere.vertices) == 11
+    assert g2(sphere) == 1
+    assert sphere.missing_simplices(3)
+    susp = one_vertex_suspension(sphere, 0)
+    apex = max(susp.vertices)
+    assert susp.link((apex,)) == sphere
+    verdict = classify_vertex(susp, apex)
+    assert verdict.status == "unknown"
+    assert verdict.certificate == "sphere-like homology but no constructive certificate"
 
 
 def test_optimality_boundary_simplex_and_folds():
