@@ -31,7 +31,7 @@ from .decompose import (
 from .enumeration import f_vector, g1, g2, g3, h_vector
 from .fileio import ParseError, format_complex, parse_complex
 from .identities import run_identity_suite
-from .verify import classify_vertices, is_normal_pseudomanifold
+from .verify import _classify_normal_vertices, is_normal_pseudomanifold
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -64,7 +64,7 @@ def cmd_info(args) -> int:
     report = is_normal_pseudomanifold(k)
     print(f"normal pseudomanifold: {'yes' if report.normal else 'no'}")
     if k.dim in (3, 4) and report.normal:
-        verdicts = classify_vertices(k)
+        verdicts = _classify_normal_vertices(k)
         singular = sorted(v for v, s in verdicts.items() if s.status == "singular")
         unknown = sorted(v for v, s in verdicts.items() if s.status == "unknown")
         print("singular:", " ".join(map(str, singular)) if singular else "none")
@@ -90,7 +90,7 @@ def cmd_check(args) -> int:
         return EXIT_CHECK_FAILED
     print("normal pseudomanifold")
     if args.strict and k.dim in (3, 4):
-        verdicts = classify_vertices(k)
+        verdicts = _classify_normal_vertices(k)
         unknown = sorted(v for v, s in verdicts.items() if s.status == "unknown")
         if unknown:
             print("unknown singularity verdicts at:", " ".join(map(str, unknown)))

@@ -233,7 +233,11 @@ class Complex:
         """All k-simplices on the vertex set whose boundary is present but which are absent.
 
         ``k`` may exceed the dimension by one, which finds missing
-        top-dimensional simplices above the facets.
+        top-dimensional simplices above the facets.  Each candidate is
+        met once, as a face of dimension ``k - 1`` and an apex above
+        its largest label.  For ``k >= 2`` every edge of the candidate
+        lies in its boundary, so the apex is a common neighbour of the
+        face's vertices.
         """
         if k < 1 or k > self._dim + 1:
             raise OutOfRange(f"missing-simplex dimension {k} outside [1, {self._dim + 1}]")
@@ -241,14 +245,17 @@ class Complex:
         present = self.faces(k) if k <= self._dim else frozenset()
         found: set[Simplex] = set()
         for base in lower:
-            base_set = set(base)
-            for v in self._vertices:
-                if v in base_set:
+            if k == 1:
+                apexes = self._vertices
+            else:
+                apexes = frozenset.intersection(*map(self.neighbors, base))
+            for v in apexes:
+                if v <= base[-1]:
                     continue
-                cand = simplex(base + (v,))
-                if cand in found or cand in present:
-                    continue
-                if all(sub in lower for sub in itertools.combinations(cand, k)):
+                cand = base + (v,)
+                if cand not in present and all(
+                    sub in lower for sub in itertools.combinations(cand, k)
+                ):
                     found.add(cand)
         return frozenset(found)
 
@@ -327,8 +334,9 @@ def _refined_colors(k1: Complex, k2: Complex) -> Optional[tuple[dict, dict]]:
 def is_isomorphic(k1: Complex, k2: Complex) -> Optional[dict[int, int]]:
     """A vertex bijection carrying maximal faces onto maximal faces, or None.
 
-    Color refinement prunes the search; a backtracking matcher finishes
-    it.  Exact at the tens-of-vertices scale this library targets.
+    Color refinement prunes the search; a backtracking matcher on an
+    explicit stack finishes it.  Exact at the tens-of-vertices scale
+    this library targets.
     """
     if k1.dim != k2.dim or len(k1.vertices) != len(k2.vertices):
         return None
@@ -366,22 +374,21 @@ def is_isomorphic(k1: Complex, k2: Complex) -> Optional[dict[int, int]]:
                 return False
         return True
 
-    def extend(i: int) -> bool:
-        if i == len(verts1):
-            return True
-        v = verts1[i]
-        for w in by_color[c1[v]]:
-            if w in used or not consistent(v, w):
-                continue
+    # Depth-first over verts1, one candidate iterator per mapped vertex,
+    # so the Python stack does not grow with the number of vertices.
+    tries: list = []
+    while len(mapping) < len(verts1):
+        v = verts1[len(mapping)]
+        if len(tries) == len(mapping):
+            tries.append(iter(by_color[c1[v]]))
+        w = next((w for w in tries[-1] if w not in used and consistent(v, w)), None)
+        if w is not None:
             mapping[v] = w
             used.add(w)
-            if extend(i + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    if not extend(0):
-        return None
+            continue
+        tries.pop()
+        if not mapping:
+            return None
+        used.discard(mapping.popitem()[1])
     assert {tuple(sorted(mapping[u] for u in f)) for f in k1.maximal_faces} == set(facets2)
     return dict(mapping)

@@ -37,9 +37,9 @@ from .separation import (
     separation_report,
 )
 from .verify import (
+    _classify_normal_vertices,
     _is_boundary_simplex,
     classify_vertex,
-    classify_vertices,
     is_normal_pseudomanifold,
     optimality_check,
 )
@@ -137,7 +137,7 @@ def split_connected_sum(k: Complex, tau) -> SplitResult:
     with part_b's copy on fresh labels so the parts are label-disjoint.
     """
     t = require_missing_facet(k, tau)
-    comps = _cut_components(k, set(t))
+    comps = _cut_components(k.maximal_faces, set(t))
     if len(comps) == 1:
         raise NotSplit(f"cut along {t} does not disconnect; handle signature")
     if len(comps) > 2:
@@ -272,8 +272,7 @@ def edge_unfold(k: Complex, tau, edge, report: Optional[SeparationReport] = None
     if not k.has_face((u, v)):
         raise PreconditionUnmet(f"{u}{v} is not an edge")
     report, others = _require_separation(k, t, (u, v), report)
-    edge_link = k.link((u, v))
-    if len(_cut_components(edge_link, set(others))) != 1:
+    if len(_cut_components(k.link((u, v)).maximal_faces, set(others))) != 1:
         raise PreconditionUnmet(
             f"link of {u}{v} is separated by the boundary of {tuple(others)}; handle case"
         )
@@ -722,7 +721,7 @@ def decompose(
     if not optimality_check(k, t).optimal:
         raise NotOptimal(f"complex is not g2- and g3-optimal at vertex {t}")
 
-    verdicts = classify_vertices(k)
+    verdicts = _classify_normal_vertices(k)
     unknown = [v for v, verdict in verdicts.items() if verdict.status == "unknown"]
     if unknown:
         raise UnknownSingularity(f"vertices {unknown} have unknown link verdicts")

@@ -8,14 +8,17 @@ unfolding.
 
 Two implementations of the separation test exist on purpose: the fast
 one cuts the facet adjacency graph of the link, and an exhaustive
-face-poset sweep acts as an independent oracle in tests.
+face-poset sweep acts as an independent oracle in tests.  The fast one
+builds no link: the facets of the link of x are the residues ``f - x``
+of the facets f through x, and the cut joins them across their shared
+ridges directly.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .complexes import Complex, ComplexError, Simplex, simplex
 
@@ -77,28 +80,27 @@ def require_missing_facet(k: Complex, tau) -> Simplex:
     return t
 
 
-def _cut_components(link: Complex, barrier: set[int]) -> list[frozenset[Simplex]]:
-    """Components of the link's facet graph after deleting every
-    adjacency whose shared ridge lies inside ``barrier``."""
-    facets = sorted(link.maximal_faces)
-    parent = {f: f for f in facets}
-
-    def find(f):
-        while parent[f] != f:
-            parent[f] = parent[parent[f]]
-            f = parent[f]
-        return f
-
-    for ridge, fs in link.ridge_facet_map().items():
-        if set(ridge) <= barrier:
-            continue
-        for f1, f2 in itertools.combinations(fs, 2):
-            parent[find(f1)] = find(f2)
-
-    groups: dict[Simplex, set[Simplex]] = {}
-    for f in facets:
-        groups.setdefault(find(f), set()).add(f)
-    return sorted((frozenset(g) for g in groups.values()), key=min)
+def _cut_components(facets: Iterable[Simplex], barrier: set[int]) -> list[frozenset[Simplex]]:
+    """Components of the facet graph (facets sharing a ridge are adjacent)
+    after deleting every adjacency whose shared ridge lies inside
+    ``barrier``, ordered by their smallest facet."""
+    label = {f: i for i, f in enumerate(facets)}
+    members = {i: [f] for f, i in label.items()}
+    first_through: dict[Simplex, Simplex] = {}
+    for f in label:
+        for r in itertools.combinations(f, len(f) - 1):
+            g = first_through.setdefault(r, f)
+            if g is f or barrier.issuperset(r):
+                continue
+            small, big = label[f], label[g]
+            if small == big:
+                continue
+            if len(members[small]) > len(members[big]):
+                small, big = big, small
+            for h in members[small]:
+                label[h] = big
+            members[big] += members.pop(small)
+    return sorted((frozenset(m) for m in members.values()), key=min)
 
 
 def separates_link(k: Complex, x: int, tau) -> VertexSeparation:
@@ -110,9 +112,9 @@ def separates_link(k: Complex, x: int, tau) -> VertexSeparation:
     t = require_missing_facet(k, tau)
     if x not in t:
         raise SeparationError(f"vertex {x} is not in {t}")
-    link = k.link((x,))
-    barrier = set(t) - {x}
-    comps = _cut_components(link, barrier)
+    # the facets of the link of x, without building the link
+    residues = [tuple([v for v in f if v != x]) for f in k.maximal_faces if x in f]
+    comps = _cut_components(residues, set(t) - {x})
     if len(comps) == 1:
         return VertexSeparation(x, False, None)
     if len(comps) == 2:
@@ -299,7 +301,7 @@ def classify_missing_facet(k: Complex, tau) -> MissingFacetClass:
     non_sep = report.non_separating
 
     if len(non_sep) == 0:
-        comps = _cut_components(k, set(t))
+        comps = _cut_components(k.maximal_faces, set(t))
         if len(comps) == 1:
             return MissingFacetClass("handle_like", report=report)
         if len(comps) == 2:
@@ -312,9 +314,7 @@ def classify_missing_facet(k: Complex, tau) -> MissingFacetClass:
     if len(non_sep) == 2:
         u, v = non_sep
         if k.has_face((u, v)):
-            edge_link = k.link((u, v))
-            barrier = set(t) - {u, v}
-            comps = _cut_components(edge_link, barrier)
+            comps = _cut_components(k.link((u, v)).maximal_faces, set(t) - {u, v})
             if len(comps) == 1:
                 return MissingFacetClass("edge_fold", edge=(u, v), report=report)
             if len(comps) == 2:

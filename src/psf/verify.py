@@ -12,6 +12,17 @@ of the missing facet between its parts, so g2 adds up over them; every
 link reducible to simplex boundaries therefore already has g2 = 0.  A
 link with sphere homology and g2 > 0 is reported as unknown rather than
 guessed.
+
+The stacked certificate is tried before homology.  By Kalai's lower
+bound theorem (Rigidity and the lower bound theorem I, Invent. Math.
+1987) a normal pseudomanifold of dimension >= 3 has g2 >= 0, with
+equality exactly for the stacked spheres, so a link that earns the
+certificate has the homology of a sphere and the order changes no
+verdict; only the links that miss it pay for homology.  A checked
+classification proves a link normal only when its g2 vanishes.  The
+link of a vertex in a normal pseudomanifold is itself normal, since
+lk(s, lk(v)) = lk(s + v), so classifying the vertices of a complex the
+caller has just proven normal skips that proof.
 """
 
 from __future__ import annotations
@@ -219,17 +230,31 @@ def is_stacked_sphere(k: Complex) -> bool:
     characterises iterated connected sums of simplex boundaries."""
     if k.dim < 3:
         raise DimensionTooSmall("stackedness test needs dimension >= 3")
-    return is_normal_pseudomanifold(k).normal and _g2(k) == 0
+    return _g2(k) == 0 and is_normal_pseudomanifold(k).normal
 
 
 def classify_vertex(k: Complex, v: int) -> SingularityVerdict:
     """Decide whether the link of ``v`` is a triangulated sphere.
 
     Two-dimensional links are decided exactly through the Euler
-    characteristic; three-dimensional links get a homology witness for
-    singularity or the certificate ``"stacked"``, and otherwise the
-    verdict is unknown.
+    characteristic; three-dimensional links get the certificate
+    ``"stacked"`` or a homology witness for singularity, and otherwise
+    the verdict is unknown.
     """
+    return _classify(k, v, link_normal=False)
+
+
+def classify_vertices(k: Complex) -> dict[int, SingularityVerdict]:
+    return {v: classify_vertex(k, v) for v in sorted(k.vertices)}
+
+
+def _classify_normal_vertices(k: Complex) -> dict[int, SingularityVerdict]:
+    """``classify_vertices`` for a complex the caller has just proven a
+    normal pseudomanifold, whose vertex links are therefore normal."""
+    return {v: _classify(k, v, link_normal=True) for v in sorted(k.vertices)}
+
+
+def _classify(k: Complex, v: int, link_normal: bool) -> SingularityVerdict:
     if v not in k.vertices:
         raise UnknownVertex(f"vertex {v} not in complex")
     if k.dim not in (3, 4):
@@ -243,16 +268,12 @@ def classify_vertex(k: Complex, v: int) -> SingularityVerdict:
             return SingularityVerdict(v, "nonsingular", "surface with euler characteristic 2")
         return SingularityVerdict(v, "singular", f"closed surface with euler characteristic {chi}")
 
+    if link.dim == 3 and (_g2(link) == 0 if link_normal else is_stacked_sphere(link)):
+        return SingularityVerdict(v, "nonsingular", "stacked")
     betti = homology_gf2(link)
     if betti != (0, 0, 0, 1):
         return SingularityVerdict(v, "singular", f"link gf2 betti {betti}")
-    if is_stacked_sphere(link):
-        return SingularityVerdict(v, "nonsingular", "stacked")
     return SingularityVerdict(v, "unknown", "sphere-like homology but no constructive certificate")
-
-
-def classify_vertices(k: Complex) -> dict[int, SingularityVerdict]:
-    return {v: classify_vertex(k, v) for v in sorted(k.vertices)}
 
 
 def singular_vertices(k: Complex) -> list[int]:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -164,6 +165,30 @@ def test_missing_and_present_disjoint():
         assert not (k.missing_simplices(dim) & k.faces(dim))
 
 
+def missing_simplices_reference(k, d):
+    """Every (d + 1)-subset of the vertices that is absent with its boundary present."""
+    present = k.faces(d) if d <= k.dim else frozenset()
+    return frozenset(
+        s for s in itertools.combinations(sorted(k.vertices), d + 1)
+        if s not in present and all(sub in k.faces(d - 1) for sub in itertools.combinations(s, d))
+    )
+
+
+@st.composite
+def pure_complexes(draw):
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(dim + 1, dim + 5))
+    facet = st.sets(st.integers(0, n - 1), min_size=dim + 1, max_size=dim + 1)
+    return Complex(draw(st.lists(facet, min_size=1, max_size=12)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pure_complexes())
+def test_missing_simplices_match_brute_force(k):
+    for d in range(1, k.dim + 2):
+        assert k.missing_simplices(d) == missing_simplices_reference(k, d)
+
+
 def test_is_isomorphic_relabeled():
     b5 = boundary_simplex(5)
     relabeled = b5.relabel({i: 17 * i + 3 for i in range(6)})
@@ -194,6 +219,29 @@ def test_is_isomorphic_distinguishes_same_f_vector():
     # two stacked spheres with equal f-vectors but different gluing trees
     path = stacked_sphere(4, 3, 2)
     assert is_isomorphic(path, path.relabel({v: v + 50 for v in path.vertices}))
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_is_isomorphic_stack_does_not_grow_with_vertex_count():
+    # a recursive matcher needs one frame per vertex, 65 here
+    k = stacked_sphere(4, 60, 3)
+    labels = sorted(k.vertices)
+    shuffled = labels[:]
+    random.Random(5).shuffle(shuffled)
+    copy = k.relabel(dict(zip(labels, shuffled)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 40)
+    try:
+        mapping = is_isomorphic(k, copy)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert k.relabel(mapping) == copy
 
 
 def _incidence_graph(nx, k):

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 
 from psf.build import boundary_simplex, connected_sum
 from psf.corpus import (
     edge_folded_instance,
     handle_instance,
+    suspension_instance,
     vertex_folded_instance,
 )
 from psf.separation import (
@@ -81,6 +84,55 @@ def test_poset_oracle_agrees_on_corpus():
             assert len(slow_comps) in (1, 2)
             if fast.separates:
                 assert set(fast.sides) == set(slow_comps)
+
+
+def link_cut_reference(k, x, tau):
+    """The link-building cut: components of the facet graph of the link
+    of x, without the adjacencies across ridges inside tau - x, in order
+    of their smallest facet."""
+    link = k.link((x,))
+    barrier = set(tau) - {x}
+    adjacent = {f: set() for f in link.maximal_faces}
+    for ridge, fs in link.ridge_facet_map().items():
+        if not set(ridge) <= barrier:
+            for f, g in itertools.combinations(fs, 2):
+                adjacent[f].add(g)
+                adjacent[g].add(f)
+    comps = []
+    for f in sorted(adjacent):
+        if any(f in c for c in comps):
+            continue
+        comp, stack = {f}, [f]
+        while stack:
+            for g in adjacent[stack.pop()] - comp:
+                comp.add(g)
+                stack.append(g)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def test_separates_link_matches_link_building_cut():
+    complexes = [
+        vertex_folded_instance(61).complex,
+        vertex_folded_instance(62, folds=2, sums=1).complex,
+        edge_folded_instance(63).complex,
+        edge_folded_instance(64, edge_folds=1, vertex_folds=1).complex,
+        suspension_instance(65).complex,
+        suspension_instance(66, sums=1, subdivisions=1).complex,
+        handle_instance(67).complex,
+        summed_pair()[0],
+    ]
+    outcomes = set()
+    for k in complexes:
+        for tau in sorted(k.missing_simplices(k.dim))[:4]:
+            for x in tau:
+                comps = link_cut_reference(k, x, tau)
+                fast = separates_link(k, x, tau)
+                assert fast.separates == (len(comps) == 2)
+                assert fast.sides == (tuple(comps) if fast.separates else None)
+                assert separates_link_poset(k, x, tau) == (fast.separates, comps)
+                outcomes.add(fast.separates)
+    assert outcomes == {False, True}
 
 
 def test_two_sided_on_connected_sum_and_fold():

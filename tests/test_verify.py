@@ -18,10 +18,12 @@ from psf.corpus import (
     linear_chain,
     pinched_complex,
     projective_plane_6,
+    singular_base_3d,
     suspension_instance,
     vertex_folded_instance,
 )
 from psf.verify import (
+    _classify_normal_vertices,
     classify_vertex,
     classify_vertices,
     homology_gf2,
@@ -252,6 +254,60 @@ def test_classify_unknown_for_subdivided_sum_with_positive_g2():
     verdict = classify_vertex(susp, apex)
     assert verdict.status == "unknown"
     assert verdict.certificate == "sphere-like homology but no constructive certificate"
+
+
+def reference_verdict(k, v):
+    """Status and certificate in the order homology first, then the
+    stacked-sphere test, with connectivity read off the reduced b0."""
+    link = k.link((v,))
+    betti = homology_gf2(link)
+    if link.dim == 2:
+        f = link.f_counts()
+        chi = f[1] - f[2] + f[3]
+        if betti[0] == 0 and chi == 2:
+            return "nonsingular", "surface with euler characteristic 2"
+        return "singular", f"closed surface with euler characteristic {chi}"
+    if betti != (0, 0, 0, 1):
+        return "singular", f"link gf2 betti {betti}"
+    if is_stacked_sphere(link):
+        return "nonsingular", "stacked"
+    return "unknown", "sphere-like homology but no constructive certificate"
+
+
+def polygon(labels):
+    return Complex(zip(labels, labels[1:] + labels[:1]))
+
+
+def test_classify_vertex_matches_homology_first_order(shared_corpus):
+    circles = join(boundary_simplex(2), Complex([[3, 4], [4, 5], [3, 5]]))
+    # a 3-sphere with g2 = 6 and a simplex boundary sharing vertex 11:
+    # g2 = 0, but the link of vertex 11 is disconnected
+    wedge = Complex(
+        list(join(polygon([0, 1, 2, 3]), polygon(list(range(4, 12)))).maximal_faces)
+        + list(boundary_simplex(4).relabel({i: i + 11 for i in range(5)}).maximal_faces)
+    )
+    assert g2(wedge) == 0 and not is_normal_pseudomanifold(wedge).normal
+    complexes = [k for _, k in shared_corpus] + [
+        pinched_complex(),
+        one_vertex_suspension(circles, 0),
+        linear_chain(3, 5, 3, fixed=(0,)),
+        singular_base_3d(6).complex,
+        cone(16, wedge),
+        cone(5, boundary_simplex(4)),
+    ]
+    kinds = set()
+    for k in complexes:
+        for v in sorted(k.vertices):
+            verdict = classify_vertex(k, v)
+            assert (verdict.status, verdict.certificate) == reference_verdict(k, v)
+            kinds.add(verdict.certificate.split()[0])
+    assert kinds == {"surface", "closed", "link", "stacked", "sphere-like"}
+
+
+def test_trusted_classification_matches_checked(shared_corpus):
+    for _, k in shared_corpus:
+        assert is_normal_pseudomanifold(k).normal
+        assert _classify_normal_vertices(k) == classify_vertices(k)
 
 
 def test_optimality_boundary_simplex_and_folds():
