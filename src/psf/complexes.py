@@ -14,6 +14,7 @@ requires its maximal faces to form an antichain.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Iterable, Mapping, Optional
 
 
@@ -288,6 +289,15 @@ def fresh_labels(k: Complex, count: int) -> list[int]:
 # -- isomorphism -------------------------------------------------------
 
 
+def _stars(k: Complex) -> dict[int, list[Simplex]]:
+    """The maximal faces through each vertex, in one pass."""
+    stars: dict[int, list[Simplex]] = {v: [] for v in k.vertices}
+    for f in k.maximal_faces:
+        for v in f:
+            stars[v].append(f)
+    return stars
+
+
 def _refined_colors(k1: Complex, k2: Complex) -> Optional[tuple[dict, dict]]:
     """Joint Weisfeiler-style color refinement over both vertex sets.
 
@@ -297,10 +307,15 @@ def _refined_colors(k1: Complex, k2: Complex) -> Optional[tuple[dict, dict]]:
     """
 
     def initial(k: Complex) -> dict[int, tuple]:
+        # The faces of the link of v are the faces through v less v, up
+        # to the size of the largest maximal face through v.
+        through = Counter((v, len(f)) for j in range(1, k.dim + 1) for f in k.faces(j) for v in f)
+        stars = _stars(k)
         sig = {}
         for v in k.vertices:
-            profile = tuple(sorted(len(f) for f in k.maximal_faces if v in f))
-            sig[v] = (len(k.neighbors(v)), profile, k.link((v,)).f_counts())
+            profile = tuple(sorted(len(f) for f in stars[v]))
+            link_f = (1, *(through[v, size] for size in range(2, profile[-1] + 1)))
+            sig[v] = (len(k.neighbors(v)), profile, link_f)
         return sig
 
     sigs = (initial(k1), initial(k2))
@@ -355,7 +370,7 @@ def is_isomorphic(k1: Complex, k2: Complex) -> Optional[dict[int, int]]:
 
     verts1 = sorted(k1.vertices, key=lambda v: (len(by_color[c1[v]]), v))
     facets2 = k2.maximal_faces
-    star1 = {v: [f for f in k1.maximal_faces if v in f] for v in k1.vertices}
+    star1 = _stars(k1)
 
     mapping: dict[int, int] = {}
     used: set[int] = set()

@@ -30,7 +30,7 @@ from .separation import (
     PreconditionUnmet,
     SeparationReport,
     SideAssignmentInconsistent,
-    _cut_components,
+    _link_cut,
     classify_missing_facet,
     oriented_sides,
     require_missing_facet,
@@ -38,6 +38,7 @@ from .separation import (
 )
 from .verify import (
     _classify_normal_vertices,
+    _cut_components,
     _is_boundary_simplex,
     classify_vertex,
     is_normal_pseudomanifold,
@@ -86,10 +87,6 @@ class MalformedTree(DecompositionError):
     pass
 
 
-class CaseFallthrough(DecompositionError):
-    """A facet straddles the side assignment; impossible for valid input."""
-
-
 MODE_ONE = "one-singularity"
 MODE_SUSPENSION = "two-singularity-suspension"
 MODE_EDGE = "two-singularity-edge-fold"
@@ -123,10 +120,6 @@ class SplitResult:
     part_b: Complex
     missing_facet: Simplex
     pairing: dict[int, int]  # vertex of the facet in part_a -> its copy in part_b
-
-    @property
-    def parts(self) -> tuple[Complex, Complex]:
-        return self.part_a, self.part_b
 
 
 def split_connected_sum(k: Complex, tau) -> SplitResult:
@@ -164,71 +157,19 @@ class UnfoldResult:
         return dict(self.pairs)
 
 
-def _side_vertex_tables(sides, tau_set):
-    plus, minus = sides
-    v_plus = {v for f in plus for v in f} - tau_set
-    v_minus = {v for f in minus for v in f} - tau_set
-    return v_plus, v_minus
-
-
-def _witness_side(x: int, witnesses, v_plus, v_minus) -> int:
-    on_plus = [w for w in witnesses if w in v_plus]
-    on_minus = [w for w in witnesses if w in v_minus]
-    if on_plus and not on_minus:
-        return 0
-    if on_minus and not on_plus:
-        return 1
-    raise CaseFallthrough(
-        f"witnesses {sorted(witnesses)} straddle the sides of the link of {x}"
-    )
-
-
 def _require_separation(k: Complex, t: Simplex, fixed, report: Optional[SeparationReport]):
     """The fold signature along ``t``: no vertex of the fixed face
     separates its link, every other vertex of t does.  Returns the
-    separation report and the other vertices."""
+    separation report."""
     if report is None:
         report = separation_report(k, t)
     for y in fixed:
         if report.per_vertex[y].separates:
             raise PreconditionUnmet(f"boundary of {t} minus {y} separates the link of {y}")
-    others = [x for x in t if x not in fixed]
-    for x in others:
-        if not report.per_vertex[x].separates:
+    for x in t:
+        if x not in fixed and not report.per_vertex[x].separates:
             raise PreconditionUnmet(f"vertex {x} does not separate its link")
-    return report, others
-
-
-def _copy_negative_side(k: Complex, t: Simplex, pivot: int, report: SeparationReport,
-                        others: list[int], skip: Optional[int] = None):
-    """Rewrite the facets on the negative side of the cut along ``t``.
-
-    Each vertex in ``others`` gets a fresh copy; a facet through some of
-    them keeps its labels when its non-tau witnesses lie on the positive
-    side of their links and takes the copies otherwise.  Facets through
-    ``skip`` are dropped.  Returns the rewritten facets and the copies.
-    """
-    sides = oriented_sides(k, t, pivot, report)
-    tau_set = set(t)
-    tables = {x: _side_vertex_tables(sides[x], tau_set) for x in others}
-    copy = dict(zip(others, fresh_labels(k, len(others))))
-
-    rewritten: set[Simplex] = set()
-    for f in k.maximal_faces:
-        if skip in f:
-            continue
-        overlap = [x for x in f if x in copy]
-        if overlap:
-            witnesses = [w for w in f if w not in tau_set]
-            side_votes = {_witness_side(x, witnesses, *tables[x]) for x in overlap}
-            if len(side_votes) != 1:
-                raise SideAssignmentInconsistent(
-                    f"facet {f} is assigned to different sides by its tau-vertices"
-                )
-            if side_votes.pop() == 1:
-                f = tuple(sorted(copy.get(x, x) for x in f))
-        rewritten.add(f)
-    return rewritten, copy
+    return report
 
 
 def _refold(fold, k: Complex, unfolded: Complex, source: Simplex, target: Simplex,
@@ -244,23 +185,52 @@ def _refold(fold, k: Complex, unfolded: Complex, source: Simplex, target: Simple
     return UnfoldResult(unfolded, source, target, tuple(sorted(mapping.items())))
 
 
+def _unfold(fold, k: Complex, t: Simplex, fixed: Simplex, report: SeparationReport) -> UnfoldResult:
+    """Undo the fold that identified two facets along the shared face
+    ``fixed`` and left the missing facet ``t``.
+
+    Each vertex of t off the fixed face gets a fresh copy.  A facet
+    through some of them keeps its labels when its non-t witnesses lie
+    on the plus side of their links, oriented at ``fixed[0]``, and takes
+    the copies otherwise; t and its copy become facets again.  The
+    recorded forward fold must reproduce ``k`` exactly.
+    """
+    sides = oriented_sides(k, t, fixed[0], report)
+    others = [x for x in t if x not in fixed]
+    copy = dict(zip(others, fresh_labels(k, len(others))))
+
+    rewritten: set[Simplex] = set()
+    for f in k.maximal_faces:
+        overlap = [x for x in f if x in copy]
+        if overlap:
+            # f - x lies on one side of the link of x, so the witnesses
+            # of f agree for each x; only two vertices x can disagree.
+            votes = {sides[x][w] for x in overlap for w in f if w not in t}
+            if len(votes) != 1:
+                raise SideAssignmentInconsistent(
+                    f"facet {f} is assigned to different sides by its tau-vertices"
+                )
+            if votes.pop() == 1:
+                f = tuple(sorted(copy.get(x, x) for x in f))
+        rewritten.add(f)
+
+    target = tuple(sorted([*fixed, *copy.values()]))
+    unfolded = Complex(rewritten | {t, target})
+    return _refold(fold, k, unfolded, t, target, {**dict(zip(fixed, fixed)), **copy})
+
+
 def vertex_unfold(k: Complex, tau, v: int, report: Optional[SeparationReport] = None) -> UnfoldResult:
     """Undo a vertex folding at ``v`` whose merged facet became ``tau``.
 
-    The complement of v is rewritten: facets whose attaching edges lie
-    on the negative side have their tau-vertices replaced by fresh
-    copies, after which the boundary is coned back by v.  The recorded
+    Facets whose witnesses lie on the negative side have their
+    tau-vertices other than v replaced by fresh copies.  The recorded
     forward fold reproduces the input exactly.
     """
     t = require_missing_facet(k, tau)
     if v not in t:
         raise PreconditionUnmet(f"vertex {v} is not in {t}")
-    report, others = _require_separation(k, t, (v,), report)
-    rewritten, prime = _copy_negative_side(k, t, v, report, others, skip=v)
-    boundary = [r for r, fs in Complex(rewritten).ridge_facet_map().items() if len(fs) == 1]
-    unfolded = Complex(rewritten | {tuple(sorted(r + (v,))) for r in boundary})
-    target = tuple(sorted([v, *prime.values()]))
-    return _refold(vertex_fold, k, unfolded, t, target, {v: v, **prime})
+    report = _require_separation(k, t, (v,), report)
+    return _unfold(vertex_fold, k, t, (v,), report)
 
 
 def edge_unfold(k: Complex, tau, edge, report: Optional[SeparationReport] = None) -> UnfoldResult:
@@ -271,16 +241,13 @@ def edge_unfold(k: Complex, tau, edge, report: Optional[SeparationReport] = None
         raise PreconditionUnmet(f"edge {u}{v} is not inside {t}")
     if not k.has_face((u, v)):
         raise PreconditionUnmet(f"{u}{v} is not an edge")
-    report, others = _require_separation(k, t, (u, v), report)
-    if len(_cut_components(k.link((u, v)).maximal_faces, set(others))) != 1:
+    report = _require_separation(k, t, (u, v), report)
+    if len(_link_cut(k, (u, v), t)) != 1:
+        others = tuple(x for x in t if x not in (u, v))
         raise PreconditionUnmet(
-            f"link of {u}{v} is separated by the boundary of {tuple(others)}; handle case"
+            f"link of {u}{v} is separated by the boundary of {others}; handle case"
         )
-
-    rewritten, minus_copy = _copy_negative_side(k, t, u, report, others)
-    target = tuple(sorted([u, v, *minus_copy.values()]))
-    unfolded = Complex(rewritten | {t, target})
-    return _refold(edge_fold, k, unfolded, t, target, {u: u, v: v, **minus_copy})
+    return _unfold(edge_fold, k, t, (u, v), report)
 
 
 def recognize_one_vertex_suspension(k: Complex, t: int, t1: int):

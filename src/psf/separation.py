@@ -9,18 +9,19 @@ unfolding.
 Two implementations of the separation test exist on purpose: the fast
 one cuts the facet adjacency graph of the link, and an exhaustive
 face-poset sweep acts as an independent oracle in tests.  The fast one
-builds no link: the facets of the link of x are the residues ``f - x``
-of the facets f through x, and the cut joins them across their shared
-ridges directly.
+builds no link: the facets of the link of a vertex or an edge are the
+residues of the facets through it, and the cut joins them across their
+shared ridges directly.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
-from .complexes import Complex, ComplexError, Simplex, simplex
+from .complexes import Complex, ComplexError, FaceNotPresent, Simplex, simplex
+from .verify import _cut_components
 
 
 class SeparationError(ComplexError):
@@ -80,27 +81,15 @@ def require_missing_facet(k: Complex, tau) -> Simplex:
     return t
 
 
-def _cut_components(facets: Iterable[Simplex], barrier: set[int]) -> list[frozenset[Simplex]]:
-    """Components of the facet graph (facets sharing a ridge are adjacent)
-    after deleting every adjacency whose shared ridge lies inside
-    ``barrier``, ordered by their smallest facet."""
-    label = {f: i for i, f in enumerate(facets)}
-    members = {i: [f] for f, i in label.items()}
-    first_through: dict[Simplex, Simplex] = {}
-    for f in label:
-        for r in itertools.combinations(f, len(f) - 1):
-            g = first_through.setdefault(r, f)
-            if g is f or barrier.issuperset(r):
-                continue
-            small, big = label[f], label[g]
-            if small == big:
-                continue
-            if len(members[small]) > len(members[big]):
-                small, big = big, small
-            for h in members[small]:
-                label[h] = big
-            members[big] += members.pop(small)
-    return sorted((frozenset(m) for m in members.values()), key=min)
+def _link_cut(k: Complex, face: Simplex, t: Simplex) -> list[frozenset[Simplex]]:
+    """Components of the link of ``face`` cut along the boundary of
+    ``t - face``.  The facets of the link are the residues ``f - face``
+    of the facets f through the face, so no link is built."""
+    star = [f for f in k.maximal_faces if face[0] in f]
+    for y in face[1:]:
+        star = [f for f in star if y in f]
+    residues = [tuple([v for v in f if v not in face]) for f in star]
+    return _cut_components(residues, set(t).difference(face))
 
 
 def separates_link(k: Complex, x: int, tau) -> VertexSeparation:
@@ -112,9 +101,7 @@ def separates_link(k: Complex, x: int, tau) -> VertexSeparation:
     t = require_missing_facet(k, tau)
     if x not in t:
         raise SeparationError(f"vertex {x} is not in {t}")
-    # the facets of the link of x, without building the link
-    residues = [tuple([v for v in f if v != x]) for f in k.maximal_faces if x in f]
-    comps = _cut_components(residues, set(t) - {x})
+    comps = _link_cut(k, (x,), t)
     if len(comps) == 1:
         return VertexSeparation(x, False, None)
     if len(comps) == 2:
@@ -169,26 +156,32 @@ def separation_report(k: Complex, tau) -> SeparationReport:
 # -- anchored side orientation -------------------------------------------
 
 
-def _side_of_vertex(sides, w: int) -> int:
-    """Index of the side whose facets contain the vertex ``w``.
+def _vertex_sides(sides, t: Simplex) -> dict[int, int]:
+    """The index of the side whose facets contain each vertex off ``t``.
 
     A vertex off the barrier has all its incident facets in one
     component, so the index is well defined.
     """
-    hits = {i for i, side in enumerate(sides) for f in side if w in f}
-    if len(hits) != 1:
-        raise SideAssignmentInconsistent(f"vertex {w} meets sides {sorted(hits)}")
-    return hits.pop()
+    table: dict[int, int] = {}
+    for i, side in enumerate(sides):
+        for f in side:
+            for w in f:
+                if w not in t and table.setdefault(w, i) != i:
+                    raise SideAssignmentInconsistent(f"vertex {w} meets sides [0, 1]")
+    return table
 
 
 def two_point_anchors(k: Complex, tau) -> dict[int, tuple[int, int]]:
     """For each vertex y of tau, the two facets over the ridge tau - y
     give a two-vertex link {q0, q1}; q0 is the smaller label."""
     t = simplex(tau)
+    ridges = k.ridge_facet_map()
     anchors = {}
     for y in t:
         ridge = tuple(v for v in t if v != y)
-        pair = sorted(k.link(ridge).vertices)
+        if not k.has_face(ridge):
+            raise FaceNotPresent(f"{ridge} is not a face")
+        pair = sorted(v for f in ridges.get(ridge, ()) for v in f if v not in ridge)
         if len(pair) != 2:
             raise SeparationError(f"link of ridge {ridge} is not two points: {pair}")
         anchors[y] = (pair[0], pair[1])
@@ -202,7 +195,8 @@ def oriented_sides(k: Complex, tau, anchor_vertex: int, report: Optional[Separat
     all anchors and side polarities of all separating vertices are
     solved as one parity system; the anchor ridge opposite
     ``anchor_vertex`` is oriented with its smaller label positive.
-    Returns ``sides`` with ``sides[x] = (plus, minus)`` facet sets, or
+    Returns ``sides`` with ``sides[x]`` mapping each vertex of the link
+    of x off tau to 0 on the plus side and 1 on the minus side, or
     raises ``SideAssignmentInconsistent``.
     """
     t = simplex(tau)
@@ -239,31 +233,26 @@ def oriented_sides(k: Complex, tau, anchor_vertex: int, report: Optional[Separat
             return
         parity[ra] = (rb, pa ^ pb ^ rel)
 
+    tables = {}
     for x in separating:
-        sides = report.per_vertex[x].sides
+        side = tables[x] = _vertex_sides(report.per_vertex[x].sides, t)
         for y in t:
             if y == x:
                 continue
             q0, q1 = anchors[y]
-            s0 = _side_of_vertex(sides, q0)
-            s1 = _side_of_vertex(sides, q1)
-            if s0 == s1:
+            if side[q0] == side[q1]:
                 raise SideAssignmentInconsistent(
                     f"anchor pair {q0},{q1} of ridge opposite {y} lies on one side of link({x})"
                 )
-            union(("ridge", y), ("vertex", x), s0)
+            union(("ridge", y), ("vertex", x), side[q0])
 
     # Fix the global sign: anchor ridge oriented with q0 positive.
     _, flip = find(("ridge", anchor_vertex))
 
     out = {}
-    for x in separating:
+    for x, side in tables.items():
         _, p = find(("vertex", x))
-        polarity = p ^ flip
-        plus, minus = report.per_vertex[x].sides
-        if polarity == 1:
-            plus, minus = minus, plus
-        out[x] = (plus, minus)
+        out[x] = {w: s ^ p ^ flip for w, s in side.items()}
     return out
 
 
@@ -314,7 +303,7 @@ def classify_missing_facet(k: Complex, tau) -> MissingFacetClass:
     if len(non_sep) == 2:
         u, v = non_sep
         if k.has_face((u, v)):
-            comps = _cut_components(k.link((u, v)).maximal_faces, set(t) - {u, v})
+            comps = _link_cut(k, (u, v), t)
             if len(comps) == 1:
                 return MissingFacetClass("edge_fold", edge=(u, v), report=report)
             if len(comps) == 2:

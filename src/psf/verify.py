@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .complexes import Complex, Simplex, UnknownVertex
 from .enumeration import DimensionTooSmall
@@ -101,14 +102,34 @@ def _connected(nodes, adjacent) -> bool:
     return len(seen) == len(nodes)
 
 
+def _cut_components(facets: Iterable[Simplex], barrier: set[int]) -> list[frozenset[Simplex]]:
+    """Components of the facet graph (facets sharing a ridge are adjacent)
+    after deleting every adjacency whose shared ridge lies inside
+    ``barrier``, ordered by their smallest facet."""
+    label = {f: i for i, f in enumerate(facets)}
+    members = {i: [f] for f, i in label.items()}
+    first_through: dict[Simplex, Simplex] = {}
+    for f in label:
+        for r in itertools.combinations(f, len(f) - 1):
+            g = first_through.setdefault(r, f)
+            if g is f or barrier.issuperset(r):
+                continue
+            small, big = label[f], label[g]
+            if small == big:
+                continue
+            if len(members[small]) > len(members[big]):
+                small, big = big, small
+            for h in members[small]:
+                label[h] = big
+            members[big] += members.pop(small)
+    return sorted((frozenset(m) for m in members.values()), key=min)
+
+
 def is_strongly_connected(k: Complex) -> bool:
-    """Connectivity of the facet graph with ridge-sharing adjacency."""
-    adjacency: dict[Simplex, list[Simplex]] = {f: [] for f in k.maximal_faces}
-    for fs in k.ridge_facet_map().values():
-        for f1, f2 in itertools.combinations(fs, 2):
-            adjacency[f1].append(f2)
-            adjacency[f2].append(f1)
-    return _connected(adjacency, adjacency.__getitem__)
+    """Connectivity of the facet graph with ridge-sharing adjacency.
+    Points share the empty ridge, which the cut treats as a barrier, so
+    a complex below dimension 1 counts as connected without a cut."""
+    return k.dim < 1 or len(_cut_components(k.maximal_faces, set())) == 1
 
 
 def _complex_connected(k: Complex) -> bool:

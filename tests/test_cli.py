@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import psf
 
 from psf import Complex, join
 from psf.build import boundary_simplex, one_vertex_suspension
@@ -220,3 +226,42 @@ def test_verify_identities_command(capsys):
     assert main(["verify-identities", "--seeds", "6"]) == 0
     out = capsys.readouterr().out
     assert "all identities exact" in out
+
+
+def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
+    # One parser serves every main() call, so no option of one call may
+    # leak into the next: each output must equal a fresh process's.
+    susp = write_complex(tmp_path, "susp.txt", one_vertex_suspension(
+        join(boundary_simplex(2), Complex([[3, 4], [4, 5], [3, 5]])), 0))
+    fold = vertex_folded_instance(9)
+    fold_path = write_complex(tmp_path, "fold.txt", fold.complex)
+    edge = edge_folded_instance(10)
+    edge_path = write_complex(tmp_path, "edge.txt", edge.complex)
+    script = tmp_path / "script.json"
+    script.write_text(dump_script(random_script(5)))
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0 1 x\n")
+    calls = [
+        ["check", susp, "--strict"],
+        ["check", susp],
+        ["info", fold_path],
+        ["decompose", fold_path, "--vertex", str(fold.tracked), "--mode", "one-singularity",
+         "-o", str(tmp_path / "tree.json")],
+        ["decompose", edge_path, "--vertex", str(edge.tracked)],
+        ["build", str(script), "-o", str(tmp_path / "out.txt")],
+        ["build", str(script)],
+        ["info", str(bad)],
+    ]
+    in_process = []
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    env = dict(os.environ, PYTHONPATH=str(Path(psf.__file__).parents[1]))
+    fresh = []
+    for argv in calls:
+        run = subprocess.run([sys.executable, "-m", "psf.cli", *argv],
+                             capture_output=True, text=True, env=env, timeout=120)
+        fresh.append((run.returncode, run.stdout, run.stderr))
+    assert in_process == fresh
+    assert [code for code, _, _ in fresh] == [3, 0, 0, 0, 0, 0, 0, 2]

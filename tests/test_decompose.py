@@ -1,3 +1,4 @@
+import itertools
 import json
 import sys
 
@@ -37,6 +38,14 @@ from psf.decompose import (
     recognize_one_vertex_suspension,
     split_connected_sum,
     vertex_unfold,
+)
+from psf.complexes import FaceNotPresent, fresh_labels
+from psf.separation import (
+    PreconditionUnmet,
+    SeparationError,
+    require_missing_facet,
+    separation_report,
+    two_point_anchors,
 )
 from psf.verify import is_normal_pseudomanifold
 
@@ -314,3 +323,128 @@ def test_skeleton_matches_star_skeleton_on_reduced_instance():
 def test_suspension_of_boundary_3_simplex():
     s = one_vertex_suspension(boundary_simplex(3), 0)
     assert is_isomorphic(s, boundary_simplex(4)) is not None
+
+
+def link_anchors_reference(k, t):
+    """Two-point anchors read off the link of each ridge of t."""
+    anchors = {}
+    for y in t:
+        ridge = tuple(v for v in t if v != y)
+        pair = sorted(k.link(ridge).vertices)
+        if len(pair) != 2:
+            raise SeparationError(f"link of ridge {ridge} is not two points: {pair}")
+        anchors[y] = (pair[0], pair[1])
+    return anchors
+
+
+def link_pieces_reference(link, barrier):
+    """Number of pieces of the facet graph of a built link once the
+    adjacencies across ridges inside ``barrier`` are cut."""
+    root = {f: f for f in link.maximal_faces}
+
+    def find(f):
+        while root[f] != f:
+            f = root[f]
+        return f
+
+    for ridge, fs in link.ridge_facet_map().items():
+        if not set(ridge) <= barrier:
+            for f, g in itertools.combinations(fs, 2):
+                root[find(f)] = find(g)
+    return len({find(f) for f in root})
+
+
+def reference_unfold(k, tau, fixed):
+    """Unfolding along ``tau`` as two constructions, one per fold kind.
+
+    The plus side of the link of each vertex x of tau off the fixed face
+    is the side holding the smaller apex over the ridge of tau opposite
+    ``fixed[0]``, read off link-built anchors.  Facets whose witnesses
+    (their vertices off tau) lie on the minus side take fresh copies of
+    their tau-vertices.  A vertex unfold drops the facets through v and
+    cones the boundary of the rest from v; an edge unfold adds tau and
+    its copy.  Returns ``(complex, source, target, pairs)``.
+    """
+    t = require_missing_facet(k, tau)
+    if len(fixed) == 1:
+        if fixed[0] not in t:
+            raise PreconditionUnmet(f"vertex {fixed[0]} is not in {t}")
+    else:
+        u, v = fixed = tuple(sorted(fixed))
+        if u not in t or v not in t:
+            raise PreconditionUnmet(f"edge {u}{v} is not inside {t}")
+        if not k.has_face((u, v)):
+            raise PreconditionUnmet(f"{u}{v} is not an edge")
+    report = separation_report(k, t)
+    others = [x for x in t if x not in fixed]
+    for y in fixed:
+        if report.per_vertex[y].separates:
+            raise PreconditionUnmet(f"boundary of {t} minus {y} separates the link of {y}")
+    for x in others:
+        if not report.per_vertex[x].separates:
+            raise PreconditionUnmet(f"vertex {x} does not separate its link")
+    if len(fixed) == 2 and link_pieces_reference(k.link(fixed), set(others)) != 1:
+        raise PreconditionUnmet(
+            f"link of {u}{v} is separated by the boundary of {tuple(others)}; handle case"
+        )
+
+    q0 = link_anchors_reference(k, t)[fixed[0]][0]
+    minus = {}
+    for x in others:
+        (minus_side,) = [side for side in report.per_vertex[x].sides
+                         if not any(q0 in f for f in side)]
+        minus[x] = {w for f in minus_side for w in f} - set(t)
+    copy = dict(zip(others, fresh_labels(k, len(others))))
+    rewritten = set()
+    for f in k.maximal_faces:
+        if len(fixed) == 1 and fixed[0] in f:
+            continue
+        votes = {w in minus[x] for x in f if x in copy for w in f if w not in t}
+        assert len(votes) <= 1, f"facet {f} straddles the sides"
+        rewritten.add(tuple(sorted(copy.get(x, x) for x in f)) if votes == {True} else f)
+    target = tuple(sorted([*fixed, *copy.values()]))
+    if len(fixed) == 1:
+        boundary = [r for r, fs in Complex(rewritten).ridge_facet_map().items() if len(fs) == 1]
+        unfolded = Complex(rewritten | {tuple(sorted(r + fixed)) for r in boundary})
+    else:
+        unfolded = Complex(rewritten | {t, target})
+    return unfolded, t, target, tuple(sorted({**dict(zip(fixed, fixed)), **copy}.items()))
+
+
+def outcome(call):
+    """The value of ``call()``, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_unfolds_match_reference_constructions(fold_images):
+    done = {"vertex": 0, "edge": 0}
+    for k, tau in fold_images:
+        for v in tau:
+            got = outcome(lambda: vertex_unfold(k, tau, v))
+            expected = outcome(lambda: reference_unfold(k, tau, (v,)))
+            if not isinstance(got, tuple):
+                got = (got.complex, got.source_facet, got.target_facet, got.pairs)
+                done["vertex"] += 1
+            assert got == expected
+        for edge in itertools.combinations(tau, 2):
+            got = outcome(lambda: edge_unfold(k, tau, edge))
+            expected = outcome(lambda: reference_unfold(k, tau, edge))
+            if not isinstance(got, tuple):
+                got = (got.complex, got.source_facet, got.target_facet, got.pairs)
+                done["edge"] += 1
+            assert got == expected
+    assert done == {"vertex": 16, "edge": 11}  # both succeed often enough to matter
+
+
+def test_anchors_match_link_built_anchors(fold_images):
+    for k, tau in fold_images:
+        assert two_point_anchors(k, tau) == link_anchors_reference(k, tau)
+    # a ridge in three facets, and a ridge that is no face
+    k = Complex([(0, 2, 3), (1, 2, 3), (2, 3, 4), (0, 1, 4)])
+    for tau, error in (((1, 2, 3), SeparationError), ((2, 3, 5), FaceNotPresent)):
+        got = outcome(lambda: two_point_anchors(k, tau))
+        assert got[0] is error
+        assert got == outcome(lambda: link_anchors_reference(k, tau))

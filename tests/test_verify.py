@@ -92,6 +92,18 @@ def test_purity_and_ridge_conditions():
     assert not is_strongly_connected(two_spheres)
 
 
+def test_strong_connectivity_below_dimension_one():
+    # Points share the empty ridge, so a 0-dimensional complex counts as
+    # strongly connected whatever its number of points.
+    two_points = Complex([[0], [1]])
+    assert is_strongly_connected(two_points)
+    assert is_normal_pseudomanifold(two_points).strongly_connected
+    assert is_strongly_connected(Complex([]))
+    report = is_normal_pseudomanifold(Complex([]))
+    assert not report.normal
+    assert (report.ridge_degrees_ok, report.links_connected) == (False, False)
+
+
 def test_normality_report_on_corpus():
     assert is_normal_pseudomanifold(boundary_simplex(5)).normal
     j = join(boundary_simplex(2), Complex([[3, 4], [4, 5], [3, 5]]))
