@@ -5,9 +5,9 @@ Subcommands: ``info`` (enumerative and singularity report), ``check``
 g-ledger), ``decompose`` (run the decomposition engine and write the
 tree), ``verify-identities`` (randomized identity sweep).
 
-Exit codes: 0 ok, 1 check failure, 2 parse error, 3 unknown verdict,
-4 ledger mismatch or inadmissible build step, 5 not optimal,
-6 irreducible base encountered.
+Exit codes: 0 ok, 1 check failure, 2 parse error or unreadable input,
+3 unknown verdict, 4 ledger mismatch or inadmissible build step, 5 not
+optimal, 6 irreducible base encountered.
 """
 
 from __future__ import annotations
@@ -42,8 +42,21 @@ EXIT_NOT_OPTIMAL = 5
 EXIT_IRREDUCIBLE = 6
 
 
+class Unreadable(Exception):
+    """An input file that cannot be read as text."""
+
+
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise Unreadable(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise Unreadable(f"cannot read {path}: not {exc.encoding} text ({exc.reason})") from exc
+
+
 def _read_complex(path: str) -> Complex:
-    return parse_complex(Path(path).read_text())
+    return parse_complex(_read_text(path))
 
 
 def cmd_info(args) -> int:
@@ -101,7 +114,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_build(args) -> int:
-    doc = load_script(Path(args.script).read_text())
+    doc = load_script(_read_text(args.script))
     try:
         result = replay(doc)
     except ScriptError:
@@ -219,6 +232,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ParseError, ScriptError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except Unreadable as exc:
+        print(exc, file=sys.stderr)
         return EXIT_PARSE
     except FileNotFoundError as exc:
         print(f"cannot read {exc.filename}", file=sys.stderr)

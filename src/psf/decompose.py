@@ -31,12 +31,13 @@ from .separation import (
     SeparationReport,
     SideAssignmentInconsistent,
     _link_cut,
+    _report_for,
     classify_missing_facet,
     oriented_sides,
     require_missing_facet,
-    separation_report,
 )
 from .verify import (
+    _classify,
     _classify_normal_vertices,
     _cut_components,
     _is_boundary_simplex,
@@ -135,7 +136,11 @@ def split_connected_sum(k: Complex, tau) -> SplitResult:
         raise NotSplit(f"cut along {t} does not disconnect; handle signature")
     if len(comps) > 2:
         raise DecompositionError(f"cut along {t} produced {len(comps)} pieces")
-    side_a, side_b = comps
+    return _split_sides(k, t, *comps)
+
+
+def _split_sides(k: Complex, t: Simplex, side_a, side_b) -> SplitResult:
+    """The parts of ``k`` from the two pieces of its cut along ``t``."""
     fresh = fresh_labels(k, len(t))
     pairing = dict(zip(t, fresh))
     part_a = Complex(set(side_a) | {t})
@@ -143,6 +148,22 @@ def split_connected_sum(k: Complex, tau) -> SplitResult:
         {tuple(sorted(pairing.get(v, v) for v in f)) for f in side_b} | {tuple(fresh)}
     )
     return SplitResult(part_a, part_b, t, pairing)
+
+
+def _split_certificate(side, t: Simplex) -> bool:
+    """Whether each ridge of ``t`` lies in exactly one facet of ``side``.
+
+    For a normal complex cut along its missing facet t into two sides,
+    this is exactly when side + t is normal.  A face not inside t keeps
+    its whole star on one side, so its link does not change.  Every
+    piece of the link of a face s of t, cut along the boundary of t - s,
+    touches that boundary, so t - s reconnects the link.  The side is
+    one piece of the cut and t is glued to it, so the part is strongly
+    connected.  Only the ridges of t can lose their degree 2.
+    """
+    ts = set(t)
+    ridges = [tuple(v for v in f if v in ts) for f in side if len(ts.intersection(f)) == len(t) - 1]
+    return len(ridges) == len(set(ridges)) == len(t)
 
 
 @dataclass(frozen=True)
@@ -161,8 +182,7 @@ def _require_separation(k: Complex, t: Simplex, fixed, report: Optional[Separati
     """The fold signature along ``t``: no vertex of the fixed face
     separates its link, every other vertex of t does.  Returns the
     separation report."""
-    if report is None:
-        report = separation_report(k, t)
+    report = _report_for(k, t, report)
     for y in fixed:
         if report.per_vertex[y].separates:
             raise PreconditionUnmet(f"boundary of {t} minus {y} separates the link of {y}")
@@ -470,21 +490,29 @@ def rebuild(tree: DecompositionTree) -> Complex:
 
 
 class _Engine:
+    """The decomposition loop.  A part is ``(complex, t, t1, normal,
+    missing)``: ``normal`` says the complex is proven a normal
+    pseudomanifold, and ``missing``, when not None, says it is proven
+    normal with g2 = 0 and lists its missing facets in sorted order.
+    """
+
     def __init__(self, mode: str, debug: bool):
         self.mode = mode
         self.debug = debug
         self.steps: list[TreeNode] = []
         self.budget = 100_000
 
-    def verdict(self, k: Complex, v: Optional[int]) -> Optional[str]:
+    def verdict(self, k: Complex, v: Optional[int], normal: bool) -> Optional[str]:
         if v is None or v not in k.vertices:
             return None
-        verdict = classify_vertex(k, v)
+        # the link of a vertex of a normal complex is normal, since
+        # lk(s, lk(v)) = lk(s + v), so only unproven parts prove it
+        verdict = _classify(k, v, link_normal=True) if normal else classify_vertex(k, v)
         if verdict.status == "unknown":
             raise UnknownSingularity(f"vertex {v} has an unknown link verdict")
         return verdict.status
 
-    def check_state(self, k: Complex, t: Optional[int]):
+    def check_state(self, k: Complex, t: Optional[int], missing):
         if not self.debug:
             return
         report = is_normal_pseudomanifold(k)
@@ -493,16 +521,21 @@ class _Engine:
         if t is not None and t in k.vertices:
             if not optimality_check(k, t).optimal:
                 raise DecompositionError(f"optimality lost at vertex {t}")
+        if missing is not None:
+            if _g2(k) != 0:
+                raise DecompositionError("a part carried as stacked has g2 != 0")
+            if missing != sorted(k.missing_simplices(k.dim)):
+                raise DecompositionError("carried missing facets differ from the part's")
 
     # -- the work-stack loop --
 
-    def run(self, k: Complex, t: Optional[int], t1: Optional[int]) -> int:
-        """Reduce ``k`` depth first and return the index of its node.
+    def run(self, part) -> int:
+        """Reduce ``part`` depth first and return the index of its node.
 
         Parts are expanded in order and each node is recorded after its
         children, so node indices follow the post-order of the tree.
         """
-        node, parts = self.step(k, t, t1)
+        node, parts = self.step(*part)
         stack = [(node, iter(parts), [])]
         while True:
             node, parts, children = stack[-1]
@@ -519,23 +552,26 @@ class _Engine:
                 return index
             stack[-1][2].append(index)  # a child of the node below
 
-    def step(self, k: Complex, t: Optional[int], t1: Optional[int]) -> tuple[TreeNode, list]:
+    def step(self, k: Complex, t: Optional[int], t1: Optional[int], normal: bool = False,
+             missing: Optional[list[Simplex]] = None) -> tuple[TreeNode, list]:
         """Reduce one complex: its node, without children yet, and the
-        ``(complex, t, t1)`` parts that become those children."""
+        parts that become those children."""
         self.budget -= 1
         if self.budget < 0:
             raise DecompositionError("step budget exhausted; decomposition does not terminate")
-        self.check_state(k, t)
+        self.check_state(k, t, missing)
         if _is_boundary_simplex(k):
             return TreeNode("leaf", leaf_kind="boundary_simplex", n=k.dim + 1, facets=k.facets), []
-        if self.verdict(k, t) != "singular":
-            return self.stacked(k, t, t1)
-        return self.singular(k, t, t1)
+        # a normal part with g2 = 0 has only stacked vertices
+        if missing is not None or self.verdict(k, t, normal) != "singular":
+            return self.stacked(k, t, t1, normal, missing)
+        return self.singular(k, t, t1, normal)
 
-    def stacked(self, k: Complex, t, t1):
-        if _g2(k) != 0:
-            return TreeNode("leaf", leaf_kind="irreducible_base", facets=k.facets), []
-        missing = sorted(k.missing_simplices(k.dim))
+    def stacked(self, k: Complex, t, t1, normal: bool, missing):
+        if missing is None:
+            if _g2(k) != 0:
+                return TreeNode("leaf", leaf_kind="irreducible_base", facets=k.facets), []
+            missing = sorted(k.missing_simplices(k.dim))
         if not missing:
             raise NoMissingFacetFound(
                 f"stacked complex with {len(k.vertices)} vertices has no missing facet"
@@ -545,9 +581,9 @@ class _Engine:
             raise DecompositionError(
                 f"missing facet {missing[0]} of a stacked complex classified as {cls.kind}"
             )
-        return self.split(k, missing[0], t, t1)
+        return self.split(k, cls, t, t1, normal, missing if normal else None)
 
-    def singular(self, k: Complex, t: int, t1):
+    def singular(self, k: Complex, t: int, t1, normal: bool):
         # reduction outside the star of t
         outside = sorted(v for v in k.vertices if v != t and v not in k.neighbors(t))
         for u in outside:
@@ -555,7 +591,8 @@ class _Engine:
             if link.dim == k.dim - 1 and _is_boundary_simplex(link):
                 vs = tuple(sorted(link.vertices))
                 reduced = inverse_facet_subdivision(k, u)
-                return TreeNode("inverse_subdivision", vertex=u, facet=vs), [(reduced, t, t1)]
+                return (TreeNode("inverse_subdivision", vertex=u, facet=vs),
+                        [(reduced, t, t1, normal)])
         if outside:
             u = outside[0]
             link = k.link((u,))
@@ -570,7 +607,7 @@ class _Engine:
                     f"no reinsertable missing facet in the link of {u}; retriangulation case"
                 )
             missing = tuple(sorted(in_complex[0] + (u,)))
-            return self.classified(k, missing, t, t1)
+            return self.classified(k, missing, t, t1, normal)
 
         # all vertices are now in the star of t; the 2-skeleton must match it
         for f2 in sorted(k.faces(2)):
@@ -580,7 +617,7 @@ class _Engine:
                 )
 
         if self.mode == MODE_SUSPENSION and t1 is not None and t1 in k.vertices:
-            if self.verdict(k, t1) == "singular":
+            if self.verdict(k, t1, normal) == "singular":
                 found = recognize_one_vertex_suspension(k, t, t1)
                 if found:
                     base, pole = found
@@ -594,7 +631,7 @@ class _Engine:
 
         tau = self.choose_interior(k, interior, t, t1)
         missing = tuple(sorted(tau + (t,)))
-        return self.classified(k, missing, t, t1)
+        return self.classified(k, missing, t, t1, normal)
 
     def choose_interior(self, k: Complex, interior, t, t1) -> Simplex:
         if self.mode == MODE_SUSPENSION and t1 is not None:
@@ -607,10 +644,10 @@ class _Engine:
                 return nonsingular[0]
         return interior[0]
 
-    def classified(self, k: Complex, missing, t, t1):
+    def classified(self, k: Complex, missing, t, t1, normal: bool):
         cls = classify_missing_facet(k, missing)
         if cls.kind == "connected_sum_split":
-            return self.split(k, missing, t, t1)
+            return self.split(k, cls, t, t1, normal, None)
         if cls.kind == "vertex_fold":
             unfold = vertex_unfold(k, missing, cls.vertex, report=cls.report)
             got = _g2(k) - _g2(unfold.complex)
@@ -637,24 +674,38 @@ class _Engine:
             pairs=unfold.pairs,
             **where,
         )
-        return node, [(unfold.complex, t, t1)]
+        normal = is_normal_pseudomanifold(unfold.complex).normal
+        return node, [(unfold.complex, t, t1, normal)]
 
-    def split(self, k: Complex, missing, t, t1):
-        split = split_connected_sum(k, missing)
+    def split(self, k: Complex, cls, t, t1, normal: bool, missing):
+        """Split ``k`` with the cut that classified its missing facet;
+        the parts keep the proofs listed in ``decompose``."""
+        tau = cls.report.missing_facet
+        split = _split_sides(k, tau, *cls.components)
+        # each ridge of tau lies in two facets of a normal k, so one side
+        # decides the certificate for both
+        normal = normal and _split_certificate(min(cls.components, key=len), tau)
+        carried = [None, None]
+        if normal and missing is not None:
+            rest = [s for s in missing if s != tau]
+            in_a = split.part_a.vertices
+            pairing = split.pairing
+            carried = [
+                [s for s in rest if in_a.issuperset(s)],
+                sorted(tuple(sorted(pairing.get(v, v) for v in s))
+                       for s in rest if not in_a.issuperset(s)),
+            ]
 
         def locate(part: Complex, v, mapped):
             w = mapped.get(v, v)
             return w if w in part.vertices else None
 
         parts = [
-            (part, locate(part, t, mapped), locate(part, t1, mapped))
-            for part, mapped in ((split.part_a, {}), (split.part_b, split.pairing))
+            (part, locate(part, t, mapped), locate(part, t1, mapped), normal, kept)
+            for part, mapped, kept in ((split.part_a, {}, carried[0]),
+                                       (split.part_b, split.pairing, carried[1]))
         ]
-        node = TreeNode(
-            "split",
-            missing_facet=split.missing_facet,
-            pairs=tuple(sorted(split.pairing.items())),
-        )
+        node = TreeNode("split", missing_facet=tau, pairs=tuple(sorted(split.pairing.items())))
         return node, parts
 
 
@@ -675,6 +726,26 @@ def decompose(
     the route for two singularities: either termination at a
     recognised one-vertex suspension or edge unfoldings along the
     singular edge.  The counters are read off the finished tree.
+
+    Each part carries what is already proven about it, so no step
+    proves it again:
+    - *normal*: the input is checked in full; a split part is normal
+      when each ridge of the missing facet lies in one facet of its side
+      (no link outside the facet changes, and the facet reconnects the
+      links inside it); an inverse subdivision changes only the links of
+      the restored facet's faces, each for one with the same boundary;
+      an unfolding has no local argument and is checked in full.  A normal part's vertex links
+      are normal, so verdicts do not prove them again;
+    - *g2 = 0 and the sorted missing facets*: a normal part with g2 = 0
+      has only stacked vertices (g2 of a link is at most g2 of the part,
+      and at least 0 by Kalai's lower bound theorem), so it needs no
+      verdict; its split parts have g2 = 0 too, since g2 adds up over a
+      split and is at least 0 on each normal part, and each keeps the
+      missing facets whose vertices off the split facet it holds;
+    - the split reuses the cut that classified its missing facet.
+    A failed certificate leaves the part unproven, and it takes the
+    checked path.  ``debug`` (or ``PSF_DEBUG_VERIFY=1``) checks every
+    part in full, the carried missing facets included.
     """
     if mode not in MODES:
         raise ModeMismatch(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -704,7 +775,7 @@ def decompose(
     if debug is None:
         debug = os.environ.get("PSF_DEBUG_VERIFY", "") == "1"
     engine = _Engine(mode, debug)
-    root = engine.run(k, t, t1)
+    root = engine.run((k, t, t1, True))
     kinds = Counter(node.kind for node in engine.steps)
     counters = {
         "vertex_folds": kinds["vertex_unfold"],

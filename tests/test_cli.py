@@ -265,3 +265,17 @@ def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
         fresh.append((run.returncode, run.stdout, run.stderr))
     assert in_process == fresh
     assert [code for code, _, _ in fresh] == [3, 0, 0, 0, 0, 0, 0, 2]
+
+
+@pytest.mark.parametrize("command", [["info"], ["check"], ["build"], ["decompose", "--vertex", "0"]])
+@pytest.mark.parametrize("kind", ["directory", "not utf-8", "absent"])
+def test_unreadable_input_exit_code(tmp_path, capsys, command, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not utf-8":
+        path.write_bytes(b"\xff\xfe0 1 2\n")
+    assert main([command[0], str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"cannot read {path}")
+    assert captured.out == ""

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import sys
@@ -25,6 +26,9 @@ from psf.decompose import (
     MODE_EDGE,
     MODE_ONE,
     MODE_SUSPENSION,
+    MODES,
+    DecompositionError,
+    UnknownSingularity,
     LinkNotSimplexBoundary,
     MalformedTree,
     MinimalComplex,
@@ -38,16 +42,24 @@ from psf.decompose import (
     recognize_one_vertex_suspension,
     split_connected_sum,
     vertex_unfold,
+    _Engine,
+    _split_certificate,
 )
 from psf.complexes import FaceNotPresent, fresh_labels
 from psf.separation import (
+    MissingFacetClass,
     PreconditionUnmet,
     SeparationError,
+    classify_missing_facet,
+    oriented_sides,
     require_missing_facet,
     separation_report,
     two_point_anchors,
 )
-from psf.verify import is_normal_pseudomanifold
+from psf.verify import is_normal_pseudomanifold, singular_vertices
+
+# the package exports the function decompose under the module's name
+decompose_module = importlib.import_module("psf.decompose")
 
 
 def test_inverse_facet_subdivision_round_trip():
@@ -448,3 +460,116 @@ def test_anchors_match_link_built_anchors(fold_images):
         got = outcome(lambda: two_point_anchors(k, tau))
         assert got[0] is error
         assert got == outcome(lambda: link_anchors_reference(k, tau))
+
+
+@pytest.mark.parametrize("entry", ["vertex_unfold", "edge_unfold", "oriented_sides"])
+def test_report_for_another_missing_facet_is_refused(entry):
+    record, other = vertex_folded_instance(300), vertex_folded_instance(301)
+    k, tau = record.complex, record.fold_images[0][1]
+    report = separation_report(other.complex, other.fold_images[0][1])
+    assert report.missing_facet != tau
+    call = {
+        "vertex_unfold": lambda: vertex_unfold(k, tau, record.tracked, report=report),
+        "edge_unfold": lambda: edge_unfold(k, tau, tau[:2], report=report),
+        "oriented_sides": lambda: oriented_sides(k, tau, tau[0], report),
+    }[entry]
+    message = f"separation report is for {report.missing_facet}, not for {tau}"
+    assert outcome(call) == (SeparationError, message)
+
+
+@pytest.fixture(scope="module")
+def engine_record(shared_corpus):
+    """Every part the engine steps, as ``(complex, t, t1, normal,
+    missing)``, and every split it makes, as ``(complex, tau, sides,
+    result)``, while it decomposes two chains and the corpus in every
+    mode that succeeds, the corpus and the shorter chain under the
+    debug oracle."""
+    parts, splits = [], []
+    step, split_sides = _Engine.step, decompose_module._split_sides
+
+    def record_step(self, k, t, t1, normal=False, missing=None):
+        parts.append((k, t, t1, normal, missing))
+        return step(self, k, t, t1, normal, missing)
+
+    def record_split(k, tau, side_a, side_b):
+        result = split_sides(k, tau, side_a, side_b)
+        splits.append((k, tau, (side_a, side_b), result))
+        return result
+
+    inputs = []
+    for _, k in shared_corpus:
+        if k.dim == 4:
+            singular = singular_vertices(k)
+            inputs += [(k, singular[0] if singular else min(k.vertices), mode) for mode in MODES]
+    inputs.append((linear_chain(4, 25, 25, fixed=(0,)), 0, MODE_EDGE))
+    done = [x for x in inputs if not isinstance(outcome(lambda: decompose(*x)), tuple)]
+    assert len(done) == 33  # of 40: the handle and some modes are refused
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Engine, "step", record_step)
+        patch.setattr(decompose_module, "_split_sides", record_split)
+        for k, t, mode in done:
+            decompose(k, t, mode, debug=True)
+        decompose(linear_chain(4, 50, 50, fixed=(0,)), 0)
+    return parts, splits
+
+
+def test_split_certificate_matches_normality(engine_record):
+    parts, splits = engine_record
+    assert len(splits) > 100
+    for k, tau, sides, result in splits:
+        assert is_normal_pseudomanifold(k).normal
+        for side, part in zip(sides, (result.part_a, result.part_b)):
+            assert _split_certificate(side, tau) == is_normal_pseudomanifold(part).normal
+    # a part carried as normal is normal, and every part is carried so
+    assert all(normal and is_normal_pseudomanifold(k).normal for k, _, _, normal, _ in parts)
+
+    # a side that holds a ridge of tau in two of its facets fails
+    k, tau, (side_a, side_b), _ = next(s for s in splits if len(s[0].maximal_faces) > 90)
+    ts = set(tau)
+    doubled = min(f for f in side_b if len(ts.intersection(f)) == 4)
+    bad_side, rest = side_a | {doubled}, side_b - {doubled}
+    bad = Complex(bad_side | {tau})
+    assert not _split_certificate(bad_side, tau)
+    assert not is_normal_pseudomanifold(bad).normal
+
+    # the engine carries that part as unproven, so its verdict takes the
+    # checked path, which cannot certify the link of 0
+    cls = MissingFacetClass("connected_sum_split", report=separation_report(k, tau),
+                            components=(bad_side, rest))
+    engine = _Engine(MODE_EDGE, False)
+    _, (part, _) = engine.split(k, cls, 0, None, True, sorted(k.missing_simplices(4)))
+    assert part == (bad, 0, None, False, None)
+    expected = (UnknownSingularity, "vertex 0 has an unknown link verdict")
+    assert outcome(lambda: engine.run(part)) == expected
+    # trusting it would have taken another path
+    trusted = (bad, 0, None, True, sorted(bad.missing_simplices(4)))
+    assert outcome(lambda: _Engine(MODE_EDGE, False).run(trusted)) != expected
+    # the parts of a part not carried as normal are not carried so either
+    _, parts = engine.split(k, classify_missing_facet(k, tau), 0, None, False, None)
+    assert [part[3:] for part in parts] == [(False, None)] * 2
+
+
+def test_carried_missing_facets_match_the_parts(engine_record):
+    parts, splits = engine_record
+    stacked = [(k, missing) for k, _, _, _, missing in parts if missing is not None]
+    # part B of a split carries its list relabelled onto fresh labels
+    part_b = {id(result.part_b) for *_, result in splits}
+    assert len(stacked) > 100
+    assert sum(bool(missing) and id(k) in part_b for k, missing in stacked) > 50
+    for k, missing in stacked:
+        assert missing == sorted(k.missing_simplices(4))
+        assert g2(k) == 0
+
+
+def test_debug_oracle_checks_the_carried_missing_facets(monkeypatch):
+    k = linear_chain(4, 6, 3, fixed=(0,))
+    assert rebuild(decompose(k, 0, debug=True)) == k
+    split = _Engine.split
+
+    def drop_last(self, k, cls, t, t1, normal, missing):
+        node, parts = split(self, k, cls, t, t1, normal, missing)
+        return node, [(*part[:4], part[4] and part[4][:-1]) for part in parts]
+
+    monkeypatch.setattr(_Engine, "split", drop_last)
+    with pytest.raises(DecompositionError, match="carried missing facets differ"):
+        decompose(k, 0, debug=True)
