@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .complexes import Complex, ComplexError, Simplex, VertexOverlap, fresh_labels, simplex
@@ -288,6 +289,14 @@ def edge_fold(k: Complex, facet1, facet2, pairing) -> Complex:
     if not ok:
         raise InadmissibleFold(reason)
     return _identify(k, _as_mapping(pairing), simplex(facet1))
+
+
+def fold_deltas(op: str, d: int) -> tuple[int, int]:
+    """The exact change (C(w, 2), -C(w, 3)) of (g2, g3) when ``op`` is
+    applied to a d-complex, for its width w: d + 2 for a handle
+    addition, d + 1 for a vertex fold and d for an edge fold."""
+    width = d + {"handle_addition": 2, "vertex_fold": 1, "edge_fold": 0}[op]
+    return comb(width, 2), -comb(width, 3)
 
 
 # -- admissible-pair searches -------------------------------------------

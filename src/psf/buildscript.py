@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import comb
 from typing import Optional
 
 from .complexes import Complex, ComplexError
@@ -24,6 +23,7 @@ from .build import (
     connected_sum,
     edge_fold,
     facet_subdivision,
+    fold_deltas,
     handle_addition,
     one_vertex_suspension,
     random_admissible,
@@ -93,11 +93,6 @@ def _g2g3(k: Complex) -> tuple[Optional[int], Optional[int]]:
     a = _g2(k) if k.dim >= 2 else None
     b = _g3(k) if k.dim >= 3 else None
     return a, b
-
-
-def _fold_deltas(op: str, d: int) -> tuple[int, int]:
-    width = {"handle_addition": d + 2, "vertex_fold": d + 1, "edge_fold": d}[op]
-    return comb(width, 2), -comb(width, 3)
 
 
 def _need(step: dict, key: str):
@@ -232,10 +227,7 @@ def _ledger_row(i: int, op: str, step: dict, result: Complex, complexes) -> Ledg
     if op in ("handle_addition", "vertex_fold", "edge_fold", "facet_subdivision"):
         operand = complexes[step["operand"]]
         o2, o3 = _g2g3(operand)
-        if op == "facet_subdivision":
-            e2, e3 = 0, 0
-        else:
-            e2, e3 = _fold_deltas(op, operand.dim)
+        e2, e3 = (0, 0) if op == "facet_subdivision" else fold_deltas(op, operand.dim)
         return LedgerRow(
             i, op, cur2, cur3,
             delta_g2=None if cur2 is None else cur2 - o2,

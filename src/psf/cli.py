@@ -5,9 +5,9 @@ Subcommands: ``info`` (enumerative and singularity report), ``check``
 g-ledger), ``decompose`` (run the decomposition engine and write the
 tree), ``verify-identities`` (randomized identity sweep).
 
-Exit codes: 0 ok, 1 check failure, 2 parse error or unreadable input,
-3 unknown verdict, 4 ledger mismatch or inadmissible build step, 5 not
-optimal, 6 irreducible base encountered.
+Exit codes: 0 ok, 1 check failure, 2 parse error, unreadable input or
+unwritable output, 3 unknown verdict, 4 ledger mismatch or inadmissible
+build step, 5 not optimal, 6 irreducible base encountered.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .decompose import (
     MODES,
     MODE_EDGE,
     DecompositionError,
-    ModeMismatch,
     NotOptimal,
     UnknownSingularity,
     decompose,
@@ -42,17 +41,24 @@ EXIT_NOT_OPTIMAL = 5
 EXIT_IRREDUCIBLE = 6
 
 
-class Unreadable(Exception):
-    """An input file that cannot be read as text."""
+class Inaccessible(Exception):
+    """An input file that cannot be read as text, or an unwritable output."""
 
 
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
     except OSError as exc:
-        raise Unreadable(f"cannot read {path}: {exc.strerror}") from exc
+        raise Inaccessible(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
-        raise Unreadable(f"cannot read {path}: not {exc.encoding} text ({exc.reason})") from exc
+        raise Inaccessible(f"cannot read {path}: not {exc.encoding} text ({exc.reason})") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise Inaccessible(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _read_complex(path: str) -> Complex:
@@ -132,7 +138,7 @@ def cmd_build(args) -> int:
         g3s = "-" if row.g3 is None else str(row.g3)
         print(f"{row.step:>4} {row.op:<22} {g2s:>6} {g3s:>6}  {delta:<12}  {check}")
     if args.output:
-        Path(args.output).write_text(format_complex(result.final))
+        _write_text(args.output, format_complex(result.final))
         print(f"wrote {args.output}")
     if not result.ledger_ok:
         print("g-ledger mismatch")
@@ -147,10 +153,10 @@ def cmd_decompose(args) -> int:
     except NotOptimal as exc:
         print(f"not optimal: {exc}")
         return EXIT_NOT_OPTIMAL
-    except (UnknownSingularity,) as exc:
+    except UnknownSingularity as exc:
         print(f"unknown singularity verdict: {exc}")
         return EXIT_UNKNOWN_VERDICT
-    except (ModeMismatch, DecompositionError) as exc:
+    except DecompositionError as exc:
         print(f"decomposition failed: {exc}")
         return EXIT_CHECK_FAILED
     counters = tree.counters
@@ -164,7 +170,7 @@ def cmd_decompose(args) -> int:
     )
     print(f"g2 accounting: 6*{m} + 10*{n} + {base_g2} = {total}, g2(input) = {g2(k)}")
     if args.output:
-        Path(args.output).write_text(json.dumps(tree.to_dict(), indent=2, sort_keys=True) + "\n")
+        _write_text(args.output, json.dumps(tree.to_dict(), indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.output}")
     if counters.get("irreducible"):
         print("irreducible base encountered")
@@ -233,11 +239,8 @@ def main(argv=None) -> int:
     except (ParseError, ScriptError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except Unreadable as exc:
+    except Inaccessible as exc:
         print(exc, file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}", file=sys.stderr)
         return EXIT_PARSE
     except ComplexError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,13 +15,12 @@ from typing import Optional
 from .complexes import Complex, Simplex
 from .build import (
     SplitMix64,
+    _fold_triples,
     _glue_fresh_boundary,
     boundary_simplex,
     connected_sum,
     edge_fold,
     facet_subdivision,
-    find_edge_folds,
-    find_vertex_folds,
     find_handles,
     handle_addition,
     one_vertex_suspension,
@@ -80,41 +79,34 @@ def _pick(rng: SplitMix64, items):
     return items[rng.randrange(len(items))]
 
 
-def _fold_at_vertex(record: BuildRecord, d: int, rng: SplitMix64, t: int,
-                    avoid: Optional[int] = None, arm: Optional[int] = None) -> None:
-    """Grow an arm at ``t`` and apply one admissible vertex fold there."""
+def _fold_at(record: BuildRecord, rng: SplitMix64, fixed: tuple[int, ...],
+             avoid: Optional[int] = None) -> None:
+    """Grow an arm through ``fixed`` and apply one admissible fold there:
+    a vertex fold at one fixed vertex, an edge fold along two.  With
+    ``avoid``, the arm starts at a facet without it and the fold keeps
+    off it."""
     k = record.complex
-    arm = arm if arm is not None else (VERTEX_ARM if d == 4 else VERTEX_ARM_3D)
+    vertex = len(fixed) == 1
+    kind = "vertex_fold" if vertex else "edge_fold"
+    arm = (VERTEX_ARM if k.dim == 4 else VERTEX_ARM_3D) if vertex else EDGE_ARM
     first_src = None
     if avoid is not None:
-        options = [f for f in k.facets if t in f and avoid not in f]
-        first_src = _pick(rng, options)
-    k = grow_arm(k, rng, (t,), arm, first_src=first_src)
+        first_src = _pick(rng, [f for f in k.facets if set(fixed) <= set(f) and avoid not in f])
+    k = grow_arm(k, rng, fixed, arm, first_src=first_src)
     record.sums += arm
-    folds = list(find_vertex_folds(k, fixed_vertex=t))
-    if avoid is not None:
-        folds = [(f1, f2, m) for f1, f2, m in folds if avoid not in f1 and avoid not in f2]
+    folds = [(f1, f2, m) for f1, f2, m in _fold_triples(k, len(fixed), fixed)
+             if avoid not in f1 + f2]
+    at = "".join(map(str, fixed))
     if not folds:
-        raise RuntimeError(f"no admissible vertex fold at {t} after growing an arm")
+        raise RuntimeError(f"no admissible {kind.replace('_', ' ')} at {at} after growing an arm")
     f1, f2, mapping = folds[rng.randrange(len(folds))]
-    record.complex = vertex_fold(k, f1, f2, mapping)
-    record.vertex_folds += 1
-    record.fold_images.append(("vertex_fold", f1))
-    record.history.append(f"vertex_fold at {t} merging {f1}~{f2}")
-
-
-def _fold_at_edge(record: BuildRecord, rng: SplitMix64, u: int, v: int,
-                  arm: int = EDGE_ARM) -> None:
-    k = grow_arm(record.complex, rng, (u, v), arm)
-    record.sums += arm
-    folds = list(find_edge_folds(k, fixed_edge=(u, v)))
-    if not folds:
-        raise RuntimeError(f"no admissible edge fold at {u}{v} after growing an arm")
-    f1, f2, mapping = folds[rng.randrange(len(folds))]
-    record.complex = edge_fold(k, f1, f2, mapping)
-    record.edge_folds += 1
-    record.fold_images.append(("edge_fold", f1))
-    record.history.append(f"edge_fold at {u}{v} merging {f1}~{f2}")
+    record.complex = (vertex_fold if vertex else edge_fold)(k, f1, f2, mapping)
+    if vertex:
+        record.vertex_folds += 1
+    else:
+        record.edge_folds += 1
+    record.fold_images.append((kind, f1))
+    record.history.append(f"{kind} at {at} merging {f1}~{f2}")
 
 
 def decorate(record: BuildRecord, rng: SplitMix64, sums: int = 0, subdivisions: int = 0) -> None:
@@ -142,7 +134,7 @@ def vertex_folded_instance(seed: int, folds: int = 1, sums: int = 0,
     t = 0
     record = BuildRecord(boundary_simplex(5), tracked=t)
     for _ in range(folds):
-        _fold_at_vertex(record, 4, rng, t)
+        _fold_at(record, rng, (t,))
     decorate(record, rng, sums, subdivisions)
     return record
 
@@ -156,9 +148,9 @@ def edge_folded_instance(seed: int, edge_folds: int = 1, vertex_folds: int = 0,
     t, t1 = 0, 1
     record = BuildRecord(boundary_simplex(5), tracked=t, companion=t1)
     for _ in range(edge_folds):
-        _fold_at_edge(record, rng, t, t1)
+        _fold_at(record, rng, (t, t1))
     for _ in range(vertex_folds):
-        _fold_at_vertex(record, 4, rng, t, avoid=t1)
+        _fold_at(record, rng, (t,), avoid=t1)
     decorate(record, rng, sums, subdivisions)
     return record
 
@@ -170,7 +162,7 @@ def singular_base_3d(seed: int, folds: int = 1, subdivisions: int = 0) -> BuildR
     t = 0
     record = BuildRecord(boundary_simplex(4), tracked=t)
     for _ in range(folds):
-        _fold_at_vertex(record, 3, rng, t)
+        _fold_at(record, rng, (t,))
     for _ in range(subdivisions):
         facet = _pick(rng, [f for f in record.complex.facets if t in f])
         record.complex = facet_subdivision(record.complex, facet)
@@ -210,7 +202,7 @@ def suspension_instance(seed: int, extra_vertex_folds: int = 0,
     record = BuildRecord(susp, tracked=apex, companion=pole)
     record.history.append(f"suspension of 3d base at pole {pole}, apex {apex}")
     for _ in range(extra_vertex_folds):
-        _fold_at_vertex(record, 4, rng, apex, avoid=pole)
+        _fold_at(record, rng, (apex,), avoid=pole)
     decorate(record, rng, sums, subdivisions)
     return record
 

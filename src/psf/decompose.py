@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from math import comb
 from typing import Optional
 
 from .complexes import Complex, ComplexError, Simplex, UnknownVertex, fresh_labels, simplex
@@ -22,6 +21,7 @@ from .build import (
     connected_sum,
     edge_fold,
     facet_subdivision,
+    fold_deltas,
     one_vertex_suspension,
     vertex_fold,
 )
@@ -41,7 +41,6 @@ from .verify import (
     _classify_normal_vertices,
     _cut_components,
     _is_boundary_simplex,
-    classify_vertex,
     is_normal_pseudomanifold,
     optimality_check,
 )
@@ -407,7 +406,8 @@ class DecompositionTree:
             if s.kind == "suspension_base"
             or (s.kind == "leaf" and s.leaf_kind == "irreducible_base")
         )
-        return m, n, base, 6 * m + 10 * n + base
+        folds = fold_deltas("edge_fold", 4)[0] * m + fold_deltas("vertex_fold", 4)[0] * n
+        return m, n, base, folds + base
 
     def leaves(self) -> list[TreeNode]:
         return [s for s in self.steps if s.kind in ("leaf", "suspension_base")]
@@ -489,11 +489,16 @@ def rebuild(tree: DecompositionTree) -> Complex:
 # -- the decomposition engine ----------------------------------------------
 
 
+def _require_normal(k: Complex) -> None:
+    report = is_normal_pseudomanifold(k)
+    if not report.normal:
+        raise DecompositionError(f"intermediate complex is not normal: {report}")
+
+
 class _Engine:
-    """The decomposition loop.  A part is ``(complex, t, t1, normal,
-    missing)``: ``normal`` says the complex is proven a normal
-    pseudomanifold, and ``missing``, when not None, says it is proven
-    normal with g2 = 0 and lists its missing facets in sorted order.
+    """The decomposition loop.  A part is ``(complex, t, t1, missing)``
+    whose complex is proven a normal pseudomanifold; ``missing``, when
+    not None, says it has g2 = 0 and lists its missing facets in order.
     """
 
     def __init__(self, mode: str, debug: bool):
@@ -502,12 +507,12 @@ class _Engine:
         self.steps: list[TreeNode] = []
         self.budget = 100_000
 
-    def verdict(self, k: Complex, v: Optional[int], normal: bool) -> Optional[str]:
+    def verdict(self, k: Complex, v: Optional[int]) -> Optional[str]:
         if v is None or v not in k.vertices:
             return None
         # the link of a vertex of a normal complex is normal, since
-        # lk(s, lk(v)) = lk(s + v), so only unproven parts prove it
-        verdict = _classify(k, v, link_normal=True) if normal else classify_vertex(k, v)
+        # lk(s, lk(v)) = lk(s + v)
+        verdict = _classify(k, v, link_normal=True)
         if verdict.status == "unknown":
             raise UnknownSingularity(f"vertex {v} has an unknown link verdict")
         return verdict.status
@@ -515,9 +520,7 @@ class _Engine:
     def check_state(self, k: Complex, t: Optional[int], missing):
         if not self.debug:
             return
-        report = is_normal_pseudomanifold(k)
-        if not report.normal:
-            raise DecompositionError(f"intermediate complex is not normal: {report}")
+        _require_normal(k)
         if t is not None and t in k.vertices:
             if not optimality_check(k, t).optimal:
                 raise DecompositionError(f"optimality lost at vertex {t}")
@@ -552,8 +555,8 @@ class _Engine:
                 return index
             stack[-1][2].append(index)  # a child of the node below
 
-    def step(self, k: Complex, t: Optional[int], t1: Optional[int], normal: bool = False,
-             missing: Optional[list[Simplex]] = None) -> tuple[TreeNode, list]:
+    def step(self, k: Complex, t: Optional[int], t1: Optional[int],
+             missing: Optional[list[Simplex]]) -> tuple[TreeNode, list]:
         """Reduce one complex: its node, without children yet, and the
         parts that become those children."""
         self.budget -= 1
@@ -563,11 +566,11 @@ class _Engine:
         if _is_boundary_simplex(k):
             return TreeNode("leaf", leaf_kind="boundary_simplex", n=k.dim + 1, facets=k.facets), []
         # a normal part with g2 = 0 has only stacked vertices
-        if missing is not None or self.verdict(k, t, normal) != "singular":
-            return self.stacked(k, t, t1, normal, missing)
-        return self.singular(k, t, t1, normal)
+        if missing is not None or self.verdict(k, t) != "singular":
+            return self.stacked(k, t, t1, missing)
+        return self.singular(k, t, t1)
 
-    def stacked(self, k: Complex, t, t1, normal: bool, missing):
+    def stacked(self, k: Complex, t, t1, missing):
         if missing is None:
             if _g2(k) != 0:
                 return TreeNode("leaf", leaf_kind="irreducible_base", facets=k.facets), []
@@ -581,9 +584,9 @@ class _Engine:
             raise DecompositionError(
                 f"missing facet {missing[0]} of a stacked complex classified as {cls.kind}"
             )
-        return self.split(k, cls, t, t1, normal, missing if normal else None)
+        return self.split(k, cls, t, t1, missing)
 
-    def singular(self, k: Complex, t: int, t1, normal: bool):
+    def singular(self, k: Complex, t: int, t1):
         # reduction outside the star of t
         outside = sorted(v for v in k.vertices if v != t and v not in k.neighbors(t))
         for u in outside:
@@ -592,7 +595,7 @@ class _Engine:
                 vs = tuple(sorted(link.vertices))
                 reduced = inverse_facet_subdivision(k, u)
                 return (TreeNode("inverse_subdivision", vertex=u, facet=vs),
-                        [(reduced, t, t1, normal)])
+                        [(reduced, t, t1, None)])
         if outside:
             u = outside[0]
             link = k.link((u,))
@@ -607,7 +610,7 @@ class _Engine:
                     f"no reinsertable missing facet in the link of {u}; retriangulation case"
                 )
             missing = tuple(sorted(in_complex[0] + (u,)))
-            return self.classified(k, missing, t, t1, normal)
+            return self.classified(k, missing, t, t1)
 
         # all vertices are now in the star of t; the 2-skeleton must match it
         for f2 in sorted(k.faces(2)):
@@ -617,7 +620,7 @@ class _Engine:
                 )
 
         if self.mode == MODE_SUSPENSION and t1 is not None and t1 in k.vertices:
-            if self.verdict(k, t1, normal) == "singular":
+            if self.verdict(k, t1) == "singular":
                 found = recognize_one_vertex_suspension(k, t, t1)
                 if found:
                     base, pole = found
@@ -631,7 +634,7 @@ class _Engine:
 
         tau = self.choose_interior(k, interior, t, t1)
         missing = tuple(sorted(tau + (t,)))
-        return self.classified(k, missing, t, t1, normal)
+        return self.classified(k, missing, t, t1)
 
     def choose_interior(self, k: Complex, interior, t, t1) -> Simplex:
         if self.mode == MODE_SUSPENSION and t1 is not None:
@@ -644,16 +647,12 @@ class _Engine:
                 return nonsingular[0]
         return interior[0]
 
-    def classified(self, k: Complex, missing, t, t1, normal: bool):
+    def classified(self, k: Complex, missing, t, t1):
         cls = classify_missing_facet(k, missing)
         if cls.kind == "connected_sum_split":
-            return self.split(k, cls, t, t1, normal, None)
+            return self.split(k, cls, t, t1, None)
         if cls.kind == "vertex_fold":
             unfold = vertex_unfold(k, missing, cls.vertex, report=cls.report)
-            got = _g2(k) - _g2(unfold.complex)
-            expected = comb(k.dim + 1, 2)
-            if got != expected:
-                raise DecompositionError(f"vertex unfold changed g2 by {got}, expected {expected}")
             kind, where = "vertex_unfold", {"vertex": cls.vertex}
         elif cls.kind == "edge_fold":
             if self.mode != MODE_EDGE:
@@ -666,6 +665,11 @@ class _Engine:
             )
         else:
             raise DecompositionError(f"missing facet {tuple(missing)} is unclassified")
+        got, expected = _g2(k) - _g2(unfold.complex), fold_deltas(cls.kind, k.dim)[0]
+        if got != expected:
+            raise DecompositionError(f"{kind.replace('_', ' ')} changed g2 by {got}, "
+                                     f"expected {expected}")
+        _require_normal(unfold.complex)
         node = TreeNode(
             kind,
             missing_facet=simplex(missing),
@@ -674,19 +678,19 @@ class _Engine:
             pairs=unfold.pairs,
             **where,
         )
-        normal = is_normal_pseudomanifold(unfold.complex).normal
-        return node, [(unfold.complex, t, t1, normal)]
+        return node, [(unfold.complex, t, t1, None)]
 
-    def split(self, k: Complex, cls, t, t1, normal: bool, missing):
+    def split(self, k: Complex, cls, t, t1, missing):
         """Split ``k`` with the cut that classified its missing facet;
         the parts keep the proofs listed in ``decompose``."""
         tau = cls.report.missing_facet
-        split = _split_sides(k, tau, *cls.components)
         # each ridge of tau lies in two facets of a normal k, so one side
         # decides the certificate for both
-        normal = normal and _split_certificate(min(cls.components, key=len), tau)
+        if not _split_certificate(min(cls.components, key=len), tau):
+            raise DecompositionError(f"splitting along {tau} leaves a part that is not normal")
+        split = _split_sides(k, tau, *cls.components)
         carried = [None, None]
-        if normal and missing is not None:
+        if missing is not None:
             rest = [s for s in missing if s != tau]
             in_a = split.part_a.vertices
             pairing = split.pairing
@@ -701,7 +705,7 @@ class _Engine:
             return w if w in part.vertices else None
 
         parts = [
-            (part, locate(part, t, mapped), locate(part, t1, mapped), normal, kept)
+            (part, locate(part, t, mapped), locate(part, t1, mapped), kept)
             for part, mapped, kept in ((split.part_a, {}, carried[0]),
                                        (split.part_b, split.pairing, carried[1]))
         ]
@@ -727,15 +731,15 @@ def decompose(
     recognised one-vertex suspension or edge unfoldings along the
     singular edge.  The counters are read off the finished tree.
 
-    Each part carries what is already proven about it, so no step
-    proves it again:
+    Every part is proven normal and carries what else is proven about
+    it, so no step proves anything again:
     - *normal*: the input is checked in full; a split part is normal
       when each ridge of the missing facet lies in one facet of its side
       (no link outside the facet changes, and the facet reconnects the
       links inside it); an inverse subdivision changes only the links of
       the restored facet's faces, each for one with the same boundary;
-      an unfolding has no local argument and is checked in full.  A normal part's vertex links
-      are normal, so verdicts do not prove them again;
+      an unfolding has no local argument and is checked in full.  So
+      vertex links are normal, and verdicts do not prove them again;
     - *g2 = 0 and the sorted missing facets*: a normal part with g2 = 0
       has only stacked vertices (g2 of a link is at most g2 of the part,
       and at least 0 by Kalai's lower bound theorem), so it needs no
@@ -743,9 +747,9 @@ def decompose(
       split and is at least 0 on each normal part, and each keeps the
       missing facets whose vertices off the split facet it holds;
     - the split reuses the cut that classified its missing facet.
-    A failed certificate leaves the part unproven, and it takes the
-    checked path.  ``debug`` (or ``PSF_DEBUG_VERIFY=1``) checks every
-    part in full, the carried missing facets included.
+    A failed split certificate or a non-normal unfolding raises
+    DecompositionError.  ``debug`` (or ``PSF_DEBUG_VERIFY=1``) checks
+    every part in full, the carried missing facets included.
     """
     if mode not in MODES:
         raise ModeMismatch(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -775,7 +779,7 @@ def decompose(
     if debug is None:
         debug = os.environ.get("PSF_DEBUG_VERIFY", "") == "1"
     engine = _Engine(mode, debug)
-    root = engine.run((k, t, t1, True))
+    root = engine.run((k, t, t1, None))
     kinds = Counter(node.kind for node in engine.steps)
     counters = {
         "vertex_folds": kinds["vertex_unfold"],

@@ -69,21 +69,19 @@ def g1(k: Complex) -> int:
     """f_0 - (d + 2); zero exactly on simplex boundaries."""
     if k.dim < 1:
         raise DimensionTooSmall("g_1 needs dimension >= 1")
-    fv = f_vector(k)
-    return fv.f(0) - (k.dim + 2)
+    return len(k.vertices) - (k.dim + 2)
 
 
 def g2(k: Complex) -> int:
     if k.dim < 2:
         raise DimensionTooSmall("g_2 needs dimension >= 2")
-    fv = f_vector(k)
     d = k.dim
-    return fv.f(1) - (d + 1) * fv.f(0) + comb(d + 2, 2)
+    return len(k.faces(1)) - (d + 1) * len(k.vertices) + comb(d + 2, 2)
 
 
 def g3(k: Complex) -> int:
     if k.dim < 3:
         raise DimensionTooSmall("g_3 needs dimension >= 3")
-    fv = f_vector(k)
     d = k.dim
-    return fv.f(2) - d * fv.f(1) + comb(d + 1, 2) * fv.f(0) - comb(d + 2, 3)
+    f0, f1, f2 = len(k.vertices), len(k.faces(1)), len(k.faces(2))
+    return f2 - d * f1 + comb(d + 1, 2) * f0 - comb(d + 2, 3)

@@ -279,3 +279,24 @@ def test_unreadable_input_exit_code(tmp_path, capsys, command, kind):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"cannot read {path}")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["build", "decompose"])
+@pytest.mark.parametrize("kind", ["directory", "missing parent"])
+def test_unwritable_output_exit_code(tmp_path, capsys, command, kind):
+    if command == "build":
+        script = tmp_path / "script.json"
+        script.write_text(dump_script(random_script(5)))
+        argv = ["build", str(script)]
+    else:
+        record = edge_folded_instance(10)
+        argv = ["decompose", write_complex(tmp_path, "edge.txt", record.complex),
+                "--vertex", str(record.tracked)]
+    out = tmp_path / "out"
+    if kind == "directory":
+        out.mkdir()
+    else:
+        out = out / "tree"
+    assert main([*argv, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {out}: ") and err.count("\n") == 1

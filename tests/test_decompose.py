@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import json
@@ -28,7 +29,6 @@ from psf.decompose import (
     MODE_SUSPENSION,
     MODES,
     DecompositionError,
-    UnknownSingularity,
     LinkNotSimplexBoundary,
     MalformedTree,
     MinimalComplex,
@@ -50,7 +50,6 @@ from psf.separation import (
     MissingFacetClass,
     PreconditionUnmet,
     SeparationError,
-    classify_missing_facet,
     oriented_sides,
     require_missing_facet,
     separation_report,
@@ -479,17 +478,17 @@ def test_report_for_another_missing_facet_is_refused(entry):
 
 @pytest.fixture(scope="module")
 def engine_record(shared_corpus):
-    """Every part the engine steps, as ``(complex, t, t1, normal,
-    missing)``, and every split it makes, as ``(complex, tau, sides,
+    """Every part the engine steps, as ``(complex, t, t1, missing)``,
+    and every split it makes, as ``(complex, tau, sides,
     result)``, while it decomposes two chains and the corpus in every
     mode that succeeds, the corpus and the shorter chain under the
     debug oracle."""
     parts, splits = [], []
     step, split_sides = _Engine.step, decompose_module._split_sides
 
-    def record_step(self, k, t, t1, normal=False, missing=None):
-        parts.append((k, t, t1, normal, missing))
-        return step(self, k, t, t1, normal, missing)
+    def record_step(self, k, t, t1, missing):
+        parts.append((k, t, t1, missing))
+        return step(self, k, t, t1, missing)
 
     def record_split(k, tau, side_a, side_b):
         result = split_sides(k, tau, side_a, side_b)
@@ -520,8 +519,8 @@ def test_split_certificate_matches_normality(engine_record):
         assert is_normal_pseudomanifold(k).normal
         for side, part in zip(sides, (result.part_a, result.part_b)):
             assert _split_certificate(side, tau) == is_normal_pseudomanifold(part).normal
-    # a part carried as normal is normal, and every part is carried so
-    assert all(normal and is_normal_pseudomanifold(k).normal for k, _, _, normal, _ in parts)
+    # every part the engine steps is normal
+    assert all(is_normal_pseudomanifold(k).normal for k, *_ in parts)
 
     # a side that holds a ridge of tau in two of its facets fails
     k, tau, (side_a, side_b), _ = next(s for s in splits if len(s[0].maximal_faces) > 90)
@@ -532,26 +531,18 @@ def test_split_certificate_matches_normality(engine_record):
     assert not _split_certificate(bad_side, tau)
     assert not is_normal_pseudomanifold(bad).normal
 
-    # the engine carries that part as unproven, so its verdict takes the
-    # checked path, which cannot certify the link of 0
+    # the engine refuses to split along that cut, stacked or not
     cls = MissingFacetClass("connected_sum_split", report=separation_report(k, tau),
                             components=(bad_side, rest))
-    engine = _Engine(MODE_EDGE, False)
-    _, (part, _) = engine.split(k, cls, 0, None, True, sorted(k.missing_simplices(4)))
-    assert part == (bad, 0, None, False, None)
-    expected = (UnknownSingularity, "vertex 0 has an unknown link verdict")
-    assert outcome(lambda: engine.run(part)) == expected
-    # trusting it would have taken another path
-    trusted = (bad, 0, None, True, sorted(bad.missing_simplices(4)))
-    assert outcome(lambda: _Engine(MODE_EDGE, False).run(trusted)) != expected
-    # the parts of a part not carried as normal are not carried so either
-    _, parts = engine.split(k, classify_missing_facet(k, tau), 0, None, False, None)
-    assert [part[3:] for part in parts] == [(False, None)] * 2
+    expected = (DecompositionError, f"splitting along {tau} leaves a part that is not normal")
+    for missing in (None, sorted(k.missing_simplices(4))):
+        engine = _Engine(MODE_EDGE, False)
+        assert outcome(lambda: engine.split(k, cls, 0, None, missing)) == expected
 
 
 def test_carried_missing_facets_match_the_parts(engine_record):
     parts, splits = engine_record
-    stacked = [(k, missing) for k, _, _, _, missing in parts if missing is not None]
+    stacked = [(k, missing) for k, _, _, missing in parts if missing is not None]
     # part B of a split carries its list relabelled onto fresh labels
     part_b = {id(result.part_b) for *_, result in splits}
     assert len(stacked) > 100
@@ -566,10 +557,45 @@ def test_debug_oracle_checks_the_carried_missing_facets(monkeypatch):
     assert rebuild(decompose(k, 0, debug=True)) == k
     split = _Engine.split
 
-    def drop_last(self, k, cls, t, t1, normal, missing):
-        node, parts = split(self, k, cls, t, t1, normal, missing)
-        return node, [(*part[:4], part[4] and part[4][:-1]) for part in parts]
+    def drop_last(self, k, cls, t, t1, missing):
+        node, parts = split(self, k, cls, t, t1, missing)
+        return node, [(*part[:3], part[3] and part[3][:-1]) for part in parts]
 
     monkeypatch.setattr(_Engine, "split", drop_last)
     with pytest.raises(DecompositionError, match="carried missing facets differ"):
         decompose(k, 0, debug=True)
+
+
+def run_with_unfold(monkeypatch, kind, record, change):
+    """Run the engine on ``record`` with each ``kind`` unfolding's result
+    passed through ``change``; the type and message of what it raised."""
+    unfold = getattr(decompose_module, f"{kind}_unfold")
+
+    def changed(k, *args, **kwargs):
+        result = unfold(k, *args, **kwargs)
+        return dataclasses.replace(result, complex=change(k, result.complex))
+
+    monkeypatch.setattr(decompose_module, f"{kind}_unfold", changed)
+    engine = _Engine(MODE_EDGE, False)
+    engine.budget = 50  # a missed check must not leave the engine stepping for long
+    return outcome(lambda: engine.run((record.complex, record.tracked, record.companion, None)))
+
+
+@pytest.mark.parametrize("kind", ["vertex", "edge"])
+def test_unfolding_with_the_wrong_g2_change_raises(monkeypatch, kind):
+    record = (vertex_folded_instance if kind == "vertex" else edge_folded_instance)(3)
+    expected = 10 if kind == "vertex" else 6
+    # an unfolding that hands back its input changes g2 by 0
+    assert run_with_unfold(monkeypatch, kind, record, lambda k, unfolded: k) == (
+        DecompositionError, f"{kind} unfold changed g2 by 0, expected {expected}")
+
+
+def test_unfolding_to_a_complex_that_is_not_normal_raises(monkeypatch):
+    # dropping a facet keeps every face below it, so g2 is unchanged,
+    # but each ridge of the dropped facet lies in one facet only
+    def drop_first(k, unfolded):
+        return Complex(unfolded.maximal_faces - {unfolded.facets[0]})
+
+    kind, message = run_with_unfold(monkeypatch, "vertex", vertex_folded_instance(3), drop_first)
+    assert kind is DecompositionError
+    assert message.startswith("intermediate complex is not normal: ")
