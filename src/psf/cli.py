@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from .complexes import Complex, ComplexError
+from .build import fold_deltas
 from .buildscript import ScriptError, load_script, replay
 from .decompose import (
     MODES,
@@ -65,6 +66,14 @@ def _read_complex(path: str) -> Complex:
     return parse_complex(_read_text(path))
 
 
+def _verdicts(k: Complex) -> tuple[str, str]:
+    """The ``singular:`` line and the unknown vertices of a normal complex."""
+    verdicts = _classify_normal_vertices(k)
+    singular, unknown = (" ".join(str(v) for v in sorted(verdicts) if verdicts[v].status == s)
+                         for s in ("singular", "unknown"))
+    return f"singular: {singular or 'none'}", unknown
+
+
 def cmd_info(args) -> int:
     k = _read_complex(args.path)
     fv = f_vector(k)
@@ -83,12 +92,10 @@ def cmd_info(args) -> int:
     report = is_normal_pseudomanifold(k)
     print(f"normal pseudomanifold: {'yes' if report.normal else 'no'}")
     if k.dim in (3, 4) and report.normal:
-        verdicts = _classify_normal_vertices(k)
-        singular = sorted(v for v, s in verdicts.items() if s.status == "singular")
-        unknown = sorted(v for v, s in verdicts.items() if s.status == "unknown")
-        print("singular:", " ".join(map(str, singular)) if singular else "none")
+        singular, unknown = _verdicts(k)
+        print(singular)
         if unknown:
-            print("unknown:", " ".join(map(str, unknown)))
+            print("unknown:", unknown)
     return EXIT_OK
 
 
@@ -109,13 +116,11 @@ def cmd_check(args) -> int:
         return EXIT_CHECK_FAILED
     print("normal pseudomanifold")
     if args.strict and k.dim in (3, 4):
-        verdicts = _classify_normal_vertices(k)
-        unknown = sorted(v for v, s in verdicts.items() if s.status == "unknown")
+        singular, unknown = _verdicts(k)
         if unknown:
-            print("unknown singularity verdicts at:", " ".join(map(str, unknown)))
+            print("unknown singularity verdicts at:", unknown)
             return EXIT_UNKNOWN_VERDICT
-        singular = sorted(v for v, s in verdicts.items() if s.status == "singular")
-        print("singular:", " ".join(map(str, singular)) if singular else "none")
+        print(singular)
     return EXIT_OK
 
 
@@ -168,7 +173,8 @@ def cmd_decompose(args) -> int:
         f"connected_sums={counters.get('connected_sums', 0)}",
         f"inverse_subdivisions={counters.get('inverse_subdivisions', 0)}",
     )
-    print(f"g2 accounting: 6*{m} + 10*{n} + {base_g2} = {total}, g2(input) = {g2(k)}")
+    edge, vertex = (fold_deltas(op, 4)[0] for op in ("edge_fold", "vertex_fold"))
+    print(f"g2 accounting: {edge}*{m} + {vertex}*{n} + {base_g2} = {total}, g2(input) = {g2(k)}")
     if args.output:
         _write_text(args.output, json.dumps(tree.to_dict(), indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.output}")

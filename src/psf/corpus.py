@@ -47,9 +47,6 @@ class BuildRecord:
     sum_joints: list[Simplex] = field(default_factory=list)
     history: list[str] = field(default_factory=list)
 
-    def images(self, kind: str) -> list[Simplex]:
-        return [image for k, image in self.fold_images if k == kind]
-
 
 def linear_chain(d: int, summands: int, seed: int, fixed: tuple[int, ...] = ()) -> Complex:
     """Stacked d-sphere built as a linear chain of simplex boundaries.

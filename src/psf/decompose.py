@@ -31,10 +31,10 @@ from .separation import (
     SeparationReport,
     SideAssignmentInconsistent,
     _link_cut,
-    _report_for,
+    _oriented_sides,
     classify_missing_facet,
-    oriented_sides,
     require_missing_facet,
+    separation_report,
 )
 from .verify import (
     _classify,
@@ -128,23 +128,27 @@ def split_connected_sum(k: Complex, tau) -> SplitResult:
     Facets are assigned to the two components of the facet graph cut
     along the boundary of tau; each part receives tau back as a facet,
     with part_b's copy on fresh labels so the parts are label-disjoint.
+    A part that fails the split certificate raises DecompositionError.
     """
-    t = require_missing_facet(k, tau)
+    return _split(k, require_missing_facet(k, tau))
+
+
+def _split(k: Complex, t: Simplex) -> SplitResult:
+    """``split_connected_sum`` along a ``t`` known to be a missing facet."""
     comps = _cut_components(k.maximal_faces, set(t))
     if len(comps) == 1:
         raise NotSplit(f"cut along {t} does not disconnect; handle signature")
     if len(comps) > 2:
         raise DecompositionError(f"cut along {t} produced {len(comps)} pieces")
-    return _split_sides(k, t, *comps)
-
-
-def _split_sides(k: Complex, t: Simplex, side_a, side_b) -> SplitResult:
-    """The parts of ``k`` from the two pieces of its cut along ``t``."""
+    # each ridge of t lies in two facets of a normal k, so one side
+    # decides the certificate for both
+    if not _split_certificate(min(comps, key=len), t):
+        raise DecompositionError(f"splitting along {t} leaves a part that is not normal")
     fresh = fresh_labels(k, len(t))
     pairing = dict(zip(t, fresh))
-    part_a = Complex(set(side_a) | {t})
+    part_a = Complex(set(comps[0]) | {t})
     part_b = Complex(
-        {tuple(sorted(pairing.get(v, v) for v in f)) for f in side_b} | {tuple(fresh)}
+        {tuple(sorted(pairing.get(v, v) for v in f)) for f in comps[1]} | {tuple(fresh)}
     )
     return SplitResult(part_a, part_b, t, pairing)
 
@@ -177,11 +181,11 @@ class UnfoldResult:
         return dict(self.pairs)
 
 
-def _require_separation(k: Complex, t: Simplex, fixed, report: Optional[SeparationReport]):
+def _require_separation(k: Complex, t: Simplex, fixed) -> SeparationReport:
     """The fold signature along ``t``: no vertex of the fixed face
     separates its link, every other vertex of t does.  Returns the
     separation report."""
-    report = _report_for(k, t, report)
+    report = separation_report(k, t)
     for y in fixed:
         if report.per_vertex[y].separates:
             raise PreconditionUnmet(f"boundary of {t} minus {y} separates the link of {y}")
@@ -204,9 +208,10 @@ def _refold(fold, k: Complex, unfolded: Complex, source: Simplex, target: Simple
     return UnfoldResult(unfolded, source, target, tuple(sorted(mapping.items())))
 
 
-def _unfold(fold, k: Complex, t: Simplex, fixed: Simplex, report: SeparationReport) -> UnfoldResult:
+def _unfold(fold, k: Complex, fixed: Simplex, report: SeparationReport) -> UnfoldResult:
     """Undo the fold that identified two facets along the shared face
-    ``fixed`` and left the missing facet ``t``.
+    ``fixed`` and left the missing facet ``t`` of ``report``, which has
+    the fold's separation signature.
 
     Each vertex of t off the fixed face gets a fresh copy.  A facet
     through some of them keeps its labels when its non-t witnesses lie
@@ -214,7 +219,8 @@ def _unfold(fold, k: Complex, t: Simplex, fixed: Simplex, report: SeparationRepo
     the copies otherwise; t and its copy become facets again.  The
     recorded forward fold must reproduce ``k`` exactly.
     """
-    sides = oriented_sides(k, t, fixed[0], report)
+    t = report.missing_facet
+    sides = _oriented_sides(k, fixed[0], report)
     others = [x for x in t if x not in fixed]
     copy = dict(zip(others, fresh_labels(k, len(others))))
 
@@ -238,7 +244,7 @@ def _unfold(fold, k: Complex, t: Simplex, fixed: Simplex, report: SeparationRepo
     return _refold(fold, k, unfolded, t, target, {**dict(zip(fixed, fixed)), **copy})
 
 
-def vertex_unfold(k: Complex, tau, v: int, report: Optional[SeparationReport] = None) -> UnfoldResult:
+def vertex_unfold(k: Complex, tau, v: int) -> UnfoldResult:
     """Undo a vertex folding at ``v`` whose merged facet became ``tau``.
 
     Facets whose witnesses lie on the negative side have their
@@ -248,25 +254,26 @@ def vertex_unfold(k: Complex, tau, v: int, report: Optional[SeparationReport] = 
     t = require_missing_facet(k, tau)
     if v not in t:
         raise PreconditionUnmet(f"vertex {v} is not in {t}")
-    report = _require_separation(k, t, (v,), report)
-    return _unfold(vertex_fold, k, t, (v,), report)
+    return _unfold(vertex_fold, k, (v,), _require_separation(k, t, (v,)))
 
 
-def edge_unfold(k: Complex, tau, edge, report: Optional[SeparationReport] = None) -> UnfoldResult:
+def edge_unfold(k: Complex, tau, edge) -> UnfoldResult:
     """Undo an edge folding along ``edge`` whose merged facet became ``tau``."""
     t = require_missing_facet(k, tau)
+    if len(set(edge)) != 2:
+        raise PreconditionUnmet(f"{tuple(edge)} is not an edge")
     u, v = sorted(edge)
     if u not in t or v not in t:
         raise PreconditionUnmet(f"edge {u}{v} is not inside {t}")
     if not k.has_face((u, v)):
         raise PreconditionUnmet(f"{u}{v} is not an edge")
-    report = _require_separation(k, t, (u, v), report)
+    report = _require_separation(k, t, (u, v))
     if len(_link_cut(k, (u, v), t)) != 1:
         others = tuple(x for x in t if x not in (u, v))
         raise PreconditionUnmet(
             f"link of {u}{v} is separated by the boundary of {others}; handle case"
         )
-    return _unfold(edge_fold, k, t, (u, v), report)
+    return _unfold(edge_fold, k, (u, v), report)
 
 
 def recognize_one_vertex_suspension(k: Complex, t: int, t1: int):
@@ -571,6 +578,13 @@ class _Engine:
         return self.singular(k, t, t1)
 
     def stacked(self, k: Complex, t, t1, missing):
+        """An irreducible leaf if g2 != 0, else a split along the first
+        missing facet t without classifying t.  Once the cut of the normal
+        k along t leaves two pieces and the certificate holds, each ridge
+        t - y has one facet in each piece.  So every x in t has facets in
+        its star on both sides, and no ridge outside t joins them: x
+        separates its link, and classification would give
+        ``connected_sum_split`` with the same pieces."""
         if missing is None:
             if _g2(k) != 0:
                 return TreeNode("leaf", leaf_kind="irreducible_base", facets=k.facets), []
@@ -579,12 +593,7 @@ class _Engine:
             raise NoMissingFacetFound(
                 f"stacked complex with {len(k.vertices)} vertices has no missing facet"
             )
-        cls = classify_missing_facet(k, missing[0])
-        if cls.kind != "connected_sum_split":
-            raise DecompositionError(
-                f"missing facet {missing[0]} of a stacked complex classified as {cls.kind}"
-            )
-        return self.split(k, cls, t, t1, missing)
+        return self.split(k, missing[0], t, t1, missing)
 
     def singular(self, k: Complex, t: int, t1):
         # reduction outside the star of t
@@ -650,21 +659,22 @@ class _Engine:
     def classified(self, k: Complex, missing, t, t1):
         cls = classify_missing_facet(k, missing)
         if cls.kind == "connected_sum_split":
-            return self.split(k, cls, t, t1, None)
+            return self.split(k, cls.report.missing_facet, t, t1, None)
         if cls.kind == "vertex_fold":
-            unfold = vertex_unfold(k, missing, cls.vertex, report=cls.report)
-            kind, where = "vertex_unfold", {"vertex": cls.vertex}
+            fold, fixed, where = vertex_fold, (cls.vertex,), {"vertex": cls.vertex}
         elif cls.kind == "edge_fold":
             if self.mode != MODE_EDGE:
                 raise ModeMismatch(f"edge-fold signature at {cls.edge} in mode {self.mode!r}")
-            unfold = edge_unfold(k, missing, cls.edge, report=cls.report)
-            kind, where = "edge_unfold", {"edge": cls.edge}
+            fold, fixed, where = edge_fold, cls.edge, {"edge": cls.edge}
         elif cls.kind == "handle_like":
             raise DecompositionError(
                 f"missing facet {tuple(missing)} carries a handle signature; optimal inputs cannot"
             )
         else:
             raise DecompositionError(f"missing facet {tuple(missing)} is unclassified")
+        # the classification proved the fold signature that the unfolding needs
+        unfold = _unfold(fold, k, fixed, cls.report)
+        kind = cls.kind.replace("_fold", "_unfold")
         got, expected = _g2(k) - _g2(unfold.complex), fold_deltas(cls.kind, k.dim)[0]
         if got != expected:
             raise DecompositionError(f"{kind.replace('_', ' ')} changed g2 by {got}, "
@@ -680,15 +690,10 @@ class _Engine:
         )
         return node, [(unfold.complex, t, t1, None)]
 
-    def split(self, k: Complex, cls, t, t1, missing):
-        """Split ``k`` with the cut that classified its missing facet;
-        the parts keep the proofs listed in ``decompose``."""
-        tau = cls.report.missing_facet
-        # each ridge of tau lies in two facets of a normal k, so one side
-        # decides the certificate for both
-        if not _split_certificate(min(cls.components, key=len), tau):
-            raise DecompositionError(f"splitting along {tau} leaves a part that is not normal")
-        split = _split_sides(k, tau, *cls.components)
+    def split(self, k: Complex, tau: Simplex, t, t1, missing):
+        """Split ``k`` along its missing facet ``tau``; the parts keep
+        the proofs listed in ``decompose``."""
+        split = _split(k, tau)
         carried = [None, None]
         if missing is not None:
             rest = [s for s in missing if s != tau]
@@ -745,8 +750,10 @@ def decompose(
       and at least 0 by Kalai's lower bound theorem), so it needs no
       verdict; its split parts have g2 = 0 too, since g2 adds up over a
       split and is at least 0 on each normal part, and each keeps the
-      missing facets whose vertices off the split facet it holds;
-    - the split reuses the cut that classified its missing facet.
+      missing facets whose vertices off the split facet it holds.  It
+      is split along its first missing facet unclassified, since a cut
+      into two pieces that passes the certificate is the split signature
+      (see ``_Engine.stacked``).
     A failed split certificate or a non-normal unfolding raises
     DecompositionError.  ``debug`` (or ``PSF_DEBUG_VERIFY=1``) checks
     every part in full, the carried missing facets included.

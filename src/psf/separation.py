@@ -17,7 +17,7 @@ shared ridges directly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import Complex, ComplexError, FaceNotPresent, Simplex, simplex
@@ -68,10 +68,6 @@ class MissingFacetClass:
     vertex: Optional[int] = None
     edge: Optional[tuple[int, int]] = None
     report: Optional[SeparationReport] = None
-    # the two pieces of the global cut along tau, for connected_sum_split
-    components: Optional[tuple[frozenset[Simplex], frozenset[Simplex]]] = field(
-        default=None, repr=False, compare=False
-    )
 
 
 def require_missing_facet(k: Complex, tau) -> Simplex:
@@ -157,18 +153,6 @@ def separation_report(k: Complex, tau) -> SeparationReport:
     return SeparationReport(t, {x: separates_link(k, x, t) for x in t})
 
 
-def _report_for(k: Complex, t: Simplex, report: Optional[SeparationReport]) -> SeparationReport:
-    """``report`` if it was made for the missing facet ``t``, a fresh
-    report if it is None; a report for another facet raises."""
-    if report is None:
-        return separation_report(k, t)
-    if report.missing_facet != t:
-        raise SeparationError(
-            f"separation report is for {report.missing_facet}, not for {t}"
-        )
-    return report
-
-
 # -- anchored side orientation -------------------------------------------
 
 
@@ -204,7 +188,7 @@ def two_point_anchors(k: Complex, tau) -> dict[int, tuple[int, int]]:
     return anchors
 
 
-def oriented_sides(k: Complex, tau, anchor_vertex: int, report: Optional[SeparationReport] = None):
+def oriented_sides(k: Complex, tau, anchor_vertex: int):
     """Coherent plus/minus side assignment for every separating vertex of tau.
 
     Ridge links inside tau provide two-point anchors.  Orientations of
@@ -218,7 +202,12 @@ def oriented_sides(k: Complex, tau, anchor_vertex: int, report: Optional[Separat
     t = simplex(tau)
     if anchor_vertex not in t:
         raise SeparationError(f"anchor {anchor_vertex} not in {t}")
-    report = _report_for(k, t, report)
+    return _oriented_sides(k, anchor_vertex, separation_report(k, t))
+
+
+def _oriented_sides(k: Complex, anchor_vertex: int, report: SeparationReport):
+    """``oriented_sides`` from the separation report of its missing facet."""
+    t = report.missing_facet
     anchors = two_point_anchors(k, t)
 
     separating = [x for x in t if report.per_vertex[x].separates]
@@ -286,7 +275,7 @@ def two_sided(k: Complex, tau, v: int) -> tuple[bool, str]:
         if x != v and not report.per_vertex[x].separates:
             raise PreconditionUnmet(f"vertex {x} does not separate its link")
     try:
-        oriented_sides(k, t, v, report)
+        _oriented_sides(k, v, report)
     except SideAssignmentInconsistent as exc:
         return False, str(exc)
     return True, "anchored side assignment is coherent"
@@ -309,8 +298,7 @@ def classify_missing_facet(k: Complex, tau) -> MissingFacetClass:
         if len(comps) == 1:
             return MissingFacetClass("handle_like", report=report)
         if len(comps) == 2:
-            return MissingFacetClass("connected_sum_split", report=report,
-                                     components=(comps[0], comps[1]))
+            return MissingFacetClass("connected_sum_split", report=report)
         raise MoreThanTwoComponents(
             f"global cut along {t} produced {len(comps)} pieces"
         )

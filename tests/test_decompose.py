@@ -47,10 +47,9 @@ from psf.decompose import (
 )
 from psf.complexes import FaceNotPresent, fresh_labels
 from psf.separation import (
-    MissingFacetClass,
     PreconditionUnmet,
     SeparationError,
-    oriented_sides,
+    classify_missing_facet,
     require_missing_facet,
     separation_report,
     two_point_anchors,
@@ -461,38 +460,35 @@ def test_anchors_match_link_built_anchors(fold_images):
         assert got == outcome(lambda: link_anchors_reference(k, tau))
 
 
-@pytest.mark.parametrize("entry", ["vertex_unfold", "edge_unfold", "oriented_sides"])
-def test_report_for_another_missing_facet_is_refused(entry):
-    record, other = vertex_folded_instance(300), vertex_folded_instance(301)
+@pytest.mark.parametrize("size", [1, 3])
+def test_edge_unfold_refuses_a_malformed_edge(size):
+    record = edge_folded_instance(3)
     k, tau = record.complex, record.fold_images[0][1]
-    report = separation_report(other.complex, other.fold_images[0][1])
-    assert report.missing_facet != tau
-    call = {
-        "vertex_unfold": lambda: vertex_unfold(k, tau, record.tracked, report=report),
-        "edge_unfold": lambda: edge_unfold(k, tau, tau[:2], report=report),
-        "oriented_sides": lambda: oriented_sides(k, tau, tau[0], report),
-    }[entry]
-    message = f"separation report is for {report.missing_facet}, not for {tau}"
-    assert outcome(call) == (SeparationError, message)
+    edge = tau[:size]
+    assert outcome(lambda: edge_unfold(k, tau, edge)) == (
+        PreconditionUnmet, f"{edge} is not an edge")
 
 
 @pytest.fixture(scope="module")
 def engine_record(shared_corpus):
     """Every part the engine steps, as ``(complex, t, t1, missing)``,
-    and every split it makes, as ``(complex, tau, sides,
-    result)``, while it decomposes two chains and the corpus in every
-    mode that succeeds, the corpus and the shorter chain under the
-    debug oracle."""
+    and every split it makes, as ``(complex, tau, sides, result)`` with
+    the sides read back off the parts, while it decomposes two chains
+    and the corpus in every mode that succeeds, the corpus and the
+    shorter chain under the debug oracle."""
     parts, splits = [], []
-    step, split_sides = _Engine.step, decompose_module._split_sides
+    step, split = _Engine.step, decompose_module._split
 
     def record_step(self, k, t, t1, missing):
         parts.append((k, t, t1, missing))
         return step(self, k, t, t1, missing)
 
-    def record_split(k, tau, side_a, side_b):
-        result = split_sides(k, tau, side_a, side_b)
-        splits.append((k, tau, (side_a, side_b), result))
+    def record_split(k, tau):
+        result = split(k, tau)
+        back = {w: v for v, w in result.pairing.items()}
+        side_b = {tuple(sorted(back.get(v, v) for v in f)) for f in result.part_b.maximal_faces}
+        sides = (result.part_a.maximal_faces - {tau}, frozenset(side_b - {tau}))
+        splits.append((k, tau, sides, result))
         return result
 
     inputs = []
@@ -505,7 +501,7 @@ def engine_record(shared_corpus):
     assert len(done) == 33  # of 40: the handle and some modes are refused
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_Engine, "step", record_step)
-        patch.setattr(decompose_module, "_split_sides", record_split)
+        patch.setattr(decompose_module, "_split", record_split)
         for k, t, mode in done:
             decompose(k, t, mode, debug=True)
         decompose(linear_chain(4, 50, 50, fixed=(0,)), 0)
@@ -531,13 +527,31 @@ def test_split_certificate_matches_normality(engine_record):
     assert not _split_certificate(bad_side, tau)
     assert not is_normal_pseudomanifold(bad).normal
 
-    # the engine refuses to split along that cut, stacked or not
-    cls = MissingFacetClass("connected_sum_split", report=separation_report(k, tau),
-                            components=(bad_side, rest))
-    expected = (DecompositionError, f"splitting along {tau} leaves a part that is not normal")
-    for missing in (None, sorted(k.missing_simplices(4))):
-        engine = _Engine(MODE_EDGE, False)
-        assert outcome(lambda: engine.split(k, cls, 0, None, missing)) == expected
+    # the engine refuses to split along that cut, stacked or not, and
+    # so does split_connected_sum
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decompose_module, "_cut_components", lambda *_: [bad_side, rest])
+        expected = (DecompositionError, f"splitting along {tau} leaves a part that is not normal")
+        assert outcome(lambda: split_connected_sum(k, tau)) == expected
+        for missing in (None, sorted(k.missing_simplices(4))):
+            engine = _Engine(MODE_EDGE, False)
+            assert outcome(lambda: engine.split(k, tau, 0, None, missing)) == expected
+
+
+def test_stacked_splits_match_classification(engine_record):
+    # a part with g2 = 0 is split along its first missing facet
+    # unclassified; classification must find the split signature, with
+    # the link of each vertex of tau cut into the traces of the two sides
+    _, splits = engine_record
+    stacked = [(k, tau, sides) for k, tau, sides, _ in splits if g2(k) == 0]
+    assert len(stacked) > 100
+    for k, tau, sides in stacked:
+        cls = classify_missing_facet(k, tau)
+        assert cls.kind == "connected_sum_split"
+        for x in tau:
+            traces = {frozenset(tuple(v for v in f if v != x) for f in side if x in f)
+                      for side in sides}
+            assert set(cls.report.per_vertex[x].sides) == traces
 
 
 def test_carried_missing_facets_match_the_parts(engine_record):
@@ -557,8 +571,8 @@ def test_debug_oracle_checks_the_carried_missing_facets(monkeypatch):
     assert rebuild(decompose(k, 0, debug=True)) == k
     split = _Engine.split
 
-    def drop_last(self, k, cls, t, t1, missing):
-        node, parts = split(self, k, cls, t, t1, missing)
+    def drop_last(self, k, tau, t, t1, missing):
+        node, parts = split(self, k, tau, t, t1, missing)
         return node, [(*part[:3], part[3] and part[3][:-1]) for part in parts]
 
     monkeypatch.setattr(_Engine, "split", drop_last)
@@ -569,13 +583,15 @@ def test_debug_oracle_checks_the_carried_missing_facets(monkeypatch):
 def run_with_unfold(monkeypatch, kind, record, change):
     """Run the engine on ``record`` with each ``kind`` unfolding's result
     passed through ``change``; the type and message of what it raised."""
-    unfold = getattr(decompose_module, f"{kind}_unfold")
+    unfold, fold = decompose_module._unfold, getattr(decompose_module, f"{kind}_fold")
 
-    def changed(k, *args, **kwargs):
-        result = unfold(k, *args, **kwargs)
+    def changed(how, k, *args):
+        result = unfold(how, k, *args)
+        if how is not fold:
+            return result
         return dataclasses.replace(result, complex=change(k, result.complex))
 
-    monkeypatch.setattr(decompose_module, f"{kind}_unfold", changed)
+    monkeypatch.setattr(decompose_module, "_unfold", changed)
     engine = _Engine(MODE_EDGE, False)
     engine.budget = 50  # a missed check must not leave the engine stepping for long
     return outcome(lambda: engine.run((record.complex, record.tracked, record.companion, None)))
