@@ -12,12 +12,19 @@ import time
 from psf.identities import run_identity_suite
 
 
+def at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scripts", type=int, default=500)
     parser.add_argument("--ops", type=int, default=12)
     parser.add_argument("--base-seed", type=int, default=0)
-    parser.add_argument("--deep-every", type=int, default=10,
+    parser.add_argument("--deep-every", type=at_least_one, default=10,
                         help="full normality/oracle checks every n-th script")
     args = parser.parse_args()
 

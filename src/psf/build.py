@@ -384,12 +384,23 @@ def find_handles(k: Complex, rng: Optional[SplitMix64] = None):
             break
 
 
-def random_admissible(kind: str, k: Complex, rng: SplitMix64, **kwargs):
-    """First admissible triple for ``kind`` in seeded-random order, or None."""
+def random_admissible(kind: str, k: Complex, rng: SplitMix64, fixed: tuple[int, ...] = (),
+                      avoid: Optional[int] = None):
+    """A seeded admissible triple for ``kind``, or None.
+
+    A vertex or edge fold is drawn uniformly from those at the ``fixed``
+    vertex or edge (any, when it is empty) whose facets miss ``avoid``;
+    a handle is the first one a sampled search finds.
+    """
     if kind == "handle":
         return next(find_handles(k, rng=rng), None)
-    finder = {"vertex_fold": find_vertex_folds, "edge_fold": find_edge_folds}[kind]
-    triples = list(finder(k, **kwargs))
+    if kind == "vertex_fold":
+        found = find_vertex_folds(k, *fixed)
+    elif kind == "edge_fold":
+        found = find_edge_folds(k, fixed or None)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    triples = [t for t in found if avoid not in t[0] + t[1]]
     if not triples:
         return None
     return triples[rng.randrange(len(triples))]

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import Complex, ComplexError
+from .complexes import Complex, ComplexError, Simplex
 from .build import (
     SplitMix64,
     _glue_fresh_boundary,
@@ -154,59 +154,48 @@ def validate_script(doc: dict) -> list[dict]:
     return steps
 
 
+def _construct(step: dict, operand) -> Complex:
+    """The complex ``step`` makes; ``operand(key)`` is the complex that its
+    ``key`` field ("operand", "left" or "right") refers to."""
+    op = step["op"]
+    if op == "boundary_simplex":
+        return boundary_simplex(_field(step, "n", _integer))
+    if op == "stacked_sphere":
+        return stacked_sphere(*(_field(step, key, _integer) for key in ("d", "k", "seed")))
+    if op == "complex":
+        return Complex(_field(step, "facets", _facet_list))
+    if op == "connected_sum":
+        return connected_sum(operand("left"), operand("right"), _field(step, "pairs", _pair_map))
+    if op in ("handle_addition", "vertex_fold", "edge_fold"):
+        fn = {"handle_addition": handle_addition, "vertex_fold": vertex_fold,
+              "edge_fold": edge_fold}[op]
+        return fn(
+            operand("operand"),
+            _field(step, "source_facet", _labels),
+            _field(step, "target_facet", _labels),
+            _field(step, "pairs", _pair_map),
+        )
+    if op == "facet_subdivision":
+        return facet_subdivision(operand("operand"), _field(step, "facet", _labels),
+                                 _field(step, "new_vertex", _integer, True))
+    if op == "one_vertex_suspension":
+        return one_vertex_suspension(operand("operand"), _field(step, "vertex", _integer),
+                                     _field(step, "apex", _integer, True))
+    if op == "cone":
+        base = operand("operand")
+        return cone(_field(step, "vertex", _integer), base)
+    raise ScriptError(f"unhandled op {op!r}")  # pragma: no cover - validate_script rejects it
+
+
 def replay(doc: dict) -> ReplayResult:
     """Execute a validated script and build its g-ledger."""
     steps = validate_script(doc)
     complexes: list[Complex] = []
     ledger: list[LedgerRow] = []
-
     for i, step in enumerate(steps):
-        op = step["op"]
-        if op == "boundary_simplex":
-            result = boundary_simplex(_field(step, "n", _integer))
-        elif op == "stacked_sphere":
-            result = stacked_sphere(
-                _field(step, "d", _integer),
-                _field(step, "k", _integer),
-                _field(step, "seed", _integer),
-            )
-        elif op == "complex":
-            result = Complex(_field(step, "facets", _facet_list))
-        elif op == "connected_sum":
-            left = complexes[_need(step, "left")]
-            right = complexes[_need(step, "right")]
-            result = connected_sum(left, right, _field(step, "pairs", _pair_map))
-        elif op in ("handle_addition", "vertex_fold", "edge_fold"):
-            operand = complexes[_need(step, "operand")]
-            fn = {
-                "handle_addition": handle_addition,
-                "vertex_fold": vertex_fold,
-                "edge_fold": edge_fold,
-            }[op]
-            result = fn(
-                operand,
-                _field(step, "source_facet", _labels),
-                _field(step, "target_facet", _labels),
-                _field(step, "pairs", _pair_map),
-            )
-        elif op == "facet_subdivision":
-            operand = complexes[_need(step, "operand")]
-            result = facet_subdivision(
-                operand, _field(step, "facet", _labels), _field(step, "new_vertex", _integer, True)
-            )
-        elif op == "one_vertex_suspension":
-            operand = complexes[_need(step, "operand")]
-            result = one_vertex_suspension(
-                operand, _field(step, "vertex", _integer), _field(step, "apex", _integer, True)
-            )
-        elif op == "cone":
-            operand = complexes[_need(step, "operand")]
-            result = cone(_field(step, "vertex", _integer), operand)
-        else:  # pragma: no cover - validate_script rejects unknown ops
-            raise ScriptError(f"unhandled op {op!r}")
-
+        result = _construct(step, lambda key: complexes[_need(step, key)])
         complexes.append(result)
-        ledger.append(_ledger_row(i, op, step, result, complexes))
+        ledger.append(_ledger_row(i, step["op"], step, result, complexes))
     return ReplayResult(complexes, ledger)
 
 
@@ -241,7 +230,7 @@ def _ledger_row(i: int, op: str, step: dict, result: Complex, complexes) -> Ledg
 def load_script(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ScriptError(f"invalid JSON: {exc}") from exc
     validate_script(doc)
     return doc
@@ -251,81 +240,88 @@ def dump_script(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-# -- random script generation ---------------------------------------------
+# -- seeded building -------------------------------------------------------
+
+# Summands in the arm grown before a fold: the shortest arms whose far
+# ends hold admissible pairs (and, for handles, usually a free pair).
+VERTEX_ARM = 10
+EDGE_ARM = 9
+HANDLE_ARM = 11
 
 
-class _ScriptBuilder:
-    def __init__(self):
-        self.steps: list[dict] = []
-        self.complexes: list[Complex] = []
+def _pairs(mapping: dict[int, int]) -> list[list[int]]:
+    return [[a, b] for a, b in sorted(mapping.items())]
 
-    def add(self, step: dict, result: Complex) -> int:
+
+class ScriptBuilder:
+    """Grows one complex by seeded moves and records each move as script steps.
+
+    ``current`` is the complex so far and ``script`` the build script
+    that replays to it: every move writes its step and builds the new
+    complex from that step, as ``replay`` does.  All draws come from
+    ``rng``, which a caller may swap to continue with another stream.
+    """
+
+    def __init__(self, rng: SplitMix64, n: int):
+        self.rng = rng
+        self.steps: list[dict] = [{"op": "boundary_simplex", "n": n}]
+        self.current = _construct(self.steps[0], None)
+
+    @property
+    def script(self) -> dict:
+        return {"version": SCRIPT_VERSION, "steps": self.steps}
+
+    def _add(self, step: dict, right: Optional[Complex] = None) -> None:
+        """Append ``step``, whose other operand is the current complex, and
+        make its result current."""
+        left = self.current
+        self.current = _construct(step, lambda key: right if key == "right" else left)
         self.steps.append(step)
-        self.complexes.append(result)
-        return len(self.steps) - 1
 
-    @property
-    def current(self) -> Complex:
-        return self.complexes[-1]
+    def pick(self, fixed: tuple[int, ...] = (), avoid: Optional[int] = None) -> Simplex:
+        """A seeded facet through the ``fixed`` vertices that misses ``avoid``."""
+        facets = [f for f in self.current.facets if set(fixed) <= set(f) and avoid not in f]
+        return facets[self.rng.randrange(len(facets))]
 
-    @property
-    def current_index(self) -> int:
-        return len(self.steps) - 1
+    def sum(self, src: Optional[Simplex] = None, fixed: tuple[int, ...] = ()) -> None:
+        """Glue a fresh simplex boundary at ``src``, or at the newest facet
+        through ``fixed``; the fixed vertices go first in the pairing."""
+        leaf, mapping = _glue_fresh_boundary(self.current, self.rng, fixed, src)
+        self.steps.append({"op": "complex", "facets": [list(f) for f in leaf.facets]})
+        n = len(self.steps)
+        self._add({"op": "connected_sum", "left": n - 2, "right": n - 1,
+                   "pairs": _pairs(mapping)}, leaf)
 
-    def leaf_boundary(self, n: int) -> int:
-        return self.add({"op": "boundary_simplex", "n": n}, boundary_simplex(n))
+    def arm(self, fixed: tuple[int, ...], length: int, first: Optional[Simplex] = None) -> None:
+        """A linear arm of ``length`` summands through ``fixed``, the first
+        glued at ``first`` when it is given."""
+        for i in range(length):
+            self.sum(first if i == 0 else None, fixed)
 
-    def sum_with_boundary(self, rng: SplitMix64, fixed: tuple[int, ...] = (),
-                          newest: bool = False) -> None:
-        cur = self.current
-        cur_idx = self.current_index
-        src = None
-        if not newest:
-            candidates = [f for f in cur.facets if set(fixed) <= set(f)]
-            src = candidates[rng.randrange(len(candidates))]
-        leaf, mapping = _glue_fresh_boundary(cur, rng, fixed, src)
-        leaf_idx = self.add(
-            {"op": "complex", "facets": [list(f) for f in leaf.facets]}, leaf
-        )
-        step = {
-            "op": "connected_sum",
-            "left": cur_idx,
-            "right": leaf_idx,
-            "pairs": [[a, b] for a, b in sorted(mapping.items())],
-        }
-        self.add(step, connected_sum(cur, leaf, mapping))
+    def apply(self, op: str, f1: Simplex, f2: Simplex, mapping: dict[int, int]) -> None:
+        """The fold or handle addition ``op`` along the given facet pair."""
+        self._add({"op": op, "operand": len(self.steps) - 1, "source_facet": list(f1),
+                   "target_facet": list(f2), "pairs": _pairs(mapping)})
 
-    def fold(self, kind: str, rng: SplitMix64, **kwargs) -> bool:
-        cur = self.current
-        cur_idx = self.current_index
-        triple = random_admissible(kind, cur, rng, **kwargs)
-        if triple is None:
-            return False
-        f1, f2, mapping = triple
-        op = {"vertex_fold": "vertex_fold", "edge_fold": "edge_fold", "handle": "handle_addition"}[kind]
-        fn = {"vertex_fold": vertex_fold, "edge_fold": edge_fold, "handle": handle_addition}[kind]
-        step = {
-            "op": op,
-            "operand": cur_idx,
-            "source_facet": list(f1),
-            "target_facet": list(f2),
-            "pairs": [[a, b] for a, b in sorted(mapping.items())],
-        }
-        self.add(step, fn(cur, f1, f2, mapping))
-        return True
+    def fold(self, kind: str, fixed: tuple[int, ...] = (), avoid: Optional[int] = None):
+        """Apply a seeded admissible ``kind`` ("vertex_fold", "edge_fold" or
+        "handle", as in ``random_admissible``); its triple, or None if
+        there is none."""
+        triple = random_admissible(kind, self.current, self.rng, fixed, avoid)
+        if triple is not None:
+            self.apply("handle_addition" if kind == "handle" else kind, *triple)
+        return triple
 
-    def subdivide(self, rng: SplitMix64) -> None:
-        cur = self.current
-        cur_idx = self.current_index
-        facet = cur.facets[rng.randrange(len(cur.facets))]
-        new_vertex = max(cur.vertices) + 1
-        step = {
-            "op": "facet_subdivision",
-            "operand": cur_idx,
-            "facet": list(facet),
-            "new_vertex": new_vertex,
-        }
-        self.add(step, facet_subdivision(cur, facet, new_vertex))
+    def subdivide(self, facet: Simplex) -> None:
+        self._add({"op": "facet_subdivision", "operand": len(self.steps) - 1,
+                   "facet": list(facet), "new_vertex": max(self.current.vertices) + 1})
+
+    def suspend(self, vertex: int) -> int:
+        """One-vertex suspension with ``vertex`` as a pole; the new apex."""
+        apex = max(self.current.vertices) + 1
+        self._add({"op": "one_vertex_suspension", "operand": len(self.steps) - 1,
+                   "vertex": vertex, "apex": apex})
+        return apex
 
 
 def random_script(seed: int, max_ops: int = 12, d: int = 4) -> dict:
@@ -337,37 +333,23 @@ def random_script(seed: int, max_ops: int = 12, d: int = 4) -> dict:
     bijections are frozen into the script.
     """
     rng = SplitMix64(seed)
-    sb = _ScriptBuilder()
     family = rng.randrange(4) if max_ops >= 12 else 3
+    b = ScriptBuilder(rng, d + 1)
     ops = 0
-
-    def arm(fixed, length, newest=True):
-        nonlocal ops
-        for _ in range(length):
-            sb.sum_with_boundary(rng, fixed=fixed, newest=newest)
-            ops += 1
-
-    sb.leaf_boundary(d + 1)
-    if family == 0 and d == 4:
-        arm((0,), 10)
-        if sb.fold("vertex_fold", rng, fixed_vertex=0):
-            ops += 1
-    elif family == 1 and d == 4:
-        arm((0, 1), 9)
-        if sb.fold("edge_fold", rng, fixed_edge=(0, 1)):
-            ops += 1
-    elif family == 2 and d == 4:
-        arm((), 11, newest=True)
-        if sb.fold("handle", rng):
-            ops += 1
-    while ops < max_ops:
+    if family < 3 and d == 4:
+        kind, fixed, length = (
+            ("vertex_fold", (0,), VERTEX_ARM),
+            ("edge_fold", (0, 1), EDGE_ARM),
+            ("handle", (), HANDLE_ARM),
+        )[family]
+        b.arm(fixed, length)
+        ops = length + (b.fold(kind, fixed) is not None)
+    for _ in range(ops, max_ops):
         roll = rng.randrange(10)
         if roll < 5:
-            sb.sum_with_boundary(rng)
+            b.sum(b.pick())
         elif roll < 8:
-            sb.subdivide(rng)
+            b.subdivide(b.pick())
         else:
-            sb.sum_with_boundary(rng, fixed=(0,), newest=True)
-        ops += 1
-
-    return {"version": SCRIPT_VERSION, "steps": sb.steps}
+            b.sum(fixed=(0,))
+    return b.script

@@ -13,39 +13,43 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .complexes import Complex, Simplex
-from .build import (
-    SplitMix64,
-    _fold_triples,
-    _glue_fresh_boundary,
-    boundary_simplex,
-    connected_sum,
-    edge_fold,
-    facet_subdivision,
-    find_handles,
-    handle_addition,
-    one_vertex_suspension,
-    vertex_fold,
-)
+from .build import SplitMix64, boundary_simplex, find_handles
+from .buildscript import EDGE_ARM, VERTEX_ARM, ScriptBuilder
 
-VERTEX_ARM = 10  # summands per arm; shortest length with admissible far pairs
-EDGE_ARM = 9
-VERTEX_ARM_3D = 8
+VERTEX_ARM_3D = 8  # VERTEX_ARM for 3-dimensional arms
 
 
 @dataclass
 class BuildRecord:
-    """A constructed instance together with what was done to build it."""
+    """A seeded instance with the build script that replays to it.
+
+    ``tracked`` and ``companion`` are the singular vertices the recipe
+    made.  ``fold_images`` holds the kind (``vertex_fold``,
+    ``edge_fold`` or ``handle_like``) and the missing facet of each fold
+    or handle; ``sum_joints`` the facets at which decorating sums were
+    glued, each a missing facet that splits the instance.
+    """
 
     complex: Complex
+    script: dict
     tracked: Optional[int] = None
     companion: Optional[int] = None
-    vertex_folds: int = 0
-    edge_folds: int = 0
-    sums: int = 0
-    subdivisions: int = 0
     fold_images: list[tuple[str, Simplex]] = field(default_factory=list)
     sum_joints: list[Simplex] = field(default_factory=list)
-    history: list[str] = field(default_factory=list)
+
+    @property
+    def vertex_folds(self) -> int:
+        return sum(kind == "vertex_fold" for kind, _ in self.fold_images)
+
+    @property
+    def edge_folds(self) -> int:
+        return sum(kind == "edge_fold" for kind, _ in self.fold_images)
+
+
+def _chain(d: int, summands: int, seed: int, fixed: tuple[int, ...]) -> ScriptBuilder:
+    b = ScriptBuilder(SplitMix64(seed), d + 1)
+    b.arm(fixed, summands - 1)
+    return b
 
 
 def linear_chain(d: int, summands: int, seed: int, fixed: tuple[int, ...] = ()) -> Complex:
@@ -54,86 +58,46 @@ def linear_chain(d: int, summands: int, seed: int, fixed: tuple[int, ...] = ()) 
     Every identified facet contains the ``fixed`` vertices, so they
     survive the whole chain and the far ends meet only in them.
     """
-    return grow_arm(boundary_simplex(d + 1), SplitMix64(seed), fixed, summands - 1)
+    return _chain(d, summands, seed, fixed).current
 
 
-def grow_arm(cur: Complex, rng: SplitMix64, fixed: tuple[int, ...],
-             summands: int, first_src: Optional[Simplex] = None) -> Complex:
-    """Extend a complex by a linear arm through the fixed vertices.
-
-    Each summand is a fresh simplex boundary glued to the facet through
-    the fixed vertices with the newest labels; ``first_src`` overrides
-    that facet for the first summand.
-    """
-    for i in range(summands):
-        src = first_src if i == 0 else None
-        cur = connected_sum(cur, *_glue_fresh_boundary(cur, rng, fixed, src))
-    return cur
-
-
-def _pick(rng: SplitMix64, items):
-    items = sorted(items)
-    return items[rng.randrange(len(items))]
-
-
-def _fold_at(record: BuildRecord, rng: SplitMix64, fixed: tuple[int, ...],
-             avoid: Optional[int] = None) -> None:
+def _fold_at(b: ScriptBuilder, fixed: tuple[int, ...],
+             avoid: Optional[int] = None) -> tuple[str, Simplex]:
     """Grow an arm through ``fixed`` and apply one admissible fold there:
     a vertex fold at one fixed vertex, an edge fold along two.  With
     ``avoid``, the arm starts at a facet without it and the fold keeps
-    off it."""
-    k = record.complex
+    off it.  Returns the kind of fold and its missing facet."""
     vertex = len(fixed) == 1
     kind = "vertex_fold" if vertex else "edge_fold"
-    arm = (VERTEX_ARM if k.dim == 4 else VERTEX_ARM_3D) if vertex else EDGE_ARM
-    first_src = None
-    if avoid is not None:
-        first_src = _pick(rng, [f for f in k.facets if set(fixed) <= set(f) and avoid not in f])
-    k = grow_arm(k, rng, fixed, arm, first_src=first_src)
-    record.sums += arm
-    folds = [(f1, f2, m) for f1, f2, m in _fold_triples(k, len(fixed), fixed)
-             if avoid not in f1 + f2]
-    at = "".join(map(str, fixed))
-    if not folds:
+    arm = (VERTEX_ARM if b.current.dim == 4 else VERTEX_ARM_3D) if vertex else EDGE_ARM
+    b.arm(fixed, arm, None if avoid is None else b.pick(fixed, avoid))
+    triple = b.fold(kind, fixed, avoid)
+    if triple is None:
+        at = "".join(map(str, fixed))
         raise RuntimeError(f"no admissible {kind.replace('_', ' ')} at {at} after growing an arm")
-    f1, f2, mapping = folds[rng.randrange(len(folds))]
-    record.complex = (vertex_fold if vertex else edge_fold)(k, f1, f2, mapping)
-    if vertex:
-        record.vertex_folds += 1
-    else:
-        record.edge_folds += 1
-    record.fold_images.append((kind, f1))
-    record.history.append(f"{kind} at {at} merging {f1}~{f2}")
+    return kind, triple[0]
 
 
-def decorate(record: BuildRecord, rng: SplitMix64, sums: int = 0, subdivisions: int = 0) -> None:
+def _decorate(b: ScriptBuilder, sums: int, subdivisions: int) -> list[Simplex]:
     """Optimality-preserving extras: sums with fresh simplex boundaries
-    and facet subdivisions at random facets."""
+    and facet subdivisions at seeded facets.  Returns the sum joints."""
+    joints = []
     for _ in range(sums):
-        src = _pick(rng, record.complex.facets)
-        summand, mapping = _glue_fresh_boundary(record.complex, rng, (), src)
-        record.complex = connected_sum(record.complex, summand, mapping)
-        record.sums += 1
-        record.sum_joints.append(src)
-        record.history.append(f"connected_sum at {src}")
+        joints.append(b.pick())
+        b.sum(joints[-1])
     for _ in range(subdivisions):
-        facet = _pick(rng, record.complex.facets)
-        record.complex = facet_subdivision(record.complex, facet)
-        record.subdivisions += 1
-        record.history.append(f"facet_subdivision at {facet}")
+        b.subdivide(b.pick())
+    return joints
 
 
 def vertex_folded_instance(seed: int, folds: int = 1, sums: int = 0,
                            subdivisions: int = 0) -> BuildRecord:
     """Optimal normal 4-pseudomanifold with one singular vertex:
     ``folds`` vertex foldings at a common vertex of stacked spheres."""
-    rng = SplitMix64(seed)
-    t = 0
-    record = BuildRecord(boundary_simplex(5), tracked=t)
-    for _ in range(folds):
-        _fold_at(record, rng, (t,))
-    decorate(record, rng, sums, subdivisions)
-    return record
+    b = ScriptBuilder(SplitMix64(seed), 5)
+    images = [_fold_at(b, (0,)) for _ in range(folds)]
+    joints = _decorate(b, sums, subdivisions)
+    return BuildRecord(b.current, b.script, tracked=0, fold_images=images, sum_joints=joints)
 
 
 def edge_folded_instance(seed: int, edge_folds: int = 1, vertex_folds: int = 0,
@@ -141,30 +105,30 @@ def edge_folded_instance(seed: int, edge_folds: int = 1, vertex_folds: int = 0,
     """Optimal normal 4-pseudomanifold with two singular vertices:
     ``edge_folds`` foldings along one edge, then ``vertex_folds``
     foldings at one of its ends, inside arms the other end cannot see."""
-    rng = SplitMix64(seed)
     t, t1 = 0, 1
-    record = BuildRecord(boundary_simplex(5), tracked=t, companion=t1)
-    for _ in range(edge_folds):
-        _fold_at(record, rng, (t, t1))
-    for _ in range(vertex_folds):
-        _fold_at(record, rng, (t,), avoid=t1)
-    decorate(record, rng, sums, subdivisions)
-    return record
+    b = ScriptBuilder(SplitMix64(seed), 5)
+    images = [_fold_at(b, (t, t1)) for _ in range(edge_folds)]
+    images += [_fold_at(b, (t,), avoid=t1) for _ in range(vertex_folds)]
+    joints = _decorate(b, sums, subdivisions)
+    return BuildRecord(b.current, b.script, tracked=t, companion=t1, fold_images=images,
+                       sum_joints=joints)
+
+
+def _singular_base(seed: int, folds: int,
+                   subdivisions: int = 0) -> tuple[ScriptBuilder, list[tuple[str, Simplex]]]:
+    """The builder of ``singular_base_3d`` and the images of its folds."""
+    b = ScriptBuilder(SplitMix64(seed), 4)
+    images = [_fold_at(b, (0,)) for _ in range(folds)]
+    for _ in range(subdivisions):
+        b.subdivide(b.pick((0,)))
+    return b, images
 
 
 def singular_base_3d(seed: int, folds: int = 1, subdivisions: int = 0) -> BuildRecord:
     """Normal 3-pseudomanifold, singular exactly at vertex 0, with 0 a
     graph cone point (every edge lies in a facet through 0)."""
-    rng = SplitMix64(seed)
-    t = 0
-    record = BuildRecord(boundary_simplex(4), tracked=t)
-    for _ in range(folds):
-        _fold_at(record, rng, (t,))
-    for _ in range(subdivisions):
-        facet = _pick(rng, [f for f in record.complex.facets if t in f])
-        record.complex = facet_subdivision(record.complex, facet)
-        record.subdivisions += 1
-    return record
+    b, images = _singular_base(seed, folds, subdivisions)
+    return BuildRecord(b.current, b.script, tracked=0, fold_images=images)
 
 
 def cone_point_base_3d(seed: int) -> tuple[Complex, int]:
@@ -174,16 +138,14 @@ def cone_point_base_3d(seed: int) -> tuple[Complex, int]:
     point and singular folded ones.
     """
     rng = SplitMix64(seed)
-    style = rng.randrange(3)
-    if style == 0:
-        k = linear_chain(3, 2 + rng.randrange(6), seed * 2 + 1, fixed=(0,))
-        record = BuildRecord(k, tracked=0)
+    if rng.randrange(3) == 0:
+        b = _chain(3, 2 + rng.randrange(6), seed * 2 + 1, (0,))
     else:
-        record = singular_base_3d(seed * 2 + 1, folds=1)
+        b, _ = _singular_base(seed * 2 + 1, folds=1)
+    b.rng = rng
     for _ in range(rng.randrange(3)):
-        facet = _pick(rng, [f for f in record.complex.facets if 0 in f])
-        record.complex = facet_subdivision(record.complex, facet)
-    return record.complex, 0
+        b.subdivide(b.pick((0,)))
+    return b.current, 0
 
 
 def suspension_instance(seed: int, extra_vertex_folds: int = 0,
@@ -191,32 +153,24 @@ def suspension_instance(seed: int, extra_vertex_folds: int = 0,
     """Optimal 4-pseudomanifold with two singularities built as the
     one-vertex suspension of a singular 3-dimensional base, optionally
     wrapped in vertex foldings at the apex and connected sums."""
-    rng = SplitMix64(seed)
-    base = singular_base_3d(seed * 3 + 2, folds=1)
-    pole = base.tracked
-    susp = one_vertex_suspension(base.complex, pole)
-    apex = max(susp.vertices)
-    record = BuildRecord(susp, tracked=apex, companion=pole)
-    record.history.append(f"suspension of 3d base at pole {pole}, apex {apex}")
-    for _ in range(extra_vertex_folds):
-        _fold_at(record, rng, (apex,), avoid=pole)
-    decorate(record, rng, sums, subdivisions)
-    return record
+    pole = 0
+    b, _ = _singular_base(seed * 3 + 2, folds=1)
+    apex = b.suspend(pole)
+    b.rng = SplitMix64(seed)
+    images = [_fold_at(b, (apex,), avoid=pole) for _ in range(extra_vertex_folds)]
+    joints = _decorate(b, sums, subdivisions)
+    return BuildRecord(b.current, b.script, tracked=apex, companion=pole, fold_images=images,
+                       sum_joints=joints)
 
 
 def handle_instance(seed: int, chain: int = 13) -> BuildRecord:
     """Normal 4-manifold built by one handle addition on a long stacked sphere."""
-    rng = SplitMix64(seed)
-    k = linear_chain(4, chain, seed)
-    triple = next(find_handles(k), None)
+    b = _chain(4, chain, seed, ())
+    triple = next(find_handles(b.current), None)
     if triple is None:
         raise RuntimeError("no admissible handle on the chain")
-    f1, f2, mapping = triple
-    record = BuildRecord(handle_addition(k, f1, f2, mapping))
-    record.fold_images.append(("handle_like", f1))
-    record.history.append(f"handle merging {f1}~{f2}")
-    record.sums = chain - 1
-    return record
+    b.apply("handle_addition", *triple)
+    return BuildRecord(b.current, b.script, fold_images=[("handle_like", triple[0])])
 
 
 def pinched_complex() -> Complex:

@@ -188,8 +188,9 @@ def two_point_anchors(k: Complex, tau) -> dict[int, tuple[int, int]]:
     return anchors
 
 
-def oriented_sides(k: Complex, tau, anchor_vertex: int):
-    """Coherent plus/minus side assignment for every separating vertex of tau.
+def _oriented_sides(k: Complex, anchor_vertex: int, report: SeparationReport):
+    """Coherent plus/minus side assignment for every separating vertex of
+    the missing facet of ``report``.
 
     Ridge links inside tau provide two-point anchors.  Orientations of
     all anchors and side polarities of all separating vertices are
@@ -199,14 +200,6 @@ def oriented_sides(k: Complex, tau, anchor_vertex: int):
     of x off tau to 0 on the plus side and 1 on the minus side, or
     raises ``SideAssignmentInconsistent``.
     """
-    t = simplex(tau)
-    if anchor_vertex not in t:
-        raise SeparationError(f"anchor {anchor_vertex} not in {t}")
-    return _oriented_sides(k, anchor_vertex, separation_report(k, t))
-
-
-def _oriented_sides(k: Complex, anchor_vertex: int, report: SeparationReport):
-    """``oriented_sides`` from the separation report of its missing facet."""
     t = report.missing_facet
     anchors = two_point_anchors(k, t)
 

@@ -9,6 +9,13 @@ from psf.buildscript import (
     replay,
     validate_script,
 )
+from psf.corpus import (
+    edge_folded_instance,
+    handle_instance,
+    singular_base_3d,
+    suspension_instance,
+    vertex_folded_instance,
+)
 from psf.fileio import format_complex
 
 
@@ -85,3 +92,33 @@ def test_suspension_step():
     result = replay(doc)
     assert result.final.dim == 4
     assert 9 in result.final.vertices
+
+
+CORPUS_RECIPES = {
+    "vertex_folded_instance": lambda s: vertex_folded_instance(
+        s, folds=1 + s % 2, sums=s % 3, subdivisions=s % 2),
+    "edge_folded_instance": lambda s: edge_folded_instance(
+        s, edge_folds=1 + (s % 5 == 0), vertex_folds=s % 2, sums=s % 2,
+        subdivisions=(s // 2) % 2),
+    "suspension_instance": lambda s: suspension_instance(
+        s, extra_vertex_folds=s % 2, sums=s % 3, subdivisions=s % 2),
+    "singular_base_3d": lambda s: singular_base_3d(s, folds=1 + s % 2, subdivisions=s % 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_RECIPES))
+def test_corpus_records_replay_to_their_complex(name):
+    for seed in range(40):
+        record = CORPUS_RECIPES[name](seed)
+        result = replay(load_script(dump_script(record.script)))
+        assert result.final == record.complex, (name, seed)
+        assert result.ledger_ok, (name, seed)
+
+
+def test_handle_records_replay_to_their_complex():
+    for seed in range(0, 40, 4):
+        record = handle_instance(seed)
+        result = replay(record.script)
+        assert result.final == record.complex, seed
+        assert result.ledger_ok, seed
+        assert [row.op for row in result.ledger if row.checked][-1] == "handle_addition"

@@ -109,6 +109,13 @@ def test_build_rejects_bad_script(tmp_path, capsys):
     assert main(["build", str(script)]) == 2
 
 
+def test_build_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    script = tmp_path / "script.json"
+    script.write_text("[" * 100000)
+    assert main(["build", str(script)]) == 2
+    assert "parse error: invalid JSON:" in capsys.readouterr().err
+
+
 _B5 = {"op": "boundary_simplex", "n": 5}
 _B5_FACETS = [list(f) for f in boundary_simplex(5).facets]
 _BAD_FIELD = "parse error: bad field"

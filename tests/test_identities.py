@@ -1,3 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import psf
 from psf.build import boundary_simplex
 from psf.identities import run_identity_suite
 
@@ -20,3 +28,21 @@ def test_identity_suite_detects_injected_fault():
     report = run_identity_suite(scripts=6, deep_every=100, fault_hook=hook)
     assert not report.ok
     assert report.failed.get("pseudomanifold_closed") == 1
+
+
+def test_identity_suite_rejects_deep_every_below_one():
+    def hook(index, final):
+        raise AssertionError("no script may run")
+
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="deep_every"):
+            run_identity_suite(scripts=2, deep_every=bad, fault_hook=hook)
+
+
+def test_identity_sweep_script_rejects_deep_every_zero():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "identity_sweep.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(psf.__file__).parents[1]))
+    run = subprocess.run([sys.executable, str(script), "--scripts", "1", "--deep-every", "0"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 2
+    assert "--deep-every" in run.stderr
