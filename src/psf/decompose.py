@@ -142,7 +142,7 @@ def _split(k: Complex, t: Simplex) -> SplitResult:
         raise DecompositionError(f"cut along {t} produced {len(comps)} pieces")
     # each ridge of t lies in two facets of a normal k, so one side
     # decides the certificate for both
-    if not _split_certificate(min(comps, key=len), t):
+    if not _ridge_certificate(min(comps, key=len), t):
         raise DecompositionError(f"splitting along {t} leaves a part that is not normal")
     fresh = fresh_labels(k, len(t))
     pairing = dict(zip(t, fresh))
@@ -153,19 +153,22 @@ def _split(k: Complex, t: Simplex) -> SplitResult:
     return SplitResult(part_a, part_b, t, pairing)
 
 
-def _split_certificate(side, t: Simplex) -> bool:
-    """Whether each ridge of ``t`` lies in exactly one facet of ``side``.
+def _ridge_certificate(facets, t: Simplex) -> bool:
+    """Whether each ridge of ``t`` lies in exactly one of ``facets``
+    other than t.  Facets meeting t in fewer vertices, t's copy in an
+    unfolding included, are not counted.
 
     For a normal complex cut along its missing facet t into two sides,
-    this is exactly when side + t is normal.  A face not inside t keeps
-    its whole star on one side, so its link does not change.  Every
-    piece of the link of a face s of t, cut along the boundary of t - s,
-    touches that boundary, so t - s reconnects the link.  The side is
-    one piece of the cut and t is glued to it, so the part is strongly
-    connected.  Only the ridges of t can lose their degree 2.
+    the certificate on a side holds exactly when side + t is normal.  A
+    face not inside t keeps its whole star on one side, so its link does
+    not change.  Every piece of the link of a face s of t, cut along the
+    boundary of t - s, touches that boundary, so t - s reconnects the
+    link.  The side is one piece of the cut and t is glued to it, so the
+    part is strongly connected.  Only the ridges of t can lose their
+    degree 2.  ``decompose`` gives the argument for unfoldings.
     """
     ts = set(t)
-    ridges = [tuple(v for v in f if v in ts) for f in side if len(ts.intersection(f)) == len(t) - 1]
+    ridges = [tuple(v for v in f if v in ts) for f in facets if len(ts.intersection(f)) == len(t) - 1]
     return len(ridges) == len(set(ridges)) == len(t)
 
 
@@ -496,12 +499,6 @@ def rebuild(tree: DecompositionTree) -> Complex:
 # -- the decomposition engine ----------------------------------------------
 
 
-def _require_normal(k: Complex) -> None:
-    report = is_normal_pseudomanifold(k)
-    if not report.normal:
-        raise DecompositionError(f"intermediate complex is not normal: {report}")
-
-
 class _Engine:
     """The decomposition loop.  A part is ``(complex, t, t1, missing)``
     whose complex is proven a normal pseudomanifold; ``missing``, when
@@ -527,7 +524,9 @@ class _Engine:
     def check_state(self, k: Complex, t: Optional[int], missing):
         if not self.debug:
             return
-        _require_normal(k)
+        report = is_normal_pseudomanifold(k)
+        if not report.normal:
+            raise DecompositionError(f"intermediate complex is not normal: {report}")
         if t is not None and t in k.vertices:
             if not optimality_check(k, t).optimal:
                 raise DecompositionError(f"optimality lost at vertex {t}")
@@ -599,12 +598,12 @@ class _Engine:
         # reduction outside the star of t
         outside = sorted(v for v in k.vertices if v != t and v not in k.neighbors(t))
         for u in outside:
-            link = k.link((u,))
-            if link.dim == k.dim - 1 and _is_boundary_simplex(link):
-                vs = tuple(sorted(link.vertices))
+            try:
                 reduced = inverse_facet_subdivision(k, u)
-                return (TreeNode("inverse_subdivision", vertex=u, facet=vs),
-                        [(reduced, t, t1, None)])
+            except LinkNotSimplexBoundary:
+                continue
+            node = TreeNode("inverse_subdivision", vertex=u, facet=tuple(sorted(k.neighbors(u))))
+            return node, [(reduced, t, t1, None)]
         if outside:
             u = outside[0]
             link = k.link((u,))
@@ -679,7 +678,11 @@ class _Engine:
         if got != expected:
             raise DecompositionError(f"{kind.replace('_', ' ')} changed g2 by {got}, "
                                      f"expected {expected}")
-        _require_normal(unfold.complex)
+        facets = unfold.complex.maximal_faces
+        for f in (unfold.source_facet, unfold.target_facet):
+            if f not in facets or not _ridge_certificate(facets, f):
+                raise DecompositionError(f"intermediate complex is not normal: {f} is not a "
+                                         "facet whose ridges each lie in one other facet")
         node = TreeNode(
             kind,
             missing_facet=simplex(missing),
@@ -738,13 +741,37 @@ def decompose(
 
     Every part is proven normal and carries what else is proven about
     it, so no step proves anything again:
-    - *normal*: the input is checked in full; a split part is normal
-      when each ridge of the missing facet lies in one facet of its side
-      (no link outside the facet changes, and the facet reconnects the
-      links inside it); an inverse subdivision changes only the links of
-      the restored facet's faces, each for one with the same boundary;
-      an unfolding has no local argument and is checked in full.  So
-      vertex links are normal, and verdicts do not prove them again;
+    - *normal*: the input is checked in full, and every later part by
+      the ridge certificate (each ridge of a facet t lies in exactly one
+      other facet, ``_ridge_certificate``) or a local argument:
+      - a split part along its missing facet t passes the certificate on
+        t: no link outside t changes, and t reconnects the links inside
+        it;
+      - an inverse subdivision changes only the links of the restored
+        facet's faces, each for one with the same boundary;
+      - an unfolding of k along its missing facet t passes the
+        certificate on t and on its copy t', which must both be facets
+        of the result.  When k is normal, the unfolding's votes agree,
+        and classification found no vertex of the fixed face F (nor F,
+        if an edge) separating its link, every link of the result is
+        connected:
+        (i) a face outside t and t' has a vertex w off t, which lies in
+        all its facets; each copied vertex x of those facets goes with
+        the side of w in the link of x, so the link is only relabelled;
+        (ii) a face s of t that meets copied vertices keeps whole pieces
+        of its link in k cut along the boundary of t - s; each piece
+        holds a ridge of t - s, so t - s joins them.  The same holds for
+        t' and the copies;
+        (iii) the link of a face inside F, cut that way, is one piece,
+        and every adjacency across a ridge off t survives the
+        relabelling, so t - s and t' - s join one piece;
+        (iv) folding t' onto t maps the result onto the connected k, so
+        every component of the result meets t or t'; these share F, so
+        the result is connected.  A connected pure complex whose
+        face links are connected is strongly connected (Bagchi and
+        Datta, 2008), and the certificate and (i) give every ridge two
+        facets.
+      So vertex links are normal, and verdicts do not prove them again;
     - *g2 = 0 and the sorted missing facets*: a normal part with g2 = 0
       has only stacked vertices (g2 of a link is at most g2 of the part,
       and at least 0 by Kalai's lower bound theorem), so it needs no
@@ -754,9 +781,9 @@ def decompose(
       is split along its first missing facet unclassified, since a cut
       into two pieces that passes the certificate is the split signature
       (see ``_Engine.stacked``).
-    A failed split certificate or a non-normal unfolding raises
-    DecompositionError.  ``debug`` (or ``PSF_DEBUG_VERIFY=1``) checks
-    every part in full, the carried missing facets included.
+    A failed certificate raises DecompositionError.  ``debug`` (or
+    ``PSF_DEBUG_VERIFY=1``) checks every part in full, the carried
+    missing facets included.
     """
     if mode not in MODES:
         raise ModeMismatch(f"unknown mode {mode!r}; expected one of {MODES}")

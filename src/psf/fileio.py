@@ -1,9 +1,10 @@
 """Plain-text facet files.
 
-One facet per line as whitespace-separated vertex labels; ``#`` starts
-a comment and blank lines are skipped.  The writer emits the canonical
-form (sorted vertices within sorted facets), so parse and print are
-mutually inverse on canonical files.
+One facet per line as whitespace-separated vertex labels, each in ASCII
+decimal digits and nothing else; ``#`` starts a comment and blank lines
+are skipped.  The writer emits the canonical form (sorted vertices
+within sorted facets), so parse and print are mutually inverse on
+canonical files.
 """
 
 from __future__ import annotations
@@ -29,12 +30,11 @@ def parse_complex(text: str) -> Complex:
         row: list[int] = []
         for match in re.finditer(r"\S+", line):
             token, column = match.group(), match.start() + 1
-            try:
-                label = int(token)
-            except ValueError:
-                raise ParseError(f"not an integer: {token!r}", lineno, column) from None
-            if label < 0:
-                raise ParseError(f"negative vertex label {label}", lineno, column)
+            if not re.fullmatch(r"-?[0-9]+", token):
+                raise ParseError(f"not an integer: {token!r}", lineno, column)
+            if token[0] == "-":
+                raise ParseError(f"negative vertex label {token}", lineno, column)
+            label = int(token)
             if label in row:
                 raise ParseError(f"repeated vertex {label} in facet", lineno, column)
             row.append(label)

@@ -47,6 +47,29 @@ def test_parse_error_column_of_repeated_token():
     assert "line 1, column 8: repeated vertex 1" in str(err.value)
 
 
+@pytest.mark.parametrize("token, message", [
+    ("oops", "not an integer: 'oops'"),
+    ("-3", "negative vertex label -3"),
+    ("-0", "negative vertex label -0"),
+    ("1_0", "not an integer: '1_0'"),
+    ("+0", "not an integer: '+0'"),
+    ("\u0663", "not an integer: '\u0663'"),
+    ("\uff13", "not an integer: '\uff13'"),
+])
+def test_labels_are_ascii_decimal_digits(tmp_path, capsys, token, message):
+    from psf.fileio import ParseError
+
+    text = f"0 1 2\n3 {token} 4\n"
+    with pytest.raises(ParseError) as err:
+        parse_complex(text)
+    assert str(err.value) == f"line 2, column 3: {message}"
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["info", str(path)]) == 2
+    assert main(["check", str(path)]) == 2
+    assert f"line 2, column 3: {message}" in capsys.readouterr().err
+
+
 def test_comments_and_blank_lines():
     text = "# a sphere\n\n0 1 2  # facet one\n0 1 3\n0 2 3\n1 2 3\n"
     assert parse_complex(text) == boundary_simplex(3)

@@ -5,6 +5,8 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psf import Complex, g2, g3, is_isomorphic
 from psf.build import (
@@ -43,7 +45,7 @@ from psf.decompose import (
     split_connected_sum,
     vertex_unfold,
     _Engine,
-    _split_certificate,
+    _ridge_certificate,
 )
 from psf.complexes import FaceNotPresent, fresh_labels
 from psf.separation import (
@@ -469,15 +471,27 @@ def test_edge_unfold_refuses_a_malformed_edge(size):
         PreconditionUnmet, f"{edge} is not an edge")
 
 
+def corpus_inputs(shared_corpus):
+    """``(complex, t, mode)`` for each 4-dimensional corpus complex in
+    every mode, tracking its first singular vertex or else its least."""
+    inputs = []
+    for _, k in shared_corpus:
+        if k.dim == 4:
+            singular = singular_vertices(k)
+            inputs += [(k, singular[0] if singular else min(k.vertices), mode) for mode in MODES]
+    return inputs
+
+
 @pytest.fixture(scope="module")
 def engine_record(shared_corpus):
     """Every part the engine steps, as ``(complex, t, t1, missing)``,
-    and every split it makes, as ``(complex, tau, sides, result)`` with
-    the sides read back off the parts, while it decomposes two chains
-    and the corpus in every mode that succeeds, the corpus and the
-    shorter chain under the debug oracle."""
-    parts, splits = [], []
-    step, split = _Engine.step, decompose_module._split
+    every split it makes, as ``(complex, tau, sides, result)`` with the
+    sides read back off the parts, and every unfolding, as ``(complex,
+    result)``, while it decomposes two chains and the corpus in every
+    mode that succeeds, the corpus and the shorter chain under the
+    debug oracle."""
+    parts, splits, unfolds = [], [], []
+    step, split, unfold = _Engine.step, decompose_module._split, decompose_module._unfold
 
     def record_step(self, k, t, t1, missing):
         parts.append((k, t, t1, missing))
@@ -491,30 +505,55 @@ def engine_record(shared_corpus):
         splits.append((k, tau, sides, result))
         return result
 
-    inputs = []
-    for _, k in shared_corpus:
-        if k.dim == 4:
-            singular = singular_vertices(k)
-            inputs += [(k, singular[0] if singular else min(k.vertices), mode) for mode in MODES]
+    def record_unfold(fold, k, *args):
+        result = unfold(fold, k, *args)
+        unfolds.append((k, result))
+        return result
+
+    inputs = corpus_inputs(shared_corpus)
     inputs.append((linear_chain(4, 25, 25, fixed=(0,)), 0, MODE_EDGE))
     done = [x for x in inputs if not isinstance(outcome(lambda: decompose(*x)), tuple)]
     assert len(done) == 33  # of 40: the handle and some modes are refused
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_Engine, "step", record_step)
         patch.setattr(decompose_module, "_split", record_split)
+        patch.setattr(decompose_module, "_unfold", record_unfold)
         for k, t, mode in done:
             decompose(k, t, mode, debug=True)
         decompose(linear_chain(4, 50, 50, fixed=(0,)), 0)
-    return parts, splits
+    return parts, splits, unfolds
 
 
-def test_split_certificate_matches_normality(engine_record):
-    parts, splits = engine_record
+def unfoldings_at(k, tau):
+    """Every vertex and edge unfolding of ``k`` along ``tau`` that succeeds."""
+    for fixed in [*tau, *itertools.combinations(tau, 2)]:
+        unfold = vertex_unfold if type(fixed) is int else edge_unfold
+        result = outcome(lambda: unfold(k, tau, fixed))
+        if not isinstance(result, tuple):
+            yield result
+
+
+def unfolding_certified(result):
+    """Whether the missing facet and its copy are facets of an
+    unfolding's result and pass the ridge certificate."""
+    facets = result.complex.maximal_faces
+    return all(f in facets and _ridge_certificate(facets, f)
+               for f in (result.source_facet, result.target_facet))
+
+
+def test_ridge_certificate_matches_normality(engine_record, fold_images):
+    parts, splits, unfolds = engine_record
     assert len(splits) > 100
     for k, tau, sides, result in splits:
         assert is_normal_pseudomanifold(k).normal
         for side, part in zip(sides, (result.part_a, result.part_b)):
-            assert _split_certificate(side, tau) == is_normal_pseudomanifold(part).normal
+            assert _ridge_certificate(side, tau) == is_normal_pseudomanifold(part).normal
+    # every unfolding the engine makes, and every one at a fold image
+    unfolded = [result for _, result in unfolds]
+    unfolded += [result for k, tau in fold_images for result in unfoldings_at(k, tau)]
+    assert (len(unfolds), len(unfolded)) == (18, 18 + 27)
+    for result in unfolded:
+        assert unfolding_certified(result) == is_normal_pseudomanifold(result.complex).normal
     # every part the engine steps is normal
     assert all(is_normal_pseudomanifold(k).normal for k, *_ in parts)
 
@@ -524,7 +563,7 @@ def test_split_certificate_matches_normality(engine_record):
     doubled = min(f for f in side_b if len(ts.intersection(f)) == 4)
     bad_side, rest = side_a | {doubled}, side_b - {doubled}
     bad = Complex(bad_side | {tau})
-    assert not _split_certificate(bad_side, tau)
+    assert not _ridge_certificate(bad_side, tau)
     assert not is_normal_pseudomanifold(bad).normal
 
     # the engine refuses to split along that cut, stacked or not, and
@@ -542,7 +581,7 @@ def test_stacked_splits_match_classification(engine_record):
     # a part with g2 = 0 is split along its first missing facet
     # unclassified; classification must find the split signature, with
     # the link of each vertex of tau cut into the traces of the two sides
-    _, splits = engine_record
+    _, splits, _ = engine_record
     stacked = [(k, tau, sides) for k, tau, sides, _ in splits if g2(k) == 0]
     assert len(stacked) > 100
     for k, tau, sides in stacked:
@@ -555,7 +594,7 @@ def test_stacked_splits_match_classification(engine_record):
 
 
 def test_carried_missing_facets_match_the_parts(engine_record):
-    parts, splits = engine_record
+    parts, splits, _ = engine_record
     stacked = [(k, missing) for k, _, _, missing in parts if missing is not None]
     # part B of a split carries its list relabelled onto fresh labels
     part_b = {id(result.part_b) for *_, result in splits}
@@ -580,7 +619,7 @@ def test_debug_oracle_checks_the_carried_missing_facets(monkeypatch):
         decompose(k, 0, debug=True)
 
 
-def run_with_unfold(monkeypatch, kind, record, change):
+def run_with_unfold(monkeypatch, kind, record, change, debug=False):
     """Run the engine on ``record`` with each ``kind`` unfolding's result
     passed through ``change``; the type and message of what it raised."""
     unfold, fold = decompose_module._unfold, getattr(decompose_module, f"{kind}_fold")
@@ -592,7 +631,7 @@ def run_with_unfold(monkeypatch, kind, record, change):
         return dataclasses.replace(result, complex=change(k, result.complex))
 
     monkeypatch.setattr(decompose_module, "_unfold", changed)
-    engine = _Engine(MODE_EDGE, False)
+    engine = _Engine(MODE_EDGE, debug)
     engine.budget = 50  # a missed check must not leave the engine stepping for long
     return outcome(lambda: engine.run((record.complex, record.tracked, record.companion, None)))
 
@@ -615,3 +654,91 @@ def test_unfolding_to_a_complex_that_is_not_normal_raises(monkeypatch):
     kind, message = run_with_unfold(monkeypatch, "vertex", vertex_folded_instance(3), drop_first)
     assert kind is DecompositionError
     assert message.startswith("intermediate complex is not normal: ")
+
+
+def restored_facets(k, unfolded):
+    """The missing facet of ``k`` that an unfolding restored, and its
+    copy: the one facet on old labels that is no face of ``k``, and the
+    one made of the fresh labels and vertices of that facet."""
+    fresh = unfolded.vertices - k.vertices
+    (t,) = [f for f in unfolded.maximal_faces if k.vertices.issuperset(f) and not k.has_face(f)]
+    (copy,) = [f for f in unfolded.maximal_faces if fresh <= set(f) <= fresh | set(t)]
+    return t, copy
+
+
+def doubled_ridge(unfolded, t):
+    """``unfolded`` with one more facet through a ridge of ``t``, on a
+    vertex already joined to the whole ridge, so f0, f1 and g2 stay."""
+    for ridge in itertools.combinations(t, 4):
+        for w in sorted(unfolded.vertices - set(t)):
+            f = tuple(sorted(ridge + (w,)))
+            if unfolded.neighbors(w) >= set(ridge) and f not in unfolded.maximal_faces:
+                return Complex(unfolded.maximal_faces | {f})
+    raise AssertionError(f"no vertex off {t} is joined to a whole ridge of it")
+
+
+@pytest.mark.parametrize("kind", ["vertex", "edge"])
+def test_forged_unfoldings_fail_the_ridge_certificate(kind):
+    record = (vertex_folded_instance if kind == "vertex" else edge_folded_instance)(3)
+    prefix = "intermediate complex is not normal: "
+    seen = {}
+
+    def drop(which):
+        def change(k, unfolded):
+            facet = seen["facet"] = restored_facets(k, unfolded)[which]
+            return Complex(unfolded.maximal_faces - {facet})
+        return change
+
+    def double(k, unfolded):
+        t = seen["facet"] = restored_facets(k, unfolded)[0]
+        return doubled_ridge(unfolded, t)
+
+    for change in (drop(0), drop(1), double):
+        with pytest.MonkeyPatch.context() as patch:
+            got = run_with_unfold(patch, kind, record, change)
+        witness = f"{seen.pop('facet')} is not a facet whose ridges each lie in one other facet"
+        assert got == (DecompositionError, prefix + witness)
+
+    # a facet through no ridge of t or its copy is left to the debug oracle
+    def drop_away(k, unfolded):
+        restored = [set(f) for f in restored_facets(k, unfolded)]
+        away = min(f for f in unfolded.maximal_faces if all(len(r & set(f)) < 4 for r in restored))
+        return Complex(unfolded.maximal_faces - {away})
+
+    with pytest.MonkeyPatch.context() as patch:
+        error, message = run_with_unfold(patch, kind, record, drop_away, debug=True)
+    assert error is DecompositionError
+    assert message.startswith(prefix + "NormalityReport(")
+
+
+def test_decompose_checks_normality_in_full_once(monkeypatch, shared_corpus):
+    calls = []
+    check = is_normal_pseudomanifold
+
+    def counted(k):
+        calls.append(k)
+        return check(k)
+
+    monkeypatch.setattr(decompose_module, "is_normal_pseudomanifold", counted)
+    monkeypatch.setattr(importlib.import_module("psf.verify"), "is_normal_pseudomanifold", counted)
+    inputs = corpus_inputs(shared_corpus) + [(linear_chain(4, 50, 50, fixed=(0,)), 0, MODE_ONE)]
+    done = 0
+    for k, t, mode in inputs:
+        calls.clear()
+        done += not isinstance(outcome(lambda: decompose(k, t, mode, debug=False)), tuple)
+        assert calls == [k]
+    assert done == 33
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.sampled_from(["vertex", "edge", "suspension"]), st.integers(0, 10**6))
+def test_unfoldings_at_fold_images_pass_the_ridge_certificate(family, seed):
+    record = {
+        "vertex": lambda: vertex_folded_instance(seed, folds=1 + seed % 2, sums=seed % 2),
+        "edge": lambda: edge_folded_instance(seed, vertex_folds=seed % 2),
+        "suspension": lambda: suspension_instance(seed, extra_vertex_folds=seed % 2),
+    }[family]()
+    for _, tau in record.fold_images:
+        for result in unfoldings_at(record.complex, tau):
+            assert unfolding_certified(result)
+            assert is_normal_pseudomanifold(result.complex).normal
