@@ -47,8 +47,10 @@ class Inaccessible(Exception):
 
 
 def _read_text(path: str) -> str:
+    """The file's text with its line endings as written (see ``psf.fileio``)."""
     try:
-        return Path(path).read_text()
+        with open(path, newline="") as f:
+            return f.read()
     except OSError as exc:
         raise Inaccessible(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:

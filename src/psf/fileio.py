@@ -1,10 +1,14 @@
 """Plain-text facet files.
 
-One facet per line as whitespace-separated vertex labels, each in ASCII
+One facet per line as vertex labels separated by ASCII blanks (space,
+tab, vertical tab, form feed and carriage return), each label in ASCII
 decimal digits and nothing else; ``#`` starts a comment and blank lines
-are skipped.  The writer emits the canonical form (sorted vertices
-within sorted facets), so parse and print are mutually inverse on
-canonical files.
+are skipped.  Lines end only at ``\n``, so the carriage return of a
+CRLF ending is a trailing blank, and a reported line and column are
+those an editor or ``wc -l`` shows.  Every label of a line is checked
+before a repeated label on it is reported.  The writer emits the
+canonical form (sorted vertices within sorted facets), so parse and
+print are mutually inverse on canonical files.
 """
 
 from __future__ import annotations
@@ -12,6 +16,10 @@ from __future__ import annotations
 import re
 
 from .complexes import Complex, ComplexError
+
+
+_TOKEN = re.compile(r"[^ \t\v\f\r]+")
+_LABEL = re.compile(r"-?[0-9]+")
 
 
 class ParseError(ComplexError):
@@ -23,22 +31,23 @@ class ParseError(ComplexError):
 
 def parse_complex(text: str) -> Complex:
     facets: list[list[int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         row: list[int] = []
-        for match in re.finditer(r"\S+", line):
+        repeat = None
+        for match in _TOKEN.finditer(raw.split("#", 1)[0]):
             token, column = match.group(), match.start() + 1
-            if not re.fullmatch(r"-?[0-9]+", token):
+            if not _LABEL.fullmatch(token):
                 raise ParseError(f"not an integer: {token!r}", lineno, column)
             if token[0] == "-":
                 raise ParseError(f"negative vertex label {token}", lineno, column)
             label = int(token)
-            if label in row:
-                raise ParseError(f"repeated vertex {label} in facet", lineno, column)
+            if label in row and repeat is None:
+                repeat = ParseError(f"repeated vertex {label} in facet", lineno, column)
             row.append(label)
-        facets.append(row)
+        if repeat is not None:
+            raise repeat
+        if row:
+            facets.append(row)
     if not facets:
         raise ParseError("no facets in file", 1, 1)
     lengths = {len(r) for r in facets}

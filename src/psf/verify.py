@@ -22,12 +22,25 @@ verdict; only the links that miss it pay for homology.  A checked
 classification proves a link normal only when its g2 vanishes.  The
 link of a vertex in a normal pseudomanifold is itself normal, since
 lk(s, lk(v)) = lk(s + v), so classifying the vertices of a complex the
-caller has just proven normal skips that proof.
+caller has just proven normal skips that proof, and builds no link where
+face counts decide: the link of v has deg v vertices, one edge per
+triangle through v and one top face per facet through v, so
+g2(lk v) = (triangles through v) - 4 deg v + 10 on a 4-complex, and
+chi(lk v) = deg v - (triangles through v) + (facets through v) on a
+3-complex, whose vertex links are connected.
+
+The normality check decides link connectivity with a union-find over
+the residues of the facets through each face, and runs the facet-graph
+cut for strong connectivity only when some link is disconnected: a pure
+complex whose links, that of the empty face included, are all connected
+is strongly connected (Bagchi and Datta, Lower bound theorem for normal
+pseudomanifolds, Expo. Math. 2008).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -132,11 +145,6 @@ def is_strongly_connected(k: Complex) -> bool:
     return k.dim < 1 or len(_cut_components(k.maximal_faces, set())) == 1
 
 
-def _complex_connected(k: Complex) -> bool:
-    """Connectivity through the 1-skeleton (vertices joined by edges)."""
-    return _connected(k.vertices, k.neighbors)
-
-
 def _is_boundary_simplex(k: Complex) -> bool:
     """Whether ``k`` is the boundary of a (dim + 1)-simplex."""
     vs = sorted(k.vertices)
@@ -154,7 +162,9 @@ def is_normal_pseudomanifold(k: Complex) -> NormalityReport:
     facets through each such face, and the link of the face is connected
     exactly when the residues ``f - face`` of those facets form one
     connected piece, the vertices of each residue being joined to each
-    other.
+    other.  The facet-graph cut runs only when some link is disconnected,
+    since otherwise the complex is strongly connected (Bagchi and Datta,
+    see the module docstring).
     """
     pure = k.is_pure
     witnesses: dict = {}
@@ -167,8 +177,6 @@ def is_normal_pseudomanifold(k: Complex) -> NormalityReport:
             witnesses["ridges"] = sorted(bad)[:10]
     else:
         ridge_ok = False
-
-    strong = is_strongly_connected(k) if pure else False
 
     links_ok = True
     if pure and k.dim >= 1:
@@ -185,17 +193,32 @@ def is_normal_pseudomanifold(k: Complex) -> NormalityReport:
     else:
         links_ok = False
 
+    strong = pure and (links_ok or is_strongly_connected(k))
     return NormalityReport(pure, ridge_ok, strong, links_ok, witnesses)
 
 
 def _residues_connected(face: Simplex, facets: list[Simplex]) -> bool:
-    """Whether the link of ``face``, given the facets through it, is connected."""
-    joined: dict[int, set[int]] = {}
+    """Whether the link of ``face``, given the facets through it, is
+    connected: a union-find with path halving over the residue vertices
+    joins each residue at its first vertex and counts the pieces left."""
+    parent: dict[int, int] = {}
+    pieces = 0
     for f in facets:
-        residue = [v for v in f if v not in face]
-        for v in residue:
-            joined.setdefault(v, set()).update(residue)
-    return _connected(joined, joined.__getitem__)
+        first = None
+        for v in f:
+            if v in face:
+                continue
+            if v not in parent:
+                parent[v] = v
+                pieces += 1
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if first is None:
+                first = v
+            elif v != first:
+                parent[v] = first
+                pieces -= 1
+    return pieces == 1
 
 
 # -- homology over GF(2) -------------------------------------------------
@@ -271,8 +294,28 @@ def classify_vertices(k: Complex) -> dict[int, SingularityVerdict]:
 
 def _classify_normal_vertices(k: Complex) -> dict[int, SingularityVerdict]:
     """``classify_vertices`` for a complex the caller has just proven a
-    normal pseudomanifold, whose vertex links are therefore normal."""
-    return {v: _classify(k, v, link_normal=True) for v in sorted(k.vertices)}
+    normal pseudomanifold, whose vertex links are therefore normal.
+    The verdicts are read off one count over the triangles (see the
+    module docstring); only the links of a 4-complex with g2 > 0 are
+    built, for their homology."""
+    triangles = Counter(v for t in k.faces(2) for v in t) if k.dim in (3, 4) else Counter()
+    facets = Counter(v for f in k.maximal_faces for v in f) if k.dim == 3 else Counter()
+    verdicts = {}
+    for v in sorted(k.vertices):
+        degree = len(k.neighbors(v))
+        if k.dim == 3:
+            verdicts[v] = _surface_verdict(v, degree - triangles[v] + facets[v])
+        elif k.dim == 4 and triangles[v] - 4 * degree + 10 == 0:
+            verdicts[v] = SingularityVerdict(v, "nonsingular", "stacked")
+        else:
+            verdicts[v] = _classify(k, v, link_normal=True)
+    return verdicts
+
+
+def _surface_verdict(v: int, chi: int, connected: bool = True) -> SingularityVerdict:
+    if connected and chi == 2:
+        return SingularityVerdict(v, "nonsingular", "surface with euler characteristic 2")
+    return SingularityVerdict(v, "singular", f"closed surface with euler characteristic {chi}")
 
 
 def _classify(k: Complex, v: int, link_normal: bool) -> SingularityVerdict:
@@ -284,10 +327,7 @@ def _classify(k: Complex, v: int, link_normal: bool) -> SingularityVerdict:
 
     if link.dim == 2:
         f = link.f_counts()
-        chi = f[1] - f[2] + f[3]
-        if _complex_connected(link) and chi == 2:
-            return SingularityVerdict(v, "nonsingular", "surface with euler characteristic 2")
-        return SingularityVerdict(v, "singular", f"closed surface with euler characteristic {chi}")
+        return _surface_verdict(v, f[1] - f[2] + f[3], _connected(link.vertices, link.neighbors))
 
     if link.dim == 3 and (_g2(link) == 0 if link_normal else is_stacked_sphere(link)):
         return SingularityVerdict(v, "nonsingular", "stacked")

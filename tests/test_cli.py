@@ -47,6 +47,34 @@ def test_parse_error_column_of_repeated_token():
     assert "line 1, column 8: repeated vertex 1" in str(err.value)
 
 
+@pytest.mark.parametrize("text, position, message", [
+    ("0 1 2\x0c0 x 3\n", (1, 9), "not an integer: 'x'"),
+    ("0 1\u00a02\n", (1, 3), "not an integer: '1\\xa02'"),
+    ("0 1 2\n3 4\u20285\n", (2, 3), "not an integer: '4\\u20285'"),
+])
+def test_labels_are_separated_only_by_ascii_blanks(text, position, message):
+    from psf.fileio import ParseError
+
+    with pytest.raises(ParseError) as err:
+        parse_complex(text)
+    assert (err.value.line, err.value.column) == position
+    assert str(err.value) == f"line {position[0]}, column {position[1]}: {message}"
+
+
+def test_crlf_file_parses(tmp_path, capsys):
+    text = format_complex(boundary_simplex(3)).replace("\n", "\r\n")
+    assert parse_complex(text) == boundary_simplex(3)
+    assert parse_complex("0 1\t2\x0b3\x0c\r\n") == Complex([[0, 1, 2, 3]])
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(text.encode())
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == "normal pseudomanifold\n"
+    # a lone carriage return is a blank, not a line end, in the CLI too
+    path.write_bytes(b"0 1 2\r0 x 3\n")
+    assert main(["check", str(path)]) == 2
+    assert "line 1, column 9: not an integer: 'x'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("token, message", [
     ("oops", "not an integer: 'oops'"),
     ("-3", "negative vertex label -3"),

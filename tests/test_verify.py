@@ -142,6 +142,7 @@ def assert_links_match_reference(k):
     assert (report.links_connected, report.witnesses.get("disconnected_links")) == (
         reference_link_connectivity(k)
     )
+    assert report.strongly_connected == (k.is_pure and is_strongly_connected(k))
 
 
 def test_link_connectivity_matches_link_building_definition(shared_corpus):
@@ -150,6 +151,13 @@ def test_link_connectivity_matches_link_building_definition(shared_corpus):
     assert_links_match_reference(two_edges)
     assert is_normal_pseudomanifold(two_edges).witnesses["disconnected_links"] == [()]
     assert_links_match_reference(Complex([[0]]))
+    # two 3-spheres sharing vertex 0: the cut runs and finds two pieces
+    wedge = Complex(list(boundary_simplex(4).maximal_faces) + list(
+        boundary_simplex(4).relabel({i: i + 4 for i in range(1, 5)}).maximal_faces))
+    assert_links_match_reference(wedge)
+    report = is_normal_pseudomanifold(wedge)
+    assert not report.strongly_connected
+    assert report.witnesses["disconnected_links"] == [(0,)]
     for _, k in shared_corpus:
         assert_links_match_reference(k)
 
@@ -316,10 +324,40 @@ def test_classify_vertex_matches_homology_first_order(shared_corpus):
     assert kinds == {"surface", "closed", "link", "stacked", "sphere-like"}
 
 
+def trusted_classification_inputs(shared_corpus):
+    circles = join(boundary_simplex(2), polygon([3, 4, 5]))
+    return [k for _, k in shared_corpus] + [
+        linear_chain(3, 5, 3, fixed=(0,)),
+        singular_base_3d(6).complex,
+        one_vertex_suspension(circles, 0),
+    ]
+
+
 def test_trusted_classification_matches_checked(shared_corpus):
-    for _, k in shared_corpus:
+    kinds = set()
+    for k in trusted_classification_inputs(shared_corpus):
         assert is_normal_pseudomanifold(k).normal
-        assert _classify_normal_vertices(k) == classify_vertices(k)
+        verdicts = _classify_normal_vertices(k)
+        assert verdicts == classify_vertices(k)
+        kinds.update(verdict.certificate.split()[0] for verdict in verdicts.values())
+    assert kinds == {"surface", "closed", "link", "stacked", "sphere-like"}
+
+
+def test_trusted_classification_builds_links_only_off_stacked_vertices(
+        shared_corpus, monkeypatch):
+    built = []
+    link = Complex.link
+
+    def counted(k, face):
+        built.append(face)
+        return link(k, face)
+
+    monkeypatch.setattr(Complex, "link", counted)
+    for k in trusted_classification_inputs(shared_corpus):
+        built.clear()
+        verdicts = _classify_normal_vertices(k)
+        off_stacked = [(v,) for v in sorted(k.vertices) if verdicts[v].certificate != "stacked"]
+        assert built == (off_stacked if k.dim == 4 else [])
 
 
 def test_optimality_boundary_simplex_and_folds():
