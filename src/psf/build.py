@@ -322,6 +322,31 @@ def _facet_pairs_sharing(k: Complex, count: int):
                 yield key
 
 
+def _pair_table(k: Complex, f1: Simplex, f2: Simplex, shared: set[int]):
+    """The vertices of f1 and f2 outside ``shared`` and the rows of the
+    ``_pair_ok`` table between them (row y, column z), made lazily."""
+    rest1 = [v for v in f1 if v not in shared]
+    rest2 = [v for v in f2 if v not in shared]
+    return rest1, rest2, ([_pair_ok(k, y, z, shared) for z in rest2] for y in rest1)
+
+
+def _count_matchings(table) -> int:
+    """Perfect matchings of a square 0/1 table (its permanent): a DP over
+    the sets of columns the rows so far have taken.  Rows are read one
+    at a time, and none after a row that leaves no way open."""
+    ways = {0: 1}
+    for row in table:
+        taken: dict[int, int] = {}
+        for used, n in ways.items():
+            for j, ok in enumerate(row):
+                if ok and not used >> j & 1:
+                    taken[used | 1 << j] = taken.get(used | 1 << j, 0) + n
+        if not taken:
+            return 0
+        ways = taken
+    return sum(ways.values())
+
+
 def _admissible_bijections(k: Complex, f1: Simplex, f2: Simplex, shared: set[int]):
     """Bijections f1 -> f2 fixing ``shared`` whose other pairs all pass
     ``_pair_ok``, in ``itertools.permutations`` order.
@@ -329,9 +354,8 @@ def _admissible_bijections(k: Complex, f1: Simplex, f2: Simplex, shared: set[int
     Pair verdicts are tabled once per facet pair, so each permutation
     costs a few lookups instead of a full admissibility check.
     """
-    rest1 = [v for v in f1 if v not in shared]
-    rest2 = [v for v in f2 if v not in shared]
-    table = [[_pair_ok(k, y, z, shared) for z in rest2] for y in rest1]
+    rest1, rest2, rows = _pair_table(k, f1, f2, shared)
+    table = list(rows)
     for perm in itertools.permutations(range(len(rest2))):
         if all(row[j] for row, j in zip(table, perm)):
             mapping = {v: v for v in sorted(shared)}
@@ -339,14 +363,34 @@ def _admissible_bijections(k: Complex, f1: Simplex, f2: Simplex, shared: set[int
             yield mapping
 
 
+def _fold_pairs(k: Complex, size: int, fixed_face):
+    """Facet pairs meeting in ``size`` vertices, or in exactly
+    ``fixed_face`` when it is given, each with its shared face.
+
+    A fixed face F is searched in its star only.  This keeps the order
+    of ``_facet_pairs_sharing``: a pair meeting in F is met only in the
+    groups of F's vertices, is yielded from the first of them, and the
+    facets through F keep their sorted order within each group.
+    """
+    if fixed_face is None:
+        for f1, f2 in _facet_pairs_sharing(k, size):
+            yield f1, f2, set(f1) & set(f2)
+        return
+    face = set(fixed_face)
+    if len(face) != size:
+        return
+    star = [f for f in k.facets if face <= set(f)]
+    for f1, f2 in itertools.combinations(star, 2):
+        if set(f1) & set(f2) == face:
+            yield f1, f2, face
+
+
 def _fold_triples(k: Complex, size: int, fixed_face):
     """Admissible fold triples on facet pairs meeting in ``size`` vertices,
     or only in ``fixed_face`` when it is given."""
-    for f1, f2 in _facet_pairs_sharing(k, size):
-        shared = set(f1) & set(f2)
-        if fixed_face is None or shared == set(fixed_face):
-            for mapping in _admissible_bijections(k, f1, f2, shared):
-                yield f1, f2, mapping
+    for f1, f2, shared in _fold_pairs(k, size, fixed_face):
+        for mapping in _admissible_bijections(k, f1, f2, shared):
+            yield f1, f2, mapping
 
 
 def find_vertex_folds(k: Complex, fixed_vertex: Optional[int] = None):
@@ -391,19 +435,35 @@ def random_admissible(kind: str, k: Complex, rng: SplitMix64, fixed: tuple[int, 
     A vertex or edge fold is drawn uniformly from those at the ``fixed``
     vertex or edge (any, when it is empty) whose facets miss ``avoid``;
     a handle is the first one a sampled search finds.
+
+    Folds are counted, not listed: each candidate facet pair adds the
+    number of perfect matchings of its ``_pair_ok`` table, one index is
+    drawn from the total, and only the bijection at that index is
+    built.  The triples keep the order of ``find_vertex_folds`` and
+    ``find_edge_folds`` and the total is their number, so the draw, and
+    the random stream after it, are those of drawing from the full list.
     """
     if kind == "handle":
         return next(find_handles(k, rng=rng), None)
-    if kind == "vertex_fold":
-        found = find_vertex_folds(k, *fixed)
-    elif kind == "edge_fold":
-        found = find_edge_folds(k, fixed or None)
-    else:
+    if kind not in ("vertex_fold", "edge_fold"):
         raise ValueError(f"unknown kind {kind!r}")
-    triples = [t for t in found if avoid not in t[0] + t[1]]
-    if not triples:
+    size = 1 if kind == "vertex_fold" else 2
+    if len(fixed) not in (0, size) or len(set(fixed)) != len(fixed):
+        raise ValueError(f"a {kind.replace('_', ' ')} is fixed at () or {size} distinct "
+                         f"vertices, not {tuple(fixed)}")
+    counted = []
+    for f1, f2, shared in _fold_pairs(k, size, fixed or None):
+        if avoid not in f1 + f2:
+            n = _count_matchings(_pair_table(k, f1, f2, shared)[2])
+            if n:
+                counted.append((f1, f2, shared, n))
+    if not counted:
         return None
-    return triples[rng.randrange(len(triples))]
+    i = rng.randrange(sum(n for *_, n in counted))
+    for f1, f2, shared, n in counted:
+        if i < n:
+            return f1, f2, next(itertools.islice(_admissible_bijections(k, f1, f2, shared), i, None))
+        i -= n
 
 
 # -- stacked spheres ----------------------------------------------------

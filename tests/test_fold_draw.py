@@ -1,0 +1,194 @@
+"""Seeded fold draws: ``build.random_admissible`` counts the admissible
+bijections of each candidate facet pair and builds only the drawn one.
+
+The reference is the list-then-draw choice in ``reference.py``.  Both
+must return the same triple and leave the random stream in the same
+state, on every fold step of the random build scripts and of the
+corpus recipes.  The draw index counts triples in search order, so the
+order of the star search at a fixed face is checked against the
+unfixed search as well.
+"""
+
+import copy
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import psf.buildscript
+from psf.build import (
+    SplitMix64,
+    _count_matchings,
+    facet_subdivision,
+    find_edge_folds,
+    find_vertex_folds,
+    random_admissible,
+)
+from psf.buildscript import random_script
+from psf.corpus import (
+    cone_point_base_3d,
+    edge_folded_instance,
+    linear_chain,
+    singular_base_3d,
+    suspension_instance,
+    vertex_folded_instance,
+)
+from reference import listing_draw
+
+# -- the matching counter ------------------------------------------------
+
+
+def _brute_count(table):
+    n = len(table)
+    return sum(all(table[i][p[i]] for i in range(n)) for p in itertools.permutations(range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_count_matchings_matches_brute_force(table):
+    assert _count_matchings(table) == _brute_count(table)
+
+
+@pytest.mark.parametrize("table,count", [
+    ([], 1),
+    ([[True] * 4] * 4, 24),
+    ([[True] * 5] * 5, 120),
+    ([[True, True, True], [False, False, False], [True, True, True]], 0),
+    ([[False]], 0),
+    ([[True, False], [True, False]], 0),
+    ([[True, True], [True, False]], 1),
+])
+def test_count_matchings_edge_cases(table, count):
+    assert _count_matchings(table) == count == _brute_count(table)
+
+
+# -- draws against the listing reference ---------------------------------
+
+
+@pytest.fixture
+def checked_draws(monkeypatch):
+    """Route every seeded draw of the builder through a check against
+    ``listing_draw``; the list records ``(kind, fixed, avoid)`` per fold."""
+    calls = []
+
+    def draw(kind, k, rng, fixed=(), avoid=None):
+        if kind == "handle":
+            return random_admissible(kind, k, rng, fixed, avoid)
+        twin = copy.copy(rng)
+        expected = listing_draw(kind, k, twin, fixed, avoid)
+        found = random_admissible(kind, k, rng, fixed, avoid)
+        assert found == expected
+        if found is not None:
+            assert list(found[2].items()) == list(expected[2].items())
+        assert copy.copy(rng).next64() == copy.copy(twin).next64()
+        calls.append((kind, tuple(fixed), avoid))
+        return found
+
+    monkeypatch.setattr(psf.buildscript, "random_admissible", draw)
+    return calls
+
+
+def test_script_fold_draws_match_listing(checked_draws):
+    for seed in range(200):
+        random_script(seed)
+    kinds = {kind for kind, _, _ in checked_draws}
+    assert kinds == {"vertex_fold", "edge_fold"}
+    assert len(checked_draws) >= 60
+
+
+def test_corpus_fold_draws_match_listing(checked_draws):
+    for seed in range(30):
+        vertex_folded_instance(seed, folds=2 if seed < 10 else 1)
+        edge_folded_instance(seed, edge_folds=1, vertex_folds=1)
+        singular_base_3d(seed, folds=2)
+        cone_point_base_3d(seed)
+        suspension_instance(seed, extra_vertex_folds=1)
+    assert any(avoid is not None for _, _, avoid in checked_draws)
+    assert {kind for kind, _, _ in checked_draws} == {"vertex_fold", "edge_fold"}
+    assert len(checked_draws) >= 30 * 7
+
+
+def test_unfixed_draw_matches_listing():
+    k = linear_chain(4, 8, 3, fixed=(0, 1))
+    for kind in ("vertex_fold", "edge_fold"):
+        for seed in range(5):
+            rng, twin = SplitMix64(seed), SplitMix64(seed)
+            assert random_admissible(kind, k, rng) == listing_draw(kind, k, twin)
+            assert rng.next64() == twin.next64()
+
+
+def test_no_admissible_fold_draws_nothing():
+    k = linear_chain(4, 2, 1, fixed=(0,))
+    rng, twin = SplitMix64(4), SplitMix64(4)
+    assert random_admissible("vertex_fold", k, rng, (0,)) is None
+    assert rng.next64() == twin.next64()
+
+
+# -- fixed faces of the wrong size ---------------------------------------
+
+
+@pytest.mark.parametrize("kind,fixed", [
+    ("vertex_fold", (0, 1)),
+    ("edge_fold", (0,)),
+    ("edge_fold", (0, 0)),
+    ("edge_fold", (0, 1, 2)),
+])
+def test_wrong_size_fixed_face_is_refused(kind, fixed):
+    k = linear_chain(4, 10, 3, fixed=(0, 1))
+    rng, twin = SplitMix64(1), SplitMix64(1)
+    with pytest.raises(ValueError, match="distinct"):
+        random_admissible(kind, k, rng, fixed)
+    assert rng.next64() == twin.next64()
+
+
+def test_unknown_kind_is_refused():
+    with pytest.raises(ValueError, match="unknown kind"):
+        random_admissible("twist", linear_chain(4, 3, 1), SplitMix64(1))
+
+
+# -- the star search keeps the order of the unfixed search ----------------
+
+
+def _first_group(k, face):
+    """The vertex of ``face`` whose group ``_facet_pairs_sharing`` visits first."""
+    order = list(dict.fromkeys(v for f in k.facets for v in f))
+    return min(face, key=order.index)
+
+
+def _assert_star_order(k, vertices, edges):
+    unfixed_v = list(find_vertex_folds(k))
+    unfixed_e = list(find_edge_folds(k))
+    for x in vertices:
+        expected = [t for t in unfixed_v if set(t[0]) & set(t[1]) == {x}]
+        assert list(find_vertex_folds(k, fixed_vertex=x)) == expected
+    for u, v in edges:
+        expected = [t for t in unfixed_e if set(t[0]) & set(t[1]) == {u, v}]
+        assert list(find_edge_folds(k, fixed_edge=(u, v))) == expected
+        assert list(find_edge_folds(k, fixed_edge=(v, u))) == expected
+
+
+@pytest.mark.parametrize("make,vertices,edges", [
+    (lambda: linear_chain(4, 10, 3, fixed=(0,)), (0, 1, 5, 9), ((0, 1), (0, 5))),
+    (lambda: linear_chain(4, 9, 5, fixed=(0, 1)), (0, 1), ((0, 1), (0, 2), (1, 9))),
+    (lambda: vertex_folded_instance(21, folds=2).complex, (0, 3, 8), ((0, 3),)),
+    (lambda: edge_folded_instance(22, edge_folds=1, vertex_folds=1).complex, (0, 1),
+     ((0, 1), (1, 4))),
+])
+def test_fixed_search_is_filtered_unfixed_search(make, vertices, edges):
+    k = make()
+    assert all(k.has_face(e) for e in edges)
+    _assert_star_order(k, vertices, edges)
+
+
+def test_fixed_edge_search_when_larger_vertex_group_comes_first():
+    chain = facet_subdivision(linear_chain(4, 9, 5, fixed=(0, 1)), (1, 2, 3, 4, 5))
+    # the new facet (0, 1, 2, 3, 201) comes first: 201 is seen before 200
+    labels = {v: v + 100 for v in chain.vertices}
+    labels.update({2: 0, 3: 1, 4: 2, max(chain.vertices): 3, 0: 200, 1: 201})
+    k = chain.relabel(labels)
+    edge = (200, 201)
+    assert _first_group(k, edge) == 201
+    assert list(find_edge_folds(k, fixed_edge=edge))
+    _assert_star_order(k, edge, [edge])
