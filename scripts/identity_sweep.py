@@ -9,19 +9,13 @@ which is handy when tuning the generators.
 import argparse
 import time
 
+from psf.cli import at_least_one
 from psf.identities import run_identity_suite
-
-
-def at_least_one(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scripts", type=int, default=500)
+    parser.add_argument("--scripts", type=at_least_one, default=500)
     parser.add_argument("--ops", type=int, default=12)
     parser.add_argument("--base-seed", type=int, default=0)
     parser.add_argument("--deep-every", type=at_least_one, default=10,
@@ -43,7 +37,7 @@ def main() -> int:
         print("FAIL:", failure)
     total = sum(report.checked.values())
     print(f"{total} checks over {args.scripts} scripts in {elapsed:.1f}s "
-          f"({1000 * elapsed / max(args.scripts, 1):.1f} ms/script)")
+          f"({1000 * elapsed / args.scripts:.1f} ms/script)")
     return 0 if report.ok else 1
 
 

@@ -305,15 +305,11 @@ _HANDLE_ATTEMPTS = 400  # facet pairs a seeded handle search samples
 
 
 def _facet_pairs_sharing(k: Complex, count: int):
-    """Facet pairs whose intersection has exactly ``count`` vertices."""
-    facets = k.facets
-    by_vertex: dict[int, list[Simplex]] = {}
-    for f in facets:
-        for v in f:
-            by_vertex.setdefault(v, []).append(f)
+    """Facet pairs meeting in exactly ``count`` vertices, from the facets
+    through each vertex, in order of first appearance in ``k.facets``."""
     seen: set[tuple[Simplex, Simplex]] = set()
-    for group in by_vertex.values():
-        for f1, f2 in itertools.combinations(group, 2):
+    for v in dict.fromkeys(v for f in k.facets for v in f):
+        for f1, f2 in itertools.combinations(k.facets_through((v,)), 2):
             key = (f1, f2) if f1 <= f2 else (f2, f1)
             if key in seen:
                 continue
@@ -367,20 +363,23 @@ def _fold_pairs(k: Complex, size: int, fixed_face):
     """Facet pairs meeting in ``size`` vertices, or in exactly
     ``fixed_face`` when it is given, each with its shared face.
 
-    A fixed face F is searched in its star only.  This keeps the order
-    of ``_facet_pairs_sharing``: a pair meeting in F is met only in the
-    groups of F's vertices, is yielded from the first of them, and the
-    facets through F keep their sorted order within each group.
+    A fixed face F, () or ``size`` distinct vertices, is searched in its
+    star only.  This keeps the order of ``_facet_pairs_sharing``: a pair
+    meeting in F is met only in the groups of F's vertices, is yielded
+    from the first of them, and the facets through F keep their sorted
+    order within each group.
     """
-    if fixed_face is None:
+    fixed_face = tuple(fixed_face or ())
+    face = set(fixed_face)
+    if len(face) != len(fixed_face) or len(face) not in (0, size):
+        kind = "vertex" if size == 1 else "edge"
+        raise ValueError(f"a {kind} fold is fixed at () or {size} distinct "
+                         f"vertices, not {fixed_face}")
+    if not face:
         for f1, f2 in _facet_pairs_sharing(k, size):
             yield f1, f2, set(f1) & set(f2)
         return
-    face = set(fixed_face)
-    if len(face) != size:
-        return
-    star = [f for f in k.facets if face <= set(f)]
-    for f1, f2 in itertools.combinations(star, 2):
+    for f1, f2 in itertools.combinations(k.facets_through(face), 2):
         if set(f1) & set(f2) == face:
             yield f1, f2, face
 
@@ -448,11 +447,8 @@ def random_admissible(kind: str, k: Complex, rng: SplitMix64, fixed: tuple[int, 
     if kind not in ("vertex_fold", "edge_fold"):
         raise ValueError(f"unknown kind {kind!r}")
     size = 1 if kind == "vertex_fold" else 2
-    if len(fixed) not in (0, size) or len(set(fixed)) != len(fixed):
-        raise ValueError(f"a {kind.replace('_', ' ')} is fixed at () or {size} distinct "
-                         f"vertices, not {tuple(fixed)}")
     counted = []
-    for f1, f2, shared in _fold_pairs(k, size, fixed or None):
+    for f1, f2, shared in _fold_pairs(k, size, fixed):
         if avoid not in f1 + f2:
             n = _count_matchings(_pair_table(k, f1, f2, shared)[2])
             if n:
@@ -486,8 +482,7 @@ def _glue_fresh_boundary(k: Complex, rng: SplitMix64, fixed: tuple[int, ...] = (
     grows a linear arm.
     """
     if src is None:
-        src = max((f for f in k.facets if set(fixed) <= set(f)),
-                  key=lambda f: sorted(f, reverse=True))
+        src = max(k.facets_through(fixed), key=lambda f: sorted(f, reverse=True))
     summand = _fresh_boundary(k)
     target = summand.facets[rng.randrange(len(summand.facets))]
     rest = [v for v in src if v not in fixed]

@@ -280,7 +280,7 @@ class ScriptBuilder:
 
     def pick(self, fixed: tuple[int, ...] = (), avoid: Optional[int] = None) -> Simplex:
         """A seeded facet through the ``fixed`` vertices that misses ``avoid``."""
-        facets = [f for f in self.current.facets if set(fixed) <= set(f) and avoid not in f]
+        facets = [f for f in self.current.facets_through(fixed) if avoid not in f]
         return facets[self.rng.randrange(len(facets))]
 
     def sum(self, src: Optional[Simplex] = None, fixed: tuple[int, ...] = ()) -> None:

@@ -200,6 +200,14 @@ def cmd_verify_identities(args) -> int:
     return EXIT_OK
 
 
+def at_least_one(text: str) -> int:
+    """An argparse type for counts: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psf",
@@ -229,7 +237,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("verify-identities", help="randomized identity sweep")
-    p.add_argument("--seeds", type=int, default=100, help="number of random scripts")
+    p.add_argument("--seeds", type=at_least_one, default=100, help="number of random scripts")
     p.add_argument("--ops", type=int, default=12, help="operations per script")
     p.add_argument("--base-seed", type=int, default=2024)
     p.set_defaults(fn=cmd_verify_identities)

@@ -5,6 +5,10 @@ increasing tuples of vertex labels, so every operation is exact and
 deterministic.  A :class:`Complex` is immutable after construction;
 face tables are computed on demand and cached.
 
+One of them is the facet index, the sorted facets through each vertex,
+built in one pass over the sorted ``facets``: ``facets_through`` reads
+it for every "which facets contain this face?" in the library.
+
 Most complexes handled here are pure (all maximal faces of equal
 dimension), which is what ``from_facets`` enforces.  Induced
 subcomplexes may legitimately be non-pure, so the class itself only
@@ -14,7 +18,7 @@ requires its maximal faces to form an antichain.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from typing import Iterable, Mapping, Optional
 
 
@@ -85,7 +89,8 @@ class Complex:
     complex; ``Complex([()])`` is the complex containing only it.
     """
 
-    __slots__ = ("_maximal", "_dim", "_vertices", "_faces", "_nbrs", "_ridge_map")
+    __slots__ = ("_maximal", "_dim", "_vertices", "_faces", "_nbrs", "_ridge_map",
+                 "_facets", "_through")
 
     def __init__(self, maximal_faces: Iterable[Iterable[int]]):
         faces = [simplex(f) for f in maximal_faces]
@@ -97,6 +102,8 @@ class Complex:
         self._faces: dict[int, frozenset[Simplex]] = {}
         self._nbrs: Optional[dict[int, frozenset[int]]] = None
         self._ridge_map: Optional[dict[Simplex, tuple[Simplex, ...]]] = None
+        self._facets: Optional[tuple[Simplex, ...]] = None
+        self._through: Optional[defaultdict[int, list[Simplex]]] = None
 
     @classmethod
     def from_facets(cls, facets: Iterable[Iterable[int]]) -> "Complex":
@@ -129,7 +136,9 @@ class Complex:
     @property
     def facets(self) -> tuple[Simplex, ...]:
         """Maximal faces in sorted order."""
-        return tuple(sorted(self._maximal))
+        if self._facets is None:
+            self._facets = tuple(sorted(self._maximal))
+        return self._facets
 
     @property
     def is_pure(self) -> bool:
@@ -193,23 +202,39 @@ class Complex:
             self._ridge_map = {r: tuple(sorted(fs)) for r, fs in acc.items()}
         return self._ridge_map
 
+    def facets_through(self, face: Iterable[int]) -> tuple[Simplex, ...]:
+        """The maximal faces that contain ``face``, sorted: all for ``()``,
+        none for an absent face.  A face of two or more vertices filters
+        the smallest group of its vertices in the facet index."""
+        if self._through is None:
+            self._through = defaultdict(list)
+            for f in self.facets:
+                for v in f:
+                    self._through[v].append(f)
+        vs = set(face)
+        if not vs:
+            return self.facets
+        first = min(vs, key=lambda v: len(self._through.get(v, ())))
+        group = self._through.get(first, ())
+        for v in vs - {first}:
+            group = [f for f in group if v in f]
+        return tuple(group)
+
     # -- derived complexes ---------------------------------------------
 
     def link(self, face: Iterable[int]) -> "Complex":
         s = simplex(face)
-        if not self.has_face(s):
+        through = self.facets_through(s)
+        if not through:
             raise FaceNotPresent(f"{s} is not a face")
-        ss = set(s)
-        residues = [tuple(v for v in f if v not in ss)
-                    for f in self._maximal if ss.issubset(f)]
-        return Complex(residues)
+        return Complex([tuple(v for v in f if v not in s) for f in through])
 
     def star(self, face: Iterable[int]) -> "Complex":
         s = simplex(face)
-        if not self.has_face(s):
+        through = self.facets_through(s)
+        if not through:
             raise FaceNotPresent(f"{s} is not a face")
-        ss = set(s)
-        return Complex([f for f in self._maximal if ss.issubset(f)])
+        return Complex(through)
 
     def induced(self, vertex_set: Iterable[int]) -> "Complex":
         vs = set(vertex_set)
@@ -289,15 +314,6 @@ def fresh_labels(k: Complex, count: int) -> list[int]:
 # -- isomorphism -------------------------------------------------------
 
 
-def _stars(k: Complex) -> dict[int, list[Simplex]]:
-    """The maximal faces through each vertex, in one pass."""
-    stars: dict[int, list[Simplex]] = {v: [] for v in k.vertices}
-    for f in k.maximal_faces:
-        for v in f:
-            stars[v].append(f)
-    return stars
-
-
 def _refined_colors(k1: Complex, k2: Complex) -> Optional[tuple[dict, dict]]:
     """Joint Weisfeiler-style color refinement over both vertex sets.
 
@@ -310,10 +326,9 @@ def _refined_colors(k1: Complex, k2: Complex) -> Optional[tuple[dict, dict]]:
         # The faces of the link of v are the faces through v less v, up
         # to the size of the largest maximal face through v.
         through = Counter((v, len(f)) for j in range(1, k.dim + 1) for f in k.faces(j) for v in f)
-        stars = _stars(k)
         sig = {}
         for v in k.vertices:
-            profile = tuple(sorted(len(f) for f in stars[v]))
+            profile = tuple(sorted(len(f) for f in k.facets_through((v,))))
             link_f = (1, *(through[v, size] for size in range(2, profile[-1] + 1)))
             sig[v] = (len(k.neighbors(v)), profile, link_f)
         return sig
@@ -370,7 +385,6 @@ def is_isomorphic(k1: Complex, k2: Complex) -> Optional[dict[int, int]]:
 
     verts1 = sorted(k1.vertices, key=lambda v: (len(by_color[c1[v]]), v))
     facets2 = k2.maximal_faces
-    star1 = _stars(k1)
 
     mapping: dict[int, int] = {}
     used: set[int] = set()
@@ -381,7 +395,7 @@ def is_isomorphic(k1: Complex, k2: Complex) -> Optional[dict[int, int]]:
             if (u in nv) != (x in nw):
                 return False
         # every fully mapped maximal face through v must land on one of k2's
-        for f in star1[v]:
+        for f in k1.facets_through((v,)):
             img = [mapping.get(u) for u in f if u != v]
             if None in img:
                 continue

@@ -109,9 +109,8 @@ def inverse_facet_subdivision(k: Complex, u: int) -> Complex:
     vs = tuple(sorted(link.vertices))
     if k.has_face(vs):
         raise SimplexAlreadyPresent(f"simplex {vs} already present; retriangulation case")
-    facets = {f for f in k.maximal_faces if u not in f}
-    facets.add(vs)
-    return Complex(facets)
+    rest = k.maximal_faces.difference(k.facets_through((u,)))
+    return Complex(rest | {vs})
 
 
 @dataclass(frozen=True)
@@ -290,11 +289,9 @@ def recognize_one_vertex_suspension(k: Complex, t: int, t1: int):
         return None
     if not k.has_face((t, t1)):
         return None
-    for f in k.maximal_faces:
-        if t1 in f and t not in f:
-            g = tuple(x for x in f if x != t1)
-            if not k.has_face(g + (t,)):
-                return None
+    for f in k.facets_through((t1,)):
+        if t not in f and not k.has_face(tuple(x for x in f if x != t1) + (t,)):
+            return None
     base = k.link((t,))
     expected = {tuple(sorted(g + (t1,))) for g in base.maximal_faces if t1 not in g}
     expected |= {tuple(sorted(g + (t,))) for g in base.maximal_faces}

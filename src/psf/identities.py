@@ -68,9 +68,12 @@ def run_identity_suite(
     """Replay ``scripts`` random build scripts and check every invariant.
 
     ``fault_hook`` may substitute a final complex, which is how the
-    harness itself is tested for sensitivity.  ``deep_every`` must be at
-    least 1: every ``deep_every``-th script gets the deep checks.
+    harness itself is tested for sensitivity.  ``scripts`` and
+    ``deep_every`` must be at least 1: every ``deep_every``-th script
+    gets the deep checks.
     """
+    if scripts < 1:
+        raise ValueError(f"scripts must be at least 1, got {scripts}")
     if deep_every < 1:
         raise ValueError(f"deep_every must be at least 1, got {deep_every}")
     report = IdentityReport()

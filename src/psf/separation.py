@@ -85,10 +85,7 @@ def _link_cut(k: Complex, face: Simplex, t: Simplex) -> list[frozenset[Simplex]]
     """Components of the link of ``face`` cut along the boundary of
     ``t - face``.  The facets of the link are the residues ``f - face``
     of the facets f through the face, so no link is built."""
-    star = [f for f in k.maximal_faces if face[0] in f]
-    for y in face[1:]:
-        star = [f for f in star if y in f]
-    residues = [tuple([v for v in f if v not in face]) for f in star]
+    residues = [tuple([v for v in f if v not in face]) for f in k.facets_through(face)]
     return _cut_components(residues, set(t).difference(face))
 
 

@@ -100,21 +100,6 @@ def is_pseudomanifold(k: Complex) -> bool:
     return all(len(fs) == 2 for fs in k.ridge_facet_map().values())
 
 
-def _connected(nodes, adjacent) -> bool:
-    """Whether a depth-first search from one node reaches all of ``nodes``."""
-    nodes = list(nodes)
-    if len(nodes) <= 1:
-        return True
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        for u in adjacent(stack.pop()):
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(nodes)
-
-
 def _cut_components(facets: Iterable[Simplex], barrier: set[int]) -> list[frozenset[Simplex]]:
     """Components of the facet graph (facets sharing a ridge are adjacent)
     after deleting every adjacency whose shared ridge lies inside
@@ -197,7 +182,7 @@ def is_normal_pseudomanifold(k: Complex) -> NormalityReport:
     return NormalityReport(pure, ridge_ok, strong, links_ok, witnesses)
 
 
-def _residues_connected(face: Simplex, facets: list[Simplex]) -> bool:
+def _residues_connected(face: Simplex, facets: Iterable[Simplex]) -> bool:
     """Whether the link of ``face``, given the facets through it, is
     connected: a union-find with path halving over the residue vertices
     joins each residue at its first vertex and counts the pieces left."""
@@ -299,12 +284,11 @@ def _classify_normal_vertices(k: Complex) -> dict[int, SingularityVerdict]:
     module docstring); only the links of a 4-complex with g2 > 0 are
     built, for their homology."""
     triangles = Counter(v for t in k.faces(2) for v in t) if k.dim in (3, 4) else Counter()
-    facets = Counter(v for f in k.maximal_faces for v in f) if k.dim == 3 else Counter()
     verdicts = {}
     for v in sorted(k.vertices):
         degree = len(k.neighbors(v))
         if k.dim == 3:
-            verdicts[v] = _surface_verdict(v, degree - triangles[v] + facets[v])
+            verdicts[v] = _surface_verdict(v, degree - triangles[v] + len(k.facets_through((v,))))
         elif k.dim == 4 and triangles[v] - 4 * degree + 10 == 0:
             verdicts[v] = SingularityVerdict(v, "nonsingular", "stacked")
         else:
@@ -327,7 +311,8 @@ def _classify(k: Complex, v: int, link_normal: bool) -> SingularityVerdict:
 
     if link.dim == 2:
         f = link.f_counts()
-        return _surface_verdict(v, f[1] - f[2] + f[3], _connected(link.vertices, link.neighbors))
+        return _surface_verdict(v, f[1] - f[2] + f[3],
+                                _residues_connected((), link.maximal_faces))
 
     if link.dim == 3 and (_g2(link) == 0 if link_normal else is_stacked_sphere(link)):
         return SingularityVerdict(v, "nonsingular", "stacked")

@@ -26,3 +26,9 @@ def listing_draw(kind, k, rng, fixed=(), avoid=None):
     if not triples:
         return None
     return triples[rng.randrange(len(triples))]
+
+
+def facets_through(k, face):
+    """The facets of ``k`` that contain ``face``, by a scan of every
+    maximal face: what ``Complex.facets_through`` reads off its index."""
+    return tuple(sorted(f for f in k.maximal_faces if set(face) <= set(f)))

@@ -286,6 +286,16 @@ def test_verify_identities_command(capsys):
     assert "all identities exact" in out
 
 
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_verify_identities_refuses_an_empty_sweep(seeds, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-identities", "--seeds", seeds])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert "all identities exact" not in out
+    assert "--seeds" in err
+
+
 def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
     # One parser serves every main() call, so no option of one call may
     # leak into the next: each output must equal a fresh process's.

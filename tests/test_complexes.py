@@ -21,6 +21,7 @@ from psf import (
 from psf.build import boundary_simplex, facet_subdivision, one_vertex_suspension, stacked_sphere
 from psf.complexes import _antichain
 from psf.corpus import edge_folded_instance, suspension_instance, vertex_folded_instance
+import reference
 
 
 def triangle_circle():
@@ -187,6 +188,33 @@ def pure_complexes(draw):
 def test_missing_simplices_match_brute_force(k):
     for d in range(1, k.dim + 2):
         assert k.missing_simplices(d) == missing_simplices_reference(k, d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pure_complexes())
+def test_facets_through_matches_a_scan(k):
+    # every vertex set up to one more than a facet, on the labels of k
+    # and one absent label: every face, (), and faces that are absent
+    labels = sorted(k.vertices) + [max(k.vertices) + 1]
+    absent = 0
+    for size in range(k.dim + 3):
+        for face in itertools.combinations(labels, size):
+            got = k.facets_through(face)
+            assert type(got) is tuple
+            assert got == reference.facets_through(k, face)
+            if not got:
+                absent += 1
+                with pytest.raises(FaceNotPresent):
+                    k.link(face)
+                with pytest.raises(FaceNotPresent):
+                    k.star(face)
+                continue
+            ss = set(face)
+            assert k.link(face) == Complex(
+                [tuple(v for v in f if v not in ss) for f in k.maximal_faces if ss.issubset(f)])
+            assert k.star(face) == Complex([f for f in k.maximal_faces if ss.issubset(f)])
+    assert k.facets_through(()) == k.facets
+    assert absent > 0
 
 
 def test_is_isomorphic_relabeled():

@@ -141,6 +141,11 @@ def test_wrong_size_fixed_face_is_refused(kind, fixed):
     with pytest.raises(ValueError, match="distinct"):
         random_admissible(kind, k, rng, fixed)
     assert rng.next64() == twin.next64()
+    # the searches share the check; the chain has folds at the edge 01
+    if kind == "edge_fold":
+        assert next(find_edge_folds(k, (0, 1)), None) is not None
+        with pytest.raises(ValueError, match="distinct"):
+            next(find_edge_folds(k, fixed))
 
 
 def test_unknown_kind_is_refused():

@@ -39,10 +39,29 @@ def test_identity_suite_rejects_deep_every_below_one():
             run_identity_suite(scripts=2, deep_every=bad, fault_hook=hook)
 
 
-def test_identity_sweep_script_rejects_deep_every_zero():
+def test_identity_suite_rejects_scripts_below_one():
+    def hook(index, final):
+        raise AssertionError("no script may run")
+
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="scripts"):
+            run_identity_suite(scripts=bad, fault_hook=hook)
+
+
+def run_sweep_script(*args):
     script = Path(__file__).resolve().parents[1] / "scripts" / "identity_sweep.py"
     env = dict(os.environ, PYTHONPATH=str(Path(psf.__file__).parents[1]))
-    run = subprocess.run([sys.executable, str(script), "--scripts", "1", "--deep-every", "0"],
-                         capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, str(script), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_identity_sweep_script_rejects_scripts_zero():
+    run = run_sweep_script("--scripts", "0")
+    assert run.returncode == 2
+    assert "--scripts" in run.stderr
+
+
+def test_identity_sweep_script_rejects_deep_every_zero():
+    run = run_sweep_script("--scripts", "1", "--deep-every", "0")
     assert run.returncode == 2
     assert "--deep-every" in run.stderr

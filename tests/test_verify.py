@@ -307,7 +307,12 @@ def test_classify_vertex_matches_homology_first_order(shared_corpus):
         + list(boundary_simplex(4).relabel({i: i + 11 for i in range(5)}).maximal_faces)
     )
     assert g2(wedge) == 0 and not is_normal_pseudomanifold(wedge).normal
+    # the link of 0 is two projective planes: euler characteristic 2,
+    # but disconnected, so not a sphere
+    rp2 = projective_plane_6()
+    two_planes = Complex(rp2.maximal_faces | rp2.relabel({i: i + 6 for i in range(1, 7)}).maximal_faces)
     complexes = [k for _, k in shared_corpus] + [
+        cone(0, two_planes),
         pinched_complex(),
         one_vertex_suspension(circles, 0),
         linear_chain(3, 5, 3, fixed=(0,)),
