@@ -16,7 +16,7 @@ from psf.identities import run_identity_suite
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scripts", type=at_least_one, default=500)
-    parser.add_argument("--ops", type=int, default=12)
+    parser.add_argument("--ops", type=at_least_one, default=12)
     parser.add_argument("--base-seed", type=int, default=0)
     parser.add_argument("--deep-every", type=at_least_one, default=10,
                         help="full normality/oracle checks every n-th script")

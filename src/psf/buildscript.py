@@ -124,8 +124,9 @@ def _labels(value) -> list[int]:
     return [_integer(v) for v in value]
 
 
-def _facet_list(value) -> list[list[int]]:
-    return [_labels(f) for f in value]
+def _pure_complex(value) -> Complex:
+    """The complex on a facet list, under the facet-file rules."""
+    return Complex.from_facets([_labels(f) for f in value])
 
 
 def _pair_map(value) -> dict[int, int]:
@@ -163,7 +164,7 @@ def _construct(step: dict, operand) -> Complex:
     if op == "stacked_sphere":
         return stacked_sphere(*(_field(step, key, _integer) for key in ("d", "k", "seed")))
     if op == "complex":
-        return Complex(_field(step, "facets", _facet_list))
+        return _field(step, "facets", _pure_complex)
     if op == "connected_sum":
         return connected_sum(operand("left"), operand("right"), _field(step, "pairs", _pair_map))
     if op in ("handle_addition", "vertex_fold", "edge_fold"):

@@ -238,7 +238,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-identities", help="randomized identity sweep")
     p.add_argument("--seeds", type=at_least_one, default=100, help="number of random scripts")
-    p.add_argument("--ops", type=int, default=12, help="operations per script")
+    p.add_argument("--ops", type=at_least_one, default=12, help="operations per script")
     p.add_argument("--base-seed", type=int, default=2024)
     p.set_defaults(fn=cmd_verify_identities)
     return parser

@@ -7,7 +7,8 @@ face tables are computed on demand and cached.
 
 One of them is the facet index, the sorted facets through each vertex,
 built in one pass over the sorted ``facets``: ``facets_through`` reads
-it for every "which facets contain this face?" in the library.
+it for every "which facets contain this face?" in the library, ridges
+included, so there is no separate ridge-to-facets map.
 
 Most complexes handled here are pure (all maximal faces of equal
 dimension), which is what ``from_facets`` enforces.  Induced
@@ -89,8 +90,7 @@ class Complex:
     complex; ``Complex([()])`` is the complex containing only it.
     """
 
-    __slots__ = ("_maximal", "_dim", "_vertices", "_faces", "_nbrs", "_ridge_map",
-                 "_facets", "_through")
+    __slots__ = ("_maximal", "_dim", "_vertices", "_faces", "_nbrs", "_facets", "_through")
 
     def __init__(self, maximal_faces: Iterable[Iterable[int]]):
         faces = [simplex(f) for f in maximal_faces]
@@ -101,14 +101,15 @@ class Complex:
         self._vertices = frozenset(v for f in self._maximal for v in f)
         self._faces: dict[int, frozenset[Simplex]] = {}
         self._nbrs: Optional[dict[int, frozenset[int]]] = None
-        self._ridge_map: Optional[dict[Simplex, tuple[Simplex, ...]]] = None
         self._facets: Optional[tuple[Simplex, ...]] = None
         self._through: Optional[defaultdict[int, list[Simplex]]] = None
 
     @classmethod
     def from_facets(cls, facets: Iterable[Iterable[int]]) -> "Complex":
-        """Build a pure complex from equal-length facet lists."""
+        """Build a pure complex from a non-empty list of equal-length facets."""
         rows = [list(f) for f in facets]
+        if not rows:
+            raise ComplexError("no facets")
         for row in rows:
             if not row:
                 raise ComplexError("empty facet")
@@ -191,16 +192,6 @@ class Complex:
         if v not in self._nbrs:
             raise UnknownVertex(f"vertex {v} not in complex")
         return self._nbrs[v]
-
-    def ridge_facet_map(self) -> dict[Simplex, tuple[Simplex, ...]]:
-        """Map each codimension-1 face of a maximal face to the maximal faces containing it."""
-        if self._ridge_map is None:
-            acc: dict[Simplex, list[Simplex]] = {}
-            for f in self._maximal:
-                for r in itertools.combinations(f, len(f) - 1):
-                    acc.setdefault(r, []).append(f)
-            self._ridge_map = {r: tuple(sorted(fs)) for r, fs in acc.items()}
-        return self._ridge_map
 
     def facets_through(self, face: Iterable[int]) -> tuple[Simplex, ...]:
         """The maximal faces that contain ``face``, sorted: all for ``()``,

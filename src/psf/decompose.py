@@ -10,6 +10,7 @@ identical vertex labels, not merely up to isomorphism.
 
 from __future__ import annotations
 
+import itertools
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -139,26 +140,24 @@ def _split(k: Complex, t: Simplex) -> SplitResult:
         raise NotSplit(f"cut along {t} does not disconnect; handle signature")
     if len(comps) > 2:
         raise DecompositionError(f"cut along {t} produced {len(comps)} pieces")
-    # each ridge of t lies in two facets of a normal k, so one side
-    # decides the certificate for both
-    if not _ridge_certificate(min(comps, key=len), t):
-        raise DecompositionError(f"splitting along {t} leaves a part that is not normal")
-    fresh = fresh_labels(k, len(t))
+    fresh = tuple(fresh_labels(k, len(t)))
     pairing = dict(zip(t, fresh))
     part_a = Complex(set(comps[0]) | {t})
-    part_b = Complex(
-        {tuple(sorted(pairing.get(v, v) for v in f)) for f in comps[1]} | {tuple(fresh)}
-    )
+    part_b = Complex({tuple(sorted(pairing.get(v, v) for v in f)) for f in comps[1]} | {fresh})
+    # each ridge of t lies in two facets of a normal k, so the part with
+    # fewer facets decides the certificate for both
+    smaller = (part_a, t) if len(comps[0]) <= len(comps[1]) else (part_b, fresh)
+    if not _ridge_certificate(*smaller):
+        raise DecompositionError(f"splitting along {t} leaves a part that is not normal")
     return SplitResult(part_a, part_b, t, pairing)
 
 
-def _ridge_certificate(facets, t: Simplex) -> bool:
-    """Whether each ridge of ``t`` lies in exactly one of ``facets``
-    other than t.  Facets meeting t in fewer vertices, t's copy in an
-    unfolding included, are not counted.
+def _ridge_certificate(k: Complex, t: Simplex) -> bool:
+    """Whether ``t`` is a facet of ``k`` and each of its ridges lies in
+    exactly one other facet, read off ``k.facets_through``.
 
     For a normal complex cut along its missing facet t into two sides,
-    the certificate on a side holds exactly when side + t is normal.  A
+    the certificate on side + t holds exactly when that part is normal.  A
     face not inside t keeps its whole star on one side, so its link does
     not change.  Every piece of the link of a face s of t, cut along the
     boundary of t - s, touches that boundary, so t - s reconnects the
@@ -166,9 +165,8 @@ def _ridge_certificate(facets, t: Simplex) -> bool:
     part is strongly connected.  Only the ridges of t can lose their
     degree 2.  ``decompose`` gives the argument for unfoldings.
     """
-    ts = set(t)
-    ridges = [tuple(v for v in f if v in ts) for f in facets if len(ts.intersection(f)) == len(t) - 1]
-    return len(ridges) == len(set(ridges)) == len(t)
+    return t in k.maximal_faces and all(
+        len(k.facets_through(r)) == 2 for r in itertools.combinations(t, len(t) - 1))
 
 
 @dataclass(frozen=True)
@@ -468,6 +466,14 @@ class DecompositionTree:
                 raise MalformedTree(f"{node.kind} node {i} has a pair of the wrong length")
 
 
+def _stored_complex(node: TreeNode, i: int) -> Complex:
+    """The pure complex on the facets that terminal node ``i`` stores."""
+    try:
+        return Complex.from_facets(node.facets)
+    except ComplexError as exc:
+        raise MalformedTree(f"{node.kind} node {i} has bad facets: {exc}") from exc
+
+
 def rebuild(tree: DecompositionTree) -> Complex:
     """Replay a decomposition tree bottom-up through the forward constructors."""
     tree.validate()
@@ -475,9 +481,9 @@ def rebuild(tree: DecompositionTree) -> Complex:
     for i, node in enumerate(tree.steps):
         kids = [built[c] for c in node.children]
         if node.kind == "leaf":
-            built[i] = Complex(node.facets)
+            built[i] = _stored_complex(node, i)
         elif node.kind == "suspension_base":
-            built[i] = one_vertex_suspension(Complex(node.facets), node.vertex, apex=node.apex)
+            built[i] = one_vertex_suspension(_stored_complex(node, i), node.vertex, apex=node.apex)
         elif node.kind == "inverse_subdivision":
             (child,) = kids
             built[i] = facet_subdivision(child, node.facet, new_vertex=node.vertex)
@@ -675,9 +681,8 @@ class _Engine:
         if got != expected:
             raise DecompositionError(f"{kind.replace('_', ' ')} changed g2 by {got}, "
                                      f"expected {expected}")
-        facets = unfold.complex.maximal_faces
         for f in (unfold.source_facet, unfold.target_facet):
-            if f not in facets or not _ridge_certificate(facets, f):
+            if not _ridge_certificate(unfold.complex, f):
                 raise DecompositionError(f"intermediate complex is not normal: {f} is not a "
                                          "facet whose ridges each lie in one other facet")
         node = TreeNode(
@@ -741,9 +746,10 @@ def decompose(
     - *normal*: the input is checked in full, and every later part by
       the ridge certificate (each ridge of a facet t lies in exactly one
       other facet, ``_ridge_certificate``) or a local argument:
-      - a split part along its missing facet t passes the certificate on
-        t: no link outside t changes, and t reconnects the links inside
-        it;
+      - a split along its missing facet t passes the certificate on its
+        part with fewer facets, on that part's copy of t, which decides
+        for both parts: no link outside t changes, and t reconnects the
+        links inside it;
       - an inverse subdivision changes only the links of the restored
         facet's faces, each for one with the same boundary;
       - an unfolding of k along its missing facet t passes the

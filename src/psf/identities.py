@@ -68,12 +68,14 @@ def run_identity_suite(
     """Replay ``scripts`` random build scripts and check every invariant.
 
     ``fault_hook`` may substitute a final complex, which is how the
-    harness itself is tested for sensitivity.  ``scripts`` and
-    ``deep_every`` must be at least 1: every ``deep_every``-th script
+    harness itself is tested for sensitivity.  ``scripts``, ``max_ops``
+    and ``deep_every`` must be at least 1: every ``deep_every``-th script
     gets the deep checks.
     """
     if scripts < 1:
         raise ValueError(f"scripts must be at least 1, got {scripts}")
+    if max_ops < 1:
+        raise ValueError(f"max_ops must be at least 1, got {max_ops}")
     if deep_every < 1:
         raise ValueError(f"deep_every must be at least 1, got {deep_every}")
     report = IdentityReport()

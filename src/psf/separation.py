@@ -172,13 +172,13 @@ def two_point_anchors(k: Complex, tau) -> dict[int, tuple[int, int]]:
     """For each vertex y of tau, the two facets over the ridge tau - y
     give a two-vertex link {q0, q1}; q0 is the smaller label."""
     t = simplex(tau)
-    ridges = k.ridge_facet_map()
     anchors = {}
     for y in t:
         ridge = tuple(v for v in t if v != y)
-        if not k.has_face(ridge):
+        through = k.facets_through(ridge)
+        if not through:
             raise FaceNotPresent(f"{ridge} is not a face")
-        pair = sorted(v for f in ridges.get(ridge, ()) for v in f if v not in ridge)
+        pair = sorted(v for f in through for v in f if v not in ridge)
         if len(pair) != 2:
             raise SeparationError(f"link of ridge {ridge} is not two points: {pair}")
         anchors[y] = (pair[0], pair[1])

@@ -97,13 +97,15 @@ def is_pseudomanifold(k: Complex) -> bool:
     """Pure, and every codimension-1 face lies in exactly two facets."""
     if not k.is_pure or k.dim < 1:
         return False
-    return all(len(fs) == 2 for fs in k.ridge_facet_map().values())
+    return all(len(k.facets_through(r)) == 2 for r in k.faces(k.dim - 1))
 
 
 def _cut_components(facets: Iterable[Simplex], barrier: set[int]) -> list[frozenset[Simplex]]:
     """Components of the facet graph (facets sharing a ridge are adjacent)
     after deleting every adjacency whose shared ridge lies inside
-    ``barrier``, ordered by their smallest facet."""
+    ``barrier``, ordered by their smallest facet.  ``facets`` may be link
+    residues or one side of a cut rather than a ``Complex``, so the first
+    facet through each ridge is kept in a table of its own."""
     label = {f: i for i, f in enumerate(facets)}
     members = {i: [f] for f, i in label.items()}
     first_through: dict[Simplex, Simplex] = {}
@@ -141,45 +143,41 @@ def _is_boundary_simplex(k: Complex) -> bool:
 def is_normal_pseudomanifold(k: Complex) -> NormalityReport:
     """Purity, ridge degrees, strong connectivity and connected links.
 
-    The links checked are those of every face of dimension at most
-    dim - 2, the empty face included, in order of dimension and then of
-    label.  No link is built: one pass over the facets collects the
-    facets through each such face, and the link of the face is connected
-    exactly when the residues ``f - face`` of those facets form one
-    connected piece, the vertices of each residue being joined to each
-    other.  The facet-graph cut runs only when some link is disconnected,
-    since otherwise the complex is strongly connected (Bagchi and Datta,
-    see the module docstring).
+    No link is built.  One pass over the facets collects the facets
+    through every face of dimension at most dim - 1, the empty face
+    included; this table fills all of them at once, where
+    ``Complex.facets_through`` would filter an index once per face.  Its
+    top level gives the ridge degrees.  The links checked are those of
+    the faces on the levels below it, in order of dimension and then of
+    label: the link of a face is connected exactly when the residues
+    ``f - face`` of its facets form one connected piece, the vertices of
+    each residue being joined to each other.  The facet-graph cut runs
+    only when some link is disconnected, since otherwise the complex is
+    strongly connected (Bagchi and Datta, see the module docstring).
     """
     pure = k.is_pure
+    if not pure or k.dim < 1:
+        return NormalityReport(pure, False, pure, False)
     witnesses: dict = {}
 
-    ridge_ok = True
-    if pure and k.dim >= 1:
-        bad = [r for r, fs in k.ridge_facet_map().items() if len(fs) != 2]
-        if bad:
-            ridge_ok = False
-            witnesses["ridges"] = sorted(bad)[:10]
-    else:
-        ridge_ok = False
+    through: list[dict[Simplex, list[Simplex]]] = [{} for _ in range(k.dim + 1)]
+    for f in k.maximal_faces:
+        for size, faces in enumerate(through):
+            for face in itertools.combinations(f, size):
+                faces.setdefault(face, []).append(f)
+    *lower, ridges = through
 
-    links_ok = True
-    if pure and k.dim >= 1:
-        through: list[dict[Simplex, list[Simplex]]] = [{} for _ in range(k.dim)]
-        for f in k.maximal_faces:
-            for size, faces in enumerate(through):
-                for face in itertools.combinations(f, size):
-                    faces.setdefault(face, []).append(f)
-        bad_links = [face for faces in through for face in sorted(faces)
-                     if not _residues_connected(face, faces[face])]
-        if bad_links:
-            links_ok = False
-            witnesses["disconnected_links"] = bad_links[:10]
-    else:
-        links_ok = False
+    bad_ridges = [r for r, fs in ridges.items() if len(fs) != 2]
+    if bad_ridges:
+        witnesses["ridges"] = sorted(bad_ridges)[:10]
+    bad_links = [face for faces in lower for face in sorted(faces)
+                 if not _residues_connected(face, faces[face])]
+    if bad_links:
+        witnesses["disconnected_links"] = bad_links[:10]
 
-    strong = pure and (links_ok or is_strongly_connected(k))
-    return NormalityReport(pure, ridge_ok, strong, links_ok, witnesses)
+    links_ok = not bad_links
+    strong = links_ok or is_strongly_connected(k)
+    return NormalityReport(pure, not bad_ridges, strong, links_ok, witnesses)
 
 
 def _residues_connected(face: Simplex, facets: Iterable[Simplex]) -> bool:

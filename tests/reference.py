@@ -5,6 +5,8 @@ The tests check that the kernel gives the same result, and for seeded
 kernels that it leaves the random stream in the same state.
 """
 
+import itertools
+
 from psf.build import _admissible_bijections, _facet_pairs_sharing
 
 
@@ -32,3 +34,15 @@ def facets_through(k, face):
     """The facets of ``k`` that contain ``face``, by a scan of every
     maximal face: what ``Complex.facets_through`` reads off its index."""
     return tuple(sorted(f for f in k.maximal_faces if set(face) <= set(f)))
+
+
+def ridge_facets(k):
+    """Each codimension-1 face of a maximal face of ``k``, mapped to the
+    sorted maximal faces it is a codimension-1 face of, by a scan of
+    every maximal face: what ``Complex.facets_through`` gives ridge by
+    ridge on a pure complex."""
+    table = {}
+    for f in sorted(k.maximal_faces):
+        for r in itertools.combinations(f, len(f) - 1):
+            table.setdefault(r, []).append(f)
+    return {r: tuple(fs) for r, fs in table.items()}

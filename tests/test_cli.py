@@ -192,9 +192,14 @@ _BAD_FIELD = "parse error: bad field"
       {"op": "connected_sum", "left": 0, "right": 1,
        "pairs": [[0, 0.0], [1, 1], [2, 2], [3, 3], [4, 4]]}], _BAD_FIELD),
     ([_B5, _B5, {"op": "cone", "operand": True, "vertex": 9}], None),
+    ([{"op": "complex", "facets": [[0, 1], [2, 3, 4]]}], _BAD_FIELD),
+    ([{"op": "complex", "facets": []}], _BAD_FIELD),
+    ([{"op": "complex", "facets": [[0, 0, 1]]}], _BAD_FIELD),
+    ([{"op": "complex", "facets": [[0, -1, 2]]}], _BAD_FIELD),
 ], ids=["non-integer-n", "non-list-facets", "non-integer-new-vertex", "float-n", "bool-n",
         "string-n", "float-apex", "float-label", "bool-label", "string-label", "float-pair",
-        "bool-reference"])
+        "bool-reference", "mixed-facet-lengths", "no-facets", "repeated-label",
+        "negative-label"])
 def test_build_malformed_step_exit_code(tmp_path, capsys, steps, message):
     script = tmp_path / "script.json"
     script.write_text(json.dumps({"version": 1, "steps": steps}))
@@ -286,14 +291,16 @@ def test_verify_identities_command(capsys):
     assert "all identities exact" in out
 
 
-@pytest.mark.parametrize("seeds", ["0", "-3"])
-def test_verify_identities_refuses_an_empty_sweep(seeds, capsys):
+@pytest.mark.parametrize("option, value", [
+    ("--seeds", "0"), ("--seeds", "-3"), ("--ops", "0"), ("--ops", "-5"),
+], ids=["0", "-3", "ops-0", "ops-minus-5"])
+def test_verify_identities_refuses_an_empty_sweep(option, value, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["verify-identities", "--seeds", seeds])
+        main(["verify-identities", "--seeds", "1", option, value])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert "all identities exact" not in out
-    assert "--seeds" in err
+    assert option in err
 
 
 def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):

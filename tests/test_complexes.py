@@ -3,7 +3,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psf import (
@@ -21,6 +21,7 @@ from psf import (
 from psf.build import boundary_simplex, facet_subdivision, one_vertex_suspension, stacked_sphere
 from psf.complexes import _antichain
 from psf.corpus import edge_folded_instance, suspension_instance, vertex_folded_instance
+from psf.verify import is_normal_pseudomanifold, is_pseudomanifold
 import reference
 
 
@@ -188,6 +189,21 @@ def pure_complexes(draw):
 def test_missing_simplices_match_brute_force(k):
     for d in range(1, k.dim + 2):
         assert k.missing_simplices(d) == missing_simplices_reference(k, d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pure_complexes())
+@example(boundary_simplex(4))
+@example(vertex_folded_instance(3).complex)
+def test_ridges_through_the_facet_index_match_a_scan(k):
+    ridges = reference.ridge_facets(k)
+    assert set(ridges) == k.faces(k.dim - 1)
+    for r, fs in ridges.items():
+        assert k.facets_through(r) == fs
+    bad = sorted(r for r, fs in ridges.items() if len(fs) != 2)
+    report = is_normal_pseudomanifold(k)
+    assert is_pseudomanifold(k) == report.ridge_degrees_ok == (not bad)
+    assert report.witnesses.get("ridges") == (bad[:10] or None)
 
 
 @settings(max_examples=80, deadline=None)

@@ -57,6 +57,7 @@ from psf.separation import (
     two_point_anchors,
 )
 from psf.verify import is_normal_pseudomanifold, singular_vertices
+from reference import ridge_facets
 
 # the package exports the function decompose under the module's name
 decompose_module = importlib.import_module("psf.decompose")
@@ -247,11 +248,18 @@ def test_malformed_tree_rejected():
         )
     leaf = {"kind": "leaf", "leaf_kind": "boundary_simplex", "n": 2, "facets": [[0], [1]]}
     split = {"kind": "split", "children": [0], "missing_facet": [0], "pairs": [[0, 2]]}
+    suspension = {"kind": "suspension_base", "vertex": 0, "apex": 5}
     for change in (
         {"steps": [dict(leaf, children="a")]},
         {"steps": 5},
         {"counters": [1]},
         {"steps": [dict(leaf, facets=[[0, "x"]])]},
+        {"steps": [dict(leaf, facets=[[0, 1], [2, 3, 4]])]},
+        {"steps": [dict(leaf, facets=[])]},
+        {"steps": [dict(leaf, facets=[[0, 0, 1]])]},
+        {"steps": [dict(leaf, facets=[[0, -1, 2]])]},
+        {"steps": [dict(suspension, facets=[[0, 1], [2, 3, 4]])]},
+        {"steps": [dict(suspension, facets=[])]},
         {"steps": [leaf, split], "root": 1},
         {"steps": [leaf, leaf], "root": True},
         {"version": True},
@@ -359,7 +367,7 @@ def link_pieces_reference(link, barrier):
             f = root[f]
         return f
 
-    for ridge, fs in link.ridge_facet_map().items():
+    for ridge, fs in ridge_facets(link).items():
         if not set(ridge) <= barrier:
             for f, g in itertools.combinations(fs, 2):
                 root[find(f)] = find(g)
@@ -416,7 +424,7 @@ def reference_unfold(k, tau, fixed):
         rewritten.add(tuple(sorted(copy.get(x, x) for x in f)) if votes == {True} else f)
     target = tuple(sorted([*fixed, *copy.values()]))
     if len(fixed) == 1:
-        boundary = [r for r, fs in Complex(rewritten).ridge_facet_map().items() if len(fs) == 1]
+        boundary = [r for r, fs in ridge_facets(Complex(rewritten)).items() if len(fs) == 1]
         unfolded = Complex(rewritten | {tuple(sorted(r + fixed)) for r in boundary})
     else:
         unfolded = Complex(rewritten | {t, target})
@@ -537,7 +545,7 @@ def unfolding_certified(result):
     """Whether the missing facet and its copy are facets of an
     unfolding's result and pass the ridge certificate."""
     facets = result.complex.maximal_faces
-    return all(f in facets and _ridge_certificate(facets, f)
+    return all(f in facets and _ridge_certificate(result.complex, f)
                for f in (result.source_facet, result.target_facet))
 
 
@@ -547,7 +555,8 @@ def test_ridge_certificate_matches_normality(engine_record, fold_images):
     for k, tau, sides, result in splits:
         assert is_normal_pseudomanifold(k).normal
         for side, part in zip(sides, (result.part_a, result.part_b)):
-            assert _ridge_certificate(side, tau) == is_normal_pseudomanifold(part).normal
+            certified = _ridge_certificate(Complex(side | {tau}), tau)
+            assert certified == is_normal_pseudomanifold(part).normal
     # every unfolding the engine makes, and every one at a fold image
     unfolded = [result for _, result in unfolds]
     unfolded += [result for k, tau in fold_images for result in unfoldings_at(k, tau)]
@@ -563,7 +572,7 @@ def test_ridge_certificate_matches_normality(engine_record, fold_images):
     doubled = min(f for f in side_b if len(ts.intersection(f)) == 4)
     bad_side, rest = side_a | {doubled}, side_b - {doubled}
     bad = Complex(bad_side | {tau})
-    assert not _ridge_certificate(bad_side, tau)
+    assert not _ridge_certificate(bad, tau)
     assert not is_normal_pseudomanifold(bad).normal
 
     # the engine refuses to split along that cut, stacked or not, and

@@ -48,6 +48,15 @@ def test_identity_suite_rejects_scripts_below_one():
             run_identity_suite(scripts=bad, fault_hook=hook)
 
 
+def test_identity_suite_rejects_max_ops_below_one():
+    def hook(index, final):
+        raise AssertionError("no script may run")
+
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="max_ops"):
+            run_identity_suite(scripts=2, max_ops=bad, fault_hook=hook)
+
+
 def run_sweep_script(*args):
     script = Path(__file__).resolve().parents[1] / "scripts" / "identity_sweep.py"
     env = dict(os.environ, PYTHONPATH=str(Path(psf.__file__).parents[1]))
@@ -65,3 +74,9 @@ def test_identity_sweep_script_rejects_deep_every_zero():
     run = run_sweep_script("--scripts", "1", "--deep-every", "0")
     assert run.returncode == 2
     assert "--deep-every" in run.stderr
+
+
+def test_identity_sweep_script_rejects_ops_zero():
+    run = run_sweep_script("--scripts", "1", "--ops", "0")
+    assert run.returncode == 2
+    assert "--ops" in run.stderr

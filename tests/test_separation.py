@@ -18,6 +18,7 @@ from psf.separation import (
     separation_report,
     two_sided,
 )
+from reference import ridge_facets
 
 
 def summed_pair():
@@ -93,7 +94,7 @@ def link_cut_reference(k, x, tau):
     link = k.link((x,))
     barrier = set(tau) - {x}
     adjacent = {f: set() for f in link.maximal_faces}
-    for ridge, fs in link.ridge_facet_map().items():
+    for ridge, fs in ridge_facets(link).items():
         if not set(ridge) <= barrier:
             for f, g in itertools.combinations(fs, 2):
                 adjacent[f].add(g)
