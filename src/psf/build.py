@@ -2,12 +2,15 @@
 connected sums, handle additions, vertex and edge foldings, facet
 subdivisions and stacked spheres.
 
-Identifications follow one quotient convention throughout: vertices of
-the target facet are relabeled to their partners in the source facet,
-facets are deduplicated, and the merged facet is deleted.  Fresh
-vertices introduced by an operation are ``max existing label + 1, + 2,
-...`` unless the caller pins them, which keeps every construction
-replayable from a script.
+Connected sums, handle additions, vertex folds and edge folds are one
+move, made by one kernel: vertices of the target facet are relabeled to
+their partners in the source facet, facets are deduplicated, and the
+merged facet is deleted (a sum does it on the disjoint union of its
+operands).  One admissibility check, parameterised by the size of the
+face the two facets share (none, a vertex, an edge), serves the three
+moves inside one complex.  Fresh vertices introduced by an operation
+are ``max existing label + 1, + 2, ...`` unless the caller pins them,
+which keeps every construction replayable from a script.
 """
 
 from __future__ import annotations
@@ -117,12 +120,20 @@ def _require_facet(k: Complex, facet: Iterable[int]) -> Simplex:
     return f
 
 
-def _identify(k: Complex, mapping: Mapping[int, int], merged: Simplex) -> Complex:
-    """Relabel target vertices to source labels, dedupe, drop the merged facet."""
-    rev = {t: s for s, t in mapping.items()}
-    new_facets = {tuple(sorted(rev.get(v, v) for v in f)) for f in k.maximal_faces}
-    new_facets.discard(merged)
-    return Complex(new_facets)
+def _identify(parts: Iterable[Complex], mapping: Mapping[int, int], merged: Simplex) -> Complex:
+    """Relabel target vertices to source labels in the union of the facets
+    of ``parts``, dedupe, drop the merged facet.  Facets, and whole parts,
+    holding no vertex the map moves are kept as they are."""
+    rev = {t: s for s, t in mapping.items() if s != t}
+    glued: set[Simplex] = set()
+    for k in parts:
+        if rev.keys().isdisjoint(k.vertices):
+            glued |= k.maximal_faces
+        else:
+            glued.update(f if rev.keys().isdisjoint(f) else tuple(sorted(rev.get(v, v) for v in f))
+                         for f in k.maximal_faces)
+    glued.discard(merged)
+    return Complex(glued)
 
 
 # -- elementary constructions ------------------------------------------
@@ -182,11 +193,7 @@ def connected_sum(k1: Complex, k2: Complex, pairing) -> Complex:
         raise VertexOverlap(f"summands share vertices {sorted(k1.vertices & k2.vertices)}")
     source = _require_facet(k1, mapping.keys())
     _require_facet(k2, mapping.values())
-    rev = {t: s for s, t in mapping.items()}
-    relabeled = {tuple(sorted(rev.get(v, v) for v in f)) for f in k2.maximal_faces}
-    facets = set(k1.maximal_faces) | relabeled
-    facets.discard(source)
-    return Complex(facets)
+    return _identify((k1, k2), mapping, source)
 
 
 def _pair_ok(k: Complex, y: int, z: int, shared) -> bool:
@@ -203,9 +210,24 @@ def _pair_ok(k: Complex, y: int, z: int, shared) -> bool:
     return z not in ny and ny & k.neighbors(z) <= shared
 
 
-def _check_pairs(k: Complex, f1: Simplex, f2: Simplex, mapping, shared) -> tuple[bool, str]:
-    """The pairing fixes the shared face, is a bijection f1 -> f2, and
-    every other identified pair passes ``_pair_ok``."""
+def _check_admissible(k: Complex, facet1, facet2, pairing, size: int) -> tuple[bool, str]:
+    """Admissibility of a handle (``size`` 0), vertex fold (1) or edge fold
+    (2): the facets meet in ``size`` vertices (for a handle, with no edge
+    of K joining them), and the pairing fixes that face, is a bijection
+    f1 -> f2 and passes ``_pair_ok`` on every other pair."""
+    f1 = _require_facet(k, facet1)
+    f2 = _require_facet(k, facet2)
+    shared = set(f1) & set(f2)
+    if size == 0:
+        if shared:
+            raise FacetsShareVertices(f"facets share vertices {sorted(shared)}")
+        edge = _linking_edge(k, f1, f2)
+        if edge is not None:
+            return False, f"edge {edge[0]}-{edge[1]} links the facets"
+    elif len(shared) != size:
+        face = "a single vertex" if size == 1 else "an edge"
+        return False, f"facets intersect in {sorted(shared)}, not {face}"
+    mapping = _as_mapping(pairing)
     if any(mapping.get(x) != x for x in shared):
         return False, f"shared face {sorted(shared)} is not mapped to itself"
     if sorted(mapping) != list(f1) or sorted(set(mapping.values())) != list(f2):
@@ -238,57 +260,40 @@ def check_handle_admissible(k: Complex, facet1, facet2, pairing) -> tuple[bool, 
     psi(y) would turn two distinct edges into one and break the exact
     face-count arithmetic of the operation.
     """
-    f1 = _require_facet(k, facet1)
-    f2 = _require_facet(k, facet2)
-    if set(f1) & set(f2):
-        raise FacetsShareVertices(f"facets share vertices {sorted(set(f1) & set(f2))}")
-    edge = _linking_edge(k, f1, f2)
-    if edge is not None:
-        return False, f"edge {edge[0]}-{edge[1]} links the facets"
-    return _check_pairs(k, f1, f2, _as_mapping(pairing), set())
+    return _check_admissible(k, facet1, facet2, pairing, 0)
 
 
 def handle_addition(k: Complex, facet1, facet2, pairing) -> Complex:
     ok, reason = check_handle_admissible(k, facet1, facet2, pairing)
     if not ok:
         raise InadmissibleIdentification(reason)
-    return _identify(k, _as_mapping(pairing), simplex(facet1))
+    return _identify((k,), _as_mapping(pairing), simplex(facet1))
 
 
 def check_vertex_fold_admissible(k: Complex, facet1, facet2, pairing) -> tuple[bool, str]:
     """Facets meeting in one fixed vertex x, with every other pair y, psi(y)
     non-adjacent and having x as their only common neighbor."""
-    f1 = _require_facet(k, facet1)
-    f2 = _require_facet(k, facet2)
-    shared = set(f1) & set(f2)
-    if len(shared) != 1:
-        return False, f"facets intersect in {sorted(shared)}, not a single vertex"
-    return _check_pairs(k, f1, f2, _as_mapping(pairing), shared)
+    return _check_admissible(k, facet1, facet2, pairing, 1)
 
 
 def vertex_fold(k: Complex, facet1, facet2, pairing) -> Complex:
     ok, reason = check_vertex_fold_admissible(k, facet1, facet2, pairing)
     if not ok:
         raise InadmissibleFold(reason)
-    return _identify(k, _as_mapping(pairing), simplex(facet1))
+    return _identify((k,), _as_mapping(pairing), simplex(facet1))
 
 
 def check_edge_fold_admissible(k: Complex, facet1, facet2, pairing) -> tuple[bool, str]:
     """Facets meeting in one fixed edge uv; all short paths between an
     identified pair must run through u or v."""
-    f1 = _require_facet(k, facet1)
-    f2 = _require_facet(k, facet2)
-    shared = set(f1) & set(f2)
-    if len(shared) != 2:
-        return False, f"facets intersect in {sorted(shared)}, not an edge"
-    return _check_pairs(k, f1, f2, _as_mapping(pairing), shared)
+    return _check_admissible(k, facet1, facet2, pairing, 2)
 
 
 def edge_fold(k: Complex, facet1, facet2, pairing) -> Complex:
     ok, reason = check_edge_fold_admissible(k, facet1, facet2, pairing)
     if not ok:
         raise InadmissibleFold(reason)
-    return _identify(k, _as_mapping(pairing), simplex(facet1))
+    return _identify((k,), _as_mapping(pairing), simplex(facet1))
 
 
 def fold_deltas(op: str, d: int) -> tuple[int, int]:

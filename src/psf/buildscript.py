@@ -6,6 +6,11 @@ operation to earlier steps, with all facets and bijections written out.
 Replay is therefore byte-deterministic.  The replay also keeps a
 g-ledger: for every operation with an exact g-law the observed change
 of (g2, g3) is compared with the predicted one.
+
+Replay holds a complex only until the last step that references it,
+and the ledger reads each operand's (g2, g3) from its earlier row.
+Each result's g-vector still comes from its own face counts, so
+replaying a linear chain stays quadratic in its length.
 """
 
 from __future__ import annotations
@@ -36,15 +41,10 @@ from .enumeration import g3 as _g3
 SCRIPT_VERSION = 1
 
 LEAF_OPS = ("boundary_simplex", "stacked_sphere", "complex")
-DERIVED_OPS = (
-    "connected_sum",
-    "handle_addition",
-    "vertex_fold",
-    "edge_fold",
-    "facet_subdivision",
-    "one_vertex_suspension",
-    "cone",
-)
+# The operations with an exact g-law, which the ledger checks.
+_CHECKED_OPS = ("connected_sum", "handle_addition", "vertex_fold", "edge_fold", "facet_subdivision")
+DERIVED_OPS = _CHECKED_OPS + ("one_vertex_suspension", "cone")
+REFERENCE_KEYS = ("operand", "left", "right")
 
 
 class ScriptError(ComplexError):
@@ -68,21 +68,14 @@ class LedgerRow:
 
     @property
     def ok(self) -> bool:
-        if not self.checked:
-            return True
-        if self.delta_g2 != self.expected_g2:
-            return False
-        return self.expected_g3 is None or self.delta_g3 == self.expected_g3
+        return not self.checked or (self.delta_g2 == self.expected_g2 and (
+            self.expected_g3 is None or self.delta_g3 == self.expected_g3))
 
 
 @dataclass
 class ReplayResult:
-    complexes: list[Complex]
+    final: Complex
     ledger: list[LedgerRow]
-
-    @property
-    def final(self) -> Complex:
-        return self.complexes[-1]
 
     @property
     def ledger_ok(self) -> bool:
@@ -90,9 +83,7 @@ class ReplayResult:
 
 
 def _g2g3(k: Complex) -> tuple[Optional[int], Optional[int]]:
-    a = _g2(k) if k.dim >= 2 else None
-    b = _g3(k) if k.dim >= 3 else None
-    return a, b
+    return (_g2(k) if k.dim >= 2 else None), (_g3(k) if k.dim >= 3 else None)
 
 
 def _need(step: dict, key: str):
@@ -147,7 +138,7 @@ def validate_script(doc: dict) -> list[dict]:
         op = step.get("op")
         if op not in LEAF_OPS + DERIVED_OPS:
             raise ScriptError(f"step {i} has unknown op {op!r}")
-        for key in ("operand", "left", "right"):
+        for key in REFERENCE_KEYS:
             if key in step:
                 ref = step[key]
                 if type(ref) is not int or not (0 <= ref < i):
@@ -189,49 +180,48 @@ def _construct(step: dict, operand) -> Complex:
 
 
 def replay(doc: dict) -> ReplayResult:
-    """Execute a validated script and build its g-ledger."""
+    """Execute a validated script and build its g-ledger, holding each
+    step's complex until the last step that references it."""
     steps = validate_script(doc)
-    complexes: list[Complex] = []
+    last_use = {step[key]: i for i, step in enumerate(steps)
+                for key in REFERENCE_KEYS if key in step}
+    live: dict[int, Complex] = {}
     ledger: list[LedgerRow] = []
     for i, step in enumerate(steps):
-        result = _construct(step, lambda key: complexes[_need(step, key)])
-        complexes.append(result)
-        ledger.append(_ledger_row(i, step["op"], step, result, complexes))
-    return ReplayResult(complexes, ledger)
+        result = _construct(step, lambda key: live[_need(step, key)])
+        ledger.append(_ledger_row(i, step, result, ledger))
+        for key in REFERENCE_KEYS:
+            if last_use.get(step.get(key)) == i:
+                live.pop(step[key], None)
+        if i in last_use:
+            live[i] = result
+    return ReplayResult(result, ledger)
 
 
-def _ledger_row(i: int, op: str, step: dict, result: Complex, complexes) -> LedgerRow:
+def _ledger_row(i: int, step: dict, result: Complex, ledger: list[LedgerRow]) -> LedgerRow:
+    """Step i's row; a checked op with a g2 reads its operands' (g2, g3) off
+    their rows.  Every checked op keeps the dimension, so its operands
+    have a g2 (g3) whenever its result does."""
+    op = step["op"]
     cur2, cur3 = _g2g3(result)
-    if op == "connected_sum":
-        left = complexes[step["left"]]
-        right = complexes[step["right"]]
-        l2, l3 = _g2g3(left)
-        r2, r3 = _g2g3(right)
-        return LedgerRow(
-            i, op, cur2, cur3,
-            delta_g2=None if cur2 is None else cur2 - l2 - r2,
-            delta_g3=None if cur3 is None else cur3 - l3 - r3,
-            expected_g2=0 if cur2 is not None else None,
-            expected_g3=0 if cur3 is not None else None,
-        )
-    if op in ("handle_addition", "vertex_fold", "edge_fold", "facet_subdivision"):
-        operand = complexes[step["operand"]]
-        o2, o3 = _g2g3(operand)
-        e2, e3 = (0, 0) if op == "facet_subdivision" else fold_deltas(op, operand.dim)
-        return LedgerRow(
-            i, op, cur2, cur3,
-            delta_g2=None if cur2 is None else cur2 - o2,
-            delta_g3=None if cur3 is None or o3 is None else cur3 - o3,
-            expected_g2=e2 if cur2 is not None else None,
-            expected_g3=e3 if cur3 is not None and o3 is not None else None,
-        )
-    return LedgerRow(i, op, cur2, cur3)
+    if op not in _CHECKED_OPS or cur2 is None:
+        return LedgerRow(i, op, cur2, cur3)
+    keys = ("left", "right") if op == "connected_sum" else ("operand",)
+    operands = [ledger[step[key]] for key in keys]
+    e2, e3 = (0, 0) if op in ("connected_sum", "facet_subdivision") else fold_deltas(op, result.dim)
+    return LedgerRow(
+        i, op, cur2, cur3,
+        delta_g2=cur2 - sum(row.g2 for row in operands),
+        delta_g3=None if cur3 is None else cur3 - sum(row.g3 for row in operands),
+        expected_g2=e2,
+        expected_g3=None if cur3 is None else e3,
+    )
 
 
 def load_script(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ScriptError(f"invalid JSON: {exc}") from exc
     validate_script(doc)
     return doc

@@ -2,8 +2,9 @@
 
 One facet per line as vertex labels separated by ASCII blanks (space,
 tab, vertical tab, form feed and carriage return), each label in ASCII
-decimal digits and nothing else; ``#`` starts a comment and blank lines
-are skipped.  Lines end only at ``\n``, so the carriage return of a
+decimal digits and nothing else, no longer than ``int`` converts
+(``sys.get_int_max_str_digits()``); ``#`` starts a comment and blank
+lines are skipped.  Lines end only at ``\n``, so the carriage return of a
 CRLF ending is a trailing blank, and a reported line and column are
 those an editor or ``wc -l`` shows.  Every label of a line is checked
 before a repeated label on it is reported.  The writer emits the
@@ -40,7 +41,10 @@ def parse_complex(text: str) -> Complex:
                 raise ParseError(f"not an integer: {token!r}", lineno, column)
             if token[0] == "-":
                 raise ParseError(f"negative vertex label {token}", lineno, column)
-            label = int(token)
+            try:
+                label = int(token)
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"vertex label too long ({len(token)} digits)", lineno, column) from None
             if label in row and repeat is None:
                 repeat = ParseError(f"repeated vertex {label} in facet", lineno, column)
             row.append(label)

@@ -7,7 +7,9 @@ kernels that it leaves the random stream in the same state.
 
 import itertools
 
-from psf.build import _admissible_bijections, _facet_pairs_sharing
+from psf.build import _admissible_bijections, _facet_pairs_sharing, fold_deltas
+from psf.buildscript import LedgerRow, _construct, _g2g3, _need, validate_script
+from psf.complexes import Complex
 
 
 def listing_draw(kind, k, rng, fixed=(), avoid=None):
@@ -46,3 +48,52 @@ def ridge_facets(k):
         for r in itertools.combinations(f, len(f) - 1):
             table.setdefault(r, []).append(f)
     return {r: tuple(fs) for r, fs in table.items()}
+
+
+def reference_identify(k, mapping, merged):
+    """Identify along ``mapping`` in ``k``: relabel every maximal face,
+    moving target vertices to their source partners, dedupe, and drop
+    the merged facet.  A connected sum is this on the union of its
+    operands' maximal faces."""
+    rev = {t: s for s, t in mapping.items()}
+    facets = {tuple(sorted(rev.get(v, v) for v in f)) for f in k.maximal_faces}
+    facets.discard(tuple(sorted(merged)))
+    return Complex(facets)
+
+
+def reference_replay(doc):
+    """Replay that keeps every step's complex and reads each operand's
+    (g2, g3) off the operand complex itself, one ledger branch per kind
+    of checked op; the complexes and the ledger."""
+    steps = validate_script(doc)
+    complexes, ledger = [], []
+    for i, step in enumerate(steps):
+        result = _construct(step, lambda key: complexes[_need(step, key)])
+        complexes.append(result)
+        op = step["op"]
+        cur2, cur3 = _g2g3(result)
+        if op == "connected_sum":
+            l2, l3 = _g2g3(complexes[step["left"]])
+            r2, r3 = _g2g3(complexes[step["right"]])
+            row = LedgerRow(
+                i, op, cur2, cur3,
+                delta_g2=None if cur2 is None else cur2 - l2 - r2,
+                delta_g3=None if cur3 is None else cur3 - l3 - r3,
+                expected_g2=0 if cur2 is not None else None,
+                expected_g3=0 if cur3 is not None else None,
+            )
+        elif op in ("handle_addition", "vertex_fold", "edge_fold", "facet_subdivision"):
+            operand = complexes[step["operand"]]
+            o2, o3 = _g2g3(operand)
+            e2, e3 = (0, 0) if op == "facet_subdivision" else fold_deltas(op, operand.dim)
+            row = LedgerRow(
+                i, op, cur2, cur3,
+                delta_g2=None if cur2 is None else cur2 - o2,
+                delta_g3=None if cur3 is None or o3 is None else cur3 - o3,
+                expected_g2=e2 if cur2 is not None else None,
+                expected_g3=e3 if cur3 is not None and o3 is not None else None,
+            )
+        else:
+            row = LedgerRow(i, op, cur2, cur3)
+        ledger.append(row)
+    return complexes, ledger

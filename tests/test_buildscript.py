@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from psf.build import boundary_simplex
+from psf import Complex
+from psf.build import SplitMix64, boundary_simplex
 from psf.buildscript import (
     ScriptError,
     dump_script,
@@ -17,6 +20,7 @@ from psf.corpus import (
     vertex_folded_instance,
 )
 from psf.fileio import format_complex
+from reference import reference_identify, reference_replay
 
 
 def minimal_script():
@@ -122,3 +126,85 @@ def test_handle_records_replay_to_their_complex():
         assert result.final == record.complex, seed
         assert result.ledger_ok, seed
         assert [row.op for row in result.ledger if row.checked][-1] == "handle_addition"
+
+
+def _assert_replay_matches_reference(doc):
+    complexes, ledger = reference_replay(doc)
+    result = replay(doc)
+    assert result.ledger == ledger
+    assert result.final == complexes[-1]
+
+
+def _family_seed(family: int, start: int) -> int:
+    """The first seed from ``start`` on whose ``random_script`` is of ``family``."""
+    seed = start
+    while SplitMix64(seed).randrange(4) != family:
+        seed += 1
+    return seed
+
+
+scripts_of_every_family = st.builds(
+    lambda family, start: random_script(_family_seed(family, start)),
+    st.integers(0, 3), st.integers(0, 2**40))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scripts_of_every_family)
+def test_replay_matches_reference_on_random_scripts(doc):
+    _assert_replay_matches_reference(doc)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_RECIPES))
+def test_replay_matches_reference_on_corpus_scripts(name):
+    for seed in range(6):
+        _assert_replay_matches_reference(CORPUS_RECIPES[name](seed).script)
+
+
+def test_replay_matches_reference_on_handle_scripts():
+    for seed in (0, 4):
+        _assert_replay_matches_reference(handle_instance(seed).script)
+
+
+def test_replay_holds_a_complex_until_its_last_reference():
+    """Step 1 is read at steps 2 and 8, step 0 at steps 2 and 9, the last."""
+    left = boundary_simplex(5).relabel({i: i + 10 for i in range(6)})
+    steps = [
+        {"op": "boundary_simplex", "n": 5},
+        {"op": "complex", "facets": [list(f) for f in left.facets]},
+        {"op": "connected_sum", "left": 0, "right": 1,
+         "pairs": [[i, i + 10] for i in range(5)]},
+    ]
+    for i in range(3, 8):
+        steps.append({"op": "facet_subdivision", "operand": i - 1,
+                      "facet": list(boundary_simplex(5).facets[i - 2])})
+    steps.append({"op": "facet_subdivision", "operand": 1, "facet": list(left.facets[0])})
+    steps.append({"op": "connected_sum", "left": 8, "right": 0,
+                  "pairs": [[a, b] for a, b in zip(left.facets[-1], range(5))]})
+    doc = {"version": 1, "steps": steps}
+    _assert_replay_matches_reference(doc)
+    result = replay(doc)
+    assert result.ledger_ok
+    assert [row.checked for row in result.ledger] == [False, False] + [True] * 8
+
+
+_IDENTIFICATIONS = ("connected_sum", "handle_addition", "vertex_fold", "edge_fold")
+
+
+@settings(max_examples=40, deadline=None)
+@given(scripts_of_every_family)
+def test_identifications_match_the_plain_kernel(doc):
+    """Every sum, handle and fold step is the plain relabel-dedupe-drop
+    identification of its operands."""
+    complexes, _ = reference_replay(doc)
+    for i, step in enumerate(doc["steps"]):
+        if step["op"] not in _IDENTIFICATIONS:
+            continue
+        mapping = dict(step["pairs"])
+        if step["op"] == "connected_sum":
+            union = (complexes[step["left"]].maximal_faces
+                     | complexes[step["right"]].maximal_faces)
+            expected = reference_identify(Complex(union), mapping, mapping.keys())
+        else:
+            expected = reference_identify(complexes[step["operand"]], mapping,
+                                          step["source_facet"])
+        assert complexes[i] == expected, (i, step["op"])

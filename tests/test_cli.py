@@ -127,6 +127,30 @@ def test_info_parse_error(tmp_path, capsys):
     assert main(["info", str(path)]) == 2
 
 
+# The longest decimal string int() converts; 0 where there is no limit.
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_limit = pytest.mark.skipif(not _INT_DIGITS,
+                                     reason="this interpreter converts integers of any length")
+
+
+@needs_int_limit
+def test_label_beyond_the_int_string_limit_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "big.facets"
+    path.write_text("0 1 2\n3 4 " + "7" * (_INT_DIGITS + 1) + "\n")
+    assert main(["info", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line 2, column 5: vertex label too long (")
+
+
+@needs_int_limit
+def test_build_integer_beyond_the_int_string_limit_is_a_parse_error(tmp_path, capsys):
+    script = tmp_path / "script.json"
+    script.write_text('{"version": 1, "steps": [{"op": "boundary_simplex", "n": 1%s}]}'
+                      % ("0" * _INT_DIGITS))
+    assert main(["build", str(script)]) == 2
+    assert "parse error: invalid JSON:" in capsys.readouterr().err
+
+
 def test_check_command(tmp_path, capsys):
     good = write_complex(tmp_path, "good.txt", boundary_simplex(5))
     assert main(["check", good]) == 0
