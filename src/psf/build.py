@@ -123,7 +123,11 @@ def _require_facet(k: Complex, facet: Iterable[int]) -> Simplex:
 def _identify(parts: Iterable[Complex], mapping: Mapping[int, int], merged: Simplex) -> Complex:
     """Relabel target vertices to source labels in the union of the facets
     of ``parts``, dedupe, drop the merged facet.  Facets, and whole parts,
-    holding no vertex the map moves are kept as they are."""
+    holding no vertex the map moves are kept as they are.
+
+    The parts have one dimension and the move is admissible, so no
+    relabelled facet repeats a label: the result is trusted when every
+    part is pure."""
     rev = {t: s for s, t in mapping.items() if s != t}
     glued: set[Simplex] = set()
     for k in parts:
@@ -133,7 +137,7 @@ def _identify(parts: Iterable[Complex], mapping: Mapping[int, int], merged: Simp
             glued.update(f if rev.keys().isdisjoint(f) else tuple(sorted(rev.get(v, v) for v in f))
                          for f in k.maximal_faces)
     glued.discard(merged)
-    return Complex(glued)
+    return Complex._trusted(glued) if all(k.is_pure for k in parts) else Complex(glued)
 
 
 # -- elementary constructions ------------------------------------------
@@ -143,7 +147,7 @@ def boundary_simplex(n: int) -> Complex:
     """Boundary complex of the n-simplex on labels 0..n: an (n-1)-sphere."""
     if n < 1:
         raise ConstructionError("boundary_simplex needs n >= 1")
-    return Complex(itertools.combinations(range(n + 1), n))
+    return Complex._trusted(itertools.combinations(range(n + 1), n))
 
 
 def cone(v: int, k: Complex) -> Complex:
@@ -178,7 +182,10 @@ def facet_subdivision(k: Complex, facet: Iterable[int], new_vertex: Optional[int
     facets.discard(f)
     for drop in f:
         facets.add(tuple(sorted(set(f) - {drop} | {u})))
-    return Complex(facets)
+    if u < 0:  # the caller's label, refused with the facet Complex(facets) would name
+        bad = next(g for g in facets if u in g)
+        raise ComplexError(f"vertex labels must be non-negative, got {bad}")
+    return Complex._trusted(facets) if k.is_pure else Complex(facets)
 
 
 # -- identifications ----------------------------------------------------
@@ -473,21 +480,17 @@ def random_admissible(kind: str, k: Complex, rng: SplitMix64, fixed: tuple[int, 
 def _fresh_boundary(k: Complex) -> Complex:
     """Boundary of a (dim + 1)-simplex on the labels just above those of ``k``."""
     offset = max(k.vertices) + 1
-    return Complex(itertools.combinations(range(offset, offset + k.dim + 2), k.dim + 1))
+    return Complex._trusted(itertools.combinations(range(offset, offset + k.dim + 2), k.dim + 1))
 
 
-def _glue_fresh_boundary(k: Complex, rng: SplitMix64, fixed: tuple[int, ...] = (),
-                         src: Optional[Simplex] = None) -> tuple[Complex, dict[int, int]]:
+def _glue_fresh_boundary(k: Complex, rng: SplitMix64, fixed: tuple[int, ...],
+                         src: Simplex) -> tuple[Complex, dict[int, int]]:
     """A fresh simplex boundary and the pairing that glues ``src`` to a
     random facet of it.
 
     The fixed vertices go to the first vertices of that facet and the
-    rest of ``src`` in order to the rest.  Without ``src``, the facet
-    through the fixed vertices with the newest labels is used, which
-    grows a linear arm.
+    rest of ``src`` in order to the rest.
     """
-    if src is None:
-        src = max(k.facets_through(fixed), key=lambda f: sorted(f, reverse=True))
     summand = _fresh_boundary(k)
     target = summand.facets[rng.randrange(len(summand.facets))]
     rest = [v for v in src if v not in fixed]

@@ -257,6 +257,9 @@ class ScriptBuilder:
         self.rng = rng
         self.steps: list[dict] = [{"op": "boundary_simplex", "n": n}]
         self.current = _construct(self.steps[0], None)
+        # (src, apex) when the last move glued a summand at src, leaving
+        # its apex as the newest label
+        self._glued: Optional[tuple[Simplex, int]] = None
 
     @property
     def script(self) -> dict:
@@ -268,20 +271,41 @@ class ScriptBuilder:
         left = self.current
         self.current = _construct(step, lambda key: right if key == "right" else left)
         self.steps.append(step)
+        self._glued = None
 
     def pick(self, fixed: tuple[int, ...] = (), avoid: Optional[int] = None) -> Simplex:
         """A seeded facet through the ``fixed`` vertices that misses ``avoid``."""
         facets = [f for f in self.current.facets_through(fixed) if avoid not in f]
         return facets[self.rng.randrange(len(facets))]
 
+    def _newest(self, fixed: tuple[int, ...] = ()) -> Simplex:
+        """The facet through ``fixed`` with the newest labels: the largest
+        when each facet is read from its largest label down.
+
+        Right after a sum at ``src`` its apex is the largest label, and
+        the facets through it are src - x + apex; when ``fixed`` lies
+        inside ``src`` the answer is among those with x off ``fixed``.
+        Otherwise one pass over the maximal faces finds it, so a fresh
+        complex builds no facet index."""
+        if self._glued is not None and set(fixed) < set(self._glued[0]):
+            src, apex = self._glued
+            facets = (tuple(v for v in src if v != x) + (apex,) for x in src if x not in fixed)
+        else:
+            facets = (f for f in self.current.maximal_faces if all(v in f for v in fixed))
+        return max(facets, key=lambda f: f[::-1])
+
     def sum(self, src: Optional[Simplex] = None, fixed: tuple[int, ...] = ()) -> None:
         """Glue a fresh simplex boundary at ``src``, or at the newest facet
         through ``fixed``; the fixed vertices go first in the pairing."""
+        if src is None:
+            src = self._newest(fixed)
         leaf, mapping = _glue_fresh_boundary(self.current, self.rng, fixed, src)
         self.steps.append({"op": "complex", "facets": [list(f) for f in leaf.facets]})
         n = len(self.steps)
         self._add({"op": "connected_sum", "left": n - 2, "right": n - 1,
                    "pairs": _pairs(mapping)}, leaf)
+        (apex,) = leaf.vertices.difference(mapping.values())
+        self._glued = (tuple(sorted(src)), apex)
 
     def arm(self, fixed: tuple[int, ...], length: int, first: Optional[Simplex] = None) -> None:
         """A linear arm of ``length`` summands through ``fixed``, the first

@@ -19,6 +19,7 @@ requires its maximal faces to form an antichain.
 from __future__ import annotations
 
 import itertools
+import os
 from collections import Counter, defaultdict
 from typing import Iterable, Mapping, Optional
 
@@ -64,6 +65,18 @@ def simplex(vertices: Iterable[int]) -> Simplex:
     return vs
 
 
+def _check_trusted(facets: frozenset[Simplex]) -> None:
+    """Raise unless ``facets`` are what ``Complex._trusted`` may take as
+    given: each one unchanged by ``simplex`` (which raises on a repeated
+    or negative label), all of one length."""
+    for f in facets:
+        if simplex(f) != f:
+            raise ComplexError(f"trusted facet {f} is not sorted")
+    lengths = {len(f) for f in facets}
+    if len(lengths) > 1:
+        raise MixedDimension(f"trusted facet lengths differ: {sorted(lengths)}")
+
+
 def _antichain(faces: Iterable[Simplex]) -> frozenset[Simplex]:
     """Drop faces contained in another face of the collection."""
     unique = set(faces)
@@ -88,9 +101,19 @@ class Complex:
     The complex owns no geometric data: it is the downward closure of
     ``maximal_faces``.  The empty simplex ``()`` is a face of every
     complex; ``Complex([()])`` is the complex containing only it.
+
+    ``Complex(...)`` and ``from_facets`` validate their input: each facet
+    is sorted and checked for repeated and negative labels, and
+    ``from_facets`` wants one length.  Facet sets the library made itself
+    out of the facets of pure complexes (simplex boundaries, gluings,
+    folds, subdivisions, links and stars, and the parts of the inverse
+    operations) are trusted: they go through the private ``_trusted``,
+    which takes them as given.  A caller whose source complex is not
+    pure validates instead.
     """
 
-    __slots__ = ("_maximal", "_dim", "_vertices", "_faces", "_nbrs", "_facets", "_through")
+    __slots__ = ("_maximal", "_dim", "_vertices", "_faces", "_nbrs", "_facets", "_through",
+                 "_pure")
 
     def __init__(self, maximal_faces: Iterable[Iterable[int]]):
         faces = [simplex(f) for f in maximal_faces]
@@ -103,10 +126,40 @@ class Complex:
         self._nbrs: Optional[dict[int, frozenset[int]]] = None
         self._facets: Optional[tuple[Simplex, ...]] = None
         self._through: Optional[defaultdict[int, list[Simplex]]] = None
+        self._pure: Optional[bool] = None
+
+    @classmethod
+    def _trusted(cls, facets: Iterable[Simplex]) -> "Complex":
+        """The pure complex on facets the library made itself: sorted tuples
+        of distinct non-negative labels, all of one length (none gives
+        ``Complex([()])``).  They are taken as given, with no sorting and
+        no antichain pass; ``PSF_DEBUG_VERIFY=1`` checks them as
+        ``__init__`` would and raises on a facet it would have changed or
+        on mixed lengths.
+
+        The frozenset is built as ``__init__`` builds it, from a list
+        through a set, so it iterates in the same order."""
+        maximal = frozenset(set(list(facets))) or frozenset({()})
+        if os.environ.get("PSF_DEBUG_VERIFY") == "1":
+            _check_trusted(maximal)
+        self = cls.__new__(cls)
+        self._maximal = maximal
+        self._dim = len(next(iter(maximal))) - 1
+        self._vertices = frozenset(itertools.chain.from_iterable(maximal))
+        self._faces = {}
+        self._nbrs = None
+        self._facets = None
+        self._through = None
+        self._pure = True
+        return self
 
     @classmethod
     def from_facets(cls, facets: Iterable[Iterable[int]]) -> "Complex":
-        """Build a pure complex from a non-empty list of equal-length facets."""
+        """Build a pure complex from a non-empty list of equal-length facets.
+
+        Each row is checked for emptiness and repeats, then for its
+        length, then sorted and checked for negative labels, once; the
+        sorted rows go to ``_trusted``."""
         rows = [list(f) for f in facets]
         if not rows:
             raise ComplexError("no facets")
@@ -118,7 +171,13 @@ class Complex:
         lengths = {len(r) for r in rows}
         if len(lengths) > 1:
             raise MixedDimension(f"facet lengths differ: {sorted(lengths)}")
-        return cls(rows)
+        sorted_rows = []
+        for row in rows:
+            vs = tuple(sorted(row))
+            if vs[0] < 0:
+                raise ComplexError(f"vertex labels must be non-negative, got {vs}")
+            sorted_rows.append(vs)
+        return cls._trusted(sorted_rows)
 
     # -- basic queries -------------------------------------------------
 
@@ -143,7 +202,9 @@ class Complex:
 
     @property
     def is_pure(self) -> bool:
-        return all(len(f) == self._dim + 1 for f in self._maximal)
+        if self._pure is None:
+            self._pure = all(len(f) == self._dim + 1 for f in self._maximal)
+        return self._pure
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Complex) and self._maximal == other._maximal
@@ -218,14 +279,15 @@ class Complex:
         through = self.facets_through(s)
         if not through:
             raise FaceNotPresent(f"{s} is not a face")
-        return Complex([tuple(v for v in f if v not in s) for f in through])
+        link = [tuple(v for v in f if v not in s) for f in through]
+        return Complex._trusted(link) if self.is_pure else Complex(link)
 
     def star(self, face: Iterable[int]) -> "Complex":
         s = simplex(face)
         through = self.facets_through(s)
         if not through:
             raise FaceNotPresent(f"{s} is not a face")
-        return Complex(through)
+        return Complex._trusted(through) if self.is_pure else Complex(through)
 
     def induced(self, vertex_set: Iterable[int]) -> "Complex":
         vs = set(vertex_set)

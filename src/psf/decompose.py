@@ -110,8 +110,8 @@ def inverse_facet_subdivision(k: Complex, u: int) -> Complex:
     vs = tuple(sorted(link.vertices))
     if k.has_face(vs):
         raise SimplexAlreadyPresent(f"simplex {vs} already present; retriangulation case")
-    rest = k.maximal_faces.difference(k.facets_through((u,)))
-    return Complex(rest | {vs})
+    facets = k.maximal_faces.difference(k.facets_through((u,))) | {vs}
+    return Complex._trusted(facets) if k.is_pure else Complex(facets)
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,9 @@ def _split(k: Complex, t: Simplex) -> SplitResult:
         raise DecompositionError(f"cut along {t} produced {len(comps)} pieces")
     fresh = tuple(fresh_labels(k, len(t)))
     pairing = dict(zip(t, fresh))
-    part_a = Complex(set(comps[0]) | {t})
-    part_b = Complex({tuple(sorted(pairing.get(v, v) for v in f)) for f in comps[1]} | {fresh})
+    make = Complex._trusted if k.is_pure else Complex
+    part_a = make(set(comps[0]) | {t})
+    part_b = make({tuple(sorted(pairing.get(v, v) for v in f)) for f in comps[1]} | {fresh})
     # each ridge of t lies in two facets of a normal k, so the part with
     # fewer facets decides the certificate for both
     smaller = (part_a, t) if len(comps[0]) <= len(comps[1]) else (part_b, fresh)
@@ -240,7 +241,8 @@ def _unfold(fold, k: Complex, fixed: Simplex, report: SeparationReport) -> Unfol
         rewritten.add(f)
 
     target = tuple(sorted([*fixed, *copy.values()]))
-    unfolded = Complex(rewritten | {t, target})
+    facets = rewritten | {t, target}
+    unfolded = Complex._trusted(facets) if k.is_pure else Complex(facets)
     return _refold(fold, k, unfolded, t, target, {**dict(zip(fixed, fixed)), **copy})
 
 

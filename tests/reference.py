@@ -5,7 +5,11 @@ The tests check that the kernel gives the same result, and for seeded
 kernels that it leaves the random stream in the same state.
 """
 
+import contextlib
 import itertools
+import sys
+
+import pytest
 
 from psf.build import _admissible_bijections, _facet_pairs_sharing, fold_deltas
 from psf.buildscript import LedgerRow, _construct, _g2g3, _need, validate_script
@@ -38,6 +42,13 @@ def facets_through(k, face):
     return tuple(sorted(f for f in k.maximal_faces if set(face) <= set(f)))
 
 
+def newest_facet(k, fixed):
+    """The facet through ``fixed`` whose labels, read from the largest
+    down, are the largest, from the facet index: the facet a
+    ``ScriptBuilder`` sum without a source glues at."""
+    return max(k.facets_through(fixed), key=lambda f: sorted(f, reverse=True))
+
+
 def ridge_facets(k):
     """Each codimension-1 face of a maximal face of ``k``, mapped to the
     sorted maximal faces it is a codimension-1 face of, by a scan of
@@ -48,6 +59,29 @@ def ridge_facets(k):
         for r in itertools.combinations(f, len(f) - 1):
             table.setdefault(r, []).append(f)
     return {r: tuple(fs) for r, fs in table.items()}
+
+
+@contextlib.contextmanager
+def trusted_against_init():
+    """Check every ``Complex._trusted`` result made inside the block against
+    ``Complex(facets)``, the constructor that sorts, checks and filters
+    its input: the same maximal faces, dimension, vertices and sorted
+    facets.  Yields the set of the names of the functions that called
+    ``_trusted``, filled in as the block runs."""
+    trusted = Complex._trusted.__func__
+    callers = set()
+
+    def checked(cls, facets):
+        facets = list(facets)
+        k, ref = trusted(cls, facets), Complex(facets)
+        assert (k.maximal_faces, k.dim, k.vertices, k.facets) == (
+            ref.maximal_faces, ref.dim, ref.vertices, ref.facets), facets
+        callers.add(sys._getframe(1).f_code.co_name)
+        return k
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Complex, "_trusted", classmethod(checked))
+        yield callers
 
 
 def reference_identify(k, mapping, merged):

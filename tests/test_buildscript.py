@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from psf import Complex
 from psf.build import SplitMix64, boundary_simplex
 from psf.buildscript import (
+    ScriptBuilder,
     ScriptError,
     dump_script,
     load_script,
@@ -20,7 +21,7 @@ from psf.corpus import (
     vertex_folded_instance,
 )
 from psf.fileio import format_complex
-from reference import reference_identify, reference_replay
+from reference import newest_facet, reference_identify, reference_replay, trusted_against_init
 
 
 def minimal_script():
@@ -208,3 +209,28 @@ def test_identifications_match_the_plain_kernel(doc):
             expected = reference_identify(complexes[step["operand"]], mapping,
                                           step["source_facet"])
         assert complexes[i] == expected, (i, step["op"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 2**40))
+def test_trusted_complexes_match_init_on_random_scripts(family, start):
+    with trusted_against_init() as callers:
+        replay(random_script(_family_seed(family, start)))
+    assert {"_identify", "boundary_simplex", "_fresh_boundary", "from_facets"} <= callers
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**40), st.lists(st.sampled_from(
+    [("sum", ()), ("sum", (0,)), ("sum", (0, 1)), ("sum", (2,)), ("pick", ()), ("subdivide", ())]),
+    min_size=1, max_size=12))
+def test_newest_facet_matches_a_scan(seed, moves):
+    b = ScriptBuilder(SplitMix64(seed), 5)
+    for move, fixed in moves:
+        if move == "sum":
+            b.sum(fixed=fixed)
+        elif move == "pick":
+            b.sum(b.pick())
+        else:
+            b.subdivide(b.pick())
+        for at in ((), (0,), (1,), (0, 1), (0, 2)):
+            assert b._newest(at) == newest_facet(b.current, at), (move, fixed, at)

@@ -232,6 +232,21 @@ def test_build_malformed_step_exit_code(tmp_path, capsys, steps, message):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step, label", [
+    ({"op": "facet_subdivision", "operand": 0, "facet": [0, 1, 2, 3, 4], "new_vertex": -1},
+     "(-1, 1, 2, 3, 4)"),
+    ({"op": "cone", "operand": 0, "vertex": -1}, "(-1, 0, 1, 2, 3, 5)"),
+    ({"op": "one_vertex_suspension", "operand": 0, "vertex": 0, "apex": -3},
+     "(-3, 0, 1, 2, 3, 5)"),
+], ids=["facet_subdivision", "cone", "one_vertex_suspension"])
+def test_build_negative_new_label_exit_code(tmp_path, capsys, step, label):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"version": 1, "steps": [_B5, step]}))
+    assert main(["build", str(script)]) == 4
+    out = capsys.readouterr().out
+    assert out == f"build failed: vertex labels must be non-negative, got {label}\n"
+
+
 def test_build_inadmissible_fold_exit_code(tmp_path):
     b5 = boundary_simplex(5)
     f1, f2 = b5.facets[0], b5.facets[1]

@@ -18,10 +18,17 @@ from psf import (
     is_isomorphic,
     join,
 )
-from psf.build import boundary_simplex, facet_subdivision, one_vertex_suspension, stacked_sphere
-from psf.complexes import _antichain
+from psf.build import (
+    boundary_simplex,
+    cone,
+    facet_subdivision,
+    one_vertex_suspension,
+    stacked_sphere,
+)
+from psf.complexes import ComplexError, _antichain
 from psf.corpus import edge_folded_instance, suspension_instance, vertex_folded_instance
-from psf.verify import is_normal_pseudomanifold, is_pseudomanifold
+from psf.decompose import MODES, DecompositionError, decompose, rebuild
+from psf.verify import classify_vertices, is_normal_pseudomanifold, is_pseudomanifold
 import reference
 
 
@@ -48,6 +55,23 @@ def test_from_facets_mixed_dimension():
 def test_from_facets_duplicate_vertex():
     with pytest.raises(DuplicateVertexInFacet):
         from_facets([[0, 1, 1]])
+
+
+@pytest.mark.parametrize("rows, error, message", [
+    ([], ComplexError, "no facets"),
+    ([[0, 1], []], ComplexError, "empty facet"),
+    ([[-1, 2], [1, 1]], DuplicateVertexInFacet, "repeated vertex in facet [1, 1]"),
+    ([[-1, 2], [1, 2, 3]], MixedDimension, "facet lengths differ: [2, 3]"),
+    ([[2, -1], [-3, 4]], ComplexError, "vertex labels must be non-negative, got (-1, 2)"),
+    ([[-1, 2], ["a", 1]], ComplexError, "vertex labels must be non-negative, got (-1, 2)"),
+    ([[0, 1], ["a", 1]], TypeError, "'<' not supported between instances of 'int' and 'str'"),
+])
+def test_from_facets_refusals_keep_their_order_and_text(rows, error, message):
+    # every row is checked for repeats before any length, and lengths
+    # before any sorting; rows are sorted and checked for negatives in turn
+    with pytest.raises(error) as err:
+        from_facets(rows)
+    assert type(err.value) is error and str(err.value) == message
 
 
 def test_faces_counts():
@@ -388,3 +412,56 @@ def test_general_complex_face_closure(parts):
         for face in k.faces(d):
             for sub in itertools.combinations(face, d):
                 assert k.has_face(sub)
+
+
+# -- the trusted constructor ---------------------------------------------
+
+
+def test_trusted_complexes_match_init_on_decompositions(shared_corpus):
+    with reference.trusted_against_init() as callers:
+        for name, k in shared_corpus:
+            for v in sorted(k.vertices)[:3]:
+                k.star((v,))
+            if k.dim != 4:
+                continue
+            singular = sorted(v for v, s in classify_vertices(k).items() if s.singular)
+            for mode in MODES:
+                try:
+                    tree = decompose(k, singular[0] if singular else min(k.vertices), mode)
+                except DecompositionError:
+                    continue
+                assert rebuild(tree) == k, (name, mode)
+    assert {"_identify", "facet_subdivision", "from_facets", "link", "star",
+            "inverse_facet_subdivision", "_split", "_unfold"} <= callers
+
+
+def test_trusted_constructor_on_the_empty_facet_set():
+    assert Complex._trusted([]) == Complex([]) == Complex([()])
+    assert Complex._trusted([]).dim == -1 and Complex._trusted([]).vertices == frozenset()
+
+
+@pytest.mark.parametrize("facets, error, message", [
+    ([(1, 0, 2)], ComplexError, "trusted facet (1, 0, 2) is not sorted"),
+    ([(0, 0, 1)], DuplicateVertexInFacet, "repeated vertex in (0, 0, 1)"),
+    ([(-1, 0, 1)], ComplexError, "vertex labels must be non-negative, got (-1, 0, 1)"),
+    ([(0, 1), (0, 1, 2)], MixedDimension, "trusted facet lengths differ: [2, 3]"),
+])
+def test_debug_verify_checks_trusted_input(monkeypatch, facets, error, message):
+    monkeypatch.delenv("PSF_DEBUG_VERIFY", raising=False)
+    assert Complex._trusted(facets).maximal_faces == frozenset(facets)  # taken as given
+    monkeypatch.setenv("PSF_DEBUG_VERIFY", "1")
+    with pytest.raises(error) as err:
+        Complex._trusted(facets)
+    assert type(err.value) is error and str(err.value) == message
+    assert Complex._trusted([(0, 1), (1, 2)]) == Complex([[1, 0], [2, 1]])
+
+
+@pytest.mark.parametrize("make, label", [
+    (lambda: facet_subdivision(boundary_simplex(5), (0, 1, 2, 3, 4), -1), "(-1, 1, 2, 3, 4)"),
+    (lambda: cone(-1, boundary_simplex(3)), "(-1, 0, 1, 2)"),
+    (lambda: one_vertex_suspension(boundary_simplex(3), 0, -2), "(-2, 0, 1, 2)"),
+], ids=["facet_subdivision", "cone", "one_vertex_suspension"])
+def test_negative_new_labels_are_refused(make, label):
+    with pytest.raises(ComplexError) as err:
+        make()
+    assert str(err.value) == f"vertex labels must be non-negative, got {label}"
