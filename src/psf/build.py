@@ -126,8 +126,7 @@ def _identify(parts: Iterable[Complex], mapping: Mapping[int, int], merged: Simp
     holding no vertex the map moves are kept as they are.
 
     The parts have one dimension and the move is admissible, so no
-    relabelled facet repeats a label: the result is trusted when every
-    part is pure."""
+    relabelled facet repeats a label: the result is trusted."""
     rev = {t: s for s, t in mapping.items() if s != t}
     glued: set[Simplex] = set()
     for k in parts:
@@ -137,7 +136,7 @@ def _identify(parts: Iterable[Complex], mapping: Mapping[int, int], merged: Simp
             glued.update(f if rev.keys().isdisjoint(f) else tuple(sorted(rev.get(v, v) for v in f))
                          for f in k.maximal_faces)
     glued.discard(merged)
-    return Complex._trusted(glued) if all(k.is_pure for k in parts) else Complex(glued)
+    return Complex._trusted(glued)
 
 
 # -- elementary constructions ------------------------------------------
@@ -185,7 +184,7 @@ def facet_subdivision(k: Complex, facet: Iterable[int], new_vertex: Optional[int
     if u < 0:  # the caller's label, refused with the facet Complex(facets) would name
         bad = next(g for g in facets if u in g)
         raise ComplexError(f"vertex labels must be non-negative, got {bad}")
-    return Complex._trusted(facets) if k.is_pure else Complex(facets)
+    return Complex._trusted(facets)
 
 
 # -- identifications ----------------------------------------------------

@@ -65,28 +65,22 @@ def simplex(vertices: Iterable[int]) -> Simplex:
     return vs
 
 
-def _check_trusted(facets: frozenset[Simplex]) -> None:
-    """Raise unless ``facets`` are what ``Complex._trusted`` may take as
-    given: each one unchanged by ``simplex`` (which raises on a repeated
-    or negative label), all of one length."""
+def _check_trusted(facets: list[Simplex]) -> None:
+    """Raise unless each of ``facets`` is what ``Complex._trusted`` may
+    take as given: unchanged by ``simplex``, which raises on a repeated
+    or negative label."""
     for f in facets:
         if simplex(f) != f:
             raise ComplexError(f"trusted facet {f} is not sorted")
-    lengths = {len(f) for f in facets}
-    if len(lengths) > 1:
-        raise MixedDimension(f"trusted facet lengths differ: {sorted(lengths)}")
 
 
 def _antichain(faces: Iterable[Simplex]) -> frozenset[Simplex]:
-    """Drop faces contained in another face of the collection."""
-    unique = set(faces)
-    if len({len(f) for f in unique}) <= 1:
-        # distinct simplices of one length never contain one another
-        return frozenset(unique)
-    unique = sorted(unique, key=len, reverse=True)
+    """Drop faces contained in another face of the collection.  The kept
+    faces enter the frozenset longest first, in the order of the set of
+    ``faces``, which fixes the order the result iterates in."""
     kept: list[set[int]] = []
     out: list[Simplex] = []
-    for f in unique:
+    for f in sorted(set(faces), key=len, reverse=True):
         fs = set(f)
         if any(fs < k for k in kept):
             continue
@@ -104,54 +98,50 @@ class Complex:
 
     ``Complex(...)`` and ``from_facets`` validate their input: each facet
     is sorted and checked for repeated and negative labels, and
-    ``from_facets`` wants one length.  Facet sets the library made itself
-    out of the facets of pure complexes (simplex boundaries, gluings,
-    folds, subdivisions, links and stars, and the parts of the inverse
-    operations) are trusted: they go through the private ``_trusted``,
-    which takes them as given.  A caller whose source complex is not
-    pure validates instead.
+    ``from_facets`` wants one length.  A facet set the library made itself
+    (simplex boundaries, gluings, folds, subdivisions, links and stars,
+    and the parts of the inverse operations) is canonical whether or not
+    its source complex is pure, so it goes through the private
+    ``_trusted``, which skips the per-facet checks.  Both routes end in
+    one body, ``_set_up``.
     """
 
     __slots__ = ("_maximal", "_dim", "_vertices", "_faces", "_nbrs", "_facets", "_through",
                  "_pure")
 
     def __init__(self, maximal_faces: Iterable[Iterable[int]]):
-        faces = [simplex(f) for f in maximal_faces]
-        if not faces:
-            faces = [()]
-        self._maximal = _antichain(faces)
-        self._dim = max(len(f) for f in self._maximal) - 1
-        self._vertices = frozenset(v for f in self._maximal for v in f)
+        self._set_up([simplex(f) for f in maximal_faces])
+
+    @classmethod
+    def _trusted(cls, facets: Iterable[Simplex]) -> "Complex":
+        """``Complex(facets)`` without its ``simplex()`` per facet, for facets
+        the library made itself: sorted tuples of distinct non-negative
+        labels.  ``PSF_DEBUG_VERIFY=1`` checks each facet as ``__init__``
+        would and raises on one it would have changed."""
+        faces = list(facets)
+        if os.environ.get("PSF_DEBUG_VERIFY") == "1":
+            _check_trusted(faces)
+        self = cls.__new__(cls)
+        self._set_up(faces)
+        return self
+
+    def _set_up(self, faces: list[Simplex]) -> None:
+        """The one construction body: dedupe, run the containment pass on
+        the list only when lengths differ (so the frozenset iterates as it
+        always has), and read the dimension and purity off what is left."""
+        maximal = set(faces) or {()}
+        lengths = set(map(len, maximal))
+        if len(lengths) > 1:
+            maximal = _antichain(faces)
+            lengths = set(map(len, maximal))
+        self._maximal = frozenset(maximal)
+        self._dim = max(lengths) - 1
+        self._pure = len(lengths) == 1
+        self._vertices = frozenset(itertools.chain.from_iterable(self._maximal))
         self._faces: dict[int, frozenset[Simplex]] = {}
         self._nbrs: Optional[dict[int, frozenset[int]]] = None
         self._facets: Optional[tuple[Simplex, ...]] = None
         self._through: Optional[defaultdict[int, list[Simplex]]] = None
-        self._pure: Optional[bool] = None
-
-    @classmethod
-    def _trusted(cls, facets: Iterable[Simplex]) -> "Complex":
-        """The pure complex on facets the library made itself: sorted tuples
-        of distinct non-negative labels, all of one length (none gives
-        ``Complex([()])``).  They are taken as given, with no sorting and
-        no antichain pass; ``PSF_DEBUG_VERIFY=1`` checks them as
-        ``__init__`` would and raises on a facet it would have changed or
-        on mixed lengths.
-
-        The frozenset is built as ``__init__`` builds it, from a list
-        through a set, so it iterates in the same order."""
-        maximal = frozenset(set(list(facets))) or frozenset({()})
-        if os.environ.get("PSF_DEBUG_VERIFY") == "1":
-            _check_trusted(maximal)
-        self = cls.__new__(cls)
-        self._maximal = maximal
-        self._dim = len(next(iter(maximal))) - 1
-        self._vertices = frozenset(itertools.chain.from_iterable(maximal))
-        self._faces = {}
-        self._nbrs = None
-        self._facets = None
-        self._through = None
-        self._pure = True
-        return self
 
     @classmethod
     def from_facets(cls, facets: Iterable[Iterable[int]]) -> "Complex":
@@ -202,8 +192,6 @@ class Complex:
 
     @property
     def is_pure(self) -> bool:
-        if self._pure is None:
-            self._pure = all(len(f) == self._dim + 1 for f in self._maximal)
         return self._pure
 
     def __eq__(self, other: object) -> bool:
@@ -280,14 +268,14 @@ class Complex:
         if not through:
             raise FaceNotPresent(f"{s} is not a face")
         link = [tuple(v for v in f if v not in s) for f in through]
-        return Complex._trusted(link) if self.is_pure else Complex(link)
+        return Complex._trusted(link)
 
     def star(self, face: Iterable[int]) -> "Complex":
         s = simplex(face)
         through = self.facets_through(s)
         if not through:
             raise FaceNotPresent(f"{s} is not a face")
-        return Complex._trusted(through) if self.is_pure else Complex(through)
+        return Complex._trusted(through)
 
     def induced(self, vertex_set: Iterable[int]) -> "Complex":
         vs = set(vertex_set)

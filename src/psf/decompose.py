@@ -33,9 +33,9 @@ from .separation import (
     SideAssignmentInconsistent,
     _link_cut,
     _oriented_sides,
+    _report,
     classify_missing_facet,
     require_missing_facet,
-    separation_report,
 )
 from .verify import (
     _classify,
@@ -111,7 +111,7 @@ def inverse_facet_subdivision(k: Complex, u: int) -> Complex:
     if k.has_face(vs):
         raise SimplexAlreadyPresent(f"simplex {vs} already present; retriangulation case")
     facets = k.maximal_faces.difference(k.facets_through((u,))) | {vs}
-    return Complex._trusted(facets) if k.is_pure else Complex(facets)
+    return Complex._trusted(facets)
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,8 @@ def _split(k: Complex, t: Simplex) -> SplitResult:
         raise DecompositionError(f"cut along {t} produced {len(comps)} pieces")
     fresh = tuple(fresh_labels(k, len(t)))
     pairing = dict(zip(t, fresh))
-    make = Complex._trusted if k.is_pure else Complex
-    part_a = make(set(comps[0]) | {t})
-    part_b = make({tuple(sorted(pairing.get(v, v) for v in f)) for f in comps[1]} | {fresh})
+    part_a = Complex._trusted(set(comps[0]) | {t})
+    part_b = Complex._trusted({tuple(sorted(pairing.get(v, v) for v in f)) for f in comps[1]} | {fresh})
     # each ridge of t lies in two facets of a normal k, so the part with
     # fewer facets decides the certificate for both
     smaller = (part_a, t) if len(comps[0]) <= len(comps[1]) else (part_b, fresh)
@@ -183,10 +182,10 @@ class UnfoldResult:
 
 
 def _require_separation(k: Complex, t: Simplex, fixed) -> SeparationReport:
-    """The fold signature along ``t``: no vertex of the fixed face
-    separates its link, every other vertex of t does.  Returns the
-    separation report."""
-    report = separation_report(k, t)
+    """The fold signature along a ``t`` known to be a missing facet: no
+    vertex of the fixed face separates its link, every other vertex of t
+    does.  Returns the separation report."""
+    report = _report(k, t)
     for y in fixed:
         if report.per_vertex[y].separates:
             raise PreconditionUnmet(f"boundary of {t} minus {y} separates the link of {y}")
@@ -242,7 +241,7 @@ def _unfold(fold, k: Complex, fixed: Simplex, report: SeparationReport) -> Unfol
 
     target = tuple(sorted([*fixed, *copy.values()]))
     facets = rewritten | {t, target}
-    unfolded = Complex._trusted(facets) if k.is_pure else Complex(facets)
+    unfolded = Complex._trusted(facets)
     return _refold(fold, k, unfolded, t, target, {**dict(zip(fixed, fixed)), **copy})
 
 

@@ -98,6 +98,12 @@ def separates_link(k: Complex, x: int, tau) -> VertexSeparation:
     t = require_missing_facet(k, tau)
     if x not in t:
         raise SeparationError(f"vertex {x} is not in {t}")
+    return _separates(k, x, t)
+
+
+def _separates(k: Complex, x: int, t: Simplex) -> VertexSeparation:
+    """``separates_link`` for a vertex ``x`` of a ``t`` known to be a
+    missing facet."""
     comps = _link_cut(k, (x,), t)
     if len(comps) == 1:
         return VertexSeparation(x, False, None)
@@ -146,8 +152,12 @@ def separates_link_poset(k: Complex, x: int, tau) -> tuple[bool, list[frozenset[
 
 
 def separation_report(k: Complex, tau) -> SeparationReport:
-    t = require_missing_facet(k, tau)
-    return SeparationReport(t, {x: separates_link(k, x, t) for x in t})
+    return _report(k, require_missing_facet(k, tau))
+
+
+def _report(k: Complex, t: Simplex) -> SeparationReport:
+    """``separation_report`` for a ``t`` known to be a missing facet."""
+    return SeparationReport(t, {x: _separates(k, x, t) for x in t})
 
 
 # -- anchored side orientation -------------------------------------------
@@ -260,7 +270,7 @@ def two_sided(k: Complex, tau, v: int) -> tuple[bool, str]:
     t = require_missing_facet(k, tau)
     if v not in t:
         raise SeparationError(f"vertex {v} is not in {t}")
-    report = separation_report(k, t)
+    report = _report(k, t)
     for x in t:
         if x != v and not report.per_vertex[x].separates:
             raise PreconditionUnmet(f"vertex {x} does not separate its link")
@@ -280,7 +290,7 @@ def classify_missing_facet(k: Complex, tau) -> MissingFacetClass:
     the edge is separated too, which is the handle signature.
     """
     t = require_missing_facet(k, tau)
-    report = separation_report(k, t)
+    report = _report(k, t)
     non_sep = report.non_separating
 
     if len(non_sep) == 0:

@@ -21,13 +21,14 @@ from psf import (
 from psf.build import (
     boundary_simplex,
     cone,
+    connected_sum,
     facet_subdivision,
     one_vertex_suspension,
     stacked_sphere,
 )
 from psf.complexes import ComplexError, _antichain
 from psf.corpus import edge_folded_instance, suspension_instance, vertex_folded_instance
-from psf.decompose import MODES, DecompositionError, decompose, rebuild
+from psf.decompose import MODES, DecompositionError, decompose, inverse_facet_subdivision, rebuild
 from psf.verify import classify_vertices, is_normal_pseudomanifold, is_pseudomanifold
 import reference
 
@@ -440,11 +441,44 @@ def test_trusted_constructor_on_the_empty_facet_set():
     assert Complex._trusted([]).dim == -1 and Complex._trusted([]).vertices == frozenset()
 
 
+def mixed_antichains():
+    """Canonical facets of a non-pure complex, in drawn order: the sorted
+    label sets of a random list that lie in no other, of two or more
+    lengths."""
+    sets = st.lists(st.frozensets(st.integers(0, 8), min_size=1, max_size=5),
+                    min_size=2, max_size=10)
+    return sets.map(lambda fs: [tuple(sorted(f)) for f in dict.fromkeys(fs)
+                                if not any(f < g for g in fs)]
+                    ).filter(lambda facets: len(set(map(len, facets))) > 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_antichains())
+@example([(5, 7), (4,), (3,), (1,), (8,)])  # an order a set copy of the list changes
+def test_non_pure_sources_build_trusted_as_init(facets):
+    with reference.trusted_against_init() as callers:
+        k = Complex._trusted(facets)
+        assert not k.is_pure and k.dim == max(map(len, facets)) - 1
+        padded = facets + [f[1:] for f in facets]
+        for faces in (facets, padded):
+            assert list(Complex(faces).maximal_faces) == list(reference.antichain(faces))
+        for v in sorted(k.vertices):
+            through = [f for f in k.maximal_faces if v in f]
+            assert k.star((v,)) == Complex(through)
+            assert k.link((v,)) == Complex([tuple(w for w in f if w != v) for f in through])
+        top = max(k.facets, key=len)
+        sub = facet_subdivision(k, top)
+        assert inverse_facet_subdivision(sub, max(sub.vertices)) == k
+        shift = {v: v + max(k.vertices) + 1 for v in k.vertices}
+        summed = connected_sum(k, k.relabel(shift), {v: shift[v] for v in top})
+        assert len(summed.maximal_faces) == 2 * len(facets) - 2
+    assert {"link", "star", "facet_subdivision", "inverse_facet_subdivision", "_identify"} <= callers
+
+
 @pytest.mark.parametrize("facets, error, message", [
     ([(1, 0, 2)], ComplexError, "trusted facet (1, 0, 2) is not sorted"),
     ([(0, 0, 1)], DuplicateVertexInFacet, "repeated vertex in (0, 0, 1)"),
     ([(-1, 0, 1)], ComplexError, "vertex labels must be non-negative, got (-1, 0, 1)"),
-    ([(0, 1), (0, 1, 2)], MixedDimension, "trusted facet lengths differ: [2, 3]"),
 ])
 def test_debug_verify_checks_trusted_input(monkeypatch, facets, error, message):
     monkeypatch.delenv("PSF_DEBUG_VERIFY", raising=False)
@@ -454,6 +488,9 @@ def test_debug_verify_checks_trusted_input(monkeypatch, facets, error, message):
         Complex._trusted(facets)
     assert type(err.value) is error and str(err.value) == message
     assert Complex._trusted([(0, 1), (1, 2)]) == Complex([[1, 0], [2, 1]])
+    # mixed lengths are no refusal: they go through the body Complex(...) runs
+    mixed, ref = Complex._trusted([(0, 1), (0, 1, 2)]), Complex([(0, 1), (0, 1, 2)])
+    assert mixed == ref and (mixed.dim, mixed.is_pure) == (ref.dim, ref.is_pure) == (2, True)
 
 
 @pytest.mark.parametrize("make, label", [

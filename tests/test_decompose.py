@@ -2,12 +2,16 @@ import dataclasses
 import importlib
 import itertools
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import psf
 from psf import Complex, g2, g3, is_isomorphic
 from psf.build import (
     boundary_simplex,
@@ -48,6 +52,7 @@ from psf.decompose import (
     _ridge_certificate,
 )
 from psf.complexes import FaceNotPresent, fresh_labels
+from psf.fileio import parse_complex
 from psf.separation import (
     PreconditionUnmet,
     SeparationError,
@@ -751,3 +756,17 @@ def test_unfoldings_at_fold_images_pass_the_ridge_certificate(family, seed):
         for result in unfoldings_at(record.complex, tau):
             assert unfolding_certified(result)
             assert is_normal_pseudomanifold(result.complex).normal
+
+
+def test_demo_script_writes_trees_that_rebuild_their_facet_files(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "demo_decomposition.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(psf.__file__).parents[1]))
+    run = subprocess.run([sys.executable, str(script), "-o", str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    facets = sorted(tmp_path.glob("*.facets"))
+    trees = sorted(tmp_path.glob("*.tree.json"))
+    assert len(facets) == len(trees) == 5
+    for path in facets:
+        tree = DecompositionTree.from_dict(json.loads(path.with_suffix(".tree.json").read_text()))
+        assert rebuild(tree) == parse_complex(path.read_text()), path.name
