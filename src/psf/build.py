@@ -152,7 +152,7 @@ def boundary_simplex(n: int) -> Complex:
 def cone(v: int, k: Complex) -> Complex:
     if v in k.vertices:
         raise VertexAlreadyPresent(f"vertex {v} already present")
-    return Complex([f + (v,) for f in k.maximal_faces])
+    return Complex([f + (v,) for f in k.facets])
 
 
 def one_vertex_suspension(k: Complex, v: int, apex: Optional[int] = None) -> Complex:
@@ -166,25 +166,22 @@ def one_vertex_suspension(k: Complex, v: int, apex: Optional[int] = None) -> Com
     u = fresh_labels(k, 1)[0] if apex is None else apex
     if u in k.vertices:
         raise VertexAlreadyPresent(f"apex {u} already present")
-    facets = [f + (v,) for f in k.maximal_faces if v not in f]
-    facets += [f + (u,) for f in k.maximal_faces]
+    facets = [f + (v,) for f in k.facets if v not in f]
+    facets += [f + (u,) for f in k.facets]
     return Complex(facets)
 
 
 def facet_subdivision(k: Complex, facet: Iterable[int], new_vertex: Optional[int] = None) -> Complex:
-    """Replace a facet by the cone over its boundary from a fresh vertex."""
+    """Replace a facet by the cone over its boundary from a fresh vertex.
+    A negative label is refused with the first facet made, f - f[0] + u."""
     f = _require_facet(k, facet)
     u = fresh_labels(k, 1)[0] if new_vertex is None else new_vertex
+    if u < 0:
+        raise ComplexError(f"vertex labels must be non-negative, got {(u,) + f[1:]}")
     if u in k.vertices:
         raise VertexAlreadyPresent(f"subdivision vertex {u} already present")
-    facets = set(k.maximal_faces)
-    facets.discard(f)
-    for drop in f:
-        facets.add(tuple(sorted(set(f) - {drop} | {u})))
-    if u < 0:  # the caller's label, refused with the facet Complex(facets) would name
-        bad = next(g for g in facets if u in g)
-        raise ComplexError(f"vertex labels must be non-negative, got {bad}")
-    return Complex._trusted(facets)
+    coned = {tuple(sorted(set(f) - {drop} | {u})) for drop in f}
+    return Complex._trusted(k.maximal_faces.difference((f,)) | coned)
 
 
 # -- identifications ----------------------------------------------------

@@ -65,22 +65,12 @@ def simplex(vertices: Iterable[int]) -> Simplex:
     return vs
 
 
-def _check_trusted(facets: list[Simplex]) -> None:
-    """Raise unless each of ``facets`` is what ``Complex._trusted`` may
-    take as given: unchanged by ``simplex``, which raises on a repeated
-    or negative label."""
-    for f in facets:
-        if simplex(f) != f:
-            raise ComplexError(f"trusted facet {f} is not sorted")
-
-
-def _antichain(faces: Iterable[Simplex]) -> frozenset[Simplex]:
-    """Drop faces contained in another face of the collection.  The kept
-    faces enter the frozenset longest first, in the order of the set of
-    ``faces``, which fixes the order the result iterates in."""
+def _antichain(faces: frozenset[Simplex]) -> frozenset[Simplex]:
+    """The faces of ``faces`` contained in no other, kept by a pass over
+    them longest first; the order the result iterates in is unspecified."""
     kept: list[set[int]] = []
     out: list[Simplex] = []
-    for f in sorted(set(faces), key=len, reverse=True):
+    for f in sorted(faces, key=len, reverse=True):
         fs = set(f)
         if any(fs < k for k in kept):
             continue
@@ -104,40 +94,48 @@ class Complex:
     its source complex is pure, so it goes through the private
     ``_trusted``, which skips the per-facet checks.  Both routes end in
     one body, ``_set_up``.
+
+    Only the facet set is behaviour: ``maximal_faces`` iterates in an
+    unspecified order.  ``relabel``, ``build.cone`` and
+    ``build.one_vertex_suspension`` read the sorted ``facets``, so their
+    refusals name the first offending facet in sorted order.
     """
 
     __slots__ = ("_maximal", "_dim", "_vertices", "_faces", "_nbrs", "_facets", "_through",
                  "_pure")
 
     def __init__(self, maximal_faces: Iterable[Iterable[int]]):
-        self._set_up([simplex(f) for f in maximal_faces])
+        self._set_up(simplex(f) for f in maximal_faces)
 
     @classmethod
     def _trusted(cls, facets: Iterable[Simplex]) -> "Complex":
         """``Complex(facets)`` without its ``simplex()`` per facet, for facets
         the library made itself: sorted tuples of distinct non-negative
-        labels.  ``PSF_DEBUG_VERIFY=1`` checks each facet as ``__init__``
-        would and raises on one it would have changed."""
-        faces = list(facets)
+        labels.  Only ``PSF_DEBUG_VERIFY=1`` lists them, to check each as
+        ``__init__`` would (``simplex`` raises on a repeated or negative
+        label) and raise on one it would have changed."""
         if os.environ.get("PSF_DEBUG_VERIFY") == "1":
-            _check_trusted(faces)
+            facets = list(facets)
+            for f in facets:
+                if simplex(f) != f:
+                    raise ComplexError(f"trusted facet {f} is not sorted")
         self = cls.__new__(cls)
-        self._set_up(faces)
+        self._set_up(facets)
         return self
 
-    def _set_up(self, faces: list[Simplex]) -> None:
-        """The one construction body: dedupe, run the containment pass on
-        the list only when lengths differ (so the frozenset iterates as it
-        always has), and read the dimension and purity off what is left."""
-        maximal = set(faces) or {()}
+    def _set_up(self, faces: Iterable[Simplex]) -> None:
+        """The one construction body: freeze the faces once, run the
+        containment pass on that frozenset only when lengths differ, and
+        read the dimension and purity off what is left."""
+        maximal = frozenset(faces) or frozenset({()})
         lengths = set(map(len, maximal))
         if len(lengths) > 1:
-            maximal = _antichain(faces)
+            maximal = _antichain(maximal)
             lengths = set(map(len, maximal))
-        self._maximal = frozenset(maximal)
+        self._maximal = maximal
         self._dim = max(lengths) - 1
         self._pure = len(lengths) == 1
-        self._vertices = frozenset(itertools.chain.from_iterable(self._maximal))
+        self._vertices = frozenset(itertools.chain.from_iterable(maximal))
         self._faces: dict[int, frozenset[Simplex]] = {}
         self._nbrs: Optional[dict[int, frozenset[int]]] = None
         self._facets: Optional[tuple[Simplex, ...]] = None
@@ -331,7 +329,7 @@ class Complex:
         image = [mapping.get(v, v) for v in self._vertices]
         if len(set(image)) != len(image):
             raise ComplexError("relabeling is not injective on the vertex set")
-        return Complex([tuple(mapping.get(v, v) for v in f) for f in self._maximal])
+        return Complex([tuple(mapping.get(v, v) for v in f) for f in self.facets])
 
 
 def from_facets(facets: Iterable[Iterable[int]]) -> Complex:

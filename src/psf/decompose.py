@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import Complex, ComplexError, Simplex, UnknownVertex, fresh_labels, simplex
@@ -391,7 +391,15 @@ def _lists(value):
 class DecompositionTree:
     steps: list[TreeNode]
     root: int
-    counters: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def counters(self) -> dict[str, int]:
+        """Node counts, read off ``steps``."""
+        kinds = Counter(node.kind for node in self.steps)
+        irreducible = any(node.leaf_kind == "irreducible_base" for node in self.steps)
+        return {"vertex_folds": kinds["vertex_unfold"], "edge_folds": kinds["edge_unfold"],
+                "connected_sums": kinds["split"], "inverse_subdivisions": kinds["inverse_subdivision"],
+                "irreducible": int(irreducible)}
 
     @property
     def vertex_fold_count(self) -> int:
@@ -422,7 +430,7 @@ class DecompositionTree:
         return {
             "version": 1,
             "root": self.root,
-            "counters": dict(self.counters),
+            "counters": self.counters,
             "steps": [s.to_dict() for s in self.steps],
         }
 
@@ -442,8 +450,10 @@ class DecompositionTree:
             isinstance(name, str) and type(value) is int for name, value in counters.items()
         ):
             raise MalformedTree("counters must map names to integers")
-        tree = cls([TreeNode.from_dict(s) for s in steps], root, dict(counters))
+        tree = cls([TreeNode.from_dict(s) for s in steps], root)
         tree.validate()
+        if counters != tree.counters:
+            raise MalformedTree(f"counters {counters} differ from the steps' {tree.counters}")
         return tree
 
     def validate(self) -> None:
@@ -476,27 +486,27 @@ def _stored_complex(node: TreeNode, i: int) -> Complex:
 
 
 def rebuild(tree: DecompositionTree) -> Complex:
-    """Replay a decomposition tree bottom-up through the forward constructors."""
+    """Replay a decomposition tree bottom-up through the forward constructors,
+    holding each node's complex until the last node that uses it."""
     tree.validate()
-    built: list[Optional[Complex]] = [None] * len(tree.steps)
+    last_use = {c: i for i, node in enumerate(tree.steps) for c in node.children}
+    last_use[tree.root] = len(tree.steps)
+    built: dict[int, Complex] = {}
     for i, node in enumerate(tree.steps):
         kids = [built[c] for c in node.children]
+        built = {c: k for c, k in built.items() if last_use.get(c, c) > i}
         if node.kind == "leaf":
             built[i] = _stored_complex(node, i)
         elif node.kind == "suspension_base":
             built[i] = one_vertex_suspension(_stored_complex(node, i), node.vertex, apex=node.apex)
         elif node.kind == "inverse_subdivision":
-            (child,) = kids
-            built[i] = facet_subdivision(child, node.facet, new_vertex=node.vertex)
+            built[i] = facet_subdivision(*kids, node.facet, new_vertex=node.vertex)
         elif node.kind == "vertex_unfold":
-            (child,) = kids
-            built[i] = vertex_fold(child, node.source_facet, node.target_facet, dict(node.pairs))
+            built[i] = vertex_fold(*kids, node.source_facet, node.target_facet, dict(node.pairs))
         elif node.kind == "edge_unfold":
-            (child,) = kids
-            built[i] = edge_fold(child, node.source_facet, node.target_facet, dict(node.pairs))
+            built[i] = edge_fold(*kids, node.source_facet, node.target_facet, dict(node.pairs))
         else:  # split; validate() admits no other kind
-            a, b = kids
-            built[i] = connected_sum(a, b, dict(node.pairs))
+            built[i] = connected_sum(*kids, dict(node.pairs))
     return built[tree.root]
 
 
@@ -818,15 +828,7 @@ def decompose(
         debug = os.environ.get("PSF_DEBUG_VERIFY", "") == "1"
     engine = _Engine(mode, debug)
     root = engine.run((k, t, t1, None))
-    kinds = Counter(node.kind for node in engine.steps)
-    counters = {
-        "vertex_folds": kinds["vertex_unfold"],
-        "edge_folds": kinds["edge_unfold"],
-        "connected_sums": kinds["split"],
-        "inverse_subdivisions": kinds["inverse_subdivision"],
-        "irreducible": int(any(node.leaf_kind == "irreducible_base" for node in engine.steps)),
-    }
-    tree = DecompositionTree(engine.steps, root, counters)
+    tree = DecompositionTree(engine.steps, root)
     if engine.debug and rebuild(tree) != k:
         raise DecompositionError("tree replay does not reproduce the input")
     return tree

@@ -235,9 +235,9 @@ def test_build_malformed_step_exit_code(tmp_path, capsys, steps, message):
 @pytest.mark.parametrize("step, label", [
     ({"op": "facet_subdivision", "operand": 0, "facet": [0, 1, 2, 3, 4], "new_vertex": -1},
      "(-1, 1, 2, 3, 4)"),
-    ({"op": "cone", "operand": 0, "vertex": -1}, "(-1, 0, 1, 2, 3, 5)"),
+    ({"op": "cone", "operand": 0, "vertex": -1}, "(-1, 0, 1, 2, 3, 4)"),
     ({"op": "one_vertex_suspension", "operand": 0, "vertex": 0, "apex": -3},
-     "(-3, 0, 1, 2, 3, 5)"),
+     "(-3, 0, 1, 2, 3, 4)"),
 ], ids=["facet_subdivision", "cone", "one_vertex_suspension"])
 def test_build_negative_new_label_exit_code(tmp_path, capsys, step, label):
     script = tmp_path / "script.json"
@@ -315,11 +315,7 @@ def test_decompose_irreducible_exit(tmp_path, monkeypatch, capsys):
 
     k = boundary_simplex(5)
     path = write_complex(tmp_path, "d5.txt", k)
-    fake = DecompositionTree(
-        [TreeNode("leaf", leaf_kind="irreducible_base", facets=k.facets)],
-        0,
-        {"irreducible": 1},
-    )
+    fake = DecompositionTree([TreeNode("leaf", leaf_kind="irreducible_base", facets=k.facets)], 0)
     monkeypatch.setattr(cli, "decompose", lambda *a, **kw: fake)
     assert main(["decompose", path, "--vertex", "0"]) == 6
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import sys
 
@@ -29,6 +30,7 @@ from psf.build import (
 from psf.complexes import ComplexError, _antichain
 from psf.corpus import edge_folded_instance, suspension_instance, vertex_folded_instance
 from psf.decompose import MODES, DecompositionError, decompose, inverse_facet_subdivision, rebuild
+from psf.fileio import format_complex
 from psf.verify import classify_vertices, is_normal_pseudomanifold, is_pseudomanifold
 import reference
 
@@ -364,16 +366,11 @@ def test_is_isomorphic_agrees_with_vf2():
     assert len(set(outcomes[len(bases) * 2:])) == 2
 
 
-def _antichain_reference(faces):
-    faces = set(faces)
-    return frozenset(f for f in faces if not any(set(f) < set(g) for g in faces))
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.frozensets(st.integers(0, 6), max_size=5).map(lambda s: tuple(sorted(s))),
                 max_size=12))
 def test_antichain_matches_quadratic_filter(faces):
-    assert _antichain(faces) == _antichain_reference(faces)
+    assert _antichain(frozenset(faces)) == reference.antichain(faces)
 
 
 @settings(max_examples=30, deadline=None)
@@ -454,14 +451,13 @@ def mixed_antichains():
 
 @settings(max_examples=60, deadline=None)
 @given(mixed_antichains())
-@example([(5, 7), (4,), (3,), (1,), (8,)])  # an order a set copy of the list changes
 def test_non_pure_sources_build_trusted_as_init(facets):
     with reference.trusted_against_init() as callers:
         k = Complex._trusted(facets)
         assert not k.is_pure and k.dim == max(map(len, facets)) - 1
         padded = facets + [f[1:] for f in facets]
         for faces in (facets, padded):
-            assert list(Complex(faces).maximal_faces) == list(reference.antichain(faces))
+            assert Complex(faces).maximal_faces == reference.antichain(faces)
         for v in sorted(k.vertices):
             through = [f for f in k.maximal_faces if v in f]
             assert k.star((v,)) == Complex(through)
@@ -502,3 +498,51 @@ def test_negative_new_labels_are_refused(make, label):
     with pytest.raises(ComplexError) as err:
         make()
     assert str(err.value) == f"vertex labels must be non-negative, got {label}"
+
+
+# -- history independence ------------------------------------------------
+
+
+def routes(k, seed):
+    """The facet set of ``k`` built five ways: from a shuffled list, from
+    the reversed sorted list, through ``_trusted`` and ``from_facets``,
+    and as made."""
+    shuffled = list(k.maximal_faces)
+    random.Random(seed).shuffle(shuffled)
+    return [Complex(shuffled), Complex(k.facets[::-1]), Complex._trusted(list(k.maximal_faces)),
+            Complex.from_facets(k.facets), k]
+
+
+def observed(k):
+    """What a caller reads off ``k``: the refusals of a negative label by
+    the operations that combine its facets with a label, the facet file,
+    the vertex verdicts and, in dimension 4, the tree JSON (or refusal)
+    of each mode."""
+    v, f = min(k.vertices), k.facets[len(k.facets) // 2]
+    out = {}
+    for name, call in (("cone", lambda: cone(-1, k)),
+                       ("one_vertex_suspension", lambda: one_vertex_suspension(k, v, apex=-2)),
+                       ("facet_subdivision", lambda: facet_subdivision(k, f, -1)),
+                       ("relabel", lambda: k.relabel({v: -3}))):
+        with pytest.raises(ComplexError) as err:
+            call()
+        out[name] = str(err.value)
+    out["facet file"] = format_complex(k)
+    verdicts = classify_vertices(k)
+    out["verdicts"] = verdicts
+    if k.dim == 4:
+        singular = sorted(u for u, verdict in verdicts.items() if verdict.singular)
+        for mode in MODES:
+            try:
+                out[mode] = json.dumps(decompose(k, singular[0] if singular else v, mode).to_dict())
+            except DecompositionError as exc:
+                out[mode] = f"{type(exc).__name__}: {exc}"
+    return out
+
+
+def test_outputs_depend_only_on_the_facet_set(shared_corpus):
+    for seed, (name, k) in enumerate(shared_corpus):
+        expected = observed(k)
+        for route, built in enumerate(routes(k, seed)):
+            assert built == k
+            assert observed(built) == expected, (name, route)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,7 @@ from psf.decompose import (
     ModeMismatch,
     NotOptimal,
     NotSplit,
+    TreeNode,
     decompose,
     edge_unfold,
     inverse_facet_subdivision,
@@ -51,7 +53,7 @@ from psf.decompose import (
     _Engine,
     _ridge_certificate,
 )
-from psf.complexes import FaceNotPresent, fresh_labels
+from psf.complexes import FaceNotPresent, VertexOverlap, fresh_labels
 from psf.fileio import parse_complex
 from psf.separation import (
     PreconditionUnmet,
@@ -254,6 +256,8 @@ def test_malformed_tree_rejected():
     leaf = {"kind": "leaf", "leaf_kind": "boundary_simplex", "n": 2, "facets": [[0], [1]]}
     split = {"kind": "split", "children": [0], "missing_facet": [0], "pairs": [[0, 2]]}
     suspension = {"kind": "suspension_base", "vertex": 0, "apex": 5}
+    counters = {"vertex_folds": 0, "edge_folds": 0, "connected_sums": 0,
+                "inverse_subdivisions": 0, "irreducible": 0}
     for change in (
         {"steps": [dict(leaf, children="a")]},
         {"steps": 5},
@@ -270,9 +274,51 @@ def test_malformed_tree_rejected():
         {"version": True},
         {"version": 1.0},
     ):
-        doc = {"version": 1, "root": 0, "counters": {}, "steps": [leaf], **change}
+        doc = {"version": 1, "root": 0, "counters": counters, "steps": [leaf], **change}
         with pytest.raises(MalformedTree):
             rebuild(DecompositionTree.from_dict(doc))
+    assert rebuild(DecompositionTree.from_dict(
+        {"version": 1, "root": 0, "counters": counters, "steps": [leaf]})) == Complex([[0], [1]])
+
+
+def test_loaded_tree_counters_come_from_its_steps():
+    record = vertex_folded_instance(50, folds=1, sums=1)
+    doc = decompose(record.complex, record.tracked, mode=MODE_ONE).to_dict()
+    assert doc["counters"]["vertex_folds"] == 1
+    assert DecompositionTree.from_dict(json.loads(json.dumps(doc))).g2_accounting() == (0, 1, 0, 10)
+    for name, value in (("vertex_folds", 7), ("irreducible", 1), ("connected_sums", 0)):
+        with pytest.raises(MalformedTree, match="differ from the steps'"):
+            DecompositionTree.from_dict({**doc, "counters": {**doc["counters"], name: value}})
+    with pytest.raises(MalformedTree, match="differ from the steps'"):
+        DecompositionTree.from_dict({key: v for key, v in doc.items() if key != "counters"})
+
+
+def test_rebuild_holds_only_live_complexes():
+    # Holding every node's complex peaks near 3.7 MB on this tree (CPython
+    # 3.11, 64-bit); holding each until its last use, about 0.2 MB.
+    chain = linear_chain(4, 200, 1, fixed=(0,))
+    tree = decompose(chain, 0)
+    tracemalloc.start()
+    try:
+        rebuilt = rebuild(tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rebuilt == chain
+    assert peak < 1_000_000
+
+
+def test_rebuild_of_shared_and_repeated_children():
+    b5 = boundary_simplex(5)
+    leaf = TreeNode("leaf", leaf_kind="boundary_simplex", n=5, facets=b5.facets)
+    subdivide = [TreeNode("inverse_subdivision", children=(0,), facet=f, vertex=6)
+                 for f in ((0, 1, 2, 3, 4), (1, 2, 3, 4, 5))]
+    for root in (1, 2):
+        tree = DecompositionTree([leaf, *subdivide], root)
+        assert rebuild(tree) == facet_subdivision(b5, subdivide[root - 1].facet, 6)
+    twice = TreeNode("split", children=(0, 0), pairs=tuple((v, v) for v in range(5)))
+    with pytest.raises(VertexOverlap, match=r"summands share vertices \[0, 1, 2, 3, 4, 5\]"):
+        rebuild(DecompositionTree([leaf, twice], 1))
 
 
 def _stack_depth() -> int:
