@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""Build time of many-fold instances against the number of folds F.
+
+For each F given on the command line this times
+``vertex_folded_instance(3, folds=F)`` and
+``edge_folded_instance(3, edge_folds=F)``, each built in a fresh child
+process so that no cache or warm allocator carries over between points,
+and prints one JSON line per point:
+
+    python scripts/fold_curve.py 1 2 4 8 12 16
+
+Each line holds the fold kind, F, the seed, the build time in seconds
+(``time.perf_counter`` around the build, inside the child) and the
+facet count of the result.  The children import ``psf`` from this
+checkout's ``src/``.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+SEED = 3
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+CHILD = """
+import json, sys, time
+from psf.corpus import edge_folded_instance, vertex_folded_instance
+kind, folds, seed = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+start = time.perf_counter()
+if kind == "vertex":
+    record = vertex_folded_instance(seed, folds=folds)
+else:
+    record = edge_folded_instance(seed, edge_folds=folds)
+elapsed = time.perf_counter() - start
+print(json.dumps({"kind": kind, "folds": folds, "seed": seed, "build_s": round(elapsed, 4),
+                  "facets": len(record.complex.maximal_faces)}))
+"""
+
+
+def point(kind: str, folds: int) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", CHILD, kind, str(folds), str(SEED)],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("folds", type=int, nargs="+", help="numbers of folds F (each >= 1)")
+    args = parser.parse_args()
+    if min(args.folds) < 1:
+        parser.error("every F must be at least 1")
+    for folds in args.folds:
+        for kind in ("vertex", "edge"):
+            print(json.dumps(point(kind, folds)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

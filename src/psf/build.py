@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .complexes import Complex, ComplexError, Simplex, VertexOverlap, fresh_labels, simplex
+from .complexes import (Complex, ComplexError, FaceNotPresent, Simplex, VertexOverlap,
+                        fresh_labels, simplex)
 
 
 class ConstructionError(ComplexError):
@@ -328,23 +329,34 @@ def _facet_pairs_sharing(k: Complex, count: int):
 
 def _pair_table(k: Complex, f1: Simplex, f2: Simplex, shared: set[int]):
     """The vertices of f1 and f2 outside ``shared`` and the rows of the
-    ``_pair_ok`` table between them (row y, column z), made lazily."""
+    ``_pair_ok`` table between them, made lazily: bit j of row y is set
+    when y may go to the j-th of f2's vertices."""
     rest1 = [v for v in f1 if v not in shared]
     rest2 = [v for v in f2 if v not in shared]
-    return rest1, rest2, ([_pair_ok(k, y, z, shared) for z in rest2] for y in rest1)
+    return rest1, rest2, (sum(1 << j for j, z in enumerate(rest2) if _pair_ok(k, y, z, shared))
+                          for y in rest1)
 
 
-def _count_matchings(table) -> int:
-    """Perfect matchings of a square 0/1 table (its permanent): a DP over
-    the sets of columns the rows so far have taken.  Rows are read one
-    at a time, and none after a row that leaves no way open."""
+def _count_matchings(rows) -> int:
+    """Perfect matchings of a square 0/1 table given as bitmask rows (its
+    permanent): the one counter of every fold draw.
+
+    A column is any one bit.  An unfixed draw passes the rows of
+    ``_pair_table``, bit j for the j-th vertex of the second facet; a
+    draw at a fixed face passes rows cut from its per-draw partner table
+    (``_star_counts``), whose bits number the face's link, after
+    dropping every pair with an empty row.  It is a DP over the sets of
+    columns the rows so far have taken; rows are read one at a time, and
+    none after a row that leaves no way open."""
     ways = {0: 1}
-    for row in table:
+    for row in rows:
         taken: dict[int, int] = {}
         for used, n in ways.items():
-            for j, ok in enumerate(row):
-                if ok and not used >> j & 1:
-                    taken[used | 1 << j] = taken.get(used | 1 << j, 0) + n
+            free = row & ~used
+            while free:
+                bit = free & -free
+                taken[used | bit] = taken.get(used | bit, 0) + n
+                free ^= bit
         if not taken:
             return 0
         ways = taken
@@ -361,10 +373,24 @@ def _admissible_bijections(k: Complex, f1: Simplex, f2: Simplex, shared: set[int
     rest1, rest2, rows = _pair_table(k, f1, f2, shared)
     table = list(rows)
     for perm in itertools.permutations(range(len(rest2))):
-        if all(row[j] for row, j in zip(table, perm)):
+        if all(row >> j & 1 for row, j in zip(table, perm)):
             mapping = {v: v for v in sorted(shared)}
             mapping.update(zip(rest1, (rest2[j] for j in perm)))
             yield mapping
+
+
+def _fixed_face(k: Complex, size: int, fixed_face) -> set[int]:
+    """The vertex set of a fixed face: () or ``size`` distinct vertices
+    spanning a face of ``k``.  Refused before any search or draw."""
+    fixed_face = tuple(fixed_face or ())
+    face = set(fixed_face)
+    if len(face) != len(fixed_face) or len(face) not in (0, size):
+        kind = "vertex" if size == 1 else "edge"
+        raise ValueError(f"a {kind} fold is fixed at () or {size} distinct "
+                         f"vertices, not {fixed_face}")
+    if face and not k.facets_through(face):
+        raise FaceNotPresent(f"{tuple(sorted(face))} is not a face")
+    return face
 
 
 def _fold_pairs(k: Complex, size: int, fixed_face):
@@ -377,12 +403,7 @@ def _fold_pairs(k: Complex, size: int, fixed_face):
     from the first of them, and the facets through F keep their sorted
     order within each group.
     """
-    fixed_face = tuple(fixed_face or ())
-    face = set(fixed_face)
-    if len(face) != len(fixed_face) or len(face) not in (0, size):
-        kind = "vertex" if size == 1 else "edge"
-        raise ValueError(f"a {kind} fold is fixed at () or {size} distinct "
-                         f"vertices, not {fixed_face}")
+    face = _fixed_face(k, size, fixed_face)
     if not face:
         for f1, f2 in _facet_pairs_sharing(k, size):
             yield f1, f2, set(f1) & set(f2)
@@ -390,6 +411,52 @@ def _fold_pairs(k: Complex, size: int, fixed_face):
     for f1, f2 in itertools.combinations(k.facets_through(face), 2):
         if set(f1) & set(f2) == face:
             yield f1, f2, face
+
+
+def _star_counts(k: Complex, face: set[int], avoid: Optional[int]):
+    """The pairs of facets through ``face`` that miss ``avoid`` and meet
+    exactly in it, in ``_fold_pairs`` order, each with its number of
+    admissible bijections when that is not 0.
+
+    One partner table serves the whole star.  The link vertices of the
+    face (those of its facets outside it) are numbered, each facet gets
+    the bitmask of its link vertices, and y's row, the bitmask of the z
+    with ``_pair_ok(k, y, z, face)``, is made the first time y is asked
+    for.  Two facets meet exactly in the face when their masks are
+    disjoint, and y's row in their pair is its row masked by the other
+    facet.  A pair with an empty row is dropped; the others go to
+    ``_count_matchings``, once per distinct tuple of rows in the draw.
+    """
+    facets = [f for f in k.facets_through(face) if avoid not in f]
+    bits: dict[int, int] = {}
+    rests, masks = [], []
+    for f in facets:
+        rest = [v for v in f if v not in face]
+        rests.append(rest)
+        masks.append(sum(bits.setdefault(v, 1 << len(bits)) for v in rest))
+    partners: dict[int, int] = {}
+
+    def partner(y: int) -> int:
+        if y not in partners:
+            partners[y] = sum(b for z, b in bits.items() if _pair_ok(k, y, z, face))
+        return partners[y]
+
+    counts: dict[tuple[int, ...], int] = {}
+    counted = []
+    for i, f1 in enumerate(facets):
+        mask1, table1 = masks[i], [partner(y) for y in rests[i]]
+        for f2, mask2 in zip(facets[i + 1:], masks[i + 1:]):
+            if mask1 & mask2:
+                continue
+            rows = tuple([row & mask2 for row in table1])
+            if 0 in rows:
+                continue
+            n = counts.get(rows)
+            if n is None:
+                n = counts[rows] = _count_matchings(rows)
+            if n:
+                counted.append((f1, f2, n))
+    return counted
 
 
 def _fold_triples(k: Complex, size: int, fixed_face):
@@ -441,31 +508,43 @@ def random_admissible(kind: str, k: Complex, rng: SplitMix64, fixed: tuple[int, 
 
     A vertex or edge fold is drawn uniformly from those at the ``fixed``
     vertex or edge (any, when it is empty) whose facets miss ``avoid``;
-    a handle is the first one a sampled search finds.
+    a handle is the first one a sampled search finds.  A fixed face of
+    the wrong size, or one that is not in ``k``, is refused before the
+    draw.
 
     Folds are counted, not listed: each candidate facet pair adds the
     number of perfect matchings of its ``_pair_ok`` table, one index is
     drawn from the total, and only the bijection at that index is
-    built.  The triples keep the order of ``find_vertex_folds`` and
-    ``find_edge_folds`` and the total is their number, so the draw, and
-    the random stream after it, are those of drawing from the full list.
+    built.  At a fixed face the rows of every pair come from one
+    per-draw partner table over the face's link (``_star_counts``), and
+    a pair with an empty row is dropped uncounted; otherwise each pair
+    tables its own rows.  Both feed the one counter,
+    ``_count_matchings``.  The triples keep the order of
+    ``find_vertex_folds`` and ``find_edge_folds`` and the total is their
+    number, so the draw, and the random stream after it, are those of
+    drawing from the full list.
     """
     if kind == "handle":
         return next(find_handles(k, rng=rng), None)
     if kind not in ("vertex_fold", "edge_fold"):
         raise ValueError(f"unknown kind {kind!r}")
     size = 1 if kind == "vertex_fold" else 2
-    counted = []
-    for f1, f2, shared in _fold_pairs(k, size, fixed):
-        if avoid not in f1 + f2:
-            n = _count_matchings(_pair_table(k, f1, f2, shared)[2])
-            if n:
-                counted.append((f1, f2, shared, n))
+    face = _fixed_face(k, size, fixed)
+    if face:
+        counted = _star_counts(k, face, avoid)
+    else:
+        counted = []
+        for f1, f2, shared in _fold_pairs(k, size, ()):
+            if avoid not in f1 + f2:
+                n = _count_matchings(_pair_table(k, f1, f2, shared)[2])
+                if n:
+                    counted.append((f1, f2, n))
     if not counted:
         return None
     i = rng.randrange(sum(n for *_, n in counted))
-    for f1, f2, shared, n in counted:
+    for f1, f2, n in counted:
         if i < n:
+            shared = set(f1) & set(f2)
             return f1, f2, next(itertools.islice(_admissible_bijections(k, f1, f2, shared), i, None))
         i -= n
 

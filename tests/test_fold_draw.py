@@ -11,6 +11,7 @@ unfixed search as well.
 
 import copy
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from psf.build import (
     random_admissible,
 )
 from psf.buildscript import random_script
+from psf.complexes import FaceNotPresent
 from psf.corpus import (
     cone_point_base_3d,
     edge_folded_instance,
@@ -44,11 +46,24 @@ def _brute_count(table):
     return sum(all(table[i][p[i]] for i in range(n)) for p in itertools.permutations(range(n)))
 
 
+def _mask_rows(table, columns=None):
+    """The bitmask rows of a 0/1 table: column j is bit ``columns[j]``,
+    by default bit j."""
+    columns = columns or range(len(table))
+    return [sum(1 << c for c, ok in zip(columns, row) if ok) for row in table]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 5).flatmap(
-    lambda n: st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n)))
-def test_count_matchings_matches_brute_force(table):
-    assert _count_matchings(table) == _brute_count(table)
+    lambda n: st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n)),
+    st.one_of(st.none(), st.integers(0, 4)))
+def test_count_matchings_matches_brute_force(table, empty):
+    if empty is not None and table:
+        table[empty % len(table)] = [False] * len(table)
+    assert _count_matchings(_mask_rows(table)) == _brute_count(table)
+    # a column is any one bit, as in the rows of a fixed face's partner table
+    spread = [3 * j + 1 for j in range(len(table))]
+    assert _count_matchings(_mask_rows(table, spread)) == _brute_count(table)
 
 
 @pytest.mark.parametrize("table,count", [
@@ -59,9 +74,11 @@ def test_count_matchings_matches_brute_force(table):
     ([[False]], 0),
     ([[True, False], [True, False]], 0),
     ([[True, True], [True, False]], 1),
+    ([[False, False, False], [True, True, True], [True, True, True]], 0),
+    ([[True] * 4] * 3 + [[False] * 4], 0),
 ])
 def test_count_matchings_edge_cases(table, count):
-    assert _count_matchings(table) == count == _brute_count(table)
+    assert _count_matchings(_mask_rows(table)) == count == _brute_count(table)
 
 
 # -- draws against the listing reference ---------------------------------
@@ -110,6 +127,18 @@ def test_corpus_fold_draws_match_listing(checked_draws):
     assert len(checked_draws) >= 30 * 7
 
 
+@pytest.mark.parametrize("make", [
+    lambda: vertex_folded_instance(5, folds=6),
+    lambda: edge_folded_instance(5, edge_folds=6),
+    lambda: edge_folded_instance(5, edge_folds=3, vertex_folds=3),
+], ids=["vertex_folds=6", "edge_folds=6", "edge_folds=3+vertex_folds=3"])
+def test_many_fold_draws_match_listing(checked_draws, make):
+    """Each fold at a face grows its star, so later draws see stars of
+    every size up to that of six folds."""
+    make()
+    assert len(checked_draws) == 6
+
+
 def test_unfixed_draw_matches_listing():
     k = linear_chain(4, 8, 3, fixed=(0, 1))
     for kind in ("vertex_fold", "edge_fold"):
@@ -134,6 +163,7 @@ def test_no_admissible_fold_draws_nothing():
     ("edge_fold", (0,)),
     ("edge_fold", (0, 0)),
     ("edge_fold", (0, 1, 2)),
+    ("edge_fold", (99, 99)),
 ])
 def test_wrong_size_fixed_face_is_refused(kind, fixed):
     k = linear_chain(4, 10, 3, fixed=(0, 1))
@@ -145,6 +175,29 @@ def test_wrong_size_fixed_face_is_refused(kind, fixed):
     if kind == "edge_fold":
         assert next(find_edge_folds(k, (0, 1)), None) is not None
         with pytest.raises(ValueError, match="distinct"):
+            next(find_edge_folds(k, fixed))
+
+
+@pytest.mark.parametrize("kind,fixed,face", [
+    ("vertex_fold", (99,), "(99,)"),
+    ("edge_fold", (0, 99), "(0, 99)"),
+    ("edge_fold", (99, 0), "(0, 99)"),
+    ("edge_fold", (2, 8), "(2, 8)"),
+])
+def test_absent_fixed_face_is_refused(kind, fixed, face):
+    k = linear_chain(4, 10, 3, fixed=(0, 1))
+    assert not k.has_face(fixed)
+    rng, twin = SplitMix64(1), SplitMix64(1)
+    message = re.escape(f"{face} is not a face")
+    with pytest.raises(FaceNotPresent, match=message):
+        random_admissible(kind, k, rng, fixed)
+    with pytest.raises(FaceNotPresent, match=message):
+        random_admissible(kind, k, rng, fixed, avoid=fixed[0])
+    assert rng.next64() == twin.next64()
+    with pytest.raises(FaceNotPresent, match=message):
+        if kind == "vertex_fold":
+            next(find_vertex_folds(k, fixed[0]))
+        else:
             next(find_edge_folds(k, fixed))
 
 
@@ -175,14 +228,15 @@ def _assert_star_order(k, vertices, edges):
 
 
 @pytest.mark.parametrize("make,vertices,edges", [
-    (lambda: linear_chain(4, 10, 3, fixed=(0,)), (0, 1, 5, 9), ((0, 1), (0, 5))),
+    (lambda: linear_chain(4, 10, 3, fixed=(0,)), (0, 1, 5, 8), ((0, 1), (0, 5))),
     (lambda: linear_chain(4, 9, 5, fixed=(0, 1)), (0, 1), ((0, 1), (0, 2), (1, 9))),
-    (lambda: vertex_folded_instance(21, folds=2).complex, (0, 3, 8), ((0, 3),)),
+    (lambda: vertex_folded_instance(21, folds=2).complex, (0, 3, 10), ((0, 3),)),
     (lambda: edge_folded_instance(22, edge_folds=1, vertex_folds=1).complex, (0, 1),
      ((0, 1), (1, 4))),
 ])
 def test_fixed_search_is_filtered_unfixed_search(make, vertices, edges):
     k = make()
+    assert all(k.has_face((x,)) for x in vertices)
     assert all(k.has_face(e) for e in edges)
     _assert_star_order(k, vertices, edges)
 

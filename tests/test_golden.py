@@ -37,6 +37,10 @@ FOLDED = {
     "edge_folded_instance(13)": (lambda: edge_folded_instance(13), MODE_EDGE),
     "edge_folded_instance(14, vertex_folds=1, sums=1)": (
         lambda: edge_folded_instance(14, vertex_folds=1, sums=1), MODE_EDGE),
+    "vertex_folded_instance(23, folds=4)": (
+        lambda: vertex_folded_instance(23, folds=4), MODE_ONE),
+    "edge_folded_instance(24, edge_folds=3, vertex_folds=1)": (
+        lambda: edge_folded_instance(24, edge_folds=3, vertex_folds=1), MODE_EDGE),
     "suspension_instance(15)": (lambda: suspension_instance(15), MODE_SUSPENSION),
     "suspension_instance(16, extra_vertex_folds=1, subdivisions=1)": (
         lambda: suspension_instance(16, extra_vertex_folds=1, subdivisions=1),
@@ -69,6 +73,10 @@ GOLDEN = {
     'tree of edge_folded_instance(13)': '6e5771f2bee0d714edd24cd105586af8615bba76bdf8621d6f6b5cc48e62cbbd',
     'edge_folded_instance(14, vertex_folds=1, sums=1)': '51613b79679fbafb1567ca514834037479f5b6ea0f9d19734e1b29576bbe08c9',
     'tree of edge_folded_instance(14, vertex_folds=1, sums=1)': '0da2bd36c9bbdd94205962c5eef608a39474621306116a9f3e3130d449610570',
+    'vertex_folded_instance(23, folds=4)': 'ef19b03bc53957297f0ad596f92e5ea7107a4edb5e19ba1ee4efdd5b60c9a988',
+    'tree of vertex_folded_instance(23, folds=4)': 'ae7b7b9b9bf3c544ed47d0fff2d7044b1ce58b1fee128d834ffc8703d48a4599',
+    'edge_folded_instance(24, edge_folds=3, vertex_folds=1)': '100558a9ad72e1826e840c370aacaef3bc868800b655ff98fcff30c61ea53a9d',
+    'tree of edge_folded_instance(24, edge_folds=3, vertex_folds=1)': '8fe8f8572aa2e526cd65a1e39996a0cd1864ba018f8a987fd537f75ef0c54d47',
     'suspension_instance(15)': '34edc7d0c4f11c1f0d5b4c9c349c631c63e6ef7861db61a47de1df721e2ca90c',
     'tree of suspension_instance(15)': '7a4720ffea282397c7368fdd07c81533544fb193d7d2b5307685fb08ba369edc',
     'suspension_instance(16, extra_vertex_folds=1, subdivisions=1)': 'e205f6a0d62e466a336dfdd5c765a4707f0e5ad9afa82415191a20e932d8f422',
