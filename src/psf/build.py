@@ -422,10 +422,12 @@ def _star_counts(k: Complex, face: set[int], avoid: Optional[int]):
     face (those of its facets outside it) are numbered, each facet gets
     the bitmask of its link vertices, and y's row, the bitmask of the z
     with ``_pair_ok(k, y, z, face)``, is made the first time y is asked
-    for.  Two facets meet exactly in the face when their masks are
-    disjoint, and y's row in their pair is its row masked by the other
-    facet.  A pair with an empty row is dropped; the others go to
-    ``_count_matchings``, once per distinct tuple of rows in the draw.
+    for; the relation is symmetric, so its bit for a z whose row exists
+    is read off that row.  Two facets meet exactly in the face when
+    their masks are disjoint, and y's row in their pair is its row
+    masked by the other facet.  A pair with an empty row is dropped;
+    the others go to ``_count_matchings``, once per distinct tuple of
+    rows in the draw.
     """
     facets = [f for f in k.facets_through(face) if avoid not in f]
     bits: dict[int, int] = {}
@@ -437,9 +439,12 @@ def _star_counts(k: Complex, face: set[int], avoid: Optional[int]):
     partners: dict[int, int] = {}
 
     def partner(y: int) -> int:
-        if y not in partners:
-            partners[y] = sum(b for z, b in bits.items() if _pair_ok(k, y, z, face))
-        return partners[y]
+        row = partners.get(y)
+        if row is None:
+            mine = bits[y]
+            row = partners[y] = sum(b for z, b in bits.items() if (
+                partners[z] & mine if z in partners else _pair_ok(k, y, z, face)))
+        return row
 
     counts: dict[tuple[int, ...], int] = {}
     counted = []

@@ -8,15 +8,30 @@ g-ledger: for every operation with an exact g-law the observed change
 of (g2, g3) is compared with the predicted one.
 
 Replay holds a complex only until the last step that references it,
-and the ledger reads each operand's (g2, g3) from its earlier row.
-Each result's g-vector still comes from its own face counts, so
-replaying a linear chain stays quadratic in its length.
+and the ledger reads each operand's (g2, g3) from its earlier row.  A
+result's own (g2, g3) comes from its edge and triangle counts, read off
+two multiplicity tables (face -> number of facets holding it) that
+live exactly as long as the complex.  A checked operation carries the
+tables of its larger operand over to its result through the facets
+that leave and arrive, a handful per step; leaves and the unchecked
+operations count theirs from scratch.  So a linear chain replays in
+time linear in its length, apart from the O(n) facet copy of each
+gluing.  ``PSF_DEBUG_VERIFY=1`` recounts every row in full.
+
+``dump_script`` writes a document exactly as ``json.dumps(doc,
+indent=2, sort_keys=True)`` does, plus a newline, without the pure
+Python encoder that ``indent`` selects.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, combinations, repeat
+from json.encoder import encode_basestring_ascii
+from math import inf
 from typing import Optional
 
 from .complexes import Complex, ComplexError, Simplex
@@ -37,6 +52,7 @@ from .build import (
 )
 from .enumeration import g2 as _g2
 from .enumeration import g3 as _g3
+from .enumeration import g_from_counts
 
 SCRIPT_VERSION = 1
 
@@ -112,7 +128,12 @@ def _integer(value) -> int:
 
 
 def _labels(value) -> list[int]:
-    return [_integer(v) for v in value]
+    """``value`` as a list of JSON integers; ``_integer`` names the first
+    value that is not one."""
+    labels = list(value)
+    if set(map(type, labels)) <= {int}:
+        return labels
+    return [_integer(v) for v in labels]
 
 
 def _pure_complex(value) -> Complex:
@@ -179,35 +200,97 @@ def _construct(step: dict, operand) -> Complex:
     raise ScriptError(f"unhandled op {op!r}")  # pragma: no cover - validate_script rejects it
 
 
+# A complex's edge and triangle multiplicity tables: face -> number of
+# maximal faces holding it.
+_Tables = tuple[Counter, Counter]
+
+
+def _faces(facets, size: int):
+    """Every ``size``-subset of every facet, once per facet."""
+    return chain.from_iterable(map(combinations, facets, repeat(size)))
+
+
+def _count_faces(facets) -> _Tables:
+    return Counter(_faces(facets, 2)), Counter(_faces(facets, 3))
+
+
+def _carry(tables: _Tables, gone, arrived) -> _Tables:
+    """``tables`` changed in place from one facet set to another: the
+    faces of the ``gone`` facets are taken out, those of the ``arrived``
+    ones put in."""
+    for table, size in zip(tables, (2, 3)):
+        for face in _faces(gone, size):
+            n = table[face] - 1
+            if n:
+                table[face] = n
+            else:
+                del table[face]
+        table.update(_faces(arrived, size))
+    return tables
+
+
+def _operand_keys(op: str) -> tuple[str, ...]:
+    return ("left", "right") if op == "connected_sum" else ("operand",)
+
+
+def _face_tables(i: int, step: dict, result: Complex, live: dict, last_use: dict) -> _Tables:
+    """The face tables of step i's result.
+
+    A checked op starts from the tables of its base operand X, the one
+    with more facets (the left one on a tie), taken over in place when
+    this is X's last use and copied otherwise, and carries them through
+    the symmetric difference of X's and the result's facets.  This is
+    exact on the result's own facets, whatever the op did.  Leaves and
+    unchecked ops count from scratch."""
+    if step["op"] not in _CHECKED_OPS:
+        return _count_faces(result.maximal_faces)
+    refs = [step[key] for key in _operand_keys(step["op"])]
+    base = max(refs, key=lambda j: len(live[j][0].maximal_faces))
+    k, tables = live[base]
+    if last_use[base] != i:
+        tables = (tables[0].copy(), tables[1].copy())
+    return _carry(tables, k.maximal_faces - result.maximal_faces,
+                  result.maximal_faces - k.maximal_faces)
+
+
 def replay(doc: dict) -> ReplayResult:
     """Execute a validated script and build its g-ledger, holding each
-    step's complex until the last step that references it."""
+    step's complex and face tables until the last step that references
+    it.  Under ``PSF_DEBUG_VERIFY=1`` every row is recounted from the
+    complex's own faces, and a difference raises ComplexError."""
     steps = validate_script(doc)
     last_use = {step[key]: i for i, step in enumerate(steps)
                 for key in REFERENCE_KEYS if key in step}
-    live: dict[int, Complex] = {}
+    debug = os.environ.get("PSF_DEBUG_VERIFY") == "1"
+    live: dict[int, tuple[Complex, _Tables]] = {}
     ledger: list[LedgerRow] = []
     for i, step in enumerate(steps):
-        result = _construct(step, lambda key: live[_need(step, key)])
-        ledger.append(_ledger_row(i, step, result, ledger))
+        result = _construct(step, lambda key: live[_need(step, key)][0])
+        tables = _face_tables(i, step, result, live, last_use)
+        row = _ledger_row(i, step, result, tables, ledger)
+        if debug and (row.g2, row.g3) != _g2g3(result):
+            raise ComplexError(f"step {i}: face tables give (g2, g3) = {(row.g2, row.g3)}, "
+                               f"a full count {_g2g3(result)}")
+        ledger.append(row)
         for key in REFERENCE_KEYS:
             if last_use.get(step.get(key)) == i:
                 live.pop(step[key], None)
         if i in last_use:
-            live[i] = result
+            live[i] = (result, tables)
     return ReplayResult(result, ledger)
 
 
-def _ledger_row(i: int, step: dict, result: Complex, ledger: list[LedgerRow]) -> LedgerRow:
-    """Step i's row; a checked op with a g2 reads its operands' (g2, g3) off
-    their rows.  Every checked op keeps the dimension, so its operands
-    have a g2 (g3) whenever its result does."""
+def _ledger_row(i: int, step: dict, result: Complex, tables: _Tables,
+                ledger: list[LedgerRow]) -> LedgerRow:
+    """Step i's row, its (g2, g3) from the result's face tables; a checked
+    op with a g2 reads its operands' (g2, g3) off their rows.  Every
+    checked op keeps the dimension, so its operands have a g2 (g3)
+    whenever its result does."""
     op = step["op"]
-    cur2, cur3 = _g2g3(result)
+    cur2, cur3 = g_from_counts(result.dim, len(result.vertices), *map(len, tables))
     if op not in _CHECKED_OPS or cur2 is None:
         return LedgerRow(i, op, cur2, cur3)
-    keys = ("left", "right") if op == "connected_sum" else ("operand",)
-    operands = [ledger[step[key]] for key in keys]
+    operands = [ledger[step[key]] for key in _operand_keys(op)]
     e2, e3 = (0, 0) if op in ("connected_sum", "facet_subdivision") else fold_deltas(op, result.dim)
     return LedgerRow(
         i, op, cur2, cur3,
@@ -228,7 +311,54 @@ def load_script(text: str) -> dict:
 
 
 def dump_script(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``doc`` as ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``
+    writes it, byte for byte."""
+    return _json(doc, "\n") + "\n"
+
+
+def _json(value, newline: str) -> str:
+    """``value`` in the ``json.dumps(indent=2, sort_keys=True)`` layout;
+    ``newline`` is a line break followed by the current indentation."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, (int, float)) or value is None:
+        return _scalar(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner)
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _scalar(value) -> str:
+    """A number, boolean or null as ``json`` writes it, tested in
+    ``json.encoder``'s order: booleans before integers."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if value != value:
+        return "NaN"
+    if value == inf:
+        return "Infinity"
+    if value == -inf:
+        return "-Infinity"
+    return float.__repr__(value)
 
 
 # -- seeded building -------------------------------------------------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Optional
 
 from .complexes import Complex, ComplexError
 
@@ -72,16 +73,24 @@ def g1(k: Complex) -> int:
     return len(k.vertices) - (k.dim + 2)
 
 
+def g_from_counts(d: int, f0: int, f1: int, f2: Optional[int] = None
+                  ) -> tuple[Optional[int], Optional[int]]:
+    """(g2, g3) of a d-complex with f0 vertices, f1 edges and f2 triangles,
+    for ``g2``, ``g3`` and the replay ledger alike.  g2 is None below
+    dimension 2, and g3 below dimension 3 or when f2 is not given."""
+    g2 = f1 - (d + 1) * f0 + comb(d + 2, 2) if d >= 2 else None
+    g3 = (f2 - d * f1 + comb(d + 1, 2) * f0 - comb(d + 2, 3)
+          if d >= 3 and f2 is not None else None)
+    return g2, g3
+
+
 def g2(k: Complex) -> int:
     if k.dim < 2:
         raise DimensionTooSmall("g_2 needs dimension >= 2")
-    d = k.dim
-    return len(k.faces(1)) - (d + 1) * len(k.vertices) + comb(d + 2, 2)
+    return g_from_counts(k.dim, len(k.vertices), len(k.faces(1)))[0]
 
 
 def g3(k: Complex) -> int:
     if k.dim < 3:
         raise DimensionTooSmall("g_3 needs dimension >= 3")
-    d = k.dim
-    f0, f1, f2 = len(k.vertices), len(k.faces(1)), len(k.faces(2))
-    return f2 - d * f1 + comb(d + 1, 2) * f0 - comb(d + 2, 3)
+    return g_from_counts(k.dim, len(k.vertices), len(k.faces(1)), len(k.faces(2)))[1]

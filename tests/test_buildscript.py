@@ -1,9 +1,11 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psf import Complex
-from psf.build import SplitMix64, boundary_simplex
+from psf import Complex, buildscript
+from psf.build import SplitMix64, boundary_simplex, facet_subdivision, one_vertex_suspension
 from psf.buildscript import (
     ScriptBuilder,
     ScriptError,
@@ -13,6 +15,7 @@ from psf.buildscript import (
     replay,
     validate_script,
 )
+from psf.complexes import ComplexError
 from psf.corpus import (
     edge_folded_instance,
     handle_instance,
@@ -234,3 +237,106 @@ def test_newest_facet_matches_a_scan(seed, moves):
             b.subdivide(b.pick())
         for at in ((), (0,), (1,), (0, 1), (0, 2)):
             assert b._newest(at) == newest_facet(b.current, at), (move, fixed, at)
+
+
+def _shared_operand_script():
+    """A dimension-3 subdivision, an unchecked suspension up to dimension
+    4, then checked steps that each read one operand twice: steps 4 and 5
+    subdivide step 3, and steps 7 and 9 glue a summand onto step 5, the
+    larger operand of both sums."""
+    k1 = facet_subdivision(boundary_simplex(4), (0, 1, 2, 3), 5)
+    k2 = one_vertex_suspension(k1, 0, 6)
+    k3 = facet_subdivision(k2, k2.facets[0], 7)
+    k5 = facet_subdivision(k3, k3.facets[-1], 8)
+
+    def leaf(offset):
+        return {"op": "complex", "facets": [[v + offset for v in f]
+                                            for f in boundary_simplex(5).facets]}
+
+    steps = [
+        {"op": "boundary_simplex", "n": 4},
+        {"op": "facet_subdivision", "operand": 0, "facet": [0, 1, 2, 3], "new_vertex": 5},
+        {"op": "one_vertex_suspension", "operand": 1, "vertex": 0, "apex": 6},
+        {"op": "facet_subdivision", "operand": 2, "facet": list(k2.facets[0]), "new_vertex": 7},
+        {"op": "facet_subdivision", "operand": 3, "facet": list(k3.facets[0]), "new_vertex": 8},
+        {"op": "facet_subdivision", "operand": 3, "facet": list(k3.facets[-1]), "new_vertex": 8},
+        leaf(20),
+        {"op": "connected_sum", "left": 5, "right": 6,
+         "pairs": [[a, b] for a, b in zip(k5.facets[0], range(20, 25))]},
+        leaf(30),
+        {"op": "connected_sum", "left": 5, "right": 8,
+         "pairs": [[a, b] for a, b in zip(k5.facets[1], range(30, 35))]},
+    ]
+    return {"version": 1, "steps": steps}
+
+
+def test_ledger_matches_reference_when_an_operand_is_read_twice():
+    doc = _shared_operand_script()
+    _assert_replay_matches_reference(doc)
+    ledger = replay(doc).ledger
+    assert [row.checked for row in ledger] == [False, True, False] + [True] * 3 + [
+        False, True, False, True]
+    assert ledger[1].g3 is not None and ledger[0].g2 == 0
+
+
+def test_debug_verify_catches_a_corrupted_face_table(monkeypatch):
+    """A face table that lost one edge gives a wrong g2 row; under
+    ``PSF_DEBUG_VERIFY=1`` the full recount refuses it."""
+    count = buildscript._count_faces
+
+    def corrupted(facets):
+        edges, triangles = count(facets)
+        edges.popitem()
+        return edges, triangles
+
+    monkeypatch.setattr(buildscript, "_count_faces", corrupted)
+    monkeypatch.delenv("PSF_DEBUG_VERIFY", raising=False)
+    assert replay(minimal_script()).ledger[0].g2 == -1
+    monkeypatch.setenv("PSF_DEBUG_VERIFY", "1")
+    with pytest.raises(ComplexError, match="face tables give"):
+        replay(minimal_script())
+
+
+def test_bad_labels_are_named_as_before():
+    steps = [{"op": "boundary_simplex", "n": 5},
+             {"op": "facet_subdivision", "operand": 0, "facet": [0, 1, True, 3.0, 4]}]
+    with pytest.raises(ScriptError, match=r"bad field 'facet' .*expected an integer, got True$"):
+        replay({"version": 1, "steps": steps})
+
+
+def _assert_dumps_as_json(doc):
+    assert dump_script(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_documents)
+def test_dump_script_writes_what_json_writes(doc):
+    _assert_dumps_as_json(doc)
+
+
+def test_dump_script_writes_what_json_writes_on_edge_cases():
+    _assert_dumps_as_json({"": [], "a": {}, "\u00e9\n\"\\\x00\ud800": [[], [{}]],
+                           "floats": [0.0, -0.0, 1e300, 2.5e-8, float("nan"), float("inf"),
+                                      float("-inf")],
+                           "ints": [True, False, None, 0, -7, 10**30]})
+    for doc in ([], {}, "x", 1, None, [[1, 2], [3]]):
+        _assert_dumps_as_json(doc)
+
+
+@settings(max_examples=20, deadline=None)
+@given(scripts_of_every_family)
+def test_dump_script_writes_random_scripts_as_json(doc):
+    _assert_dumps_as_json(doc)
+
+
+def test_dump_script_writes_corpus_scripts_as_json():
+    for name, make in sorted(CORPUS_RECIPES.items()):
+        for seed in range(3):
+            _assert_dumps_as_json(make(seed).script)
+    _assert_dumps_as_json(handle_instance(0).script)
