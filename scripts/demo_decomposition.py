@@ -8,11 +8,11 @@ exactly before its files are written; one that fails exits 1.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from psf import g2, g3
+from psf.buildscript import dump_script
 from psf.corpus import edge_folded_instance, suspension_instance, vertex_folded_instance
 from psf.decompose import MODE_EDGE, MODE_ONE, MODE_SUSPENSION, decompose, rebuild
 from psf.fileio import format_complex
@@ -43,9 +43,7 @@ def main() -> int:
             print(f"{name}: the decomposition tree does not rebuild the complex", file=sys.stderr)
             return 1
         (out / f"{name}.facets").write_text(format_complex(k))
-        (out / f"{name}.tree.json").write_text(
-            json.dumps(tree.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        (out / f"{name}.tree.json").write_text(dump_script(tree.to_dict()))
         rows.append((name, len(k.vertices), g2(k), g3(k),
                      len(singular_vertices(k)), *tree.g2_accounting()))
 

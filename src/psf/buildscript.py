@@ -7,16 +7,17 @@ Replay is therefore byte-deterministic.  The replay also keeps a
 g-ledger: for every operation with an exact g-law the observed change
 of (g2, g3) is compared with the predicted one.
 
-Replay holds a complex only until the last step that references it,
-and the ledger reads each operand's (g2, g3) from its earlier row.  A
-result's own (g2, g3) comes from its edge and triangle counts, read off
-two multiplicity tables (face -> number of facets holding it) that
-live exactly as long as the complex.  A checked operation carries the
-tables of its larger operand over to its result through the facets
-that leave and arrive, a handful per step; leaves and the unchecked
-operations count theirs from scratch.  So a linear chain replays in
-time linear in its length, apart from the O(n) facet copy of each
-gluing.  ``PSF_DEBUG_VERIFY=1`` recounts every row in full.
+One forward loop, ``_run_script``, runs every script: it holds a
+complex only until the last step that references it.  ``replay`` hands
+it the ledger step, and ``decompose.rebuild`` runs a decomposition
+tree's script through it with no ledger.  The ledger reads each
+operand's (g2, g3) from its earlier row.  A result's own (g2, g3) comes
+from its edge and triangle counts, read off two multiplicity tables
+(face -> number of facets holding it) that live exactly as long as the
+complex.  A checked operation carries the tables of its first operand
+over to its result through the facets that leave and arrive; leaves and
+the unchecked operations count theirs from scratch.
+``PSF_DEBUG_VERIFY=1`` recounts every row in full.
 
 ``dump_script`` writes a document exactly as ``json.dumps(doc,
 indent=2, sort_keys=True)`` does, plus a newline, without the pure
@@ -35,24 +36,10 @@ from math import inf
 from typing import Optional
 
 from .complexes import Complex, ComplexError, Simplex
-from .build import (
-    SplitMix64,
-    _glue_fresh_boundary,
-    boundary_simplex,
-    cone,
-    connected_sum,
-    edge_fold,
-    facet_subdivision,
-    fold_deltas,
-    handle_addition,
-    one_vertex_suspension,
-    random_admissible,
-    stacked_sphere,
-    vertex_fold,
-)
-from .enumeration import g2 as _g2
-from .enumeration import g3 as _g3
-from .enumeration import g_from_counts
+from .build import (SplitMix64, _glue_fresh_boundary, boundary_simplex, cone, connected_sum,
+                    edge_fold, facet_subdivision, fold_deltas, handle_addition,
+                    one_vertex_suspension, random_admissible, stacked_sphere, vertex_fold)
+from .enumeration import g2 as _g2, g3 as _g3, g_from_counts
 
 SCRIPT_VERSION = 1
 
@@ -64,7 +51,10 @@ REFERENCE_KEYS = ("operand", "left", "right")
 
 
 class ScriptError(ComplexError):
-    """Malformed script document (schema level, not admissibility)."""
+    """Malformed script document (schema level, not admissibility);
+    ``step`` is the index of a step whose fields ``_run_script`` refused."""
+
+    step: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -180,14 +170,9 @@ def _construct(step: dict, operand) -> Complex:
     if op == "connected_sum":
         return connected_sum(operand("left"), operand("right"), _field(step, "pairs", _pair_map))
     if op in ("handle_addition", "vertex_fold", "edge_fold"):
-        fn = {"handle_addition": handle_addition, "vertex_fold": vertex_fold,
-              "edge_fold": edge_fold}[op]
-        return fn(
-            operand("operand"),
-            _field(step, "source_facet", _labels),
-            _field(step, "target_facet", _labels),
-            _field(step, "pairs", _pair_map),
-        )
+        fn = {"handle_addition": handle_addition, "vertex_fold": vertex_fold, "edge_fold": edge_fold}[op]
+        return fn(operand("operand"), _field(step, "source_facet", _labels),
+                  _field(step, "target_facet", _labels), _field(step, "pairs", _pair_map))
     if op == "facet_subdivision":
         return facet_subdivision(operand("operand"), _field(step, "facet", _labels),
                                  _field(step, "new_vertex", _integer, True))
@@ -236,16 +221,16 @@ def _operand_keys(op: str) -> tuple[str, ...]:
 def _face_tables(i: int, step: dict, result: Complex, live: dict, last_use: dict) -> _Tables:
     """The face tables of step i's result.
 
-    A checked op starts from the tables of its base operand X, the one
-    with more facets (the left one on a tie), taken over in place when
-    this is X's last use and copied otherwise, and carries them through
-    the symmetric difference of X's and the result's facets.  This is
-    exact on the result's own facets, whatever the op did.  Leaves and
-    unchecked ops count from scratch."""
+    A checked op starts from the tables of its first operand X (the
+    left one of a connected sum, whose facets ``_identify`` keeps but
+    for the merged one), taken over in place when this is X's last use
+    and copied otherwise, and carries them through the symmetric
+    difference of X's and the result's facets.  This is exact on the
+    result's own facets, whatever the op did.  Leaves and unchecked ops
+    count from scratch."""
     if step["op"] not in _CHECKED_OPS:
         return _count_faces(result.maximal_faces)
-    refs = [step[key] for key in _operand_keys(step["op"])]
-    base = max(refs, key=lambda j: len(live[j][0].maximal_faces))
+    base = step[_operand_keys(step["op"])[0]]
     k, tables = live[base]
     if last_use[base] != i:
         tables = (tables[0].copy(), tables[1].copy())
@@ -253,31 +238,49 @@ def _face_tables(i: int, step: dict, result: Complex, live: dict, last_use: dict
                   result.maximal_faces - k.maximal_faces)
 
 
+def _run_script(doc: dict, hold=None) -> Complex:
+    """The complex that the last step of the script ``doc`` makes, each
+    result held until the last step that references it.  ``hold(i, step,
+    result, live, last_use)`` sees each result while ``live`` (index ->
+    (complex, held value)) still holds its operands, and returns what to
+    hold next to it."""
+    steps = validate_script(doc)
+    last_use = {step[key]: i for i, step in enumerate(steps)
+                for key in REFERENCE_KEYS if key in step}
+    live: dict[int, tuple] = {}
+    for i, step in enumerate(steps):
+        try:
+            result = _construct(step, lambda key: live[_need(step, key)][0])
+        except ScriptError as exc:
+            exc.step = i
+            raise
+        held = None if hold is None else hold(i, step, result, live, last_use)
+        for key in REFERENCE_KEYS:
+            if last_use.get(step.get(key)) == i:
+                live.pop(step[key], None)
+        if i in last_use:
+            live[i] = (result, held)
+    return result
+
+
 def replay(doc: dict) -> ReplayResult:
     """Execute a validated script and build its g-ledger, holding each
     step's complex and face tables until the last step that references
     it.  Under ``PSF_DEBUG_VERIFY=1`` every row is recounted from the
     complex's own faces, and a difference raises ComplexError."""
-    steps = validate_script(doc)
-    last_use = {step[key]: i for i, step in enumerate(steps)
-                for key in REFERENCE_KEYS if key in step}
     debug = os.environ.get("PSF_DEBUG_VERIFY") == "1"
-    live: dict[int, tuple[Complex, _Tables]] = {}
     ledger: list[LedgerRow] = []
-    for i, step in enumerate(steps):
-        result = _construct(step, lambda key: live[_need(step, key)][0])
+
+    def ledger_step(i: int, step: dict, result: Complex, live: dict, last_use: dict) -> _Tables:
         tables = _face_tables(i, step, result, live, last_use)
         row = _ledger_row(i, step, result, tables, ledger)
         if debug and (row.g2, row.g3) != _g2g3(result):
             raise ComplexError(f"step {i}: face tables give (g2, g3) = {(row.g2, row.g3)}, "
                                f"a full count {_g2g3(result)}")
         ledger.append(row)
-        for key in REFERENCE_KEYS:
-            if last_use.get(step.get(key)) == i:
-                live.pop(step[key], None)
-        if i in last_use:
-            live[i] = (result, tables)
-    return ReplayResult(result, ledger)
+        return tables
+
+    return ReplayResult(_run_script(doc, ledger_step), ledger)
 
 
 def _ledger_row(i: int, step: dict, result: Complex, tables: _Tables,

@@ -13,13 +13,12 @@ build step, 5 not optimal, 6 irreducible base encountered.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .complexes import Complex, ComplexError
 from .build import fold_deltas
-from .buildscript import ScriptError, load_script, replay
+from .buildscript import ScriptError, dump_script, load_script, replay
 from .decompose import (
     MODES,
     MODE_EDGE,
@@ -178,7 +177,7 @@ def cmd_decompose(args) -> int:
     edge, vertex = (fold_deltas(op, 4)[0] for op in ("edge_fold", "vertex_fold"))
     print(f"g2 accounting: {edge}*{m} + {vertex}*{n} + {base_g2} = {total}, g2(input) = {g2(k)}")
     if args.output:
-        _write_text(args.output, json.dumps(tree.to_dict(), indent=2, sort_keys=True) + "\n")
+        _write_text(args.output, dump_script(tree.to_dict()))
         print(f"wrote {args.output}")
     if counters.get("irreducible"):
         print("irreducible base encountered")

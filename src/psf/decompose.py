@@ -17,15 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import Complex, ComplexError, Simplex, UnknownVertex, fresh_labels, simplex
-from .build import (
-    InadmissibleFold,
-    connected_sum,
-    edge_fold,
-    facet_subdivision,
-    fold_deltas,
-    one_vertex_suspension,
-    vertex_fold,
-)
+from .build import InadmissibleFold, edge_fold, fold_deltas, vertex_fold
+from .buildscript import SCRIPT_VERSION, ScriptError, _integer, _operand_keys, _run_script, replay
 from .enumeration import g2 as _g2
 from .separation import (
     PreconditionUnmet,
@@ -309,14 +302,15 @@ _FIELDS = {
     "edge": 1, "facet": 1, "source_facet": 1, "target_facet": 1, "pairs": 2,
 }
 
-# Per node kind: its number of children and the fields its replay needs.
+# Per node kind: its number of children, the build-script op that rebuilds
+# it from them, and the fields that op needs, named as in its script step.
 _SHAPES = {
-    "leaf": (0, ("facets",)),
-    "suspension_base": (0, ("facets", "vertex", "apex")),
-    "inverse_subdivision": (1, ("facet",)),
-    "vertex_unfold": (1, ("source_facet", "target_facet", "pairs")),
-    "edge_unfold": (1, ("source_facet", "target_facet", "pairs")),
-    "split": (2, ("pairs",)),
+    "leaf": (0, "complex", ("facets",)),
+    "suspension_base": (0, "one_vertex_suspension", ("facets", "vertex", "apex")),
+    "inverse_subdivision": (1, "facet_subdivision", ("facet",)),
+    "vertex_unfold": (1, "vertex_fold", ("source_facet", "target_facet", "pairs")),
+    "edge_unfold": (1, "edge_fold", ("source_facet", "target_facet", "pairs")),
+    "split": (2, "connected_sum", ("pairs",)),
 }
 
 
@@ -350,10 +344,10 @@ class TreeNode:
         out: dict = {"kind": self.kind}
         if self.leaf_kind is not None:
             out["leaf_kind"] = self.leaf_kind
-        for key in _FIELDS:
+        for key, depth in _FIELDS.items():
             value = getattr(self, key)
             if value not in (None, ()):
-                out[key] = _lists(value)
+                out[key] = _lists(value, depth)
         return out
 
     @classmethod
@@ -375,16 +369,15 @@ def _integers(value, depth: int):
     """``value`` as ``depth`` levels of nested tuples over JSON integers;
     booleans, floats and strings raise TypeError."""
     if depth == 0:
-        if type(value) is not int:
-            raise TypeError(f"expected an integer, got {value!r}")
-        return value
+        return _integer(value)
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"expected a list, got {value!r}")
     return tuple(_integers(v, depth - 1) for v in value)
 
 
-def _lists(value):
-    return [_lists(v) for v in value] if isinstance(value, tuple) else value
+def _lists(value, depth: int):
+    """A ``_FIELDS`` value of ``depth`` (at most 2) list levels as lists."""
+    return list(map(list, value)) if depth == 2 else list(value) if depth else value
 
 
 @dataclass
@@ -414,17 +407,10 @@ class DecompositionTree:
         folds, where base is the g2 of the terminal bases (suspension bases
         and irreducible leaves); the total is the g2 the tree accounts for."""
         m, n = self.edge_fold_count, self.vertex_fold_count
-        base = sum(
-            _g2(Complex(s.facets))
-            for s in self.steps
-            if s.kind == "suspension_base"
-            or (s.kind == "leaf" and s.leaf_kind == "irreducible_base")
-        )
+        base = sum(_g2(Complex(s.facets)) for s in self.steps if s.kind == "suspension_base"
+                   or (s.kind == "leaf" and s.leaf_kind == "irreducible_base"))
         folds = fold_deltas("edge_fold", 4)[0] * m + fold_deltas("vertex_fold", 4)[0] * n
         return m, n, base, folds + base
-
-    def leaves(self) -> list[TreeNode]:
-        return [s for s in self.steps if s.kind in ("leaf", "suspension_base")]
 
     def to_dict(self) -> dict:
         return {
@@ -456,13 +442,34 @@ class DecompositionTree:
             raise MalformedTree(f"counters {counters} differ from the steps' {tree.counters}")
         return tree
 
+    def to_script(self) -> dict:
+        """The build script of nodes 0..root, the root's step last, after
+        ``validate``: each node's ``_SHAPES`` op on its children's steps,
+        a suspension base's after a ``complex`` step on its facets."""
+        self.validate()
+        steps: list[dict] = []
+        at: list[int] = []  # node index -> index of its step
+        for node in self.steps[: self.root + 1]:
+            _, op, needed = _SHAPES[node.kind]
+            step = {key: _lists(getattr(node, key), _FIELDS[key]) for key in needed}
+            operands = [at[c] for c in node.children]
+            if node.kind == "suspension_base":
+                steps.append({"op": "complex", "facets": step.pop("facets")})
+                operands = [len(steps) - 1]
+            elif node.kind == "inverse_subdivision":
+                step["new_vertex"] = node.vertex
+            step.update(zip(_operand_keys(op), operands), op=op)
+            at.append(len(steps))
+            steps.append(step)
+        return {"version": SCRIPT_VERSION, "steps": steps}
+
     def validate(self) -> None:
         if not (0 <= self.root < len(self.steps)):
             raise MalformedTree("root index out of range")
         for i, node in enumerate(self.steps):
             if node.kind not in _SHAPES:
                 raise MalformedTree(f"unknown node kind {node.kind!r}")
-            arity, needed = _SHAPES[node.kind]
+            arity, _, needed = _SHAPES[node.kind]
             if len(node.children) != arity:
                 raise MalformedTree(
                     f"{node.kind} node {i} has {len(node.children)} children, expected {arity}"
@@ -477,37 +484,18 @@ class DecompositionTree:
                 raise MalformedTree(f"{node.kind} node {i} has a pair of the wrong length")
 
 
-def _stored_complex(node: TreeNode, i: int) -> Complex:
-    """The pure complex on the facets that terminal node ``i`` stores."""
-    try:
-        return Complex.from_facets(node.facets)
-    except ComplexError as exc:
-        raise MalformedTree(f"{node.kind} node {i} has bad facets: {exc}") from exc
-
-
 def rebuild(tree: DecompositionTree) -> Complex:
-    """Replay a decomposition tree bottom-up through the forward constructors,
-    holding each node's complex until the last node that uses it."""
-    tree.validate()
-    last_use = {c: i for i, node in enumerate(tree.steps) for c in node.children}
-    last_use[tree.root] = len(tree.steps)
-    built: dict[int, Complex] = {}
-    for i, node in enumerate(tree.steps):
-        kids = [built[c] for c in node.children]
-        built = {c: k for c, k in built.items() if last_use.get(c, c) > i}
-        if node.kind == "leaf":
-            built[i] = _stored_complex(node, i)
-        elif node.kind == "suspension_base":
-            built[i] = one_vertex_suspension(_stored_complex(node, i), node.vertex, apex=node.apex)
-        elif node.kind == "inverse_subdivision":
-            built[i] = facet_subdivision(*kids, node.facet, new_vertex=node.vertex)
-        elif node.kind == "vertex_unfold":
-            built[i] = vertex_fold(*kids, node.source_facet, node.target_facet, dict(node.pairs))
-        elif node.kind == "edge_unfold":
-            built[i] = edge_fold(*kids, node.source_facet, node.target_facet, dict(node.pairs))
-        else:  # split; validate() admits no other kind
-            built[i] = connected_sum(*kids, dict(node.pairs))
-    return built[tree.root]
+    """Run a decomposition tree's build script through ``_run_script``;
+    bad stored facets raise MalformedTree."""
+    script = tree.to_script()
+    try:
+        return _run_script(script)
+    except ScriptError as exc:
+        steps = script["steps"]
+        if steps[exc.step]["op"] != "complex":
+            raise
+        i = exc.step - sum(step["op"] == "one_vertex_suspension" for step in steps[:exc.step])
+        raise MalformedTree(f"{tree.steps[i].kind} node {i} has bad facets: {exc.__cause__}") from exc
 
 
 # -- the decomposition engine ----------------------------------------------
@@ -797,7 +785,9 @@ def decompose(
       (see ``_Engine.stacked``).
     A failed certificate raises DecompositionError.  ``debug`` (or
     ``PSF_DEBUG_VERIFY=1``) checks every part in full, the carried
-    missing facets included.
+    missing facets included, and replays the tree's script: it must give
+    back ``k``, with (g2, g3) changed by ``fold_deltas`` at each unfolding
+    and additive at each split and inverse subdivision.
     """
     if mode not in MODES:
         raise ModeMismatch(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -829,6 +819,12 @@ def decompose(
     engine = _Engine(mode, debug)
     root = engine.run((k, t, t1, None))
     tree = DecompositionTree(engine.steps, root)
-    if engine.debug and rebuild(tree) != k:
-        raise DecompositionError("tree replay does not reproduce the input")
+    if engine.debug:
+        replayed = replay(tree.to_script())
+        if replayed.final != k:
+            raise DecompositionError("tree replay does not reproduce the input")
+        row = next((row for row in replayed.ledger if not row.ok), None)
+        if row:
+            raise DecompositionError(f"tree script step {row.step} ({row.op}) changed (g2, g3) by "
+                                     f"{row.delta_g2, row.delta_g3}, expected {row.expected_g2, row.expected_g3}")
     return tree

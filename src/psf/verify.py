@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .complexes import Complex, Simplex, UnknownVertex
-from .enumeration import DimensionTooSmall
+from .enumeration import DimensionTooSmall, g_from_counts
 from .enumeration import g2 as _g2
 from .enumeration import g3 as _g3
 
@@ -287,7 +287,7 @@ def _classify_normal_vertices(k: Complex) -> dict[int, SingularityVerdict]:
         degree = len(k.neighbors(v))
         if k.dim == 3:
             verdicts[v] = _surface_verdict(v, degree - triangles[v] + len(k.facets_through((v,))))
-        elif k.dim == 4 and triangles[v] - 4 * degree + 10 == 0:
+        elif k.dim == 4 and g_from_counts(3, degree, triangles[v])[0] == 0:
             verdicts[v] = SingularityVerdict(v, "nonsingular", "stacked")
         else:
             verdicts[v] = _classify(k, v, link_normal=True)

@@ -243,7 +243,7 @@ def _shared_operand_script():
     """A dimension-3 subdivision, an unchecked suspension up to dimension
     4, then checked steps that each read one operand twice: steps 4 and 5
     subdivide step 3, and steps 7 and 9 glue a summand onto step 5, the
-    larger operand of both sums."""
+    left operand of both sums."""
     k1 = facet_subdivision(boundary_simplex(4), (0, 1, 2, 3), 5)
     k2 = one_vertex_suspension(k1, 0, 6)
     k3 = facet_subdivision(k2, k2.facets[0], 7)

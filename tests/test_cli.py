@@ -13,6 +13,7 @@ from psf.build import boundary_simplex, one_vertex_suspension
 from psf.buildscript import dump_script, random_script
 from psf.cli import main
 from psf.corpus import pinched_complex, vertex_folded_instance, edge_folded_instance
+from psf.decompose import decompose
 from psf.fileio import format_complex, parse_complex
 
 
@@ -290,6 +291,9 @@ def test_decompose_command(tmp_path, capsys):
     assert "vertex_folds=1" in out
     doc = json.loads(tree_file.read_text())
     assert doc["version"] == 1
+    tree = decompose(record.complex, record.tracked, mode="one-singularity")
+    assert tree_file.read_bytes() == (json.dumps(tree.to_dict(), indent=2, sort_keys=True)
+                                      + "\n").encode()
 
 
 def test_decompose_not_optimal_exit(tmp_path):

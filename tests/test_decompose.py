@@ -13,14 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psf
-from psf import Complex, g2, g3, is_isomorphic
+from psf import Complex, buildscript, g2, g3, is_isomorphic
 from psf.build import (
     boundary_simplex,
     connected_sum,
     facet_subdivision,
+    fold_deltas,
     one_vertex_suspension,
     stacked_sphere,
 )
+from psf.buildscript import dump_script, load_script, replay
 from psf.corpus import (
     edge_folded_instance,
     handle_instance,
@@ -321,6 +323,38 @@ def test_rebuild_of_shared_and_repeated_children():
         rebuild(DecompositionTree([leaf, twice], 1))
 
 
+def test_rebuild_stops_at_the_root():
+    b5 = boundary_simplex(5)
+    leaf = TreeNode("leaf", leaf_kind="boundary_simplex", n=5, facets=b5.facets)
+    subdivide = TreeNode("inverse_subdivision", children=(0,), facet=(0, 1, 2, 3, 4), vertex=6)
+    # a node after the root is validated but never built
+    tree = DecompositionTree([leaf, subdivide, TreeNode("leaf", facets=((0, 1), (2, 3, 4)))], 1)
+    assert [step["op"] for step in tree.to_script()["steps"]] == ["complex", "facet_subdivision"]
+    assert rebuild(tree) == facet_subdivision(b5, (0, 1, 2, 3, 4), 6)
+    with pytest.raises(MalformedTree, match="split node 2 has 0 children, expected 2"):
+        rebuild(DecompositionTree([leaf, subdivide, TreeNode("split")], 1))
+
+
+def test_bad_stored_facets_name_their_node():
+    base = TreeNode("suspension_base", facets=boundary_simplex(4).facets, vertex=0, apex=9)
+    for steps, message in (
+        ([TreeNode("leaf", facets=((0, 1), (2, 3, 4)))],
+         "leaf node 0 has bad facets: facet lengths differ: [2, 3]"),
+        ([TreeNode("leaf", facets=())], "leaf node 0 has bad facets: no facets"),
+        ([TreeNode("suspension_base", facets=((0, 0, 1),), vertex=0, apex=5)],
+         "suspension_base node 0 has bad facets: repeated vertex in facet [0, 0, 1]"),
+        ([base, TreeNode("leaf", facets=((0, -1, 2),)),
+          TreeNode("split", children=(0, 1), pairs=((0, 10),))],
+         "leaf node 1 has bad facets: vertex labels must be non-negative, got (-1, 0, 2)"),
+        ([base, TreeNode("suspension_base", facets=((3, 4), (5,)), vertex=3, apex=7),
+          TreeNode("split", children=(0, 1), pairs=((0, 3),))],
+         "suspension_base node 1 has bad facets: facet lengths differ: [1, 2]"),
+    ):
+        with pytest.raises(MalformedTree) as info:
+            rebuild(DecompositionTree(steps, len(steps) - 1))
+        assert str(info.value) == message
+
+
 def _stack_depth() -> int:
     depth, frame = 0, sys._getframe()
     while frame is not None:
@@ -581,6 +615,41 @@ def engine_record(shared_corpus):
             decompose(k, t, mode, debug=True)
         decompose(linear_chain(4, 50, 50, fixed=(0,)), 0)
     return parts, splits, unfolds
+
+
+@pytest.fixture(scope="module")
+def corpus_trees(shared_corpus):
+    """``(complex, tree)`` for each corpus input that decomposes."""
+    trees = [(k, outcome(lambda: decompose(k, t, mode)))
+             for k, t, mode in corpus_inputs(shared_corpus)]
+    return [(k, tree) for k, tree in trees if not isinstance(tree, tuple)]
+
+
+def test_tree_scripts_replay_with_an_exact_g_ledger(corpus_trees):
+    assert len(corpus_trees) == 32
+    for k, tree in corpus_trees:
+        script = tree.to_script()
+        bases = sum(node.kind == "suspension_base" for node in tree.steps)
+        assert len(script["steps"]) == len(tree.steps) + bases
+        assert load_script(dump_script(script)) == script
+        result = replay(script)
+        assert result.final == k and result.ledger_ok
+        assert result.ledger[-1].g2 == tree.g2_accounting()[3] == g2(k)
+        folds = [row for row in result.ledger if row.op in ("vertex_fold", "edge_fold")]
+        assert len(folds) == tree.vertex_fold_count + tree.edge_fold_count
+        for row in folds:
+            assert (row.delta_g2, row.delta_g3) == fold_deltas(row.op, 4)
+        assert rebuild(tree) == k
+
+
+def test_debug_decompositions_check_every_fold_row(monkeypatch):
+    record = vertex_folded_instance(101)
+    decompose(record.complex, record.tracked, MODE_ONE, debug=True)
+    monkeypatch.setattr(buildscript, "fold_deltas", lambda op, d: (0, 0))
+    with pytest.raises(DecompositionError, match=r"tree script step \d+ \(vertex_fold\) "
+                                                 r"changed \(g2, g3\) by \(10, -10\), "
+                                                 r"expected \(0, 0\)"):
+        decompose(record.complex, record.tracked, MODE_ONE, debug=True)
 
 
 def unfoldings_at(k, tau):
