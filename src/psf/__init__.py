@@ -17,7 +17,6 @@ from .complexes import (
 )
 from .enumeration import DimensionTooSmall, FVector, GVector, f_vector, g1, g2, g3, h_vector
 from .build import (
-    FoldingMap,
     SplitMix64,
     boundary_simplex,
     cone,

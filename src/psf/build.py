@@ -16,7 +16,6 @@ which keeps every construction replayable from a script.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -80,38 +79,6 @@ class SplitMix64:
             j = self.randrange(i + 1)
             items[i], items[j] = items[j], items[i]
         return items
-
-
-@dataclass(frozen=True)
-class FoldingMap:
-    """A facet-pair bijection together with its declared flavor.
-
-    ``pairs`` maps every vertex of ``source_facet`` to a vertex of
-    ``target_facet``; flavor is one of ``vertex_fold``, ``edge_fold``,
-    ``handle`` or ``connected_sum``.
-    """
-
-    source_facet: Simplex
-    target_facet: Simplex
-    pairs: tuple[tuple[int, int], ...]
-    flavor: str
-
-    def __post_init__(self):
-        m = dict(self.pairs)
-        if sorted(m) != sorted(self.source_facet) or sorted(set(m.values())) != sorted(
-            self.target_facet
-        ):
-            raise ConstructionError("pairs are not a bijection between the two facets")
-
-    @property
-    def mapping(self) -> dict[int, int]:
-        return dict(self.pairs)
-
-
-def _as_mapping(pairing) -> dict[int, int]:
-    if isinstance(pairing, FoldingMap):
-        return pairing.mapping
-    return dict(pairing)
 
 
 def _require_facet(k: Complex, facet: Iterable[int]) -> Simplex:
@@ -190,7 +157,7 @@ def facet_subdivision(k: Complex, facet: Iterable[int], new_vertex: Optional[int
 
 def connected_sum(k1: Complex, k2: Complex, pairing) -> Complex:
     """Glue two complexes along a facet pair and delete the merged facet."""
-    mapping = _as_mapping(pairing)
+    mapping = dict(pairing)
     if k1.dim != k2.dim:
         raise DimensionMismatch(f"dimensions differ: {k1.dim} vs {k2.dim}")
     if k1.vertices & k2.vertices:
@@ -231,7 +198,7 @@ def _check_admissible(k: Complex, facet1, facet2, pairing, size: int) -> tuple[b
     elif len(shared) != size:
         face = "a single vertex" if size == 1 else "an edge"
         return False, f"facets intersect in {sorted(shared)}, not {face}"
-    mapping = _as_mapping(pairing)
+    mapping = dict(pairing)
     if any(mapping.get(x) != x for x in shared):
         return False, f"shared face {sorted(shared)} is not mapped to itself"
     if sorted(mapping) != list(f1) or sorted(set(mapping.values())) != list(f2):
@@ -271,7 +238,7 @@ def handle_addition(k: Complex, facet1, facet2, pairing) -> Complex:
     ok, reason = check_handle_admissible(k, facet1, facet2, pairing)
     if not ok:
         raise InadmissibleIdentification(reason)
-    return _identify((k,), _as_mapping(pairing), simplex(facet1))
+    return _identify((k,), dict(pairing), simplex(facet1))
 
 
 def check_vertex_fold_admissible(k: Complex, facet1, facet2, pairing) -> tuple[bool, str]:
@@ -284,7 +251,7 @@ def vertex_fold(k: Complex, facet1, facet2, pairing) -> Complex:
     ok, reason = check_vertex_fold_admissible(k, facet1, facet2, pairing)
     if not ok:
         raise InadmissibleFold(reason)
-    return _identify((k,), _as_mapping(pairing), simplex(facet1))
+    return _identify((k,), dict(pairing), simplex(facet1))
 
 
 def check_edge_fold_admissible(k: Complex, facet1, facet2, pairing) -> tuple[bool, str]:
@@ -297,7 +264,7 @@ def edge_fold(k: Complex, facet1, facet2, pairing) -> Complex:
     ok, reason = check_edge_fold_admissible(k, facet1, facet2, pairing)
     if not ok:
         raise InadmissibleFold(reason)
-    return _identify((k,), _as_mapping(pairing), simplex(facet1))
+    return _identify((k,), dict(pairing), simplex(facet1))
 
 
 def fold_deltas(op: str, d: int) -> tuple[int, int]:
@@ -313,41 +280,15 @@ def fold_deltas(op: str, d: int) -> tuple[int, int]:
 _HANDLE_ATTEMPTS = 400  # facet pairs a seeded handle search samples
 
 
-def _facet_pairs_sharing(k: Complex, count: int):
-    """Facet pairs meeting in exactly ``count`` vertices, from the facets
-    through each vertex, in order of first appearance in ``k.facets``."""
-    seen: set[tuple[Simplex, Simplex]] = set()
-    for v in dict.fromkeys(v for f in k.facets for v in f):
-        for f1, f2 in itertools.combinations(k.facets_through((v,)), 2):
-            key = (f1, f2) if f1 <= f2 else (f2, f1)
-            if key in seen:
-                continue
-            seen.add(key)
-            if len(set(f1) & set(f2)) == count:
-                yield key
-
-
-def _pair_table(k: Complex, f1: Simplex, f2: Simplex, shared: set[int]):
-    """The vertices of f1 and f2 outside ``shared`` and the rows of the
-    ``_pair_ok`` table between them, made lazily: bit j of row y is set
-    when y may go to the j-th of f2's vertices."""
-    rest1 = [v for v in f1 if v not in shared]
-    rest2 = [v for v in f2 if v not in shared]
-    return rest1, rest2, (sum(1 << j for j, z in enumerate(rest2) if _pair_ok(k, y, z, shared))
-                          for y in rest1)
-
-
 def _count_matchings(rows) -> int:
     """Perfect matchings of a square 0/1 table given as bitmask rows (its
-    permanent): the one counter of every fold draw.
+    permanent): the one counter of every fold search and draw.
 
-    A column is any one bit.  An unfixed draw passes the rows of
-    ``_pair_table``, bit j for the j-th vertex of the second facet; a
-    draw at a fixed face passes rows cut from its per-draw partner table
-    (``_star_counts``), whose bits number the face's link, after
-    dropping every pair with an empty row.  It is a DP over the sets of
-    columns the rows so far have taken; rows are read one at a time, and
-    none after a row that leaves no way open."""
+    A column is any one bit.  Its one caller, ``_star_counts``, passes
+    rows cut from the partner table of one star, whose bits number the
+    face's link, after dropping every pair with an empty row.  It is a
+    DP over the sets of columns the rows so far have taken; rows are
+    read one at a time, and none after a row that leaves no way open."""
     ways = {0: 1}
     for row in rows:
         taken: dict[int, int] = {}
@@ -363,15 +304,20 @@ def _count_matchings(rows) -> int:
     return sum(ways.values())
 
 
-def _admissible_bijections(k: Complex, f1: Simplex, f2: Simplex, shared: set[int]):
-    """Bijections f1 -> f2 fixing ``shared`` whose other pairs all pass
-    ``_pair_ok``, in ``itertools.permutations`` order.
+def _admissible_bijections(k: Complex, f1: Simplex, f2: Simplex):
+    """Bijections f1 -> f2 fixing the face the two facets share whose
+    other pairs all pass ``_pair_ok``, in ``itertools.permutations``
+    order.
 
-    Pair verdicts are tabled once per facet pair, so each permutation
-    costs a few lookups instead of a full admissibility check.
+    Pair verdicts are tabled once per facet pair, bit j of y's row set
+    when y may go to the j-th of f2's other vertices, so each
+    permutation costs a few lookups instead of a full admissibility
+    check.
     """
-    rest1, rest2, rows = _pair_table(k, f1, f2, shared)
-    table = list(rows)
+    shared = set(f1) & set(f2)
+    rest1 = [v for v in f1 if v not in shared]
+    rest2 = [v for v in f2 if v not in shared]
+    table = [sum(1 << j for j, z in enumerate(rest2) if _pair_ok(k, y, z, shared)) for y in rest1]
     for perm in itertools.permutations(range(len(rest2))):
         if all(row >> j & 1 for row, j in zip(table, perm)):
             mapping = {v: v for v in sorted(shared)}
@@ -393,29 +339,9 @@ def _fixed_face(k: Complex, size: int, fixed_face) -> set[int]:
     return face
 
 
-def _fold_pairs(k: Complex, size: int, fixed_face):
-    """Facet pairs meeting in ``size`` vertices, or in exactly
-    ``fixed_face`` when it is given, each with its shared face.
-
-    A fixed face F, () or ``size`` distinct vertices, is searched in its
-    star only.  This keeps the order of ``_facet_pairs_sharing``: a pair
-    meeting in F is met only in the groups of F's vertices, is yielded
-    from the first of them, and the facets through F keep their sorted
-    order within each group.
-    """
-    face = _fixed_face(k, size, fixed_face)
-    if not face:
-        for f1, f2 in _facet_pairs_sharing(k, size):
-            yield f1, f2, set(f1) & set(f2)
-        return
-    for f1, f2 in itertools.combinations(k.facets_through(face), 2):
-        if set(f1) & set(f2) == face:
-            yield f1, f2, face
-
-
 def _star_counts(k: Complex, face: set[int], avoid: Optional[int]):
     """The pairs of facets through ``face`` that miss ``avoid`` and meet
-    exactly in it, in ``_fold_pairs`` order, each with its number of
+    exactly in it, in sorted (f1, f2) order, each with its number of
     admissible bijections when that is not 0.
 
     One partner table serves the whole star.  The link vertices of the
@@ -427,7 +353,7 @@ def _star_counts(k: Complex, face: set[int], avoid: Optional[int]):
     their masks are disjoint, and y's row in their pair is its row
     masked by the other facet.  A pair with an empty row is dropped;
     the others go to ``_count_matchings``, once per distinct tuple of
-    rows in the draw.
+    rows in the star.
     """
     facets = [f for f in k.facets_through(face) if avoid not in f]
     bits: dict[int, int] = {}
@@ -463,12 +389,39 @@ def _star_counts(k: Complex, face: set[int], avoid: Optional[int]):
                 counted.append((f1, f2, n))
     return counted
 
+def _counted_pairs(k: Complex, size: int, fixed_face, avoid: Optional[int]):
+    """The facet pairs that miss ``avoid`` and meet in ``size`` vertices,
+    or exactly in ``fixed_face`` when it is given, each with its number
+    of admissible bijections when that is not 0: the one list behind
+    every vertex- and edge-fold search and draw.
+
+    At a fixed face it is ``_star_counts``.  Otherwise the vertices u
+    are taken in order of first appearance in ``k.facets``.  A vertex
+    fold's pairs at u are those of u's star; an edge fold's are those of
+    the stars of the edges uw, for each w met after u, merged in sorted
+    (f1, f2) order.  That is the order of the plain listing, which takes
+    a pair from the first vertex group that meets it and lists a group's
+    pairs sorted across all its edges.
+    """
+    face = _fixed_face(k, size, fixed_face)
+    if face:
+        return _star_counts(k, face, avoid)
+    order = {v: i for i, v in enumerate(dict.fromkeys(v for f in k.facets for v in f))}
+    counted = []
+    for u, i in order.items():
+        if size == 1:
+            counted += _star_counts(k, {u}, avoid)
+        else:
+            counted += sorted(t for w in k.neighbors(u) if order[w] > i
+                              for t in _star_counts(k, {u, w}, avoid))
+    return counted
+
 
 def _fold_triples(k: Complex, size: int, fixed_face):
     """Admissible fold triples on facet pairs meeting in ``size`` vertices,
     or only in ``fixed_face`` when it is given."""
-    for f1, f2, shared in _fold_pairs(k, size, fixed_face):
-        for mapping in _admissible_bijections(k, f1, f2, shared):
+    for f1, f2, _ in _counted_pairs(k, size, fixed_face, None):
+        for mapping in _admissible_bijections(k, f1, f2):
             yield f1, f2, mapping
 
 
@@ -502,7 +455,7 @@ def find_handles(k: Complex, rng: Optional[SplitMix64] = None):
     for f1, f2 in pairs:
         if set(f1) & set(f2) or _linking_edge(k, f1, f2) is not None:
             continue
-        for mapping in _admissible_bijections(k, f1, f2, set()):
+        for mapping in _admissible_bijections(k, f1, f2):
             yield f1, f2, mapping
             break
 
@@ -515,42 +468,30 @@ def random_admissible(kind: str, k: Complex, rng: SplitMix64, fixed: tuple[int, 
     vertex or edge (any, when it is empty) whose facets miss ``avoid``;
     a handle is the first one a sampled search finds.  A fixed face of
     the wrong size, or one that is not in ``k``, is refused before the
-    draw.
+    draw, and so is a handle draw given a fixed face or an avoided
+    vertex.
 
-    Folds are counted, not listed: each candidate facet pair adds the
-    number of perfect matchings of its ``_pair_ok`` table, one index is
-    drawn from the total, and only the bijection at that index is
-    built.  At a fixed face the rows of every pair come from one
-    per-draw partner table over the face's link (``_star_counts``), and
-    a pair with an empty row is dropped uncounted; otherwise each pair
-    tables its own rows.  Both feed the one counter,
-    ``_count_matchings``.  The triples keep the order of
-    ``find_vertex_folds`` and ``find_edge_folds`` and the total is their
-    number, so the draw, and the random stream after it, are those of
+    Folds are counted, not listed: ``_counted_pairs`` gives each
+    candidate facet pair with its number of admissible bijections, in
+    the order of ``find_vertex_folds`` and ``find_edge_folds``.  One
+    index is drawn from the total, and only the bijection at that index
+    is built, so the draw, and the random stream after it, are those of
     drawing from the full list.
     """
     if kind == "handle":
+        if fixed or avoid is not None:
+            raise ValueError(f"a handle draw takes no fixed face and no avoided vertex, "
+                             f"got fixed={fixed!r}, avoid={avoid!r}")
         return next(find_handles(k, rng=rng), None)
     if kind not in ("vertex_fold", "edge_fold"):
         raise ValueError(f"unknown kind {kind!r}")
-    size = 1 if kind == "vertex_fold" else 2
-    face = _fixed_face(k, size, fixed)
-    if face:
-        counted = _star_counts(k, face, avoid)
-    else:
-        counted = []
-        for f1, f2, shared in _fold_pairs(k, size, ()):
-            if avoid not in f1 + f2:
-                n = _count_matchings(_pair_table(k, f1, f2, shared)[2])
-                if n:
-                    counted.append((f1, f2, n))
+    counted = _counted_pairs(k, 1 if kind == "vertex_fold" else 2, fixed, avoid)
     if not counted:
         return None
     i = rng.randrange(sum(n for *_, n in counted))
     for f1, f2, n in counted:
         if i < n:
-            shared = set(f1) & set(f2)
-            return f1, f2, next(itertools.islice(_admissible_bijections(k, f1, f2, shared), i, None))
+            return f1, f2, next(itertools.islice(_admissible_bijections(k, f1, f2), i, None))
         i -= n
 
 

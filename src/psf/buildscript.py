@@ -35,7 +35,7 @@ from json.encoder import encode_basestring_ascii
 from math import inf
 from typing import Optional
 
-from .complexes import Complex, ComplexError, Simplex
+from .complexes import Complex, ComplexError, Simplex, _integer
 from .build import (SplitMix64, _glue_fresh_boundary, boundary_simplex, cone, connected_sum,
                     edge_fold, facet_subdivision, fold_deltas, handle_addition,
                     one_vertex_suspension, random_admissible, stacked_sphere, vertex_fold)
@@ -110,13 +110,6 @@ def _field(step: dict, key: str, convert, optional: bool = False):
         raise ScriptError(f"bad field {key!r} in step {step}: {exc}") from exc
 
 
-def _integer(value) -> int:
-    """``value`` if it is a JSON integer; booleans, floats and strings raise."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
 def _labels(value) -> list[int]:
     """``value`` as a list of JSON integers; ``_integer`` names the first
     value that is not one."""
@@ -128,7 +121,7 @@ def _labels(value) -> list[int]:
 
 def _pure_complex(value) -> Complex:
     """The complex on a facet list, under the facet-file rules."""
-    return Complex.from_facets([_labels(f) for f in value])
+    return Complex.from_facets(value)
 
 
 def _pair_map(value) -> dict[int, int]:

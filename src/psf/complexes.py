@@ -55,6 +55,22 @@ class VertexOverlap(ComplexError):
 Simplex = tuple[int, ...]
 
 
+def _integer(value) -> int:
+    """``value`` if it is an ``int``; booleans, floats and strings raise."""
+    if type(value) is not int:
+        raise ComplexError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _integer_rows(rows: list) -> Iterable[tuple[int, ...]]:
+    """``rows`` when all their labels are ``int``; otherwise the rows one
+    at a time, each refused at its first label ``_integer`` refuses, so a
+    row's other checks run before a later row's labels are refused."""
+    if set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+        return rows
+    return (tuple(map(_integer, row)) for row in rows)
+
+
 def simplex(vertices: Iterable[int]) -> Simplex:
     """Normalise an iterable of labels into a sorted simplex tuple."""
     vs = tuple(sorted(vertices))
@@ -87,13 +103,13 @@ class Complex:
     complex; ``Complex([()])`` is the complex containing only it.
 
     ``Complex(...)`` and ``from_facets`` validate their input: each facet
-    is sorted and checked for repeated and negative labels, and
-    ``from_facets`` wants one length.  A facet set the library made itself
-    (simplex boundaries, gluings, folds, subdivisions, links and stars,
-    and the parts of the inverse operations) is canonical whether or not
-    its source complex is pure, so it goes through the private
-    ``_trusted``, which skips the per-facet checks.  Both routes end in
-    one body, ``_set_up``.
+    is checked for labels that are not ``int``, sorted and checked for
+    repeated and negative labels, and ``from_facets`` wants one length.
+    A facet set the library made itself (simplex boundaries, gluings,
+    folds, subdivisions, links and stars, and the parts of the inverse
+    operations) is canonical whether or not its source complex is pure,
+    so it goes through the private ``_trusted``, which skips the
+    per-facet checks.  Both routes end in one body, ``_set_up``.
 
     Only the facet set is behaviour: ``maximal_faces`` iterates in an
     unspecified order.  ``relabel``, ``build.cone`` and
@@ -105,7 +121,7 @@ class Complex:
                  "_pure")
 
     def __init__(self, maximal_faces: Iterable[Iterable[int]]):
-        self._set_up(simplex(f) for f in maximal_faces)
+        self._set_up(map(simplex, _integer_rows(list(map(tuple, maximal_faces)))))
 
     @classmethod
     def _trusted(cls, facets: Iterable[Simplex]) -> "Complex":
@@ -146,8 +162,9 @@ class Complex:
         """Build a pure complex from a non-empty list of equal-length facets.
 
         Each row is checked for emptiness and repeats, then for its
-        length, then sorted and checked for negative labels, once; the
-        sorted rows go to ``_trusted``."""
+        length, then, row by row, for labels that are not ``int``, and
+        sorted and checked for negative labels, once; the sorted rows go
+        to ``_trusted``."""
         rows = [list(f) for f in facets]
         if not rows:
             raise ComplexError("no facets")
@@ -160,7 +177,7 @@ class Complex:
         if len(lengths) > 1:
             raise MixedDimension(f"facet lengths differ: {sorted(lengths)}")
         sorted_rows = []
-        for row in rows:
+        for row in _integer_rows(rows):
             vs = tuple(sorted(row))
             if vs[0] < 0:
                 raise ComplexError(f"vertex labels must be non-negative, got {vs}")

@@ -360,14 +360,15 @@ class TreeNode:
             if data.get(key) is not None:
                 try:
                     fields[key] = _integers(data[key], depth)
-                except TypeError as exc:
+                except (TypeError, ComplexError) as exc:
                     raise MalformedTree(f"bad field {key!r} in tree node {data!r}: {exc}") from exc
         return cls(data["kind"], leaf_kind=data.get("leaf_kind"), **fields)
 
 
 def _integers(value, depth: int):
     """``value`` as ``depth`` levels of nested tuples over JSON integers;
-    booleans, floats and strings raise TypeError."""
+    a non-list raises TypeError, and a boolean, float or string label
+    ComplexError."""
     if depth == 0:
         return _integer(value)
     if not isinstance(value, (list, tuple)):

@@ -11,29 +11,88 @@ import sys
 
 import pytest
 
-from psf.build import _admissible_bijections, _facet_pairs_sharing, fold_deltas
+from psf.build import (_HANDLE_ATTEMPTS, _admissible_bijections, check_handle_admissible,
+                       fold_deltas)
 from psf.buildscript import LedgerRow, _construct, _g2g3, _need, validate_script
 from psf.complexes import Complex
+
+
+def facet_pairs_sharing(k, count):
+    """Facet pairs meeting in exactly ``count`` vertices, from the facets
+    through each vertex, in order of first appearance in ``k.facets``: the
+    listing order that every fold search and draw keeps.  A pair comes
+    from the first vertex group that meets it, and a group lists its
+    pairs in ``itertools.combinations`` order of the sorted facets."""
+    seen = set()
+    for v in dict.fromkeys(v for f in k.facets for v in f):
+        for f1, f2 in itertools.combinations(k.facets_through((v,)), 2):
+            key = (f1, f2) if f1 <= f2 else (f2, f1)
+            if key in seen:
+                continue
+            seen.add(key)
+            if len(set(f1) & set(f2)) == count:
+                yield key
 
 
 def listing_draw(kind, k, rng, fixed=(), avoid=None):
     """The list-then-draw fold choice of ``build.random_admissible``.
 
     Lists every admissible (facet1, facet2, mapping) triple of the whole
-    complex in the order of ``_facet_pairs_sharing``, keeps those at the
+    complex in the order of ``facet_pairs_sharing``, keeps those at the
     ``fixed`` face whose facets miss ``avoid``, and draws one index.
     """
     size = {"vertex_fold": 1, "edge_fold": 2}[kind]
     triples = []
-    for f1, f2 in _facet_pairs_sharing(k, size):
+    for f1, f2 in facet_pairs_sharing(k, size):
         shared = set(f1) & set(f2)
         if fixed and shared != set(fixed):
             continue
-        triples += [(f1, f2, m) for m in _admissible_bijections(k, f1, f2, shared)
+        triples += [(f1, f2, m) for m in _admissible_bijections(k, f1, f2)
                     if avoid not in f1 + f2]
     if not triples:
         return None
     return triples[rng.randrange(len(triples))]
+
+
+def oracle_folds(k, size, fixed_face, check):
+    """The plain fold search: every facet pair of ``facet_pairs_sharing``
+    (at ``fixed_face`` only, when it is given), every
+    ``itertools.permutations`` bijection fixing the shared face, each run
+    through the full admissibility ``check``."""
+    for f1, f2 in facet_pairs_sharing(k, size):
+        shared = set(f1) & set(f2)
+        if fixed_face is not None and shared != set(fixed_face):
+            continue
+        rest1 = [v for v in f1 if v not in shared]
+        rest2 = [v for v in f2 if v not in shared]
+        for perm in itertools.permutations(rest2):
+            mapping = {v: v for v in shared}
+            mapping.update(zip(rest1, perm))
+            if check(k, f1, f2, mapping)[0]:
+                yield f1, f2, mapping
+
+
+def oracle_handles(k, rng=None):
+    """The plain handle search: every facet pair, or the pairs a seeded
+    search samples, and the first bijection of each that passes the full
+    ``check_handle_admissible``."""
+    facets = list(k.facets)
+    if rng is None:
+        pairs = itertools.combinations(facets, 2)
+    else:
+        pairs = []
+        for _ in range(_HANDLE_ATTEMPTS):
+            f1, f2 = rng.choice(facets), rng.choice(facets)
+            if f1 < f2:
+                pairs.append((f1, f2))
+    for f1, f2 in pairs:
+        if set(f1) & set(f2):
+            continue
+        for perm in itertools.permutations(f2):
+            mapping = dict(zip(f1, perm))
+            if check_handle_admissible(k, f1, f2, mapping)[0]:
+                yield f1, f2, mapping
+                break
 
 
 def facets_through(k, face):

@@ -67,7 +67,7 @@ def test_from_facets_duplicate_vertex():
     ([[-1, 2], [1, 2, 3]], MixedDimension, "facet lengths differ: [2, 3]"),
     ([[2, -1], [-3, 4]], ComplexError, "vertex labels must be non-negative, got (-1, 2)"),
     ([[-1, 2], ["a", 1]], ComplexError, "vertex labels must be non-negative, got (-1, 2)"),
-    ([[0, 1], ["a", 1]], TypeError, "'<' not supported between instances of 'int' and 'str'"),
+    ([[0, 1], ["a", 1]], ComplexError, "expected an integer, got 'a'"),
 ])
 def test_from_facets_refusals_keep_their_order_and_text(rows, error, message):
     # every row is checked for repeats before any length, and lengths
@@ -75,6 +75,29 @@ def test_from_facets_refusals_keep_their_order_and_text(rows, error, message):
     with pytest.raises(error) as err:
         from_facets(rows)
     assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("rows, label", [
+    ([[0.5, 1, 2], [1, 2, 3]], "0.5"),
+    ([[0, 1, 2], [1, 2, 3.0]], "3.0"),
+    ([[True, 2, 3], [1, 2, 3]], "True"),
+    ([[3, 2, False]], "False"),
+    ([["a", "b"]], "'a'"),
+    ([[0, 1], [1, "2"]], "'2'"),
+])
+def test_constructors_refuse_labels_that_are_not_int(rows, label):
+    for make in (Complex, from_facets, Complex.from_facets):
+        with pytest.raises(ComplexError) as err:
+            make(rows)
+        assert type(err.value) is ComplexError
+        assert str(err.value) == f"expected an integer, got {label}"
+
+
+def test_new_labels_that_are_not_int_are_refused():
+    with pytest.raises(ComplexError, match=r"^expected an integer, got 1\.5$"):
+        one_vertex_suspension(boundary_simplex(4), 0, apex=1.5)
+    with pytest.raises(ComplexError, match=r"^expected an integer, got 'v'$"):
+        cone("v", boundary_simplex(3))
 
 
 def test_faces_counts():

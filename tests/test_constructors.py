@@ -221,22 +221,3 @@ def test_fold_laws_on_seeded_instances(seed):
     record = vertex_folded_instance(seed % 1000, folds=1, sums=seed % 3)
     assert g2(record.complex) == 10
     assert g3(record.complex) == -10
-
-
-def test_folding_map_type():
-    from psf.build import FoldingMap, ConstructionError
-
-    chain = linear_chain(4, 10, 8, fixed=(0,))
-    f1, f2, mapping = next(iter(find_vertex_folds(chain, fixed_vertex=0)))
-    fm = FoldingMap(f1, f2, tuple(sorted(mapping.items())), "vertex_fold")
-    assert fm.mapping == mapping
-    assert vertex_fold(chain, f1, f2, fm) == vertex_fold(chain, f1, f2, mapping)
-
-    with pytest.raises(ConstructionError):
-        FoldingMap(f1, f2, tuple(sorted({a: f2[0] for a in f1}.items())), "vertex_fold")
-
-    a = stacked_sphere(4, 2, 1)
-    b = boundary_simplex(5).relabel({i: i + 100 for i in range(6)})
-    pairs = tuple(zip(a.facets[0], b.facets[0]))
-    fm = FoldingMap(a.facets[0], b.facets[0], pairs, "connected_sum")
-    assert connected_sum(a, b, fm) == connected_sum(a, b, dict(pairs))

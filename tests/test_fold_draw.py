@@ -21,12 +21,13 @@ import psf.buildscript
 from psf.build import (
     SplitMix64,
     _count_matchings,
+    check_edge_fold_admissible,
     facet_subdivision,
     find_edge_folds,
     find_vertex_folds,
     random_admissible,
 )
-from psf.buildscript import random_script
+from psf.buildscript import EDGE_ARM, ScriptBuilder, random_script
 from psf.complexes import FaceNotPresent
 from psf.corpus import (
     cone_point_base_3d,
@@ -36,7 +37,7 @@ from psf.corpus import (
     suspension_instance,
     vertex_folded_instance,
 )
-from reference import listing_draw
+from reference import listing_draw, oracle_folds
 
 # -- the matching counter ------------------------------------------------
 
@@ -148,6 +149,33 @@ def test_unfixed_draw_matches_listing():
             assert rng.next64() == twin.next64()
 
 
+def _two_edge_arms():
+    """Edge arms along 01 and along 02: the pairs meeting in the edges 01
+    and 02 both belong to vertex 0's group, and interleave there."""
+    b = ScriptBuilder(SplitMix64(1), 5)
+    b.arm((0, 1), EDGE_ARM)
+    b.arm((0, 2), EDGE_ARM, b.pick((0, 2), 1))
+    return b.current
+
+
+def test_unfixed_edge_search_merges_the_edges_of_a_group():
+    k = _two_edge_arms()
+    found = [(f1, f2, list(m.items())) for f1, f2, m in find_edge_folds(k)]
+    expected = [(f1, f2, list(m.items()))
+                for f1, f2, m in oracle_folds(k, 2, None, check_edge_fold_admissible)]
+    assert found == expected
+    # listed edge by edge, vertex 0's pairs would come in another order
+    edges = [tuple(sorted(set(f1) & set(f2))) for f1, f2, _ in found]
+    runs = [e for e, _ in itertools.groupby(edges)]
+    assert {(0, 1), (0, 2)} <= set(runs) and len(runs) > len(set(runs))
+    for seed in range(20):
+        rng, twin = SplitMix64(seed), SplitMix64(seed)
+        drawn, expected = random_admissible("edge_fold", k, rng), listing_draw("edge_fold", k, twin)
+        assert drawn is not None and drawn == expected
+        assert list(drawn[2].items()) == list(expected[2].items())
+        assert rng.next64() == twin.next64()
+
+
 def test_no_admissible_fold_draws_nothing():
     k = linear_chain(4, 2, 1, fixed=(0,))
     rng, twin = SplitMix64(4), SplitMix64(4)
@@ -176,6 +204,16 @@ def test_wrong_size_fixed_face_is_refused(kind, fixed):
         assert next(find_edge_folds(k, (0, 1)), None) is not None
         with pytest.raises(ValueError, match="distinct"):
             next(find_edge_folds(k, fixed))
+
+
+@pytest.mark.parametrize("fixed,avoid", [((999,), None), ((0,), None), ((0, 1), None), ((), 0)])
+def test_handle_draw_refuses_a_fixed_face_or_avoided_vertex(fixed, avoid):
+    k = linear_chain(4, 13, 1)
+    rng, twin = SplitMix64(1), SplitMix64(1)
+    with pytest.raises(ValueError, match="a handle draw takes no fixed face and no avoided vertex"):
+        random_admissible("handle", k, rng, fixed, avoid)
+    assert rng.next64() == twin.next64()
+    assert random_admissible("handle", k, SplitMix64(1)) is not None
 
 
 @pytest.mark.parametrize("kind,fixed,face", [
@@ -210,7 +248,8 @@ def test_unknown_kind_is_refused():
 
 
 def _first_group(k, face):
-    """The vertex of ``face`` whose group ``_facet_pairs_sharing`` visits first."""
+    """The vertex of ``face`` whose group ``reference.facet_pairs_sharing``
+    visits first: the group that lists the pairs meeting in ``face``."""
     order = list(dict.fromkeys(v for f in k.facets for v in f))
     return min(face, key=order.index)
 

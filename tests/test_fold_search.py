@@ -1,11 +1,14 @@
 """Reference tests for the fold-search kernel.
 
-The searches table the per-pair condition once per facet pair and
-filter the bijections through that table.  The oracle below is the
-plain per-bijection search: every candidate facet pair, every
-``itertools.permutations`` bijection, each one run through the full
-``check_*_admissible``.  Both must yield the same triples in the same
-order, and seeded handle searches must consume the same random draws.
+The searches take their facet pairs from the stars of the faces, table
+the per-pair condition once per facet pair and filter the bijections
+through that table.  The oracles, ``oracle_folds`` and
+``oracle_handles`` in ``reference.py``, are the plain per-bijection
+search: every candidate facet pair in ``facet_pairs_sharing`` order,
+every ``itertools.permutations`` bijection, each one run through the
+full ``check_*_admissible``.  Both must yield the same triples in the
+same order, and seeded handle searches must consume the same random
+draws.
 
 A second oracle restates the three admissibility conditions literally
 (common neighbours of a vertex-fold pair equal to {x}, inside {u, v} for
@@ -18,10 +21,8 @@ import itertools
 import pytest
 
 from psf.build import (
-    _HANDLE_ATTEMPTS,
     FacetsShareVertices,
     SplitMix64,
-    _facet_pairs_sharing,
     check_edge_fold_admissible,
     check_handle_admissible,
     check_vertex_fold_admissible,
@@ -30,40 +31,7 @@ from psf.build import (
     find_vertex_folds,
 )
 from psf.corpus import edge_folded_instance, linear_chain, vertex_folded_instance
-
-
-def _oracle_folds(k, size, fixed_face, check):
-    for f1, f2 in _facet_pairs_sharing(k, size):
-        shared = set(f1) & set(f2)
-        if fixed_face is not None and shared != set(fixed_face):
-            continue
-        rest1 = [v for v in f1 if v not in shared]
-        rest2 = [v for v in f2 if v not in shared]
-        for perm in itertools.permutations(rest2):
-            mapping = {v: v for v in shared}
-            mapping.update(zip(rest1, perm))
-            if check(k, f1, f2, mapping)[0]:
-                yield f1, f2, mapping
-
-
-def _oracle_handles(k, rng=None):
-    facets = list(k.facets)
-    if rng is None:
-        pairs = itertools.combinations(facets, 2)
-    else:
-        pairs = []
-        for _ in range(_HANDLE_ATTEMPTS):
-            f1, f2 = rng.choice(facets), rng.choice(facets)
-            if f1 < f2:
-                pairs.append((f1, f2))
-    for f1, f2 in pairs:
-        if set(f1) & set(f2):
-            continue
-        for perm in itertools.permutations(f2):
-            mapping = dict(zip(f1, perm))
-            if check_handle_admissible(k, f1, f2, mapping)[0]:
-                yield f1, f2, mapping
-                break
+from reference import facet_pairs_sharing, oracle_folds, oracle_handles
 
 
 def _same(found, expected):
@@ -77,31 +45,31 @@ def _same(found, expected):
 @pytest.mark.parametrize("d,seed", [(4, 3), (4, 8), (3, 2)])
 def test_vertex_fold_search_matches_oracle(d, seed):
     k = linear_chain(d, 10 if d == 4 else 8, seed, fixed=(0,))
-    assert _same(find_vertex_folds(k), _oracle_folds(k, 1, None, check_vertex_fold_admissible))
+    assert _same(find_vertex_folds(k), oracle_folds(k, 1, None, check_vertex_fold_admissible))
     assert _same(find_vertex_folds(k, fixed_vertex=0),
-                 _oracle_folds(k, 1, (0,), check_vertex_fold_admissible))
+                 oracle_folds(k, 1, (0,), check_vertex_fold_admissible))
 
 
 @pytest.mark.parametrize("seed", [5, 6])
 def test_edge_fold_search_matches_oracle(seed):
     k = linear_chain(4, 9, seed, fixed=(0, 1))
-    assert _same(find_edge_folds(k), _oracle_folds(k, 2, None, check_edge_fold_admissible))
+    assert _same(find_edge_folds(k), oracle_folds(k, 2, None, check_edge_fold_admissible))
     assert _same(find_edge_folds(k, fixed_edge=(0, 1)),
-                 _oracle_folds(k, 2, (0, 1), check_edge_fold_admissible))
+                 oracle_folds(k, 2, (0, 1), check_edge_fold_admissible))
     reversed_edge = list(find_edge_folds(k, fixed_edge=(1, 0)))
     assert reversed_edge == list(find_edge_folds(k, fixed_edge=(0, 1)))
 
 
 def test_handle_search_matches_oracle_scan():
     k = linear_chain(4, 13, 7)
-    assert _same(find_handles(k), _oracle_handles(k))
+    assert _same(find_handles(k), oracle_handles(k))
 
 
 @pytest.mark.parametrize("seed", [7, 11, 12])
 def test_handle_search_matches_oracle_seeded(seed):
     k = linear_chain(4, 12, seed)
     rng_a, rng_b = SplitMix64(seed), SplitMix64(seed)
-    assert _same(find_handles(k, rng=rng_a), _oracle_handles(k, rng=rng_b))
+    assert _same(find_handles(k, rng=rng_a), oracle_handles(k, rng=rng_b))
     # both searches drew exactly the same numbers
     assert rng_a.next64() == rng_b.next64()
 
@@ -114,7 +82,7 @@ def test_facet_pairs_sharing_covers_every_pair():
             for f1, f2 in itertools.combinations(k.facets, 2)
             if len(set(f1) & set(f2)) == count
         }
-        found = list(_facet_pairs_sharing(k, count))
+        found = list(facet_pairs_sharing(k, count))
         assert len(found) == len(set(found)) and set(found) == expected
 
 
