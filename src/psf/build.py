@@ -20,7 +20,7 @@ from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .complexes import (Complex, ComplexError, FaceNotPresent, Simplex, VertexOverlap,
-                        fresh_labels, simplex)
+                        _integer, fresh_labels, simplex)
 
 
 class ConstructionError(ComplexError):
@@ -141,7 +141,10 @@ def one_vertex_suspension(k: Complex, v: int, apex: Optional[int] = None) -> Com
 
 def facet_subdivision(k: Complex, facet: Iterable[int], new_vertex: Optional[int] = None) -> Complex:
     """Replace a facet by the cone over its boundary from a fresh vertex.
-    A negative label is refused with the first facet made, f - f[0] + u."""
+    A ``new_vertex`` that is not an ``int`` is refused before any other
+    check, and a negative one with the first facet made, f - f[0] + u."""
+    if new_vertex is not None:
+        _integer(new_vertex)
     f = _require_facet(k, facet)
     u = fresh_labels(k, 1)[0] if new_vertex is None else new_vertex
     if u < 0:

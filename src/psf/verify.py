@@ -29,17 +29,27 @@ g2(lk v) = (triangles through v) - 4 deg v + 10 on a 4-complex, and
 chi(lk v) = deg v - (triangles through v) + (facets through v) on a
 3-complex, whose vertex links are connected.
 
-The normality check decides link connectivity with a union-find over
-the residues of the facets through each face, and runs the facet-graph
-cut for strong connectivity only when some link is disconnected: a pure
-complex whose links, that of the empty face included, are all connected
-is strongly connected (Bagchi and Datta, Lower bound theorem for normal
-pseudomanifolds, Expo. Math. 2008).
+The normality check gives each vertex one bit through a dense index
+and decides link connectivity by merging bitmasks: each residue of a
+facet through a face joins the mask reached so far once it meets it,
+pass after pass, and the link is connected when no residue is left
+over.  The
+facet-graph cut for strong connectivity runs only when some link is
+disconnected: a pure complex whose links, that of the empty face
+included, are all connected is strongly connected (Bagchi and Datta,
+Lower bound theorem for normal pseudomanifolds, Expo. Math. 2008).
+The same argument gives the homology of a link already proven normal
+from one rank: a normal 3-pseudomanifold is connected and its only
+top cycle over GF(2) is the sum of all facets, so only the rank of the
+boundary map on triangles is left to compute (``_normal_betti``).
+``homology_gf2`` stays for the checked classification and as the
+oracle, so every certificate string is unchanged.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -143,35 +153,42 @@ def _is_boundary_simplex(k: Complex) -> bool:
 def is_normal_pseudomanifold(k: Complex) -> NormalityReport:
     """Purity, ridge degrees, strong connectivity and connected links.
 
-    No link is built.  One pass over the facets collects the facets
-    through every face of dimension at most dim - 1, the empty face
-    included; this table fills all of them at once, where
-    ``Complex.facets_through`` would filter an index once per face.  Its
-    top level gives the ridge degrees.  The links checked are those of
-    the faces on the levels below it, in order of dimension and then of
-    label: the link of a face is connected exactly when the residues
-    ``f - face`` of its facets form one connected piece, the vertices of
-    each residue being joined to each other.  The facet-graph cut runs
-    only when some link is disconnected, since otherwise the complex is
-    strongly connected (Bagchi and Datta, see the module docstring).
+    No link is built.  A counter over the ridges of the facets gives the
+    ridge degrees.  Each vertex gets one bit through a dense index, so a
+    mask's width is the vertex count whatever the labels, and one pass
+    over the facets lists the facet masks through every face of
+    dimension at most dim - 2, the empty face included.  The link of
+    such a face is connected exactly when the residues ``m ^ face_mask``
+    of those masks form one connected piece (``_masks_connected``); the
+    witnesses are taken in order of dimension and then of label.  The
+    facet-graph cut runs only when some link is disconnected, since
+    otherwise the complex is strongly connected (Bagchi and Datta, see
+    the module docstring).
     """
     pure = k.is_pure
     if not pure or k.dim < 1:
         return NormalityReport(pure, False, pure, False)
     witnesses: dict = {}
+    facets = k.maximal_faces
 
-    through: list[dict[Simplex, list[Simplex]]] = [{} for _ in range(k.dim + 1)]
-    for f in k.maximal_faces:
-        for size, faces in enumerate(through):
-            for face in itertools.combinations(f, size):
-                faces.setdefault(face, []).append(f)
-    *lower, ridges = through
-
-    bad_ridges = [r for r, fs in ridges.items() if len(fs) != 2]
+    ridges = Counter(r for f in facets for r in itertools.combinations(f, k.dim))
+    bad_ridges = [r for r, n in ridges.items() if n != 2]
     if bad_ridges:
         witnesses["ridges"] = sorted(bad_ridges)[:10]
-    bad_links = [face for faces in lower for face in sorted(faces)
-                 if not _residues_connected(face, faces[face])]
+
+    bit = _bits(k.vertices)
+    through: dict[Simplex, list[int]] = {}
+    for f in facets:
+        m = sum(map(bit.__getitem__, f))
+        for size in range(k.dim):
+            for face in itertools.combinations(f, size):
+                through.setdefault(face, []).append(m)
+    bad_links = []
+    for face, masks in through.items():
+        face_mask = sum(map(bit.__getitem__, face))
+        if not _masks_connected([m ^ face_mask for m in masks]):
+            bad_links.append(face)
+    bad_links.sort(key=lambda face: (len(face), face))
     if bad_links:
         witnesses["disconnected_links"] = bad_links[:10]
 
@@ -180,28 +197,29 @@ def is_normal_pseudomanifold(k: Complex) -> NormalityReport:
     return NormalityReport(pure, not bad_ridges, strong, links_ok, witnesses)
 
 
-def _residues_connected(face: Simplex, facets: Iterable[Simplex]) -> bool:
-    """Whether the link of ``face``, given the facets through it, is
-    connected: a union-find with path halving over the residue vertices
-    joins each residue at its first vertex and counts the pieces left."""
-    parent: dict[int, int] = {}
-    pieces = 0
-    for f in facets:
-        first = None
-        for v in f:
-            if v in face:
-                continue
-            if v not in parent:
-                parent[v] = v
-                pieces += 1
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            if first is None:
-                first = v
-            elif v != first:
-                parent[v] = first
-                pieces -= 1
-    return pieces == 1
+def _bits(vertices: Iterable[int]) -> dict[int, int]:
+    """One bit per vertex, numbered densely, never by label: a label of
+    10**9 would otherwise make masks of 125 MB."""
+    return {v: 1 << i for i, v in enumerate(vertices)}
+
+
+def _masks_connected(masks: list[int]) -> bool:
+    """Whether nonempty vertex sets, given as bitmasks, form one connected
+    piece, two sets being joined when they meet: every set that meets
+    the reached mask is merged into it, pass after pass, until a pass
+    merges nothing."""
+    reached, *rest = masks
+    while rest:
+        left = []
+        for m in rest:
+            if m & reached:
+                reached |= m
+            else:
+                left.append(m)
+        if len(left) == len(rest):
+            return False
+        rest = left
+    return True
 
 
 # -- homology over GF(2) -------------------------------------------------
@@ -232,6 +250,31 @@ def homology_gf2(k: Complex) -> tuple[int, ...]:
         ranks[j] = _gf2_rank(cols)
 
     return tuple(len(faces[j]) - ranks[j] - ranks[j + 1] for j in range(d + 1))
+
+
+def _normal_betti(k: Complex) -> tuple[int, int, int, int]:
+    """``homology_gf2`` of a normal 3-pseudomanifold, from one rank.
+
+    Let r2 be the rank of the boundary map from triangles to edges over
+    GF(2).  A normal pseudomanifold is connected, so b0 = 0 and the
+    augmented boundary map on edges has rank f0 - 1.  A 3-chain is a
+    cycle exactly when, at every triangle, it holds both or neither of
+    the two facets through it; the facet graph is connected (a normal
+    pseudomanifold is strongly connected, Bagchi and Datta 2008), so the
+    only cycles are 0 and the sum of all facets, which is one (Munkres,
+    Elements of Algebraic Topology, 1984).  So b3 = 1 and the boundary
+    map on facets has rank f3 - 1, which leaves
+    b1 = (f1 - (f0 - 1)) - r2 and b2 = (f2 - r2) - (f3 - 1).  Under
+    ``PSF_DEBUG_VERIFY=1`` the result is compared with ``homology_gf2``
+    and a difference raises ``AssertionError``.
+    """
+    _, f0, f1, f2, f3 = k.f_counts()
+    edge = _bits(k.faces(1))
+    r2 = _gf2_rank([edge[(a, b)] | edge[(a, c)] | edge[(b, c)] for a, b, c in k.faces(2)])
+    betti = (0, f1 - f0 + 1 - r2, f2 - r2 - f3 + 1, 1)
+    if os.environ.get("PSF_DEBUG_VERIFY") == "1" and betti != homology_gf2(k):
+        raise AssertionError(f"one-rank betti {betti} differ from homology_gf2 {homology_gf2(k)}")
+    return betti
 
 
 def _gf2_rank(columns: list[int]) -> int:
@@ -309,12 +352,13 @@ def _classify(k: Complex, v: int, link_normal: bool) -> SingularityVerdict:
 
     if link.dim == 2:
         f = link.f_counts()
-        return _surface_verdict(v, f[1] - f[2] + f[3],
-                                _residues_connected((), link.maximal_faces))
+        bit = _bits(link.vertices)
+        return _surface_verdict(v, f[1] - f[2] + f[3], _masks_connected(
+            [sum(map(bit.__getitem__, t)) for t in link.maximal_faces]))
 
     if link.dim == 3 and (_g2(link) == 0 if link_normal else is_stacked_sphere(link)):
         return SingularityVerdict(v, "nonsingular", "stacked")
-    betti = homology_gf2(link)
+    betti = _normal_betti(link) if link_normal else homology_gf2(link)
     if betti != (0, 0, 0, 1):
         return SingularityVerdict(v, "singular", f"link gf2 betti {betti}")
     return SingularityVerdict(v, "unknown", "sphere-like homology but no constructive certificate")

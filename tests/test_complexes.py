@@ -523,6 +523,17 @@ def test_negative_new_labels_are_refused(make, label):
     assert str(err.value) == f"vertex labels must be non-negative, got {label}"
 
 
+@pytest.mark.parametrize("label", [0.5, 6.0, True, "x"], ids=["float", "whole-float", "bool", "str"])
+@pytest.mark.parametrize("facet", [(0, 1, 2, 3), (0, 1, 2, 9)], ids=["facet", "not-a-facet"])
+def test_facet_subdivision_refuses_non_integer_labels(label, facet):
+    # the label is checked before the facet, and before the sign and
+    # presence checks that would compare it with integers
+    with pytest.raises(ComplexError) as err:
+        facet_subdivision(boundary_simplex(4), facet, label)
+    assert type(err.value) is ComplexError
+    assert str(err.value) == f"expected an integer, got {label!r}"
+
+
 # -- history independence ------------------------------------------------
 
 

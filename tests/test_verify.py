@@ -1,9 +1,11 @@
 import itertools
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psf import Complex, g2, join
+from psf import Complex, g2, join, verify
 from psf.build import (
     boundary_simplex,
     cone,
@@ -24,6 +26,7 @@ from psf.corpus import (
 )
 from psf.verify import (
     _classify_normal_vertices,
+    _normal_betti,
     classify_vertex,
     classify_vertices,
     homology_gf2,
@@ -145,6 +148,11 @@ def assert_links_match_reference(k):
     assert report.strongly_connected == (k.is_pure and is_strongly_connected(k))
 
 
+def two_spheres_at_a_vertex():
+    return Complex(list(boundary_simplex(4).maximal_faces) + list(
+        boundary_simplex(4).relabel({i: i + 4 for i in range(1, 5)}).maximal_faces))
+
+
 def test_link_connectivity_matches_link_building_definition(shared_corpus):
     assert_links_match_reference(pinched_complex())
     two_edges = Complex([[0, 1], [2, 3]])
@@ -152,14 +160,37 @@ def test_link_connectivity_matches_link_building_definition(shared_corpus):
     assert is_normal_pseudomanifold(two_edges).witnesses["disconnected_links"] == [()]
     assert_links_match_reference(Complex([[0]]))
     # two 3-spheres sharing vertex 0: the cut runs and finds two pieces
-    wedge = Complex(list(boundary_simplex(4).maximal_faces) + list(
-        boundary_simplex(4).relabel({i: i + 4 for i in range(1, 5)}).maximal_faces))
+    wedge = two_spheres_at_a_vertex()
     assert_links_match_reference(wedge)
     report = is_normal_pseudomanifold(wedge)
     assert not report.strongly_connected
     assert report.witnesses["disconnected_links"] == [(0,)]
     for _, k in shared_corpus:
         assert_links_match_reference(k)
+
+
+def sparse(v):
+    return 10**6 * v + 7
+
+
+def test_normality_report_is_label_blind(shared_corpus):
+    # masks take one bit per vertex through a dense index, never 1 << label,
+    # so labels near 10**8 give the same reports, witnesses mapped, and
+    # the same verdicts
+    complexes = [pinched_complex(), two_spheres_at_a_vertex(), singular_base_3d(6).complex]
+    for k in complexes + [k for _, k in shared_corpus]:
+        far = k.relabel({v: sparse(v) for v in k.vertices})
+        report = is_normal_pseudomanifold(k)
+        witnesses = {key: [tuple(map(sparse, face)) for face in faces]
+                     for key, faces in report.witnesses.items()}
+        assert is_normal_pseudomanifold(far) == replace(report, witnesses=witnesses)
+        if report.normal:
+            verdicts = {sparse(v): (verdict.status, verdict.certificate)
+                        for v, verdict in _classify_normal_vertices(k).items()}
+            assert {v: (verdict.status, verdict.certificate)
+                    for v, verdict in _classify_normal_vertices(far).items()} == verdicts
+            assert {v: (verdict.status, verdict.certificate)
+                    for v, verdict in classify_vertices(far).items()} == verdicts
 
 
 @st.composite
@@ -207,6 +238,39 @@ def test_homology_matches_reference_on_corpus():
         join(boundary_simplex(2), Complex([[3, 4], [4, 5], [3, 5]])),
     ):
         assert homology_gf2(k) == reference_betti(k)
+
+
+def assert_one_rank_betti(link):
+    assert link.dim == 3 and is_normal_pseudomanifold(link).normal
+    assert _normal_betti(link) == homology_gf2(link) == reference_betti(link)
+
+
+def test_one_rank_betti_on_corpus_vertex_links(shared_corpus):
+    links = [k.link((v,)) for _, k in shared_corpus for v in sorted(k.vertices)]
+    positive = [link for link in links if g2(link) > 0]
+    assert len(positive) >= 10
+    assert {homology_gf2(link) for link in positive} > {(0, 0, 0, 1)}
+    for link in positive:
+        assert_one_rank_betti(link)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3), st.integers(0, 2))
+def test_one_rank_betti_on_singular_bases(seed, folds, subdivisions):
+    assert_one_rank_betti(singular_base_3d(seed, folds, subdivisions).complex)
+
+
+def test_debug_verify_cross_checks_one_rank_betti(monkeypatch):
+    record = vertex_folded_instance(12)
+    link = record.complex.link((record.tracked,))
+    betti = homology_gf2(link)
+    assert betti != (0, 0, 0, 1)
+    monkeypatch.setattr(verify, "homology_gf2", lambda k: (0, 0, 0, 1))
+    monkeypatch.delenv("PSF_DEBUG_VERIFY", raising=False)
+    assert _normal_betti(link) == betti
+    monkeypatch.setenv("PSF_DEBUG_VERIFY", "1")
+    with pytest.raises(AssertionError, match="differ from homology_gf2"):
+        _normal_betti(link)
 
 
 def test_is_stacked_sphere():
