@@ -32,7 +32,6 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from json.encoder import encode_basestring_ascii
-from math import inf
 from typing import Optional
 
 from .complexes import Complex, ComplexError, Simplex, _integer
@@ -317,8 +316,10 @@ def _json(value, newline: str) -> str:
     ``newline`` is a line break followed by the current indentation."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
     if isinstance(value, (int, float)) or value is None:
-        return _scalar(value)
+        return json.dumps(value)
     inner = newline + "  "
     if isinstance(value, (list, tuple)):
         if not value:
@@ -335,26 +336,6 @@ def _json(value, newline: str) -> str:
                  for k, v in sorted(value.items())]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _scalar(value) -> str:
-    """A number, boolean or null as ``json`` writes it, tested in
-    ``json.encoder``'s order: booleans before integers."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if value != value:
-        return "NaN"
-    if value == inf:
-        return "Infinity"
-    if value == -inf:
-        return "-Infinity"
-    return float.__repr__(value)
 
 
 # -- seeded building -------------------------------------------------------
@@ -465,8 +446,9 @@ class ScriptBuilder:
         return apex
 
 
-def random_script(seed: int, max_ops: int = 12, d: int = 4) -> dict:
-    """Seeded random build script over the exact-g-law operations.
+def random_script(seed: int, max_ops: int = 12) -> dict:
+    """Seeded random build script of a 4-dimensional complex over the
+    exact-g-law operations.
 
     Scripts are drawn from four families so folds and handles actually
     occur: vertex-fold arms, edge-fold arms, handle chains, and plain
@@ -475,9 +457,9 @@ def random_script(seed: int, max_ops: int = 12, d: int = 4) -> dict:
     """
     rng = SplitMix64(seed)
     family = rng.randrange(4) if max_ops >= 12 else 3
-    b = ScriptBuilder(rng, d + 1)
+    b = ScriptBuilder(rng, 5)
     ops = 0
-    if family < 3 and d == 4:
+    if family < 3:
         kind, fixed, length = (
             ("vertex_fold", (0,), VERTEX_ARM),
             ("edge_fold", (0, 1), EDGE_ARM),

@@ -370,59 +370,40 @@ def fresh_labels(k: Complex, count: int) -> list[int]:
 # -- isomorphism -------------------------------------------------------
 
 
-def _refined_colors(k1: Complex, k2: Complex) -> Optional[tuple[dict, dict]]:
-    """Joint Weisfeiler-style color refinement over both vertex sets.
+def _colors(k: Complex) -> dict[int, int]:
+    """Stable Weisfeiler-style colour classes of the vertices of ``k``,
+    each named by a hash of its signature.
 
-    Colors are comparable across the two complexes because signatures
-    are canonicalised through one shared table.  Returns None as soon
-    as the color histograms disagree.
+    A vertex starts from its degree, its facet sizes and the f-vector
+    of its link.  Each round names it by its colour and its neighbours'
+    sorted colours, until a round splits no class.  Hashes of int tuples
+    are the same in every process, so the sorted colours are an
+    isomorphism invariant; a hash collision can only merge classes.
     """
-
-    def initial(k: Complex) -> dict[int, tuple]:
-        # The faces of the link of v are the faces through v less v, up
-        # to the size of the largest maximal face through v.
-        through = Counter((v, len(f)) for j in range(1, k.dim + 1) for f in k.faces(j) for v in f)
-        sig = {}
-        for v in k.vertices:
-            profile = tuple(sorted(len(f) for f in k.facets_through((v,))))
-            link_f = (1, *(through[v, size] for size in range(2, profile[-1] + 1)))
-            sig[v] = (len(k.neighbors(v)), profile, link_f)
-        return sig
-
-    sigs = (initial(k1), initial(k2))
-    table: dict[tuple, int] = {}
-    colors = [{}, {}]
-    for side in (0, 1):
-        for v, s in sigs[side].items():
-            colors[side][v] = table.setdefault(s, len(table))
-
-    for _ in range(len(k1.vertices) + 1):
-        table = {}
-        new = [{}, {}]
-        for side, k in ((0, k1), (1, k2)):
-            for v in k.vertices:
-                s = (colors[side][v],
-                     tuple(sorted(colors[side][u] for u in k.neighbors(v))))
-                new[side][v] = table.setdefault(s, len(table))
-        if sorted(new[0].values()) != sorted(new[1].values()):
-            return None
-        stable = all(
-            len(set(new[s].values())) == len(set(colors[s].values())) for s in (0, 1)
-        )
+    # The faces of the link of v are the faces through v less v, up to
+    # the size of the largest maximal face through v.
+    through = Counter((v, len(f)) for j in range(1, k.dim + 1) for f in k.faces(j) for v in f)
+    colors = {}
+    for v in k.vertices:
+        profile = tuple(sorted(len(f) for f in k.facets_through((v,))))
+        link_f = (1, *(through[v, size] for size in range(2, profile[-1] + 1)))
+        colors[v] = hash((len(k.neighbors(v)), profile, link_f))
+    for _ in range(len(k.vertices) + 1):
+        new = {v: hash((c, tuple(sorted(colors[u] for u in k.neighbors(v)))))
+               for v, c in colors.items()}
+        stable = len(set(new.values())) == len(set(colors.values()))
         colors = new
         if stable:
             break
-    if sorted(colors[0].values()) != sorted(colors[1].values()):
-        return None
-    return colors[0], colors[1]
+    return colors
 
 
 def is_isomorphic(k1: Complex, k2: Complex) -> Optional[dict[int, int]]:
     """A vertex bijection carrying maximal faces onto maximal faces, or None.
 
-    Color refinement prunes the search; a backtracking matcher on an
-    explicit stack finishes it.  Exact at the tens-of-vertices scale
-    this library targets.
+    Each complex's colour classes (``_colors``) prune the search; a
+    backtracking matcher on an explicit stack finishes it.  Exact at
+    the tens-of-vertices scale this library targets.
     """
     if k1.dim != k2.dim or len(k1.vertices) != len(k2.vertices):
         return None
@@ -430,10 +411,9 @@ def is_isomorphic(k1: Complex, k2: Complex) -> Optional[dict[int, int]]:
         return None
     if k1.f_counts() != k2.f_counts():
         return None
-    refined = _refined_colors(k1, k2)
-    if refined is None:
+    c1, c2 = _colors(k1), _colors(k2)
+    if sorted(c1.values()) != sorted(c2.values()):
         return None
-    c1, c2 = refined
 
     by_color: dict[int, list[int]] = {}
     for v, c in c2.items():

@@ -206,29 +206,27 @@ def _unfold(fold, k: Complex, fixed: Simplex, report: SeparationReport) -> Unfol
     ``fixed`` and left the missing facet ``t`` of ``report``, which has
     the fold's separation signature.
 
-    Each vertex of t off the fixed face gets a fresh copy.  A facet
-    through some of them keeps its labels when its non-t witnesses lie
-    on the plus side of their links, oriented at ``fixed[0]``, and takes
-    the copies otherwise; t and its copy become facets again.  The
-    recorded forward fold must reproduce ``k`` exactly.
+    Each vertex of t off the fixed face gets a fresh copy.  A facet f
+    through some of them keeps its labels when each such x finds the
+    residue f - x on the plus side of the link of x, oriented at
+    ``fixed[0]``, and takes the copies otherwise; t and its copy become
+    facets again.  The recorded forward fold must reproduce ``k``
+    exactly.
     """
     t = report.missing_facet
-    sides = _oriented_sides(k, fixed[0], report)
+    plus = _oriented_sides(k, fixed[0], report)
     others = [x for x in t if x not in fixed]
     copy = dict(zip(others, fresh_labels(k, len(others))))
 
     rewritten: set[Simplex] = set()
     for f in k.maximal_faces:
-        overlap = [x for x in f if x in copy]
-        if overlap:
-            # f - x lies on one side of the link of x, so the witnesses
-            # of f agree for each x; only two vertices x can disagree.
-            votes = {sides[x][w] for x in overlap for w in f if w not in t}
+        votes = {tuple([w for w in f if w != x]) in plus[x] for x in f if x in copy}
+        if votes:
             if len(votes) != 1:
                 raise SideAssignmentInconsistent(
                     f"facet {f} is assigned to different sides by its tau-vertices"
                 )
-            if votes.pop() == 1:
+            if not votes.pop():
                 f = tuple(sorted(copy.get(x, x) for x in f))
         rewritten.add(f)
 
@@ -274,17 +272,14 @@ def recognize_one_vertex_suspension(k: Complex, t: int, t1: int):
     """Recognise ``k`` as the one-vertex suspension of the link of ``t``
     with pole ``t1``; returns ``(base, t1)`` or None.
 
-    The test is the facet-level containment of the two links plus an
-    exact reconstruction check.
+    The test is that ``t1`` lies in the link of ``t`` plus an exact
+    reconstruction check.
     """
-    if t == t1 or t not in k.vertices or t1 not in k.vertices:
+    if t not in k.vertices:
         return None
-    if not k.has_face((t, t1)):
-        return None
-    for f in k.facets_through((t1,)):
-        if t not in f and not k.has_face(tuple(x for x in f if x != t1) + (t,)):
-            return None
     base = k.link((t,))
+    if t1 not in base.vertices:
+        return None
     expected = {tuple(sorted(g + (t1,))) for g in base.maximal_faces if t1 not in g}
     expected |= {tuple(sorted(g + (t,))) for g in base.maximal_faces}
     if frozenset(expected) != k.maximal_faces:
@@ -754,20 +749,27 @@ def decompose(
         facet's faces, each for one with the same boundary;
       - an unfolding of k along its missing facet t passes the
         certificate on t and on its copy t', which must both be facets
-        of the result.  When k is normal, the unfolding's votes agree,
-        and classification found no vertex of the fixed face F (nor F,
-        if an edge) separating its link, every link of the result is
-        connected:
-        (i) a face outside t and t' has a vertex w off t, which lies in
-        all its facets; each copied vertex x of those facets goes with
-        the side of w in the link of x, so the link is only relabelled;
-        (ii) a face s of t that meets copied vertices keeps whole pieces
-        of its link in k cut along the boundary of t - s; each piece
-        holds a ridge of t - s, so t - s joins them.  The same holds for
-        t' and the copies;
-        (iii) the link of a face inside F, cut that way, is one piece,
-        and every adjacency across a ridge off t survives the
-        relabelling, so t - s and t' - s join one piece;
+        of the result.  A facet f takes the copy of a vertex x of t
+        exactly when its residue f - x lies off the plus side of the
+        link of x.  Two facets through x that share a ridge with a
+        vertex off t have residues adjacent across a ridge not inside
+        t - x, which the cut keeps, so they lie on one side and the two
+        facets copy x alike.  When
+        k is normal, the unfolding's votes agree, and classification
+        found no vertex of the fixed face F (nor F, if an edge)
+        separating its link, every link of the result is connected:
+        (i) a face s outside t and t' has a vertex w off t.  The facets
+        through s and a copied vertex x are joined across ridges that
+        hold s, and so w, so x is copied in all of them or in none, and
+        the link of s is only relabelled;
+        (ii) a face s of t that meets copied vertices: each piece of its
+        link in k, cut along the boundary of t - s, is joined across
+        ridges with a vertex off t, so the piece moves whole.  Each
+        piece holds a ridge of t - s, so t - s joins the pieces that
+        stay.  The same holds for t' and the pieces that take copies;
+        (iii) the link of a face s inside F, cut that way, is one piece.
+        Every adjacency across a ridge off t survives the relabelling,
+        so t - s and t' - s join one piece;
         (iv) folding t' onto t maps the result onto the connected k, so
         every component of the result meets t or t'; these share F, so
         the result is connected.  A connected pure complex whose

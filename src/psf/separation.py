@@ -163,21 +163,6 @@ def _report(k: Complex, t: Simplex) -> SeparationReport:
 # -- anchored side orientation -------------------------------------------
 
 
-def _vertex_sides(sides, t: Simplex) -> dict[int, int]:
-    """The index of the side whose facets contain each vertex off ``t``.
-
-    A vertex off the barrier has all its incident facets in one
-    component, so the index is well defined.
-    """
-    table: dict[int, int] = {}
-    for i, side in enumerate(sides):
-        for f in side:
-            for w in f:
-                if w not in t and table.setdefault(w, i) != i:
-                    raise SideAssignmentInconsistent(f"vertex {w} meets sides [0, 1]")
-    return table
-
-
 def two_point_anchors(k: Complex, tau) -> dict[int, tuple[int, int]]:
     """For each vertex y of tau, the two facets over the ridge tau - y
     give a two-vertex link {q0, q1}; q0 is the smaller label."""
@@ -195,69 +180,64 @@ def two_point_anchors(k: Complex, tau) -> dict[int, tuple[int, int]]:
     return anchors
 
 
-def _oriented_sides(k: Complex, anchor_vertex: int, report: SeparationReport):
-    """Coherent plus/minus side assignment for every separating vertex of
-    the missing facet of ``report``.
+def _oriented_sides(k: Complex, a: int, report: SeparationReport) -> dict[int, frozenset[Simplex]]:
+    """The plus side of the link of each separating vertex of the missing
+    facet t of ``report``, read off one anchor facet.
 
-    Ridge links inside tau provide two-point anchors.  Orientations of
-    all anchors and side polarities of all separating vertices are
-    solved as one parity system; the anchor ridge opposite
-    ``anchor_vertex`` is oriented with its smaller label positive.
-    Returns ``sides`` with ``sides[x]`` mapping each vertex of the link
-    of x off tau to 0 on the plus side and 1 on the minus side, or
-    raises ``SideAssignmentInconsistent``.
+    Each ridge t - y lies in two facets t - y + q0 and t - y + q1, with
+    q0 the smaller apex (``two_point_anchors``).  The anchor facet
+    t - a + q0 holds every vertex of t but the anchor vertex a, so its
+    residue lies in the link of every separating x != a; the side
+    holding it is the plus side.  Each other ridge t - y is oriented by
+    whether its q0 residue lies on the plus side, and every separating
+    x off y and a must read the same orientation.  A separating a takes
+    the side that agrees with every oriented ridge.
+
+    Raises ``SideAssignmentInconsistent`` when a vertex off t meets both
+    sides of a link, when the two residues over a ridge share a side, or
+    when two readings disagree.
     """
     t = report.missing_facet
     anchors = two_point_anchors(k, t)
-
     separating = [x for x in t if report.per_vertex[x].separates]
-    if not separating:
-        raise PreconditionUnmet("no separating vertex to orient")
 
-    # Parity union-find over anchor orientations and vertex polarities.
-    parity: dict = {}
+    def residue(x: int, y: int, q: int) -> Simplex:
+        """The facet t - y + q less x."""
+        return tuple(sorted([v for v in t if v != x and v != y] + [q]))
 
-    def find(node):
-        if node not in parity:
-            parity[node] = (node, 0)
-            return node, 0
-        root, par = parity[node]
-        if root == node:
-            return node, par
-        r, p = find(root)
-        parity[node] = (r, par ^ p)
-        return r, par ^ p
-
-    def union(a, b, rel):
-        ra, pa = find(a)
-        rb, pb = find(b)
-        if ra == rb:
-            if pa ^ pb != rel:
-                raise SideAssignmentInconsistent(f"parity conflict between {a} and {b}")
-            return
-        parity[ra] = (rb, pa ^ pb ^ rel)
-
-    tables = {}
+    plus: dict[int, frozenset[Simplex]] = {}
     for x in separating:
-        side = tables[x] = _vertex_sides(report.per_vertex[x].sides, t)
+        first, second = report.per_vertex[x].sides
+        both = {w for f in first for w in f if w not in t} & {w for f in second for w in f}
+        if both:
+            raise SideAssignmentInconsistent(f"vertex {min(both)} meets sides [0, 1]")
         for y in t:
             if y == x:
                 continue
             q0, q1 = anchors[y]
-            if side[q0] == side[q1]:
+            if (residue(x, y, q0) in first) == (residue(x, y, q1) in first):
                 raise SideAssignmentInconsistent(
                     f"anchor pair {q0},{q1} of ridge opposite {y} lies on one side of link({x})"
                 )
-            union(("ridge", y), ("vertex", x), side[q0])
+        if x != a:
+            plus[x] = first if residue(x, a, anchors[a][0]) in first else second
 
-    # Fix the global sign: anchor ridge oriented with q0 positive.
-    _, flip = find(("ridge", anchor_vertex))
-
-    out = {}
-    for x, side in tables.items():
-        _, p = find(("vertex", x))
-        out[x] = {w: s ^ p ^ flip for w, s in side.items()}
-    return out
+    orientation: dict[int, bool] = {}
+    for y in t:
+        for x in plus:
+            if y not in (x, a):
+                up = residue(x, y, anchors[y][0]) in plus[x]
+                if orientation.setdefault(y, up) != up:
+                    raise SideAssignmentInconsistent(
+                        f"parity conflict between {('ridge', y)} and {('vertex', x)}")
+    if a in separating:
+        first, second = report.per_vertex[a].sides
+        for y, up in orientation.items():
+            side = first if (residue(a, y, anchors[y][0]) in first) == up else second
+            if plus.setdefault(a, side) != side:
+                raise SideAssignmentInconsistent(
+                    f"parity conflict between {('ridge', y)} and {('vertex', a)}")
+    return plus
 
 
 def two_sided(k: Complex, tau, v: int) -> tuple[bool, str]:

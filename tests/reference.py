@@ -1,6 +1,7 @@
 """Plain reference versions of library kernels, kept as test oracles.
 
-Each one is the straightforward form a faster library kernel replaced.
+Each one is the straightforward form a faster library kernel replaced,
+or the joint solver a direct read replaced.
 The tests check that the kernel gives the same result, and for seeded
 kernels that it leaves the random stream in the same state.
 """
@@ -8,13 +9,16 @@ kernels that it leaves the random stream in the same state.
 import contextlib
 import itertools
 import sys
+from collections import Counter
 
 import pytest
 
 from psf.build import (_HANDLE_ATTEMPTS, _admissible_bijections, check_handle_admissible,
                        fold_deltas)
 from psf.buildscript import LedgerRow, _construct, _g2g3, _need, validate_script
-from psf.complexes import Complex
+from psf.complexes import Complex, fresh_labels
+from psf.decompose import _refold
+from psf.separation import PreconditionUnmet, SideAssignmentInconsistent, two_point_anchors
 
 
 def facet_pairs_sharing(k, count):
@@ -198,3 +202,166 @@ def reference_replay(doc):
             row = LedgerRow(i, op, cur2, cur3)
         ledger.append(row)
     return complexes, ledger
+
+
+def outcome(call):
+    """The value of ``call()``, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def vertex_sides(sides, t):
+    """The index of the side whose facets contain each vertex off ``t``.
+
+    A vertex off the barrier has all its incident facets in one
+    component, so the index is well defined.
+    """
+    table = {}
+    for i, side in enumerate(sides):
+        for f in side:
+            for w in f:
+                if w not in t and table.setdefault(w, i) != i:
+                    raise SideAssignmentInconsistent(f"vertex {w} meets sides [0, 1]")
+    return table
+
+
+def parity_sides(k, anchor_vertex, report):
+    """Coherent plus/minus side assignment for every separating vertex of
+    the missing facet of ``report``.
+
+    Ridge links inside tau provide two-point anchors.  Orientations of
+    all anchors and side polarities of all separating vertices are
+    solved as one parity system; the anchor ridge opposite
+    ``anchor_vertex`` is oriented with its smaller label positive.
+    Returns ``sides`` with ``sides[x]`` mapping each vertex of the link
+    of x off tau to 0 on the plus side and 1 on the minus side, or
+    raises ``SideAssignmentInconsistent``.
+    """
+    t = report.missing_facet
+    anchors = two_point_anchors(k, t)
+
+    separating = [x for x in t if report.per_vertex[x].separates]
+    if not separating:
+        raise PreconditionUnmet("no separating vertex to orient")
+
+    # Parity union-find over anchor orientations and vertex polarities.
+    parity = {}
+
+    def find(node):
+        if node not in parity:
+            parity[node] = (node, 0)
+            return node, 0
+        root, par = parity[node]
+        if root == node:
+            return node, par
+        r, p = find(root)
+        parity[node] = (r, par ^ p)
+        return r, par ^ p
+
+    def union(a, b, rel):
+        ra, pa = find(a)
+        rb, pb = find(b)
+        if ra == rb:
+            if pa ^ pb != rel:
+                raise SideAssignmentInconsistent(f"parity conflict between {a} and {b}")
+            return
+        parity[ra] = (rb, pa ^ pb ^ rel)
+
+    tables = {}
+    for x in separating:
+        side = tables[x] = vertex_sides(report.per_vertex[x].sides, t)
+        for y in t:
+            if y == x:
+                continue
+            q0, q1 = anchors[y]
+            if side[q0] == side[q1]:
+                raise SideAssignmentInconsistent(
+                    f"anchor pair {q0},{q1} of ridge opposite {y} lies on one side of link({x})"
+                )
+            union(("ridge", y), ("vertex", x), side[q0])
+
+    # Fix the global sign: anchor ridge oriented with q0 positive.
+    _, flip = find(("ridge", anchor_vertex))
+
+    out = {}
+    for x, side in tables.items():
+        _, p = find(("vertex", x))
+        out[x] = {w: s ^ p ^ flip for w, s in side.items()}
+    return out
+
+
+def witness_unfold(fold, k, fixed, report):
+    """The unfolding of ``decompose._unfold`` with sides from
+    ``parity_sides``: a facet votes with the side of each witness (its
+    vertices off t) in the link of each of its moved vertices."""
+    t = report.missing_facet
+    sides = parity_sides(k, fixed[0], report)
+    others = [x for x in t if x not in fixed]
+    copy = dict(zip(others, fresh_labels(k, len(others))))
+
+    rewritten = set()
+    for f in k.maximal_faces:
+        overlap = [x for x in f if x in copy]
+        if overlap:
+            votes = {sides[x][w] for x in overlap for w in f if w not in t}
+            if len(votes) != 1:
+                raise SideAssignmentInconsistent(
+                    f"facet {f} is assigned to different sides by its tau-vertices"
+                )
+            if votes.pop() == 1:
+                f = tuple(sorted(copy.get(x, x) for x in f))
+        rewritten.add(f)
+
+    target = tuple(sorted([*fixed, *copy.values()]))
+    facets = rewritten | {t, target}
+    unfolded = Complex._trusted(facets)
+    return _refold(fold, k, unfolded, t, target, {**dict(zip(fixed, fixed)), **copy})
+
+
+def joint_colors(k1, k2):
+    """Joint Weisfeiler-style color refinement over both vertex sets.
+
+    Colors are comparable across the two complexes because signatures
+    are canonicalised through one shared table.  Returns None as soon
+    as the color histograms disagree.
+    """
+
+    def initial(k):
+        # The faces of the link of v are the faces through v less v, up
+        # to the size of the largest maximal face through v.
+        through = Counter((v, len(f)) for j in range(1, k.dim + 1) for f in k.faces(j) for v in f)
+        sig = {}
+        for v in k.vertices:
+            profile = tuple(sorted(len(f) for f in k.facets_through((v,))))
+            link_f = (1, *(through[v, size] for size in range(2, profile[-1] + 1)))
+            sig[v] = (len(k.neighbors(v)), profile, link_f)
+        return sig
+
+    sigs = (initial(k1), initial(k2))
+    table = {}
+    colors = [{}, {}]
+    for side in (0, 1):
+        for v, s in sigs[side].items():
+            colors[side][v] = table.setdefault(s, len(table))
+
+    for _ in range(len(k1.vertices) + 1):
+        table = {}
+        new = [{}, {}]
+        for side, k in ((0, k1), (1, k2)):
+            for v in k.vertices:
+                s = (colors[side][v],
+                     tuple(sorted(colors[side][u] for u in k.neighbors(v))))
+                new[side][v] = table.setdefault(s, len(table))
+        if sorted(new[0].values()) != sorted(new[1].values()):
+            return None
+        stable = all(
+            len(set(new[s].values())) == len(set(colors[s].values())) for s in (0, 1)
+        )
+        colors = new
+        if stable:
+            break
+    if sorted(colors[0].values()) != sorted(colors[1].values()):
+        return None
+    return colors[0], colors[1]

@@ -169,6 +169,29 @@ def test_check_strict_unknown_verdict(tmp_path):
     assert main(["check", path, "--strict"]) == 3
 
 
+def test_check_strict_names_the_singular_vertices(tmp_path, capsys):
+    path = write_complex(tmp_path, "fold.txt", vertex_folded_instance(3).complex)
+    assert main(["check", path, "--strict"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "singular: 0"
+
+
+def test_unknown_verdicts_at_every_vertex(tmp_path, capsys):
+    # every vertex link of this 4-sphere has g2 = 1, so none is certified
+    triangle = boundary_simplex(2)
+    k = join(join(triangle, triangle.relabel({0: 3, 1: 4, 2: 5})), Complex([[6], [7]]))
+    path = write_complex(tmp_path, "joins.txt", k)
+    assert main(["check", path, "--strict"]) == 3
+    assert main(["info", path]) == 0
+    assert "unknown: 0 1 2 3 4 5 6 7" in capsys.readouterr().out.splitlines()
+
+
+def test_decompose_refuses_a_complex_that_is_not_normal(tmp_path, capsys):
+    path = write_complex(tmp_path, "pinched.txt", pinched_complex())
+    assert main(["decompose", path, "--vertex", "0"]) == 1
+    assert capsys.readouterr().out.startswith(
+        "decomposition failed: input is not a normal pseudomanifold")
+
+
 def test_build_command(tmp_path, capsys):
     script = tmp_path / "script.json"
     script.write_text(dump_script(random_script(5)))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -27,7 +28,7 @@ from psf.build import (
     one_vertex_suspension,
     stacked_sphere,
 )
-from psf.complexes import ComplexError, _antichain
+from psf.complexes import ComplexError, _antichain, _colors
 from psf.corpus import edge_folded_instance, suspension_instance, vertex_folded_instance
 from psf.decompose import MODES, DecompositionError, decompose, inverse_facet_subdivision, rebuild
 from psf.fileio import format_complex
@@ -348,6 +349,23 @@ def _incidence_graph(nx, k):
     return g
 
 
+@functools.lru_cache(maxsize=None)
+def _vf2_bases():
+    return (
+        boundary_simplex(5),
+        stacked_sphere(3, 6, 4),
+        stacked_sphere(4, 5, 8),
+        vertex_folded_instance(3).complex,
+        edge_folded_instance(4).complex,
+        suspension_instance(5).complex,
+    )
+
+
+def _relabelled(k, rng):
+    labels = sorted(k.vertices)
+    return k.relabel(dict(zip(labels, rng.sample(range(200), len(labels)))))
+
+
 def test_is_isomorphic_agrees_with_vf2():
     nx = pytest.importorskip("networkx")
 
@@ -359,19 +377,8 @@ def test_is_isomorphic_agrees_with_vf2():
         )
 
     rng = random.Random(2024)
-    bases = [
-        boundary_simplex(5),
-        stacked_sphere(3, 6, 4),
-        stacked_sphere(4, 5, 8),
-        vertex_folded_instance(3).complex,
-        edge_folded_instance(4).complex,
-        suspension_instance(5).complex,
-    ]
-    pairs = []
-    for k in bases:
-        labels = sorted(k.vertices)
-        for _ in range(2):
-            pairs.append((k, k.relabel(dict(zip(labels, rng.sample(range(200), len(labels)))))))
+    bases = _vf2_bases()
+    pairs = [(k, _relabelled(k, rng)) for k in bases for _ in range(2)]
     # near misses: equal f-vectors, isomorphic or not
     spheres = [stacked_sphere(4, 4, seed) for seed in range(10)]
     pairs += list(itertools.combinations(spheres, 2))
@@ -387,6 +394,32 @@ def test_is_isomorphic_agrees_with_vf2():
             assert a.relabel(mapping) == b
         outcomes.append(mapping is not None)
     assert len(set(outcomes[len(bases) * 2:])) == 2
+
+
+def _classes(colors):
+    groups = {}
+    for v, c in colors.items():
+        groups.setdefault(c, []).append(v)
+    return sorted(map(sorted, groups.values()))
+
+
+def test_colors_partition_like_the_joint_refinement():
+    """Each complex's own colour classes are the classes the refinement
+    over both complexes of a pair, through one shared table, gives it."""
+    rng = random.Random(25)
+    for k in _vf2_bases():
+        copy = _relabelled(k, rng)
+        joint = reference.joint_colors(k, copy)
+        assert _classes(_colors(k)) == _classes(joint[0])
+        assert _classes(_colors(copy)) == _classes(joint[1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 * 10**6), st.randoms(use_true_random=False))
+def test_sorted_colors_are_a_relabelling_invariant(seed, rnd):
+    k = (_vf2_bases()[seed % 6] if seed < 10**6
+         else stacked_sphere(3 + seed % 2, 1 + seed % 6, seed))
+    assert sorted(_colors(_relabelled(k, rnd)).values()) == sorted(_colors(k).values())
 
 
 @settings(max_examples=100, deadline=None)

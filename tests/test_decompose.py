@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psf
-from psf import Complex, buildscript, g2, g3, is_isomorphic
+from psf import Complex, buildscript, g2, g3, is_isomorphic, join
 from psf.build import (
     boundary_simplex,
     connected_sum,
@@ -66,7 +66,7 @@ from psf.separation import (
     two_point_anchors,
 )
 from psf.verify import is_normal_pseudomanifold, singular_vertices
-from reference import ridge_facets
+from reference import outcome, ridge_facets
 
 # the package exports the function decompose under the module's name
 decompose_module = importlib.import_module("psf.decompose")
@@ -161,6 +161,15 @@ def test_recognize_suspension():
     assert recovered == base.complex
 
     assert recognize_one_vertex_suspension(boundary_simplex(5), 0, 1) is not None
+
+
+def test_recognize_rejects_a_two_vertex_suspension():
+    # both poles see the whole base, but they are not joined by an edge
+    base = join(boundary_simplex(2), boundary_simplex(2).relabel({0: 3, 1: 4, 2: 5}))
+    k = join(base, Complex([[6], [7]]))
+    assert k.link((6,)) == base == k.link((7,))
+    assert recognize_one_vertex_suspension(k, 6, 7) is None
+    assert recognize_one_vertex_suspension(k, 7, 6) is None
 
 
 def test_recognize_rejects_summed_suspension():
@@ -514,14 +523,6 @@ def reference_unfold(k, tau, fixed):
     else:
         unfolded = Complex(rewritten | {t, target})
     return unfolded, t, target, tuple(sorted({**dict(zip(fixed, fixed)), **copy}.items()))
-
-
-def outcome(call):
-    """The value of ``call()``, or the type and message of what it raised."""
-    try:
-        return call()
-    except Exception as exc:
-        return type(exc), str(exc)
 
 
 def test_unfolds_match_reference_constructions(fold_images):
