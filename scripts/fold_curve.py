@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
-"""Build time of many-fold instances against the number of folds F.
+"""Build and decomposition time of many-fold instances against the
+number of folds F.
 
 For each F given on the command line this times
 ``vertex_folded_instance(3, folds=F)`` and
 ``edge_folded_instance(3, edge_folds=F)``, each built in a fresh child
 process so that no cache or warm allocator carries over between points,
-and prints one JSON line per point:
+and then ``decompose`` on the result at its tracked vertex, in
+``MODE_ONE`` for vertex folds and ``MODE_EDGE`` for edge folds.  It
+prints one JSON line per point:
 
     python scripts/fold_curve.py 1 2 4 8 12 16
 
-Each line holds the fold kind, F, the seed, the build time in seconds
-(``time.perf_counter`` around the build, inside the child) and the
-facet count of the result.  The children import ``psf`` from this
-checkout's ``src/``.
+Each line holds the fold kind, F, the seed, the build and the
+decomposition time in seconds (``time.perf_counter`` around each,
+inside the child) and the facet count of the result.  The children
+import ``psf`` from this checkout's ``src/``.
 """
 
 import argparse
@@ -27,14 +30,18 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 CHILD = """
 import json, sys, time
 from psf.corpus import edge_folded_instance, vertex_folded_instance
+from psf.decompose import MODE_EDGE, MODE_ONE, decompose
 kind, folds, seed = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 start = time.perf_counter()
 if kind == "vertex":
-    record = vertex_folded_instance(seed, folds=folds)
+    record, mode = vertex_folded_instance(seed, folds=folds), MODE_ONE
 else:
-    record = edge_folded_instance(seed, edge_folds=folds)
-elapsed = time.perf_counter() - start
-print(json.dumps({"kind": kind, "folds": folds, "seed": seed, "build_s": round(elapsed, 4),
+    record, mode = edge_folded_instance(seed, edge_folds=folds), MODE_EDGE
+built = time.perf_counter()
+decompose(record.complex, record.tracked, mode)
+done = time.perf_counter()
+print(json.dumps({"kind": kind, "folds": folds, "seed": seed, "build_s": round(built - start, 4),
+                  "decompose_s": round(done - built, 4),
                   "facets": len(record.complex.maximal_faces)}))
 """
 

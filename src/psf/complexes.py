@@ -3,12 +3,15 @@
 Vertices are bare non-negative integers and simplices are strictly
 increasing tuples of vertex labels, so every operation is exact and
 deterministic.  A :class:`Complex` is immutable after construction;
-face tables are computed on demand and cached.
+its tables are computed on demand and cached.
 
 One of them is the facet index, the sorted facets through each vertex,
 built in one pass over the sorted ``facets``: ``facets_through`` reads
 it for every "which facets contain this face?" in the library, ridges
-included, so there is no separate ridge-to-facets map.
+included, so there is no separate ridge-to-facets map.  It is also the
+one presence test: a face is present exactly when some maximal face
+contains it, so ``has_face`` builds no face table, and the tables of
+``faces(k)`` serve listings only.
 
 Most complexes handled here are pure (all maximal faces of equal
 dimension), which is what ``from_facets`` enforces.  Induced
@@ -239,11 +242,7 @@ class Complex:
         return (1,) + tuple(len(self.faces(k)) for k in range(self._dim + 1))
 
     def has_face(self, face: Iterable[int]) -> bool:
-        s = simplex(face)
-        k = len(s) - 1
-        if k > self._dim:
-            return False
-        return s in self.faces(k)
+        return bool(self.facets_through(simplex(face)))
 
     def neighbors(self, v: int) -> frozenset[int]:
         if self._nbrs is None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import Complex, ComplexError, Simplex, UnknownVertex, fresh_labels, simplex
-from .build import InadmissibleFold, edge_fold, fold_deltas, vertex_fold
+from .build import InadmissibleFold, edge_fold, fold_deltas, one_vertex_suspension, vertex_fold
 from .buildscript import SCRIPT_VERSION, ScriptError, _integer, _operand_keys, _run_script, replay
 from .enumeration import g2 as _g2
 from .separation import (
@@ -272,17 +272,14 @@ def recognize_one_vertex_suspension(k: Complex, t: int, t1: int):
     """Recognise ``k`` as the one-vertex suspension of the link of ``t``
     with pole ``t1``; returns ``(base, t1)`` or None.
 
-    The test is that ``t1`` lies in the link of ``t`` plus an exact
-    reconstruction check.
+    The test is that ``t1`` lies in the link of ``t`` and that the
+    forward ``one_vertex_suspension`` of that link at ``t1``, with apex
+    ``t``, gives back ``k`` exactly.
     """
     if t not in k.vertices:
         return None
     base = k.link((t,))
-    if t1 not in base.vertices:
-        return None
-    expected = {tuple(sorted(g + (t1,))) for g in base.maximal_faces if t1 not in g}
-    expected |= {tuple(sorted(g + (t,))) for g in base.maximal_faces}
-    if frozenset(expected) != k.maximal_faces:
+    if t1 not in base.vertices or one_vertex_suspension(base, t1, apex=t) != k:
         return None
     return base, t1
 
@@ -497,6 +494,12 @@ def rebuild(tree: DecompositionTree) -> Complex:
 # -- the decomposition engine ----------------------------------------------
 
 
+def _off_star(k: Complex, t: int, link: Complex, j: int) -> list[Simplex]:
+    """The sorted j-faces of ``k`` off ``t`` and outside its star; ``link`` is lk t."""
+    in_link = link.faces(j)
+    return sorted(s for s in k.faces(j) if t not in s and s not in in_link)
+
+
 class _Engine:
     """The decomposition loop.  A part is ``(complex, t, t1, missing)``
     whose complex is proven a normal pseudomanifold; ``missing``, when
@@ -509,12 +512,10 @@ class _Engine:
         self.steps: list[TreeNode] = []
         self.budget = 100_000
 
-    def verdict(self, k: Complex, v: Optional[int]) -> Optional[str]:
-        if v is None or v not in k.vertices:
-            return None
+    def verdict(self, v: int, link: Complex) -> str:
         # the link of a vertex of a normal complex is normal, since
         # lk(s, lk(v)) = lk(s + v)
-        verdict = _classify(k, v, link_normal=True)
+        verdict = _classify(v, link, link_normal=True)
         if verdict.status == "unknown":
             raise UnknownSingularity(f"vertex {v} has an unknown link verdict")
         return verdict.status
@@ -565,14 +566,15 @@ class _Engine:
         parts that become those children."""
         self.budget -= 1
         if self.budget < 0:
-            raise DecompositionError("step budget exhausted; decomposition does not terminate")
+            raise DecompositionError("step budget exhausted; decomposition cut off")
         self.check_state(k, t, missing)
         if _is_boundary_simplex(k):
             return TreeNode("leaf", leaf_kind="boundary_simplex", n=k.dim + 1, facets=k.facets), []
         # a normal part with g2 = 0 has only stacked vertices
-        if missing is not None or self.verdict(k, t) != "singular":
+        link = None if missing is not None or t not in k.vertices else k.link((t,))
+        if link is None or self.verdict(t, link) != "singular":
             return self.stacked(k, t, t1, missing)
-        return self.singular(k, t, t1)
+        return self.singular(k, t, t1, link)
 
     def stacked(self, k: Complex, t, t1, missing):
         """An irreducible leaf if g2 != 0, else a split along the first
@@ -592,9 +594,12 @@ class _Engine:
             )
         return self.split(k, missing[0], t, t1, missing)
 
-    def singular(self, k: Complex, t: int, t1):
+    def singular(self, k: Complex, t: int, t1, link: Complex):
+        """Reduce ``k`` at its singular vertex t, whose link is ``link``.
+        Its scans read the star of t off that link (``_off_star``): a
+        face s off t lies in the star of t iff s is a face of lk t."""
         # reduction outside the star of t
-        outside = sorted(v for v in k.vertices if v != t and v not in k.neighbors(t))
+        outside = [u for (u,) in _off_star(k, t, link, 0)]
         for u in outside:
             try:
                 reduced = inverse_facet_subdivision(k, u)
@@ -619,14 +624,13 @@ class _Engine:
             return self.classified(k, missing, t, t1)
 
         # all vertices are now in the star of t; the 2-skeleton must match it
-        for f2 in sorted(k.faces(2)):
-            if t not in f2 and not k.has_face(f2 + (t,)):
-                raise DecompositionError(
-                    f"triangle {f2} lies outside the star of {t}; optimality hypotheses violated"
-                )
+        stray = _off_star(k, t, link, k.dim - 2)
+        if stray:
+            raise DecompositionError(f"triangle {stray[0]} lies outside the star of {t}; "
+                                     "optimality hypotheses violated")
 
         if self.mode == MODE_SUSPENSION and t1 is not None and t1 in k.vertices:
-            if self.verdict(k, t1) == "singular":
+            if self.verdict(t1, k.link((t1,))) == "singular":
                 found = recognize_one_vertex_suspension(k, t, t1)
                 if found:
                     base, pole = found
@@ -634,7 +638,7 @@ class _Engine:
                         raise DecompositionError(f"suspension base is not g2-minimal at {pole}")
                     return TreeNode("suspension_base", vertex=pole, apex=t, facets=base.facets), []
 
-        interior = sorted(f3 for f3 in k.faces(3) if t not in f3 and not k.has_face(f3 + (t,)))
+        interior = _off_star(k, t, link, k.dim - 1)
         if not interior:
             return TreeNode("leaf", leaf_kind="irreducible_base", facets=k.facets), []
 
@@ -643,15 +647,13 @@ class _Engine:
         return self.classified(k, missing, t, t1)
 
     def choose_interior(self, k: Complex, interior, t, t1) -> Simplex:
-        if self.mode == MODE_SUSPENSION and t1 is not None:
-            preferred = [f3 for f3 in interior if t1 not in f3 and k.has_face(f3 + (t1,))]
-            if preferred:
-                return preferred[0]
-        if t1 is not None:
-            nonsingular = [f3 for f3 in interior if t1 not in f3]
-            if nonsingular:
-                return nonsingular[0]
-        return interior[0]
+        """In suspension mode the first interior face in the star of t1
+        but off t1; failing that the first off t1, and else the first."""
+        if t1 is None:
+            return interior[0]
+        off = [f3 for f3 in interior if t1 not in f3]
+        in_star = [f3 for f3 in off if self.mode == MODE_SUSPENSION and k.has_face(f3 + (t1,))]
+        return (in_star or off or interior)[0]
 
     def classified(self, k: Complex, missing, t, t1):
         cls = classify_missing_facet(k, missing)

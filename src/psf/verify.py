@@ -311,7 +311,11 @@ def classify_vertex(k: Complex, v: int) -> SingularityVerdict:
     ``"stacked"`` or a homology witness for singularity, and otherwise
     the verdict is unknown.
     """
-    return _classify(k, v, link_normal=False)
+    if v not in k.vertices:
+        raise UnknownVertex(f"vertex {v} not in complex")
+    if k.dim not in (3, 4):
+        raise ValueError("vertex classification is defined for dimensions 3 and 4")
+    return _classify(v, k.link((v,)), link_normal=False)
 
 
 def classify_vertices(k: Complex) -> dict[int, SingularityVerdict]:
@@ -333,7 +337,7 @@ def _classify_normal_vertices(k: Complex) -> dict[int, SingularityVerdict]:
         elif k.dim == 4 and g_from_counts(3, degree, triangles[v])[0] == 0:
             verdicts[v] = SingularityVerdict(v, "nonsingular", "stacked")
         else:
-            verdicts[v] = _classify(k, v, link_normal=True)
+            verdicts[v] = _classify(v, k.link((v,)), link_normal=True)
     return verdicts
 
 
@@ -343,13 +347,8 @@ def _surface_verdict(v: int, chi: int, connected: bool = True) -> SingularityVer
     return SingularityVerdict(v, "singular", f"closed surface with euler characteristic {chi}")
 
 
-def _classify(k: Complex, v: int, link_normal: bool) -> SingularityVerdict:
-    if v not in k.vertices:
-        raise UnknownVertex(f"vertex {v} not in complex")
-    if k.dim not in (3, 4):
-        raise ValueError("vertex classification is defined for dimensions 3 and 4")
-    link = k.link((v,))
-
+def _classify(v: int, link: Complex, link_normal: bool) -> SingularityVerdict:
+    """The verdict at ``v`` from its link, which the caller builds."""
     if link.dim == 2:
         f = link.f_counts()
         bit = _bits(link.vertices)

@@ -105,6 +105,17 @@ def facets_through(k, face):
     return tuple(sorted(f for f in k.maximal_faces if set(face) <= set(f)))
 
 
+def star_scans(k, t):
+    """The singular step's three scans at ``t`` of a 4-complex, face by
+    face, without the link of t: the vertices other than t that are not
+    its neighbours, and the triangles and the 3-faces off t whose join
+    with t is no face of ``k``."""
+    outside = sorted(v for v in k.vertices if v != t and v not in k.neighbors(t))
+    stray, interior = (sorted(f for f in k.faces(j) if t not in f and not k.has_face(f + (t,)))
+                       for j in (2, 3))
+    return outside, stray, interior
+
+
 def newest_facet(k, fixed):
     """The facet through ``fixed`` whose labels, read from the largest
     down, are the largest, from the facet index: the facet a

@@ -284,6 +284,42 @@ def test_facets_through_matches_a_scan(k):
     assert absent > 0
 
 
+@functools.lru_cache(maxsize=None)
+def corpus_complex(seed):
+    return (vertex_folded_instance, edge_folded_instance, suspension_instance)[seed % 3](seed).complex
+
+
+@st.composite
+def complexes_and_vertex_sets(draw):
+    """A pure complex (drawn, from the corpus or a stacked sphere) or a
+    non-pure one, and a vertex set in drawn order on its labels and one
+    absent label, from ``()`` up to dim + 2 vertices."""
+    k = draw(st.one_of(
+        pure_complexes(),
+        st.integers(0, 5).map(corpus_complex),
+        st.builds(stacked_sphere, st.integers(2, 4), st.integers(1, 6), st.integers(0, 10**6)),
+        mixed_antichains().map(Complex),
+    ))
+    labels = sorted(k.vertices) + [max(k.vertices) + 1]
+    return k, draw(st.lists(st.sampled_from(labels), unique=True, max_size=k.dim + 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes_and_vertex_sets())
+@example((boundary_simplex(4), []))
+@example((boundary_simplex(4), [5, 0, 1, 2, 3, 4]))
+@example((Complex([(0, 1, 2), (2, 3)]), [3, 2]))
+@example((Complex([(0, 1, 2), (2, 3)]), [0, 1, 2, 3]))
+def test_has_face_agrees_with_the_face_tables(case):
+    # has_face reads the facet index; a fresh copy of k answers it
+    # without building a face table
+    k, vs = case
+    s = tuple(sorted(vs))
+    fresh = Complex._trusted(k.maximal_faces)
+    assert fresh.has_face(vs) == (len(s) - 1 <= k.dim and s in k.faces(len(s) - 1))
+    assert fresh._faces == {}
+
+
 def test_is_isomorphic_relabeled():
     b5 = boundary_simplex(5)
     relabeled = b5.relabel({i: 17 * i + 3 for i in range(6)})

@@ -53,6 +53,7 @@ from psf.decompose import (
     split_connected_sum,
     vertex_unfold,
     _Engine,
+    _off_star,
     _ridge_certificate,
 )
 from psf.complexes import FaceNotPresent, VertexOverlap, fresh_labels
@@ -66,7 +67,7 @@ from psf.separation import (
     two_point_anchors,
 )
 from psf.verify import is_normal_pseudomanifold, singular_vertices
-from reference import outcome, ridge_facets
+from reference import outcome, ridge_facets, star_scans
 
 # the package exports the function decompose under the module's name
 decompose_module = importlib.import_module("psf.decompose")
@@ -580,16 +581,22 @@ def corpus_inputs(shared_corpus):
 def engine_record(shared_corpus):
     """Every part the engine steps, as ``(complex, t, t1, missing)``,
     every split it makes, as ``(complex, tau, sides, result)`` with the
-    sides read back off the parts, and every unfolding, as ``(complex,
-    result)``, while it decomposes two chains and the corpus in every
-    mode that succeeds, the corpus and the shorter chain under the
-    debug oracle."""
-    parts, splits, unfolds = [], [], []
+    sides read back off the parts, every unfolding, as ``(complex,
+    result)``, and every part it hands to the singular step, as
+    ``(complex, t, link)``, while it decomposes two chains and the
+    corpus in every mode that succeeds, the corpus and the shorter chain
+    under the debug oracle."""
+    parts, splits, unfolds, singular = [], [], [], []
     step, split, unfold = _Engine.step, decompose_module._split, decompose_module._unfold
+    singular_step = _Engine.singular
 
     def record_step(self, k, t, t1, missing):
         parts.append((k, t, t1, missing))
         return step(self, k, t, t1, missing)
+
+    def record_singular(self, k, t, t1, link):
+        singular.append((k, t, link))
+        return singular_step(self, k, t, t1, link)
 
     def record_split(k, tau):
         result = split(k, tau)
@@ -610,12 +617,13 @@ def engine_record(shared_corpus):
     assert len(done) == 33  # of 40: the handle and some modes are refused
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_Engine, "step", record_step)
+        patch.setattr(_Engine, "singular", record_singular)
         patch.setattr(decompose_module, "_split", record_split)
         patch.setattr(decompose_module, "_unfold", record_unfold)
         for k, t, mode in done:
             decompose(k, t, mode, debug=True)
         decompose(linear_chain(4, 50, 50, fixed=(0,)), 0)
-    return parts, splits, unfolds
+    return parts, splits, unfolds, singular
 
 
 @pytest.fixture(scope="module")
@@ -671,7 +679,7 @@ def unfolding_certified(result):
 
 
 def test_ridge_certificate_matches_normality(engine_record, fold_images):
-    parts, splits, unfolds = engine_record
+    parts, splits, unfolds, _ = engine_record
     assert len(splits) > 100
     for k, tau, sides, result in splits:
         assert is_normal_pseudomanifold(k).normal
@@ -711,7 +719,7 @@ def test_stacked_splits_match_classification(engine_record):
     # a part with g2 = 0 is split along its first missing facet
     # unclassified; classification must find the split signature, with
     # the link of each vertex of tau cut into the traces of the two sides
-    _, splits, _ = engine_record
+    _, splits, _, _ = engine_record
     stacked = [(k, tau, sides) for k, tau, sides, _ in splits if g2(k) == 0]
     assert len(stacked) > 100
     for k, tau, sides in stacked:
@@ -724,7 +732,7 @@ def test_stacked_splits_match_classification(engine_record):
 
 
 def test_carried_missing_facets_match_the_parts(engine_record):
-    parts, splits, _ = engine_record
+    parts, splits, _, _ = engine_record
     stacked = [(k, missing) for k, _, _, missing in parts if missing is not None]
     # part B of a split carries its list relabelled onto fresh labels
     part_b = {id(result.part_b) for *_, result in splits}
@@ -733,6 +741,123 @@ def test_carried_missing_facets_match_the_parts(engine_record):
     for k, missing in stacked:
         assert missing == sorted(k.missing_simplices(4))
         assert g2(k) == 0
+
+
+def engine_scans(k, t, link):
+    """The singular step's scans at ``t``: outside vertices, stray
+    triangles and interior 3-faces, read off ``link``."""
+    outside, stray, interior = (_off_star(k, t, link, j) for j in (0, k.dim - 2, k.dim - 1))
+    return [u for (u,) in outside], stray, interior
+
+
+def test_star_scans_match_the_face_by_face_definitions(engine_record):
+    *_, singular = engine_record
+    assert len(singular) > 20
+    assert sum(bool(engine_scans(*part)[2]) for part in singular) > 20
+    for k, t, link in singular:
+        assert link == k.link((t,))
+        assert engine_scans(k, t, link) == star_scans(k, t)
+
+
+def cyclic_polytope_boundary(n, d):
+    """The boundary of the cyclic d-polytope on vertices 0..n-1: its
+    facets are the d-sets that meet Gale's evenness condition, an even
+    number of them between any two vertices they leave out."""
+    return Complex([s for s in itertools.combinations(range(n), d)
+                    if all(sum(i < v < j for v in s) % 2 == 0
+                           for i, j in itertools.combinations(sorted(set(range(n)) - set(s)), 2))])
+
+
+def cross_polytope_boundary(d):
+    """The boundary of the d-dimensional cross-polytope: labels i and
+    i + d are antipodal, and a facet takes one of each pair."""
+    return Complex([tuple(i + d * side for i, side in enumerate(sides))
+                    for sides in itertools.product((0, 1), repeat=d)])
+
+
+def singular_outcome(k, t):
+    """What the singular step does with ``k`` at ``t``, after checking its
+    scans against the face-by-face definitions."""
+    link = k.link((t,))
+    assert engine_scans(k, t, link) == star_scans(k, t)
+    return outcome(lambda: _Engine(MODE_EDGE, False).singular(k, t, None, link))
+
+
+@pytest.mark.parametrize("t, strays", [(0, [(2, 4, 6)]),
+                                       (1, [(0, 3, 5), (2, 3, 5), (3, 4, 5), (3, 5, 6)])])
+def test_singular_step_refuses_the_least_stray_triangle(t, strays):
+    # the cyclic 4-sphere on 7 vertices is 2-neighbourly, so every vertex
+    # lies in the star of t, but some triangles do not
+    k = cyclic_polytope_boundary(7, 5)
+    assert len(k.maximal_faces) == 12 and is_normal_pseudomanifold(k).normal
+    assert star_scans(k, t)[:2] == ([], strays)
+    assert singular_outcome(k, t) == (
+        DecompositionError,
+        f"triangle {strays[0]} lies outside the star of {t}; optimality hypotheses violated")
+
+
+def test_singular_step_refuses_a_non_stacked_outside_link():
+    # in the cross-polytope boundary the link of 5, antipodal to 0, is the
+    # 3-dimensional cross-polytope boundary: no simplex boundary, g2 = 2
+    k = cross_polytope_boundary(5)
+    assert star_scans(k, 0)[0] == [5]
+    assert singular_outcome(k, 0) == (
+        DecompositionError, "vertex 5 outside the star of 0 has a non-stacked link")
+
+
+def bipyramid_join():
+    """∂Δ1 * ∂Δ1 * ∂Δ3 on poles 0, 1 and 2, 3 and the tetrahedron
+    boundary on 4..7: the link of 1 is the stacked 3-sphere ∂Δ1 * ∂Δ3 on
+    six vertices, and 1 lies off the star of 0."""
+    poles = join(Complex([(0,), (1,)]), Complex([(2,), (3,)]))
+    return join(poles, boundary_simplex(3).relabel({i: i + 4 for i in range(4)}))
+
+
+def test_singular_step_reinserts_a_missing_facet_of_a_stacked_outside_link():
+    # the link of 1 misses only the tetrahedron 4567, which is no face:
+    # the retriangulation case
+    k = bipyramid_join()
+    assert star_scans(k, 0)[0] == [1] and g2(k.link((1,))) == 0
+    assert singular_outcome(k, 0) == (
+        DecompositionError,
+        "no reinsertable missing facet in the link of 1; retriangulation case")
+    # summed with a copy along the facet 12456, the link of 1 misses 2456
+    # too, a face of the sum: 12456 is reinserted and split off; no vertex
+    # off the star of 0 has a simplex boundary for its link
+    copy = k.relabel({v: v + 8 for v in k.vertices})
+    summed = connected_sum(k, copy, {1: 9, 2: 10, 4: 12, 5: 13, 6: 14})
+    assert star_scans(summed, 0)[0] == [1, 8, 11, 15]
+    node, parts = singular_outcome(summed, 0)
+    split = split_connected_sum(summed, (1, 2, 4, 5, 6))
+    assert (node.kind, node.missing_facet) == ("split", (1, 2, 4, 5, 6))
+    assert [part for part, *_ in parts] == [split.part_a, split.part_b]
+
+
+def test_singular_step_leaves_a_boundary_simplex_irreducible():
+    # every face off t lies in its star only in the boundary simplex: a
+    # normal part reaches the irreducible leaf of the singular step only
+    # there, and the engine makes that part a boundary-simplex leaf first
+    k = boundary_simplex(5)
+    node, parts = singular_outcome(k, 0)
+    assert (node.kind, node.leaf_kind, node.facets, parts) == ("leaf", "irreducible_base",
+                                                               k.facets, [])
+    assert _Engine(MODE_EDGE, False).step(k, 0, None, None)[0].leaf_kind == "boundary_simplex"
+
+
+def test_stacked_step_leaves_a_part_with_g2_irreducible():
+    # no tracked vertex and g2 = 2: an irreducible leaf, with no split
+    k = cross_polytope_boundary(5)
+    node, parts = _Engine(MODE_EDGE, False).step(k, None, None, None)
+    assert (node.kind, node.leaf_kind, node.facets, parts) == ("leaf", "irreducible_base",
+                                                               k.facets, [])
+
+
+def test_exhausted_step_budget_reports_the_cut_off():
+    record = vertex_folded_instance(3)
+    engine = _Engine(MODE_EDGE, False)
+    engine.budget = 0
+    assert outcome(lambda: engine.run((record.complex, record.tracked, None, None))) == (
+        DecompositionError, "step budget exhausted; decomposition cut off")
 
 
 def test_debug_oracle_checks_the_carried_missing_facets(monkeypatch):
