@@ -7,15 +7,19 @@ For each F given on the command line this times
 ``edge_folded_instance(3, edge_folds=F)``, each built in a fresh child
 process so that no cache or warm allocator carries over between points,
 and then ``decompose`` on the result at its tracked vertex, in
-``MODE_ONE`` for vertex folds and ``MODE_EDGE`` for edge folds.  It
-prints one JSON line per point:
+``MODE_ONE`` for vertex folds and ``MODE_EDGE`` for edge folds.  Each
+point runs in three fresh children, one after the other, and the
+minimum of each time is kept: one run cannot tell a change from the
+spread of a shared host, and the minimum is the run least disturbed by
+it.  It prints one JSON line per point:
 
     python scripts/fold_curve.py 1 2 4 8 12 16
 
-Each line holds the fold kind, F, the seed, the build and the
-decomposition time in seconds (``time.perf_counter`` around each,
-inside the child) and the facet count of the result.  The children
-import ``psf`` from this checkout's ``src/``.
+Each line holds the fold kind, F, the seed, the minimum build and
+decomposition time in seconds over the three children
+(``time.perf_counter`` around each, inside the child) and the facet
+count of the result, which must be the same in all three children.
+The children import ``psf`` from this checkout's ``src/``.
 """
 
 import argparse
@@ -25,6 +29,7 @@ import subprocess
 import sys
 
 SEED = 3
+RUNS = 3
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 CHILD = """
@@ -46,12 +51,22 @@ print(json.dumps({"kind": kind, "folds": folds, "seed": seed, "build_s": round(b
 """
 
 
-def point(kind: str, folds: int) -> dict:
+def child(kind: str, folds: int) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", CHILD, kind, str(folds), str(SEED)],
                          env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(out)
+
+
+def point(kind: str, folds: int) -> dict:
+    """The point with the minimum times over ``RUNS`` children, which
+    must agree on the facet count."""
+    runs = [child(kind, folds) for _ in range(RUNS)]
+    facets = {run["facets"] for run in runs}
+    if len(facets) != 1:
+        raise RuntimeError(f"{kind} F = {folds}: facet counts {sorted(facets)} differ between runs")
+    return {**runs[0], **{key: min(run[key] for run in runs) for key in ("build_s", "decompose_s")}}
 
 
 def main() -> int:

@@ -118,11 +118,6 @@ def _labels(value) -> list[int]:
     return [_integer(v) for v in labels]
 
 
-def _pure_complex(value) -> Complex:
-    """The complex on a facet list, under the facet-file rules."""
-    return Complex.from_facets(value)
-
-
 def _pair_map(value) -> dict[int, int]:
     return {_integer(a): _integer(b) for a, b in value}
 
@@ -158,7 +153,7 @@ def _construct(step: dict, operand) -> Complex:
     if op == "stacked_sphere":
         return stacked_sphere(*(_field(step, key, _integer) for key in ("d", "k", "seed")))
     if op == "complex":
-        return _field(step, "facets", _pure_complex)
+        return _field(step, "facets", Complex.from_facets)
     if op == "connected_sum":
         return connected_sum(operand("left"), operand("right"), _field(step, "pairs", _pair_map))
     if op in ("handle_addition", "vertex_fold", "edge_fold"):

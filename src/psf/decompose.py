@@ -515,7 +515,7 @@ class _Engine:
     def verdict(self, v: int, link: Complex) -> str:
         # the link of a vertex of a normal complex is normal, since
         # lk(s, lk(v)) = lk(s + v)
-        verdict = _classify(v, link, link_normal=True)
+        verdict = _classify(v, link)
         if verdict.status == "unknown":
             raise UnknownSingularity(f"vertex {v} has an unknown link verdict")
         return verdict.status

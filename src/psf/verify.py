@@ -18,11 +18,14 @@ bound theorem (Rigidity and the lower bound theorem I, Invent. Math.
 1987) a normal pseudomanifold of dimension >= 3 has g2 >= 0, with
 equality exactly for the stacked spheres, so a link that earns the
 certificate has the homology of a sphere and the order changes no
-verdict; only the links that miss it pay for homology.  A checked
-classification proves a link normal only when its g2 vanishes.  The
-link of a vertex in a normal pseudomanifold is itself normal, since
-lk(s, lk(v)) = lk(s + v), so classifying the vertices of a complex the
-caller has just proven normal skips that proof, and builds no link where
+verdict; only the links that miss it pay for homology.  Every verdict
+comes from one body, ``_classify``, on a link proven normal: a
+triangulated (d - 1)-sphere is a normal (d - 1)-pseudomanifold (Bagchi
+and Datta, below), so ``classify_vertex`` calls a link singular when
+``is_normal_pseudomanifold`` fails on it.  The link of a vertex in a
+normal pseudomanifold is itself normal, since lk(s, lk(v)) = lk(s + v),
+so classifying the vertices of a complex the caller has just proven
+normal skips that proof, and builds no link where
 face counts decide: the link of v has deg v vertices, one edge per
 triangle through v and one top face per facet through v, so
 g2(lk v) = (triangles through v) - 4 deg v + 10 on a 4-complex, and
@@ -41,9 +44,8 @@ Lower bound theorem for normal pseudomanifolds, Expo. Math. 2008).
 The same argument gives the homology of a link already proven normal
 from one rank: a normal 3-pseudomanifold is connected and its only
 top cycle over GF(2) is the sum of all facets, so only the rank of the
-boundary map on triangles is left to compute (``_normal_betti``).
-``homology_gf2`` stays for the checked classification and as the
-oracle, so every certificate string is unchanged.
+boundary map on triangles is left to compute (``_normal_betti``), with
+``homology_gf2`` as its oracle under ``PSF_DEBUG_VERIFY=1``.
 """
 
 from __future__ import annotations
@@ -306,8 +308,9 @@ def is_stacked_sphere(k: Complex) -> bool:
 def classify_vertex(k: Complex, v: int) -> SingularityVerdict:
     """Decide whether the link of ``v`` is a triangulated sphere.
 
-    Two-dimensional links are decided exactly through the Euler
-    characteristic; three-dimensional links get the certificate
+    A link that is not a normal (dim - 1)-pseudomanifold is singular.
+    Otherwise two-dimensional links are decided exactly through the
+    Euler characteristic; three-dimensional links get the certificate
     ``"stacked"`` or a homology witness for singularity, and otherwise
     the verdict is unknown.
     """
@@ -315,7 +318,10 @@ def classify_vertex(k: Complex, v: int) -> SingularityVerdict:
         raise UnknownVertex(f"vertex {v} not in complex")
     if k.dim not in (3, 4):
         raise ValueError("vertex classification is defined for dimensions 3 and 4")
-    return _classify(v, k.link((v,)), link_normal=False)
+    link = k.link((v,))
+    if link.dim != k.dim - 1 or not is_normal_pseudomanifold(link).normal:
+        return SingularityVerdict(v, "singular", f"link is not a normal {k.dim - 1}-pseudomanifold")
+    return _classify(v, link)
 
 
 def classify_vertices(k: Complex) -> dict[int, SingularityVerdict]:
@@ -337,27 +343,25 @@ def _classify_normal_vertices(k: Complex) -> dict[int, SingularityVerdict]:
         elif k.dim == 4 and g_from_counts(3, degree, triangles[v])[0] == 0:
             verdicts[v] = SingularityVerdict(v, "nonsingular", "stacked")
         else:
-            verdicts[v] = _classify(v, k.link((v,)), link_normal=True)
+            verdicts[v] = _classify(v, k.link((v,)))
     return verdicts
 
 
-def _surface_verdict(v: int, chi: int, connected: bool = True) -> SingularityVerdict:
-    if connected and chi == 2:
+def _surface_verdict(v: int, chi: int) -> SingularityVerdict:
+    if chi == 2:
         return SingularityVerdict(v, "nonsingular", "surface with euler characteristic 2")
     return SingularityVerdict(v, "singular", f"closed surface with euler characteristic {chi}")
 
 
-def _classify(v: int, link: Complex, link_normal: bool) -> SingularityVerdict:
-    """The verdict at ``v`` from its link, which the caller builds."""
+def _classify(v: int, link: Complex) -> SingularityVerdict:
+    """The verdict at ``v`` from its link, which the caller builds and
+    has proven a normal 2- or 3-pseudomanifold."""
     if link.dim == 2:
         f = link.f_counts()
-        bit = _bits(link.vertices)
-        return _surface_verdict(v, f[1] - f[2] + f[3], _masks_connected(
-            [sum(map(bit.__getitem__, t)) for t in link.maximal_faces]))
-
-    if link.dim == 3 and (_g2(link) == 0 if link_normal else is_stacked_sphere(link)):
+        return _surface_verdict(v, f[1] - f[2] + f[3])
+    if _g2(link) == 0:
         return SingularityVerdict(v, "nonsingular", "stacked")
-    betti = _normal_betti(link) if link_normal else homology_gf2(link)
+    betti = _normal_betti(link)
     if betti != (0, 0, 0, 1):
         return SingularityVerdict(v, "singular", f"link gf2 betti {betti}")
     return SingularityVerdict(v, "unknown", "sphere-like homology but no constructive certificate")

@@ -192,6 +192,13 @@ def test_decompose_refuses_a_complex_that_is_not_normal(tmp_path, capsys):
         "decomposition failed: input is not a normal pseudomanifold")
 
 
+def test_decompose_at_an_absent_vertex_is_a_generic_error(tmp_path, capsys):
+    path = write_complex(tmp_path, "sphere.txt", boundary_simplex(5))
+    assert main(["decompose", path, "--vertex", "999"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: vertex 999 not in complex\n")
+
+
 def test_build_command(tmp_path, capsys):
     script = tmp_path / "script.json"
     script.write_text(dump_script(random_script(5)))

@@ -56,7 +56,7 @@ from psf.decompose import (
     _off_star,
     _ridge_certificate,
 )
-from psf.complexes import FaceNotPresent, VertexOverlap, fresh_labels
+from psf.complexes import FaceNotPresent, UnknownVertex, VertexOverlap, fresh_labels
 from psf.fileio import parse_complex
 from psf.separation import (
     PreconditionUnmet,
@@ -200,6 +200,20 @@ def test_decompose_mode_mismatch():
     record = edge_folded_instance(44)
     with pytest.raises(ModeMismatch):
         decompose(record.complex, record.tracked, mode=MODE_ONE)
+
+
+def test_decompose_refusals_name_the_fault():
+    k = boundary_simplex(5)
+    refusals = [
+        ((k, 0, "spiral"), ModeMismatch, f"unknown mode 'spiral'; expected one of {MODES}"),
+        ((boundary_simplex(3), 0, MODE_ONE), DecompositionError,
+         "decomposition engine requires dimension 4"),
+        ((k, 999, MODE_ONE), UnknownVertex, "vertex 999 not in complex"),
+    ]
+    for (complex_, t, mode), error, text in refusals:
+        with pytest.raises(error) as exc:
+            decompose(complex_, t, mode=mode)
+        assert str(exc.value) == text
 
 
 def test_decompose_vertex_folds_with_decorations():

@@ -340,10 +340,55 @@ def test_classify_unknown_for_subdivided_sum_with_positive_g2():
     assert verdict.certificate == "sphere-like homology but no constructive certificate"
 
 
+def test_classify_vertex_proves_the_link_normal():
+    # a 2-sphere with a fin triangle or a dangling edge has euler
+    # characteristic 2 and one connected piece, and a 2-sphere is not the
+    # link of a vertex in a 4-manifold: none is a sphere of dimension dim - 1
+    s2 = list(boundary_simplex(3).maximal_faces)
+    sphere_and_cone = Complex(list(boundary_simplex(5).maximal_faces)
+                              + list(cone(99, boundary_simplex(3)).maximal_faces))
+    for k, v in [(cone(9, Complex(s2 + [(0, 1, 4)])), 9),
+                 (cone(9, Complex(s2 + [(0, 4)])), 9),
+                 (sphere_and_cone, 99)]:
+        verdict = classify_vertex(k, v)
+        assert (verdict.status, verdict.certificate) == (
+            "singular", f"link is not a normal {k.dim - 1}-pseudomanifold")
+        assert v in singular_vertices(k)
+
+
+def reference_normal(link, dim):
+    """Whether ``link`` is a normal ``dim``-pseudomanifold, from the
+    definitions: pure of dimension ``dim``, every ridge in exactly two
+    facets, connected links (``reference_link_connectivity``) and a
+    connected facet graph, searched over shared ridges."""
+    if link.dim != dim or not link.is_pure:
+        return False
+    through = {}
+    for f in link.maximal_faces:
+        for r in itertools.combinations(f, dim):
+            through.setdefault(r, []).append(f)
+    if any(len(fs) != 2 for fs in through.values()):
+        return False
+    if not reference_link_connectivity(link)[0]:
+        return False
+    start = min(link.maximal_faces)
+    seen, stack = {start}, [start]
+    while stack:
+        for r in itertools.combinations(stack.pop(), dim):
+            for g in through[r]:
+                if g not in seen:
+                    seen.add(g)
+                    stack.append(g)
+    return seen == link.maximal_faces
+
+
 def reference_verdict(k, v):
-    """Status and certificate in the order homology first, then the
-    stacked-sphere test, with connectivity read off the reduced b0."""
+    """Status and certificate: a link that is not a normal
+    (dim - 1)-pseudomanifold is singular; otherwise homology first, then
+    the stacked-sphere test, with connectivity read off the reduced b0."""
     link = k.link((v,))
+    if not reference_normal(link, k.dim - 1):
+        return "singular", f"link is not a normal {k.dim - 1}-pseudomanifold"
     betti = homology_gf2(link)
     if link.dim == 2:
         f = link.f_counts()
