@@ -171,15 +171,15 @@ def cmd_decompose(args) -> int:
         "counters:",
         f"edge_folds={m}",
         f"vertex_folds={n}",
-        f"connected_sums={counters.get('connected_sums', 0)}",
-        f"inverse_subdivisions={counters.get('inverse_subdivisions', 0)}",
+        f"connected_sums={counters['connected_sums']}",
+        f"inverse_subdivisions={counters['inverse_subdivisions']}",
     )
     edge, vertex = (fold_deltas(op, 4)[0] for op in ("edge_fold", "vertex_fold"))
     print(f"g2 accounting: {edge}*{m} + {vertex}*{n} + {base_g2} = {total}, g2(input) = {g2(k)}")
     if args.output:
         _write_text(args.output, dump_script(tree.to_dict()))
         print(f"wrote {args.output}")
-    if counters.get("irreducible"):
+    if counters["irreducible"]:
         print("irreducible base encountered")
         return EXIT_IRREDUCIBLE
     return EXIT_OK

@@ -24,9 +24,7 @@ from .separation import (
     PreconditionUnmet,
     SeparationReport,
     SideAssignmentInconsistent,
-    _link_cut,
     _oriented_sides,
-    _report,
     classify_missing_facet,
     require_missing_facet,
 )
@@ -123,23 +121,24 @@ def split_connected_sum(k: Complex, tau) -> SplitResult:
     with part_b's copy on fresh labels so the parts are label-disjoint.
     A part that fails the split certificate raises DecompositionError.
     """
-    return _split(k, require_missing_facet(k, tau))
+    t = require_missing_facet(k, tau)
+    return _split(k, t, _cut_components(k.maximal_faces, set(t)))
 
 
-def _split(k: Complex, t: Simplex) -> SplitResult:
-    """``split_connected_sum`` along a ``t`` known to be a missing facet."""
-    comps = _cut_components(k.maximal_faces, set(t))
-    if len(comps) == 1:
+def _split(k: Complex, t: Simplex, pieces) -> SplitResult:
+    """``split_connected_sum`` along a ``t`` known to be a missing facet,
+    given the ``pieces`` of the facet graph of ``k`` cut along t."""
+    if len(pieces) == 1:
         raise NotSplit(f"cut along {t} does not disconnect; handle signature")
-    if len(comps) > 2:
-        raise DecompositionError(f"cut along {t} produced {len(comps)} pieces")
+    if len(pieces) > 2:
+        raise DecompositionError(f"cut along {t} produced {len(pieces)} pieces")
     fresh = tuple(fresh_labels(k, len(t)))
     pairing = dict(zip(t, fresh))
-    part_a = Complex._trusted(set(comps[0]) | {t})
-    part_b = Complex._trusted({tuple(sorted(pairing.get(v, v) for v in f)) for f in comps[1]} | {fresh})
+    part_a = Complex._trusted(set(pieces[0]) | {t})
+    part_b = Complex._trusted({tuple(sorted(pairing.get(v, v) for v in f)) for f in pieces[1]} | {fresh})
     # each ridge of t lies in two facets of a normal k, so the part with
     # fewer facets decides the certificate for both
-    smaller = (part_a, t) if len(comps[0]) <= len(comps[1]) else (part_b, fresh)
+    smaller = (part_a, t) if len(pieces[0]) <= len(pieces[1]) else (part_b, fresh)
     if not _ridge_certificate(*smaller):
         raise DecompositionError(f"splitting along {t} leaves a part that is not normal")
     return SplitResult(part_a, part_b, t, pairing)
@@ -174,18 +173,17 @@ class UnfoldResult:
         return dict(self.pairs)
 
 
-def _require_separation(k: Complex, t: Simplex, fixed) -> SeparationReport:
-    """The fold signature along a ``t`` known to be a missing facet: no
-    vertex of the fixed face separates its link, every other vertex of t
-    does.  Returns the separation report."""
-    report = _report(k, t)
-    for y in fixed:
-        if report.per_vertex[y].separates:
-            raise PreconditionUnmet(f"boundary of {t} minus {y} separates the link of {y}")
-    for x in t:
-        if x not in fixed and not report.per_vertex[x].separates:
-            raise PreconditionUnmet(f"vertex {x} does not separate its link")
-    return report
+def _classified_as(k: Complex, tau, kind: str, at) -> SeparationReport:
+    """The separation report of the missing facet ``tau``, which
+    ``classify_missing_facet`` must find of ``kind`` at the vertex or
+    sorted edge ``at``; any other class raises PreconditionUnmet."""
+    cls = classify_missing_facet(k, tau)
+    found = cls.edge if cls.vertex is None else cls.vertex
+    if (cls.kind, found) != (kind, at):
+        where = "" if found is None else f" at {found}"
+        raise PreconditionUnmet(f"missing facet {cls.report.missing_facet} is classified "
+                                f"{cls.kind}{where}, not {kind} at {at}")
+    return cls.report
 
 
 def _refold(fold, k: Complex, unfolded: Complex, source: Simplex, target: Simplex,
@@ -239,33 +237,22 @@ def _unfold(fold, k: Complex, fixed: Simplex, report: SeparationReport) -> Unfol
 def vertex_unfold(k: Complex, tau, v: int) -> UnfoldResult:
     """Undo a vertex folding at ``v`` whose merged facet became ``tau``.
 
-    Facets whose witnesses lie on the negative side have their
-    tau-vertices other than v replaced by fresh copies.  The recorded
-    forward fold reproduces the input exactly.
+    ``classify_missing_facet`` must find ``tau`` a vertex fold at v,
+    else PreconditionUnmet names the class it found.  Facets whose
+    witnesses lie on the negative side have their tau-vertices other
+    than v replaced by fresh copies.  The recorded forward fold
+    reproduces the input exactly.
     """
-    t = require_missing_facet(k, tau)
-    if v not in t:
-        raise PreconditionUnmet(f"vertex {v} is not in {t}")
-    return _unfold(vertex_fold, k, (v,), _require_separation(k, t, (v,)))
+    return _unfold(vertex_fold, k, (v,), _classified_as(k, tau, "vertex_fold", v))
 
 
 def edge_unfold(k: Complex, tau, edge) -> UnfoldResult:
-    """Undo an edge folding along ``edge`` whose merged facet became ``tau``."""
-    t = require_missing_facet(k, tau)
+    """Undo an edge folding along ``edge`` whose merged facet became ``tau``,
+    which ``classify_missing_facet`` must find an edge fold at that edge."""
     if len(set(edge)) != 2:
         raise PreconditionUnmet(f"{tuple(edge)} is not an edge")
-    u, v = sorted(edge)
-    if u not in t or v not in t:
-        raise PreconditionUnmet(f"edge {u}{v} is not inside {t}")
-    if not k.has_face((u, v)):
-        raise PreconditionUnmet(f"{u}{v} is not an edge")
-    report = _require_separation(k, t, (u, v))
-    if len(_link_cut(k, (u, v), t)) != 1:
-        others = tuple(x for x in t if x not in (u, v))
-        raise PreconditionUnmet(
-            f"link of {u}{v} is separated by the boundary of {others}; handle case"
-        )
-    return _unfold(edge_fold, k, (u, v), report)
+    edge = tuple(sorted(edge))
+    return _unfold(edge_fold, k, edge, _classified_as(k, tau, "edge_fold", edge))
 
 
 def recognize_one_vertex_suspension(k: Complex, t: int, t1: int):
@@ -389,11 +376,11 @@ class DecompositionTree:
 
     @property
     def vertex_fold_count(self) -> int:
-        return self.counters.get("vertex_folds", 0)
+        return self.counters["vertex_folds"]
 
     @property
     def edge_fold_count(self) -> int:
-        return self.counters.get("edge_folds", 0)
+        return self.counters["edge_folds"]
 
     def g2_accounting(self) -> tuple[int, int, int, int]:
         """``(m, n, base, 6m + 10n + base)`` for m edge folds and n vertex
@@ -592,7 +579,8 @@ class _Engine:
             raise NoMissingFacetFound(
                 f"stacked complex with {len(k.vertices)} vertices has no missing facet"
             )
-        return self.split(k, missing[0], t, t1, missing)
+        tau = missing[0]
+        return self.split(k, tau, _cut_components(k.maximal_faces, set(tau)), t, t1, missing)
 
     def singular(self, k: Complex, t: int, t1, link: Complex):
         """Reduce ``k`` at its singular vertex t, whose link is ``link``.
@@ -658,7 +646,7 @@ class _Engine:
     def classified(self, k: Complex, missing, t, t1):
         cls = classify_missing_facet(k, missing)
         if cls.kind == "connected_sum_split":
-            return self.split(k, cls.report.missing_facet, t, t1, None)
+            return self.split(k, cls.report.missing_facet, cls.pieces, t, t1, None)
         if cls.kind == "vertex_fold":
             fold, fixed, where = vertex_fold, (cls.vertex,), {"vertex": cls.vertex}
         elif cls.kind == "edge_fold":
@@ -692,10 +680,10 @@ class _Engine:
         )
         return node, [(unfold.complex, t, t1, None)]
 
-    def split(self, k: Complex, tau: Simplex, t, t1, missing):
-        """Split ``k`` along its missing facet ``tau``; the parts keep
-        the proofs listed in ``decompose``."""
-        split = _split(k, tau)
+    def split(self, k: Complex, tau: Simplex, pieces, t, t1, missing):
+        """Split ``k`` along its missing facet ``tau`` into the ``pieces``
+        of its cut; the parts keep the proofs listed in ``decompose``."""
+        split = _split(k, tau, pieces)
         carried = [None, None]
         if missing is not None:
             rest = [s for s in missing if s != tau]

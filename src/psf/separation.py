@@ -4,7 +4,8 @@ For a missing facet tau of a normal pseudomanifold, the key question at
 each vertex x of tau is whether the boundary of (tau - x) separates the
 link of x.  The per-vertex answers select the inverse operation that
 must have produced tau: connected-sum split, vertex unfolding or edge
-unfolding.
+unfolding.  ``classify_missing_facet`` alone makes that choice; the
+unfoldings and the decomposition engine act on the class it returns.
 
 Two implementations of the separation test exist on purpose: the fast
 one cuts the facet adjacency graph of the link, and an exhaustive
@@ -64,10 +65,14 @@ class SeparationReport:
 
 @dataclass(frozen=True)
 class MissingFacetClass:
+    """The inverse operation a missing facet admits, read off ``report``;
+    a split carries the two ``pieces`` of its global cut."""
+
     kind: str  # connected_sum_split | vertex_fold | edge_fold | handle_like | unclassified
     vertex: Optional[int] = None
     edge: Optional[tuple[int, int]] = None
     report: Optional[SeparationReport] = None
+    pieces: Optional[tuple[frozenset[Simplex], frozenset[Simplex]]] = None
 
 
 def require_missing_facet(k: Complex, tau) -> Simplex:
@@ -264,10 +269,12 @@ def two_sided(k: Complex, tau, v: int) -> tuple[bool, str]:
 def classify_missing_facet(k: Complex, tau) -> MissingFacetClass:
     """Classify which operation produced the missing facet ``tau``.
 
-    No non-separating vertex: connected sum (or handle, when the global
-    facet graph stays connected after the cut).  One: vertex folding at
-    that vertex.  Two forming an edge: edge folding, unless the link of
-    the edge is separated too, which is the handle signature.
+    No non-separating vertex: connected sum, with the two pieces of the
+    global cut (or handle, when the global facet graph stays connected
+    after the cut).  One: vertex folding at that vertex.  Two forming a
+    sorted edge: edge folding, unless the link of the edge is separated
+    too, which is the handle signature.  A cut into more than two pieces
+    raises ``MoreThanTwoComponents``.
     """
     t = require_missing_facet(k, tau)
     report = _report(k, t)
@@ -278,10 +285,8 @@ def classify_missing_facet(k: Complex, tau) -> MissingFacetClass:
         if len(comps) == 1:
             return MissingFacetClass("handle_like", report=report)
         if len(comps) == 2:
-            return MissingFacetClass("connected_sum_split", report=report)
-        raise MoreThanTwoComponents(
-            f"global cut along {t} produced {len(comps)} pieces"
-        )
+            return MissingFacetClass("connected_sum_split", report=report, pieces=tuple(comps))
+        raise MoreThanTwoComponents(f"global cut along {t} produced {len(comps)} pieces")
     if len(non_sep) == 1:
         return MissingFacetClass("vertex_fold", vertex=non_sep[0], report=report)
     if len(non_sep) == 2:
@@ -292,7 +297,5 @@ def classify_missing_facet(k: Complex, tau) -> MissingFacetClass:
                 return MissingFacetClass("edge_fold", edge=(u, v), report=report)
             if len(comps) == 2:
                 return MissingFacetClass("handle_like", report=report)
-            raise MoreThanTwoComponents(
-                f"link of edge {u}{v} fell into {len(comps)} pieces"
-            )
+            raise MoreThanTwoComponents(f"link of edge {u}{v} fell into {len(comps)} pieces")
     return MissingFacetClass("unclassified", report=report)

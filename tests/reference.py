@@ -18,7 +18,9 @@ from psf.build import (_HANDLE_ATTEMPTS, _admissible_bijections, check_handle_ad
 from psf.buildscript import LedgerRow, _construct, _g2g3, _need, validate_script
 from psf.complexes import Complex, fresh_labels
 from psf.decompose import _refold
-from psf.separation import PreconditionUnmet, SideAssignmentInconsistent, two_point_anchors
+from psf.separation import (PreconditionUnmet, SeparationError, SideAssignmentInconsistent,
+                            classify_missing_facet, require_missing_facet, separation_report,
+                            two_point_anchors)
 
 
 def facet_pairs_sharing(k, count):
@@ -329,6 +331,104 @@ def witness_unfold(fold, k, fixed, report):
     facets = rewritten | {t, target}
     unfolded = Complex._trusted(facets)
     return _refold(fold, k, unfolded, t, target, {**dict(zip(fixed, fixed)), **copy})
+
+
+def link_anchors_reference(k, t):
+    """Two-point anchors read off the link of each ridge of t."""
+    anchors = {}
+    for y in t:
+        ridge = tuple(v for v in t if v != y)
+        pair = sorted(k.link(ridge).vertices)
+        if len(pair) != 2:
+            raise SeparationError(f"link of ridge {ridge} is not two points: {pair}")
+        anchors[y] = (pair[0], pair[1])
+    return anchors
+
+
+def link_cut_reference(k, face, tau):
+    """The link-building cut: components of the facet graph of the built
+    link of ``face``, without the adjacencies across ridges inside
+    tau - face, in order of their smallest facet."""
+    link = k.link(tuple(face))
+    barrier = set(tau) - set(face)
+    adjacent = {f: set() for f in link.maximal_faces}
+    for ridge, fs in ridge_facets(link).items():
+        if not set(ridge) <= barrier:
+            for f, g in itertools.combinations(fs, 2):
+                adjacent[f].add(g)
+                adjacent[g].add(f)
+    comps = []
+    for f in sorted(adjacent):
+        if any(f in c for c in comps):
+            continue
+        comp, stack = {f}, [f]
+        while stack:
+            for g in adjacent[stack.pop()] - comp:
+                comp.add(g)
+                stack.append(g)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def reference_unfold(k, tau, fixed):
+    """Unfolding along ``tau`` as two constructions, one per fold kind.
+
+    The plus side of the link of each vertex x of tau off the fixed face
+    is the side holding the smaller apex over the ridge of tau opposite
+    ``fixed[0]``, read off link-built anchors.  Facets whose witnesses
+    (their vertices off tau) lie on the minus side take fresh copies of
+    their tau-vertices.  A vertex unfold drops the facets through v and
+    cones the boundary of the rest from v; an edge unfold adds tau and
+    its copy.  Returns ``(complex, source, target, pairs)``.
+
+    It refuses unless the fixed face is a face of ``k`` inside tau, none
+    of its vertices separates its link, every other vertex of tau does,
+    and the link of a fixed edge is one piece; the refusal names the
+    class that ``classify_missing_facet`` finds.
+    """
+    t = require_missing_facet(k, tau)
+    fixed = tuple(sorted(fixed))
+    kind, at = ("vertex_fold", fixed[0]) if len(fixed) == 1 else ("edge_fold", fixed)
+
+    def refusal():
+        cls = classify_missing_facet(k, t)
+        found = cls.edge if cls.vertex is None else cls.vertex
+        where = "" if found is None else f" at {found}"
+        return PreconditionUnmet(f"missing facet {t} is classified {cls.kind}{where}, "
+                                 f"not {kind} at {at}")
+
+    if not set(fixed) <= set(t) or not k.has_face(fixed):
+        raise refusal()
+    report = separation_report(k, t)
+    others = [x for x in t if x not in fixed]
+    if any(report.per_vertex[y].separates for y in fixed):
+        raise refusal()
+    if not all(report.per_vertex[x].separates for x in others):
+        raise refusal()
+    if len(fixed) == 2 and len(link_cut_reference(k, fixed, t)) != 1:
+        raise refusal()
+
+    q0 = link_anchors_reference(k, t)[fixed[0]][0]
+    minus = {}
+    for x in others:
+        (minus_side,) = [side for side in report.per_vertex[x].sides
+                         if not any(q0 in f for f in side)]
+        minus[x] = {w for f in minus_side for w in f} - set(t)
+    copy = dict(zip(others, fresh_labels(k, len(others))))
+    rewritten = set()
+    for f in k.maximal_faces:
+        if len(fixed) == 1 and fixed[0] in f:
+            continue
+        votes = {w in minus[x] for x in f if x in copy for w in f if w not in t}
+        assert len(votes) <= 1, f"facet {f} straddles the sides"
+        rewritten.add(tuple(sorted(copy.get(x, x) for x in f)) if votes == {True} else f)
+    target = tuple(sorted([*fixed, *copy.values()]))
+    if len(fixed) == 1:
+        boundary = [r for r, fs in ridge_facets(Complex(rewritten)).items() if len(fs) == 1]
+        unfolded = Complex(rewritten | {tuple(sorted(r + fixed)) for r in boundary})
+    else:
+        unfolded = Complex(rewritten | {t, target})
+    return unfolded, t, target, tuple(sorted({**dict(zip(fixed, fixed)), **copy}.items()))
 
 
 def joint_colors(k1, k2):

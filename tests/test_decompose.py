@@ -56,18 +56,16 @@ from psf.decompose import (
     _off_star,
     _ridge_certificate,
 )
-from psf.complexes import FaceNotPresent, UnknownVertex, VertexOverlap, fresh_labels
+from psf.complexes import FaceNotPresent, UnknownVertex, VertexOverlap
 from psf.fileio import parse_complex
 from psf.separation import (
     PreconditionUnmet,
     SeparationError,
     classify_missing_facet,
-    require_missing_facet,
-    separation_report,
     two_point_anchors,
 )
 from psf.verify import is_normal_pseudomanifold, singular_vertices
-from reference import outcome, ridge_facets, star_scans
+from reference import link_anchors_reference, outcome, reference_unfold, star_scans
 
 # the package exports the function decompose under the module's name
 decompose_module = importlib.import_module("psf.decompose")
@@ -454,92 +452,6 @@ def test_suspension_of_boundary_3_simplex():
     assert is_isomorphic(s, boundary_simplex(4)) is not None
 
 
-def link_anchors_reference(k, t):
-    """Two-point anchors read off the link of each ridge of t."""
-    anchors = {}
-    for y in t:
-        ridge = tuple(v for v in t if v != y)
-        pair = sorted(k.link(ridge).vertices)
-        if len(pair) != 2:
-            raise SeparationError(f"link of ridge {ridge} is not two points: {pair}")
-        anchors[y] = (pair[0], pair[1])
-    return anchors
-
-
-def link_pieces_reference(link, barrier):
-    """Number of pieces of the facet graph of a built link once the
-    adjacencies across ridges inside ``barrier`` are cut."""
-    root = {f: f for f in link.maximal_faces}
-
-    def find(f):
-        while root[f] != f:
-            f = root[f]
-        return f
-
-    for ridge, fs in ridge_facets(link).items():
-        if not set(ridge) <= barrier:
-            for f, g in itertools.combinations(fs, 2):
-                root[find(f)] = find(g)
-    return len({find(f) for f in root})
-
-
-def reference_unfold(k, tau, fixed):
-    """Unfolding along ``tau`` as two constructions, one per fold kind.
-
-    The plus side of the link of each vertex x of tau off the fixed face
-    is the side holding the smaller apex over the ridge of tau opposite
-    ``fixed[0]``, read off link-built anchors.  Facets whose witnesses
-    (their vertices off tau) lie on the minus side take fresh copies of
-    their tau-vertices.  A vertex unfold drops the facets through v and
-    cones the boundary of the rest from v; an edge unfold adds tau and
-    its copy.  Returns ``(complex, source, target, pairs)``.
-    """
-    t = require_missing_facet(k, tau)
-    if len(fixed) == 1:
-        if fixed[0] not in t:
-            raise PreconditionUnmet(f"vertex {fixed[0]} is not in {t}")
-    else:
-        u, v = fixed = tuple(sorted(fixed))
-        if u not in t or v not in t:
-            raise PreconditionUnmet(f"edge {u}{v} is not inside {t}")
-        if not k.has_face((u, v)):
-            raise PreconditionUnmet(f"{u}{v} is not an edge")
-    report = separation_report(k, t)
-    others = [x for x in t if x not in fixed]
-    for y in fixed:
-        if report.per_vertex[y].separates:
-            raise PreconditionUnmet(f"boundary of {t} minus {y} separates the link of {y}")
-    for x in others:
-        if not report.per_vertex[x].separates:
-            raise PreconditionUnmet(f"vertex {x} does not separate its link")
-    if len(fixed) == 2 and link_pieces_reference(k.link(fixed), set(others)) != 1:
-        raise PreconditionUnmet(
-            f"link of {u}{v} is separated by the boundary of {tuple(others)}; handle case"
-        )
-
-    q0 = link_anchors_reference(k, t)[fixed[0]][0]
-    minus = {}
-    for x in others:
-        (minus_side,) = [side for side in report.per_vertex[x].sides
-                         if not any(q0 in f for f in side)]
-        minus[x] = {w for f in minus_side for w in f} - set(t)
-    copy = dict(zip(others, fresh_labels(k, len(others))))
-    rewritten = set()
-    for f in k.maximal_faces:
-        if len(fixed) == 1 and fixed[0] in f:
-            continue
-        votes = {w in minus[x] for x in f if x in copy for w in f if w not in t}
-        assert len(votes) <= 1, f"facet {f} straddles the sides"
-        rewritten.add(tuple(sorted(copy.get(x, x) for x in f)) if votes == {True} else f)
-    target = tuple(sorted([*fixed, *copy.values()]))
-    if len(fixed) == 1:
-        boundary = [r for r, fs in ridge_facets(Complex(rewritten)).items() if len(fs) == 1]
-        unfolded = Complex(rewritten | {tuple(sorted(r + fixed)) for r in boundary})
-    else:
-        unfolded = Complex(rewritten | {t, target})
-    return unfolded, t, target, tuple(sorted({**dict(zip(fixed, fixed)), **copy}.items()))
-
-
 def test_unfolds_match_reference_constructions(fold_images):
     done = {"vertex": 0, "edge": 0}
     for k, tau in fold_images:
@@ -580,6 +492,45 @@ def test_edge_unfold_refuses_a_malformed_edge(size):
         PreconditionUnmet, f"{edge} is not an edge")
 
 
+def test_unfoldings_agree_with_classification_on_every_missing_facet():
+    # each unfolding succeeds exactly when classification finds its fold
+    # at its vertex or sorted edge, on fold images and on the first
+    # missing facets of each complex alike
+    records = [handle_instance(1)]
+    for s in (1, 2):
+        records += [vertex_folded_instance(s, folds=2, sums=1, subdivisions=1),
+                    edge_folded_instance(s, edge_folds=1, vertex_folds=1, sums=1),
+                    suspension_instance(s, extra_vertex_folds=1, sums=1)]
+    seen = set()
+    for record in records:
+        k = record.complex
+        images = [image for _, image in record.fold_images]
+        for tau in dict.fromkeys(sorted(k.missing_simplices(4))[:12] + images):
+            cls = classify_missing_facet(k, tau)
+            found = (cls.kind, cls.edge if cls.vertex is None else cls.vertex)
+            for fixed in [*tau, *itertools.combinations(tau, 2)]:
+                if type(fixed) is int:
+                    got = outcome(lambda: vertex_unfold(k, tau, fixed))
+                    admits = found == ("vertex_fold", fixed)
+                else:  # the edge is asked for unsorted
+                    got = outcome(lambda: edge_unfold(k, tau, fixed[::-1]))
+                    admits = found == ("edge_fold", fixed)
+                assert isinstance(got, tuple) != admits, (tau, fixed, found)
+                seen.add((type(fixed), admits))
+    assert seen == {(int, True), (int, False), (tuple, True), (tuple, False)}
+
+    # the refusal names the class found and the fold asked for, here on
+    # the first fold images of the seed-1 vertex and edge instances
+    vertex_record, edge_record = records[1:3]
+    assert outcome(lambda: vertex_unfold(vertex_record.complex, (0, 1, 2, 3, 4), 1)) == (
+        PreconditionUnmet,
+        "missing facet (0, 1, 2, 3, 4) is classified vertex_fold at 0, not vertex_fold at 1")
+    assert outcome(lambda: edge_unfold(edge_record.complex, (0, 1, 2, 3, 4), (3, 0))) == (
+        PreconditionUnmet,
+        "missing facet (0, 1, 2, 3, 4) is classified edge_fold at (0, 1), "
+        "not edge_fold at (0, 3)")
+
+
 def corpus_inputs(shared_corpus):
     """``(complex, t, mode)`` for each 4-dimensional corpus complex in
     every mode, tracking its first singular vertex or else its least."""
@@ -612,8 +563,8 @@ def engine_record(shared_corpus):
         singular.append((k, t, link))
         return singular_step(self, k, t, t1, link)
 
-    def record_split(k, tau):
-        result = split(k, tau)
+    def record_split(k, tau, pieces):
+        result = split(k, tau, pieces)
         back = {w: v for v, w in result.pairing.items()}
         side_b = {tuple(sorted(back.get(v, v) for v in f)) for f in result.part_b.maximal_faces}
         sides = (result.part_a.maximal_faces - {tau}, frozenset(side_b - {tau}))
@@ -638,6 +589,29 @@ def engine_record(shared_corpus):
             decompose(k, t, mode, debug=True)
         decompose(linear_chain(4, 50, 50, fixed=(0,)), 0)
     return parts, splits, unfolds, singular
+
+
+@pytest.mark.parametrize("build, mode", [
+    (lambda: vertex_folded_instance(3, folds=4), MODE_ONE),
+    (lambda: edge_folded_instance(3, edge_folds=2), MODE_EDGE),
+])
+def test_no_part_is_cut_twice_along_one_missing_facet(monkeypatch, build, mode):
+    # a classified split hands on the pieces of the classification's cut
+    record = build()
+    cut = importlib.import_module("psf.verify")._cut_components
+    cuts, held = [], []
+
+    def recording_cut(facets, barrier):
+        held.append(facets)  # alive to the end, so no id is reused
+        cuts.append((id(facets), frozenset(barrier)))
+        return cut(facets, barrier)
+
+    for name in ("psf.decompose", "psf.separation"):
+        monkeypatch.setattr(importlib.import_module(name), "_cut_components", recording_cut)
+    tree = decompose(record.complex, record.tracked, mode)
+    assert rebuild(tree) == record.complex
+    assert len(cuts) > 40 and tree.counters["connected_sums"] > 0
+    assert len(set(cuts)) == len(cuts)
 
 
 @pytest.fixture(scope="module")
@@ -726,7 +700,7 @@ def test_ridge_certificate_matches_normality(engine_record, fold_images):
         assert outcome(lambda: split_connected_sum(k, tau)) == expected
         for missing in (None, sorted(k.missing_simplices(4))):
             engine = _Engine(MODE_EDGE, False)
-            assert outcome(lambda: engine.split(k, tau, 0, None, missing)) == expected
+            assert outcome(lambda: engine.split(k, tau, [bad_side, rest], 0, None, missing)) == expected
 
 
 def test_stacked_splits_match_classification(engine_record):
@@ -879,8 +853,8 @@ def test_debug_oracle_checks_the_carried_missing_facets(monkeypatch):
     assert rebuild(decompose(k, 0, debug=True)) == k
     split = _Engine.split
 
-    def drop_last(self, k, tau, t, t1, missing):
-        node, parts = split(self, k, tau, t, t1, missing)
+    def drop_last(self, k, tau, pieces, t, t1, missing):
+        node, parts = split(self, k, tau, pieces, t, t1, missing)
         return node, [(*part[:3], part[3] and part[3][:-1]) for part in parts]
 
     monkeypatch.setattr(_Engine, "split", drop_last)

@@ -27,7 +27,7 @@ from psf.separation import (
     separation_report,
     two_sided,
 )
-from reference import outcome, parity_sides, ridge_facets, witness_unfold
+from reference import link_cut_reference, outcome, parity_sides, witness_unfold
 
 
 def summed_pair():
@@ -96,31 +96,6 @@ def test_poset_oracle_agrees_on_corpus():
                 assert set(fast.sides) == set(slow_comps)
 
 
-def link_cut_reference(k, x, tau):
-    """The link-building cut: components of the facet graph of the link
-    of x, without the adjacencies across ridges inside tau - x, in order
-    of their smallest facet."""
-    link = k.link((x,))
-    barrier = set(tau) - {x}
-    adjacent = {f: set() for f in link.maximal_faces}
-    for ridge, fs in ridge_facets(link).items():
-        if not set(ridge) <= barrier:
-            for f, g in itertools.combinations(fs, 2):
-                adjacent[f].add(g)
-                adjacent[g].add(f)
-    comps = []
-    for f in sorted(adjacent):
-        if any(f in c for c in comps):
-            continue
-        comp, stack = {f}, [f]
-        while stack:
-            for g in adjacent[stack.pop()] - comp:
-                comp.add(g)
-                stack.append(g)
-        comps.append(frozenset(comp))
-    return comps
-
-
 def test_separates_link_matches_link_building_cut():
     complexes = [
         vertex_folded_instance(61).complex,
@@ -136,7 +111,7 @@ def test_separates_link_matches_link_building_cut():
     for k in complexes:
         for tau in sorted(k.missing_simplices(k.dim))[:4]:
             for x in tau:
-                comps = link_cut_reference(k, x, tau)
+                comps = link_cut_reference(k, (x,), tau)
                 fast = separates_link(k, x, tau)
                 assert fast.separates == (len(comps) == 2)
                 assert fast.sides == (tuple(comps) if fast.separates else None)
