@@ -111,8 +111,9 @@ class Complex:
     A facet set the library made itself (simplex boundaries, gluings,
     folds, subdivisions, links and stars, and the parts of the inverse
     operations) is canonical whether or not its source complex is pure,
-    so it goes through the private ``_trusted``, which skips the
-    per-facet checks.  Both routes end in one body, ``_set_up``.
+    and so are the sorted rows ``fileio.parse_complex`` has read, so they
+    go through the private ``_trusted``, which skips the per-facet
+    checks.  Both routes end in one body, ``_set_up``.
 
     Only the facet set is behaviour: ``maximal_faces`` iterates in an
     unspecified order.  ``relabel``, ``build.cone`` and
@@ -129,10 +130,10 @@ class Complex:
     @classmethod
     def _trusted(cls, facets: Iterable[Simplex]) -> "Complex":
         """``Complex(facets)`` without its ``simplex()`` per facet, for facets
-        the library made itself: sorted tuples of distinct non-negative
-        labels.  Only ``PSF_DEBUG_VERIFY=1`` lists them, to check each as
-        ``__init__`` would (``simplex`` raises on a repeated or negative
-        label) and raise on one it would have changed."""
+        the library made or parsed itself: sorted tuples of distinct
+        non-negative labels.  Only ``PSF_DEBUG_VERIFY=1`` lists them, to
+        check each as ``__init__`` would (``simplex`` raises on a repeated
+        or negative label) and raise on one it would have changed."""
         if os.environ.get("PSF_DEBUG_VERIFY") == "1":
             facets = list(facets)
             for f in facets:

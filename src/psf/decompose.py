@@ -347,7 +347,14 @@ class TreeNode:
 def _integers(value, depth: int):
     """``value`` as ``depth`` levels of nested tuples over JSON integers;
     a non-list raises TypeError, and a boolean, float or string label
-    ComplexError."""
+    ComplexError.  A JSON ``list`` of ``int`` (or of such lists) is
+    converted after one type pass; anything else is read level by level,
+    which words the refusal."""
+    if depth == 1 and type(value) is list and set(map(type, value)) <= {int}:
+        return tuple(value)
+    if (depth == 2 and type(value) is list and set(map(type, value)) <= {list}
+            and set(map(type, itertools.chain.from_iterable(value))) <= {int}):
+        return tuple(map(tuple, value))
     if depth == 0:
         return _integer(value)
     if not isinstance(value, (list, tuple)):

@@ -8,6 +8,7 @@ kernels that it leaves the random stream in the same state.
 
 import contextlib
 import itertools
+import re
 import sys
 from collections import Counter
 
@@ -16,8 +17,9 @@ import pytest
 from psf.build import (_HANDLE_ATTEMPTS, _admissible_bijections, check_handle_admissible,
                        fold_deltas)
 from psf.buildscript import LedgerRow, _construct, _g2g3, _need, validate_script
-from psf.complexes import Complex, fresh_labels
-from psf.decompose import _refold
+from psf.complexes import Complex, ComplexError, _integer, fresh_labels
+from psf.decompose import _FIELDS, MalformedTree, TreeNode, _refold
+from psf.fileio import ParseError
 from psf.separation import (PreconditionUnmet, SeparationError, SideAssignmentInconsistent,
                             classify_missing_facet, require_missing_facet, separation_report,
                             two_point_anchors)
@@ -476,3 +478,64 @@ def joint_colors(k1, k2):
     if sorted(colors[0].values()) != sorted(colors[1].values()):
         return None
     return colors[0], colors[1]
+
+
+_TOKEN = re.compile(r"[^ \t\v\f\r]+")
+_LABEL = re.compile(r"-?[0-9]+")
+
+
+def reference_parse_complex(text: str) -> Complex:
+    """The token-by-token facet-file parser that ``fileio.parse_complex``
+    replaced.  It reports facets of differing length at line 1, column 1."""
+    facets: list[list[int]] = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        row: list[int] = []
+        repeat = None
+        for match in _TOKEN.finditer(raw.split("#", 1)[0]):
+            token, column = match.group(), match.start() + 1
+            if not _LABEL.fullmatch(token):
+                raise ParseError(f"not an integer: {token!r}", lineno, column)
+            if token[0] == "-":
+                raise ParseError(f"negative vertex label {token}", lineno, column)
+            try:
+                label = int(token)
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"vertex label too long ({len(token)} digits)", lineno, column) from None
+            if label in row and repeat is None:
+                repeat = ParseError(f"repeated vertex {label} in facet", lineno, column)
+            row.append(label)
+        if repeat is not None:
+            raise repeat
+        if row:
+            facets.append(row)
+    if not facets:
+        raise ParseError("no facets in file", 1, 1)
+    lengths = {len(r) for r in facets}
+    if len(lengths) > 1:
+        raise ParseError(f"facet lengths differ: {sorted(lengths)}", 1, 1)
+    return Complex.from_facets(facets)
+
+
+def reference_integers(value, depth: int):
+    """The level-by-level reading of a tree node field that
+    ``decompose._integers`` reads in one type pass when it can."""
+    if depth == 0:
+        return _integer(value)
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, got {value!r}")
+    return tuple(reference_integers(v, depth - 1) for v in value)
+
+
+def reference_tree_node(data: dict) -> TreeNode:
+    """``TreeNode.from_dict`` with every field read by ``reference_integers``."""
+    if not (isinstance(data, dict) and isinstance(data.get("kind"), str)
+            and isinstance(data.get("leaf_kind"), (str, type(None)))):
+        raise MalformedTree(f"bad tree node {data!r}: kind and leaf_kind must be strings")
+    fields = {}
+    for key, depth in _FIELDS.items():
+        if data.get(key) is not None:
+            try:
+                fields[key] = reference_integers(data[key], depth)
+            except (TypeError, ComplexError) as exc:
+                raise MalformedTree(f"bad field {key!r} in tree node {data!r}: {exc}") from exc
+    return TreeNode(data["kind"], leaf_kind=data.get("leaf_kind"), **fields)

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import psf
 
@@ -14,7 +16,8 @@ from psf.buildscript import dump_script, random_script
 from psf.cli import main
 from psf.corpus import pinched_complex, vertex_folded_instance, edge_folded_instance
 from psf.decompose import decompose
-from psf.fileio import format_complex, parse_complex
+from psf.fileio import ParseError, format_complex, parse_complex
+from reference import reference_parse_complex
 
 
 def write_complex(tmp_path, name, k):
@@ -97,6 +100,70 @@ def test_labels_are_ascii_decimal_digits(tmp_path, capsys, token, message):
     assert main(["info", str(path)]) == 2
     assert main(["check", str(path)]) == 2
     assert f"line 2, column 3: {message}" in capsys.readouterr().err
+
+
+def test_facet_lengths_differ_at_the_first_odd_facet(tmp_path, capsys):
+    text = "0 1 2\n0 1 3\n\n# a comment\n  0 1 2 3  # odd\n0 2 3\n1 2\n"
+    with pytest.raises(ParseError) as err:
+        parse_complex(text)
+    assert (err.value.line, err.value.column) == (5, 1)
+    assert str(err.value) == "line 5, column 1: facet lengths differ: [2, 3, 4]"
+    path = tmp_path / "mixed.txt"
+    path.write_text("0 1 2\n0 1 2 3\n")
+    assert main(["info", str(path)]) == 2
+    assert "line 2, column 1: facet lengths differ: [3, 4]" in capsys.readouterr().err
+
+
+_LONG_RUN = "7" * (max(sys.get_int_max_str_digits(), 4300) + 1)
+_BLANKS = " \t\v\f\r"
+# Characters the reference refuses that Unicode-aware readers might take:
+# non-ASCII blanks and digits, signs, underscores and comment marks.
+_ODD = ["\n", "#", "-", "+", "_", "\xa0", "\u2028", "\x1c", "\u0663", "\uff13"]
+_label = st.integers(0, 30).map(str)
+# A label with odd characters around it, or the too-long run.
+_odd_label = st.tuples(st.sampled_from(["", *_ODD, _LONG_RUN]), _label,
+                       st.sampled_from(["", *_ODD])).map("".join)
+_blanks = st.text(st.sampled_from(_BLANKS), min_size=1, max_size=2)
+
+
+def _facet_text(width, token, unique):
+    """Up to five lines of ``width`` or ``width + 1`` tokens."""
+    line = st.lists(token, min_size=width, max_size=width + 1, unique=unique).flatmap(
+        lambda tokens: st.lists(_blanks, min_size=len(tokens), max_size=len(tokens)).map(
+            lambda blanks: "".join(map(str.__add__, blanks, tokens))))
+    return st.lists(line, min_size=1, max_size=5).map("\n".join)
+
+
+_texts = st.one_of(
+    st.text(st.sampled_from([*"0123456789", *_BLANKS, *_ODD]), max_size=40),
+    st.integers(1, 4).flatmap(lambda w: _facet_text(w, _label, unique=True)),
+    st.integers(1, 4).flatmap(lambda w: _facet_text(w, st.one_of(_label, _odd_label), unique=False)),
+)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_texts)
+@example(f"0 1\n1 {_LONG_RUN} 2\n")
+@example("0 1 2\n1 2\n# c\n3 4 5 6")
+def test_parser_matches_the_token_scan(text):
+    got = _parse_outcome(parse_complex, text)
+    want = _parse_outcome(reference_parse_complex, text)
+    if isinstance(want, tuple) and "facet lengths differ" in want[1]:
+        # reported at the first facet whose length differs from the first's
+        lengths = [len(line.split("#", 1)[0].split()) for line in text.split("\n")]
+        first = next(n for n in lengths if n)
+        line = next(i for i, n in enumerate(lengths, start=1) if n not in (0, first))
+        want = want[0], want[1].replace("line 1,", f"line {line},", 1), line, 1
+    assert got == want
+    if isinstance(want, Complex):
+        assert got.facets == want.facets
 
 
 def test_comments_and_blank_lines():

@@ -52,6 +52,7 @@ from psf.decompose import (
     recognize_one_vertex_suspension,
     split_connected_sum,
     vertex_unfold,
+    _FIELDS,
     _Engine,
     _off_star,
     _ridge_certificate,
@@ -65,7 +66,8 @@ from psf.separation import (
     two_point_anchors,
 )
 from psf.verify import is_normal_pseudomanifold, singular_vertices
-from reference import link_anchors_reference, outcome, reference_unfold, star_scans
+from reference import (link_anchors_reference, outcome, reference_tree_node, reference_unfold,
+                       star_scans)
 
 # the package exports the function decompose under the module's name
 decompose_module = importlib.import_module("psf.decompose")
@@ -303,6 +305,56 @@ def test_malformed_tree_rejected():
             rebuild(DecompositionTree.from_dict(doc))
     assert rebuild(DecompositionTree.from_dict(
         {"version": 1, "root": 0, "counters": counters, "steps": [leaf]})) == Complex([[0], [1]])
+
+
+def _positions(value, depth, path=()):
+    """Each position inside a field of ``depth`` list levels, with the
+    number of list levels below it."""
+    yield path, depth
+    if depth and isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _positions(item, depth - 1, path + (i,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    copy = list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+def _at(value, path):
+    for i in path:
+        value = value[i]
+    return value
+
+
+def test_tree_node_reader_matches_the_recursive_reading():
+    every_field = {"kind": "vertex_unfold", "leaf_kind": None, "children": [0, 1], "n": 4,
+                   "vertex": 0, "apex": 9, "facets": [[0, 1], [1, 2]], "missing_facet": [0, 1, 2],
+                   "edge": [0, 1], "facet": [1, 2, 3], "source_facet": [0, 1, 3],
+                   "target_facet": [0, 2, 4], "pairs": [[1, 2], [3, 4]]}
+    empty = dict(every_field, children=[], facets=[[]], pairs=[])
+    assert set(_FIELDS) <= set(every_field)
+    record = edge_folded_instance(3, edge_folds=1, vertex_folds=1, sums=1)
+    steps = decompose(record.complex, record.tracked, mode=MODE_EDGE).to_dict()["steps"]
+    cases = 0
+    for data in (every_field, empty, *steps):
+        for key, depth in _FIELDS.items():
+            for path, below in _positions(data.get(key), depth):
+                old = _at(data.get(key), path)
+                news = [True, 1.5, "3", 7, [old]]
+                if below and isinstance(old, list):
+                    news.append(tuple(old))
+                for new in news:
+                    node = {**data, key: _replaced(data.get(key), path, new)}
+                    # repr tells tuples from lists
+                    got = repr(outcome(lambda: TreeNode.from_dict(node)))
+                    assert got == repr(outcome(lambda: reference_tree_node(node))), (key, path, new)
+                    cases += 1
+        assert repr(TreeNode.from_dict(data)) == repr(reference_tree_node(data))
+    assert cases > 500
 
 
 def test_loaded_tree_counters_come_from_its_steps():
