@@ -67,10 +67,6 @@ class UnknownSingularity(DecompositionError):
     pass
 
 
-class NoMissingFacetFound(DecompositionError):
-    pass
-
-
 class ModeMismatch(DecompositionError):
     pass
 
@@ -494,10 +490,70 @@ def _off_star(k: Complex, t: int, link: Complex, j: int) -> list[Simplex]:
     return sorted(s for s in k.faces(j) if t not in s and s not in in_link)
 
 
+def _stacked_ball(k: Complex) -> tuple[list[Simplex], list[Simplex]]:
+    """The stacked 5-ball that the stacked 4-sphere ``k`` bounds: its
+    5-simplices, and its interior 4-faces in sorted order.
+
+    A ball simplex through a 4-face s is s + a for an apex a whose
+    tetrahedra with the triangles of s are all faces of ``k``, so a is
+    a common neighbour of s.  The search starts at the least facet of
+    ``k``, which must find one apex, and crosses every 4-face of a found
+    simplex that is not a facet of ``k``, which must find two.  Every
+    facet of ``k`` must lie in exactly one found simplex.  The simplices
+    are met as a tree, each new one across one new interior face, so
+    there are one more simplices than interior faces and each interior
+    face lies in exactly two.  A failed check raises DecompositionError.
+    """
+    facets, tetrahedra = k.maximal_faces, k.faces(3)
+
+    def apexes(s: Simplex) -> list[int]:
+        common = frozenset.intersection(*map(k.neighbors, s))
+        return [a for a in common if all(tuple(sorted((*r, a))) in tetrahedra
+                                         for r in itertools.combinations(s, 3))]
+
+    def refuse(why: str):
+        return DecompositionError(f"a part with g2 = 0 bounds no stacked ball: {why}")
+
+    start = min(facets)
+    found = apexes(start)
+    if len(found) != 1:
+        raise refuse(f"facet {start} lies in {len(found)} ball simplices")
+    leaves = [tuple(sorted((*start, *found)))]
+    seen, interior, covered = set(leaves), set(), set()
+    for s in leaves:  # grows while it is read
+        for a, face in zip(reversed(s), itertools.combinations(s, 5)):
+            if face in facets:
+                if face in covered:
+                    raise refuse(f"facet {face} lies in two ball simplices")
+                covered.add(face)
+            elif face not in interior:
+                interior.add(face)
+                other = [b for b in apexes(face) if b != a]
+                if len(other) != 1:
+                    raise refuse(f"interior face {face} lies in {len(other) + 1} ball simplices")
+                nxt = tuple(sorted((*face, *other)))
+                if nxt in seen:
+                    raise refuse(f"the simplices around {face} close a cycle")
+                seen.add(nxt)
+                leaves.append(nxt)
+    if len(covered) != len(facets):
+        raise refuse(f"the ball simplices hold {len(covered)} facets of {len(facets)}")
+    return leaves, sorted(interior)
+
+
+def _ball_boundary(leaves) -> Complex:
+    """The 4-faces that lie in exactly one of the 5-simplices ``leaves``."""
+    counts = Counter(itertools.chain.from_iterable(
+        itertools.combinations(s, 5) for s in leaves))
+    return Complex._trusted(f for f, c in counts.items() if c == 1)
+
+
 class _Engine:
-    """The decomposition loop.  A part is ``(complex, t, t1, missing)``
-    whose complex is proven a normal pseudomanifold; ``missing``, when
-    not None, says it has g2 = 0 and lists its missing facets in order.
+    """The decomposition loop.  A part is ``(complex, t, t1, None)``
+    whose complex is proven a normal pseudomanifold, or a ball part
+    ``(None, None, None, (leaves, interior))``: a stacked 4-sphere held
+    as the 5-simplices of the stacked ball it bounds and the ball's
+    sorted interior faces (see ``_stacked_ball``).
     """
 
     def __init__(self, mode: str, debug: bool):
@@ -514,20 +570,23 @@ class _Engine:
             raise UnknownSingularity(f"vertex {v} has an unknown link verdict")
         return verdict.status
 
-    def check_state(self, k: Complex, t: Optional[int], missing):
+    def check_state(self, k: Optional[Complex], t: Optional[int], ball):
         if not self.debug:
             return
+        if ball is not None:
+            k = _ball_boundary(ball[0])
         report = is_normal_pseudomanifold(k)
         if not report.normal:
             raise DecompositionError(f"intermediate complex is not normal: {report}")
         if t is not None and t in k.vertices:
             if not optimality_check(k, t).optimal:
                 raise DecompositionError(f"optimality lost at vertex {t}")
-        if missing is not None:
+        if ball is not None:
             if _g2(k) != 0:
-                raise DecompositionError("a part carried as stacked has g2 != 0")
-            if missing != sorted(k.missing_simplices(k.dim)):
-                raise DecompositionError("carried missing facets differ from the part's")
+                raise DecompositionError("a ball part has g2 != 0")
+            if ball[1] != sorted(k.missing_simplices(k.dim)):
+                raise DecompositionError("the interior faces of a ball part differ from "
+                                         "its missing facets")
 
     # -- the work-stack loop --
 
@@ -554,40 +613,73 @@ class _Engine:
                 return index
             stack[-1][2].append(index)  # a child of the node below
 
-    def step(self, k: Complex, t: Optional[int], t1: Optional[int],
-             missing: Optional[list[Simplex]]) -> tuple[TreeNode, list]:
+    def step(self, k: Optional[Complex], t: Optional[int], t1: Optional[int],
+             ball) -> tuple[TreeNode, list]:
         """Reduce one complex: its node, without children yet, and the
         parts that become those children."""
         self.budget -= 1
         if self.budget < 0:
             raise DecompositionError("step budget exhausted; decomposition cut off")
-        self.check_state(k, t, missing)
+        self.check_state(k, t, ball)
+        if ball is not None:
+            return self.ball(*ball)
         if _is_boundary_simplex(k):
             return TreeNode("leaf", leaf_kind="boundary_simplex", n=k.dim + 1, facets=k.facets), []
-        # a normal part with g2 = 0 has only stacked vertices
-        link = None if missing is not None or t not in k.vertices else k.link((t,))
+        link = None if t not in k.vertices else k.link((t,))
         if link is None or self.verdict(t, link) != "singular":
-            return self.stacked(k, t, t1, missing)
+            return self.stacked(k)
         return self.singular(k, t, t1, link)
 
-    def stacked(self, k: Complex, t, t1, missing):
-        """An irreducible leaf if g2 != 0, else a split along the first
-        missing facet t without classifying t.  Once the cut of the normal
-        k along t leaves two pieces and the certificate holds, each ridge
-        t - y has one facet in each piece.  So every x in t has facets in
-        its star on both sides, and no ridge outside t joins them: x
-        separates its link, and classification would give
-        ``connected_sum_split`` with the same pieces."""
-        if missing is None:
-            if _g2(k) != 0:
-                return TreeNode("leaf", leaf_kind="irreducible_base", facets=k.facets), []
-            missing = sorted(k.missing_simplices(k.dim))
-        if not missing:
-            raise NoMissingFacetFound(
-                f"stacked complex with {len(k.vertices)} vertices has no missing facet"
-            )
-        tau = missing[0]
-        return self.split(k, tau, _cut_components(k.maximal_faces, set(tau)), t, t1, missing)
+    def stacked(self, k: Complex):
+        """An irreducible leaf if g2 != 0, else the first step of the
+        stacked ball that k bounds."""
+        if _g2(k) != 0:
+            return TreeNode("leaf", leaf_kind="irreducible_base", facets=k.facets), []
+        return self.ball(*_stacked_ball(k))
+
+    def ball(self, leaves: list[Simplex], interior: list[Simplex]):
+        """A ball part's node and parts: the boundary-simplex leaf of a
+        single simplex, else the split along the first interior face tau.
+        The dual tree of the ball, cut at tau, leaves two subballs.  Part
+        A is the one that holds the least facet, and part B's copy of tau
+        takes the labels after the largest.  This is the split of the
+        bounded sphere along its missing facet tau: its two sides are the
+        facets of the two subballs, and each keeps its interior faces."""
+        if len(leaves) == 1:
+            facets = tuple(itertools.combinations(leaves[0], 5))
+            return TreeNode("leaf", leaf_kind="boundary_simplex", n=5, facets=facets), []
+        tau, inner = interior[0], set(interior)
+        through: dict[Simplex, list[Simplex]] = {}  # interior face -> its two simplices
+        inner_of: dict[Simplex, list[Simplex]] = {}
+        least = home = None
+        for s in leaves:
+            faces = inner_of[s] = []
+            for face in itertools.combinations(s, 5):
+                if face in inner:
+                    faces.append(face)
+                    through.setdefault(face, []).append(s)
+                elif least is None or face < least:
+                    least, home = face, s
+        side, stack = {home}, [home]
+        while stack:
+            for face in inner_of[stack.pop()]:
+                if face != tau:
+                    for s in through[face]:
+                        if s not in side:
+                            side.add(s)
+                            stack.append(s)
+        top = max(s[-1] for s in leaves)
+        pairing = dict(zip(tau, range(top + 1, top + 6)))
+
+        def moved(s: Simplex) -> Simplex:
+            return tuple(sorted(map(pairing.get, s, s)))
+
+        part_a = ([s for s in leaves if s in side],
+                  [f for f in interior[1:] if through[f][0] in side])
+        part_b = ([moved(s) for s in leaves if s not in side],
+                  sorted(moved(f) for f in interior[1:] if through[f][0] not in side))
+        node = TreeNode("split", missing_facet=tau, pairs=tuple(pairing.items()))
+        return node, [(None, None, None, part_a), (None, None, None, part_b)]
 
     def singular(self, k: Complex, t: int, t1, link: Complex):
         """Reduce ``k`` at its singular vertex t, whose link is ``link``.
@@ -653,7 +745,7 @@ class _Engine:
     def classified(self, k: Complex, missing, t, t1):
         cls = classify_missing_facet(k, missing)
         if cls.kind == "connected_sum_split":
-            return self.split(k, cls.report.missing_facet, cls.pieces, t, t1, None)
+            return self.split(k, cls.report.missing_facet, cls.pieces, t, t1)
         if cls.kind == "vertex_fold":
             fold, fixed, where = vertex_fold, (cls.vertex,), {"vertex": cls.vertex}
         elif cls.kind == "edge_fold":
@@ -687,29 +779,18 @@ class _Engine:
         )
         return node, [(unfold.complex, t, t1, None)]
 
-    def split(self, k: Complex, tau: Simplex, pieces, t, t1, missing):
+    def split(self, k: Complex, tau: Simplex, pieces, t, t1):
         """Split ``k`` along its missing facet ``tau`` into the ``pieces``
         of its cut; the parts keep the proofs listed in ``decompose``."""
         split = _split(k, tau, pieces)
-        carried = [None, None]
-        if missing is not None:
-            rest = [s for s in missing if s != tau]
-            in_a = split.part_a.vertices
-            pairing = split.pairing
-            carried = [
-                [s for s in rest if in_a.issuperset(s)],
-                sorted(tuple(sorted(pairing.get(v, v) for v in s))
-                       for s in rest if not in_a.issuperset(s)),
-            ]
 
         def locate(part: Complex, v, mapped):
             w = mapped.get(v, v)
             return w if w in part.vertices else None
 
         parts = [
-            (part, locate(part, t, mapped), locate(part, t1, mapped), kept)
-            for part, mapped, kept in ((split.part_a, {}, carried[0]),
-                                       (split.part_b, split.pairing, carried[1]))
+            (part, locate(part, t, mapped), locate(part, t1, mapped), None)
+            for part, mapped in ((split.part_a, {}), (split.part_b, split.pairing))
         ]
         node = TreeNode("split", missing_facet=tau, pairs=tuple(sorted(split.pairing.items())))
         return node, parts
@@ -738,10 +819,12 @@ def decompose(
     - *normal*: the input is checked in full, and every later part by
       the ridge certificate (each ridge of a facet t lies in exactly one
       other facet, ``_ridge_certificate``) or a local argument:
-      - a split along its missing facet t passes the certificate on its
-        part with fewer facets, on that part's copy of t, which decides
-        for both parts: no link outside t changes, and t reconnects the
-        links inside it;
+      - a classified split along its missing facet t passes the
+        certificate on its part with fewer facets, on that part's copy
+        of t, which decides for both parts: no link outside t changes,
+        and t reconnects the links inside it;
+      - the parts of a stacked ball are the boundaries of its subballs,
+        stacked spheres (see *the stacked ball* below);
       - an inverse subdivision changes only the links of the restored
         facet's faces, each for one with the same boundary;
       - an unfolding of k along its missing facet t passes the
@@ -774,20 +857,37 @@ def decompose(
         Datta, 2008), and the certificate and (i) give every ridge two
         facets.
       So vertex links are normal, and verdicts do not prove them again;
-    - *g2 = 0 and the sorted missing facets*: a normal part with g2 = 0
-      has only stacked vertices (g2 of a link is at most g2 of the part,
-      and at least 0 by Kalai's lower bound theorem), so it needs no
-      verdict; its split parts have g2 = 0 too, since g2 adds up over a
-      split and is at least 0 on each normal part, and each keeps the
-      missing facets whose vertices off the split facet it holds.  It
-      is split along its first missing facet unclassified, since a cut
-      into two pieces that passes the certificate is the split signature
-      (see ``_Engine.stacked``).
+    - *the stacked ball*: a normal part with g2 = 0 is a stacked sphere
+      (Bagchi and Datta, 2008), so it needs no verdict and bounds a
+      stacked 5-ball B, found once by ``_stacked_ball`` and emitted
+      without another proof (``_Engine.ball``).  B is built from one
+      simplex by gluing simplices on boundary facets, each with a new
+      vertex, so every face of B with at most four vertices lies in a
+      boundary facet (such a face of the glued facet F lies in a new
+      facet of the new simplex F + v), and B is flag: a clique through
+      v lies in F + v.  So the simplices of B are the 6-cliques of the
+      part's graph (McMullen and Walkup, 1971), and the search is
+      exact: a common neighbour a of a 4-face s of B gives the clique
+      s + a, which is a simplex of B.  The interior faces of B are the missing
+      facets of the part: an interior face has its 4-sets in the part
+      and is no facet of it, and a missing facet is a 5-clique, so a
+      face of B, and not on the boundary.  The first missing facet tau
+      is the first interior face.  Cutting the dual tree of B at tau
+      leaves two subballs, whose boundaries are the two parts of the
+      split along tau, and each keeps its interior faces (part B
+      relabelled), so the parts are stacked spheres with their balls.
+      The cut of the facet graph along tau has the same two pieces: a
+      ridge r not inside tau lies in a chain of simplices of B joined
+      across faces through r, none of them tau, so its two facets lie
+      on one side, and every vertex of tau separates its link, the
+      split signature of classification.
     A failed certificate raises DecompositionError.  ``debug`` (or
-    ``PSF_DEBUG_VERIFY=1``) checks every part in full, the carried
-    missing facets included, and replays the tree's script: it must give
-    back ``k``, with (g2, g3) changed by ``fold_deltas`` at each unfolding
-    and additive at each split and inverse subdivision.
+    ``PSF_DEBUG_VERIFY=1``) checks every part in full, a ball part
+    rebuilt from its simplices: normal, g2 = 0, and its interior faces
+    equal to its sorted missing facets.  It also replays the tree's
+    script: it must give back ``k``, with (g2, g3) changed by
+    ``fold_deltas`` at each unfolding and additive at each split and
+    inverse subdivision.
     """
     if mode not in MODES:
         raise ModeMismatch(f"unknown mode {mode!r}; expected one of {MODES}")

@@ -18,11 +18,12 @@ from psf.build import (_HANDLE_ATTEMPTS, _admissible_bijections, check_handle_ad
                        fold_deltas)
 from psf.buildscript import LedgerRow, _construct, _g2g3, _need, validate_script
 from psf.complexes import Complex, ComplexError, _integer, fresh_labels
-from psf.decompose import _FIELDS, MalformedTree, TreeNode, _refold
+from psf.decompose import _FIELDS, MalformedTree, TreeNode, _refold, _split
 from psf.fileio import ParseError
 from psf.separation import (PreconditionUnmet, SeparationError, SideAssignmentInconsistent,
                             classify_missing_facet, require_missing_facet, separation_report,
                             two_point_anchors)
+from psf.verify import _cut_components, _is_boundary_simplex
 
 
 def facet_pairs_sharing(k, count):
@@ -539,3 +540,35 @@ def reference_tree_node(data: dict) -> TreeNode:
             except (TypeError, ComplexError) as exc:
                 raise MalformedTree(f"bad field {key!r} in tree node {data!r}: {exc}") from exc
     return TreeNode(data["kind"], leaf_kind=data.get("leaf_kind"), **fields)
+
+
+def reference_stacked_steps(k):
+    """The nodes, in post-order, of the split-by-split stacked path that
+    ``decompose._Engine.ball`` replaced, on a stacked 4-sphere ``k``.
+
+    A part that is no simplex boundary is cut along its first missing
+    facet by the global cut and split by ``decompose._split``, ridge
+    certificate included.  The input lists its sorted missing facets
+    once; part A keeps those whose vertices it holds, and part B the
+    others, relabelled and sorted again."""
+    steps = []
+
+    def reduce(part, missing):
+        if _is_boundary_simplex(part):
+            steps.append(TreeNode("leaf", leaf_kind="boundary_simplex", n=part.dim + 1,
+                                  facets=part.facets))
+            return len(steps) - 1
+        tau = missing[0]
+        split = _split(part, tau, _cut_components(part.maximal_faces, set(tau)))
+        rest = [s for s in missing if s != tau]
+        in_a = split.part_a.vertices
+        kept_a = [s for s in rest if in_a.issuperset(s)]
+        kept_b = sorted(tuple(sorted(split.pairing.get(v, v) for v in s))
+                        for s in rest if not in_a.issuperset(s))
+        children = (reduce(split.part_a, kept_a), reduce(split.part_b, kept_b))
+        steps.append(TreeNode("split", children=children, missing_facet=tau,
+                              pairs=tuple(sorted(split.pairing.items()))))
+        return len(steps) - 1
+
+    reduce(k, sorted(k.missing_simplices(k.dim)))
+    return steps

@@ -3,6 +3,7 @@ import importlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -54,8 +55,10 @@ from psf.decompose import (
     vertex_unfold,
     _FIELDS,
     _Engine,
+    _ball_boundary,
     _off_star,
     _ridge_certificate,
+    _stacked_ball,
 )
 from psf.complexes import FaceNotPresent, UnknownVertex, VertexOverlap
 from psf.fileio import parse_complex
@@ -66,8 +69,8 @@ from psf.separation import (
     two_point_anchors,
 )
 from psf.verify import is_normal_pseudomanifold, singular_vertices
-from reference import (link_anchors_reference, outcome, reference_tree_node, reference_unfold,
-                       star_scans)
+from reference import (link_anchors_reference, outcome, reference_stacked_steps,
+                       reference_tree_node, reference_unfold, star_scans)
 
 # the package exports the function decompose under the module's name
 decompose_module = importlib.import_module("psf.decompose")
@@ -594,34 +597,51 @@ def corpus_inputs(shared_corpus):
     return inputs
 
 
+def part_complex(part):
+    """The complex of an engine part: a ball part's is its boundary."""
+    k, *_, ball = part
+    return k if ball is None else _ball_boundary(ball[0])
+
+
 @pytest.fixture(scope="module")
 def engine_record(shared_corpus):
-    """Every part the engine steps, as ``(complex, t, t1, missing)``,
-    every split it makes, as ``(complex, tau, sides, result)`` with the
-    sides read back off the parts, every unfolding, as ``(complex,
-    result)``, and every part it hands to the singular step, as
-    ``(complex, t, link)``, while it decomposes two chains and the
+    """Every part the engine steps, as ``(complex, t, t1, ball)``, every
+    split it makes, as ``(complex, tau, sides, parts)`` with the sides
+    read back off the two part complexes, every unfolding, as
+    ``(complex, result)``, and every part it hands to the singular step,
+    as ``(complex, t, link)``, while it decomposes two chains and the
     corpus in every mode that succeeds, the corpus and the shorter chain
-    under the debug oracle."""
+    under the debug oracle.  A split of a ball part is read off the
+    boundaries of its ball and of its two subballs."""
     parts, splits, unfolds, singular = [], [], [], []
     step, split, unfold = _Engine.step, decompose_module._split, decompose_module._unfold
-    singular_step = _Engine.singular
+    singular_step, ball_step = _Engine.singular, _Engine.ball
 
-    def record_step(self, k, t, t1, missing):
-        parts.append((k, t, t1, missing))
-        return step(self, k, t, t1, missing)
+    def record_step(self, k, t, t1, ball):
+        parts.append((k, t, t1, ball))
+        return step(self, k, t, t1, ball)
 
     def record_singular(self, k, t, t1, link):
         singular.append((k, t, link))
         return singular_step(self, k, t, t1, link)
 
+    def record(k, tau, pairing, part_a, part_b):
+        back = {w: v for v, w in pairing.items()}
+        side_b = {tuple(sorted(back.get(v, v) for v in f)) for f in part_b.maximal_faces}
+        sides = (part_a.maximal_faces - {tau}, frozenset(side_b - {tau}))
+        splits.append((k, tau, sides, (part_a, part_b)))
+
     def record_split(k, tau, pieces):
         result = split(k, tau, pieces)
-        back = {w: v for v, w in result.pairing.items()}
-        side_b = {tuple(sorted(back.get(v, v) for v in f)) for f in result.part_b.maximal_faces}
-        sides = (result.part_a.maximal_faces - {tau}, frozenset(side_b - {tau}))
-        splits.append((k, tau, sides, result))
+        record(k, tau, result.pairing, result.part_a, result.part_b)
         return result
+
+    def record_ball(self, leaves, interior):
+        node, halves = ball_step(self, leaves, interior)
+        if node.kind == "split":
+            record(_ball_boundary(leaves), node.missing_facet, dict(node.pairs),
+                   *(part_complex(half) for half in halves))
+        return node, halves
 
     def record_unfold(fold, k, *args):
         result = unfold(fold, k, *args)
@@ -635,6 +655,7 @@ def engine_record(shared_corpus):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_Engine, "step", record_step)
         patch.setattr(_Engine, "singular", record_singular)
+        patch.setattr(_Engine, "ball", record_ball)
         patch.setattr(decompose_module, "_split", record_split)
         patch.setattr(decompose_module, "_unfold", record_unfold)
         for k, t, mode in done:
@@ -662,7 +683,9 @@ def test_no_part_is_cut_twice_along_one_missing_facet(monkeypatch, build, mode):
         monkeypatch.setattr(importlib.import_module(name), "_cut_components", recording_cut)
     tree = decompose(record.complex, record.tracked, mode)
     assert rebuild(tree) == record.complex
-    assert len(cuts) > 40 and tree.counters["connected_sums"] > 0
+    # a stacked part is split off its stacked ball, with no cut
+    assert len(cuts) >= {MODE_ONE: 41, MODE_EDGE: 30}[mode]
+    assert tree.counters["connected_sums"] > 0
     assert len(set(cuts)) == len(cuts)
 
 
@@ -721,9 +744,9 @@ def unfolding_certified(result):
 def test_ridge_certificate_matches_normality(engine_record, fold_images):
     parts, splits, unfolds, _ = engine_record
     assert len(splits) > 100
-    for k, tau, sides, result in splits:
+    for k, tau, sides, halves in splits:
         assert is_normal_pseudomanifold(k).normal
-        for side, part in zip(sides, (result.part_a, result.part_b)):
+        for side, part in zip(sides, halves):
             certified = _ridge_certificate(Complex(side | {tau}), tau)
             assert certified == is_normal_pseudomanifold(part).normal
     # every unfolding the engine makes, and every one at a fold image
@@ -733,7 +756,7 @@ def test_ridge_certificate_matches_normality(engine_record, fold_images):
     for result in unfolded:
         assert unfolding_certified(result) == is_normal_pseudomanifold(result.complex).normal
     # every part the engine steps is normal
-    assert all(is_normal_pseudomanifold(k).normal for k, *_ in parts)
+    assert all(is_normal_pseudomanifold(part_complex(part)).normal for part in parts)
 
     # a side that holds a ridge of tau in two of its facets fails
     k, tau, (side_a, side_b), _ = next(s for s in splits if len(s[0].maximal_faces) > 90)
@@ -744,21 +767,25 @@ def test_ridge_certificate_matches_normality(engine_record, fold_images):
     assert not _ridge_certificate(bad, tau)
     assert not is_normal_pseudomanifold(bad).normal
 
-    # the engine refuses to split along that cut, stacked or not, and
-    # so does split_connected_sum
+    # the engine's classified split refuses to split along that cut, and
+    # so does split_connected_sum; the complex of part A with that cut
+    # bounds no stacked ball
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(decompose_module, "_cut_components", lambda *_: [bad_side, rest])
         expected = (DecompositionError, f"splitting along {tau} leaves a part that is not normal")
         assert outcome(lambda: split_connected_sum(k, tau)) == expected
-        for missing in (None, sorted(k.missing_simplices(4))):
-            engine = _Engine(MODE_EDGE, False)
-            assert outcome(lambda: engine.split(k, tau, [bad_side, rest], 0, None, missing)) == expected
+        engine = _Engine(MODE_EDGE, False)
+        assert outcome(lambda: engine.split(k, tau, [bad_side, rest], 0, None)) == expected
+    error, message = outcome(lambda: _stacked_ball(bad))
+    assert error is DecompositionError
+    assert message.startswith("a part with g2 = 0 bounds no stacked ball: ")
 
 
 def test_stacked_splits_match_classification(engine_record):
-    # a part with g2 = 0 is split along its first missing facet
-    # unclassified; classification must find the split signature, with
-    # the link of each vertex of tau cut into the traces of the two sides
+    # a part with g2 = 0 is split off its stacked ball along its first
+    # missing facet unclassified; classification must find the split
+    # signature, with the link of each vertex of tau cut into the traces
+    # of the two sides
     _, splits, _, _ = engine_record
     stacked = [(k, tau, sides) for k, tau, sides, _ in splits if g2(k) == 0]
     assert len(stacked) > 100
@@ -771,16 +798,59 @@ def test_stacked_splits_match_classification(engine_record):
             assert set(cls.report.per_vertex[x].sides) == traces
 
 
-def test_carried_missing_facets_match_the_parts(engine_record):
+def test_ball_interior_faces_match_the_parts(engine_record):
     parts, splits, _, _ = engine_record
-    stacked = [(k, missing) for k, _, _, missing in parts if missing is not None]
-    # part B of a split carries its list relabelled onto fresh labels
-    part_b = {id(result.part_b) for *_, result in splits}
-    assert len(stacked) > 100
-    assert sum(bool(missing) and id(k) in part_b for k, missing in stacked) > 50
-    for k, missing in stacked:
-        assert missing == sorted(k.missing_simplices(4))
+    balls = [ball for *_, ball in parts if ball is not None]
+    # part B of a split holds its subball relabelled onto fresh labels
+    part_b = {halves[1] for *_, halves in splits}
+    assert len(balls) > 100
+    assert sum(bool(interior) and _ball_boundary(leaves) in part_b
+               for leaves, interior in balls) > 50
+    for leaves, interior in balls:
+        k = _ball_boundary(leaves)
+        assert interior == sorted(k.missing_simplices(4))
         assert g2(k) == 0
+        assert len(leaves) == len(interior) + 1
+
+
+def ball_route_steps(k):
+    """The nodes the engine makes for the stacked 4-sphere ``k``."""
+    engine = _Engine(MODE_EDGE, False)
+    engine.run((k, None, None, None))
+    return engine.steps
+
+
+def relabelled(k, seed):
+    """``k`` under a seeded injective relabelling into a range three
+    times its vertex count: label order decides side A and fresh labels."""
+    vs = sorted(k.vertices)
+    return k.relabel(dict(zip(vs, random.Random(seed).sample(range(3 * len(vs)), len(vs)))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(["stacked", "chain"]), st.integers(1, 40), st.integers(0, 10**6),
+       st.booleans())
+def test_ball_route_matches_the_split_by_split_reference(family, size, seed, relabel):
+    if family == "stacked":
+        k = stacked_sphere(4, size, seed)
+    else:
+        k = linear_chain(4, 1 + size % 12, seed, fixed=(0,))
+    if relabel:
+        k = relabelled(k, seed)
+    assert ball_route_steps(k) == reference_stacked_steps(k)
+
+
+def test_ball_search_crosses_a_simplex_that_holds_no_facet():
+    # the first summand of this sphere is covered on all six facets, so
+    # a search from the facets alone would find 59 of its 60 simplices
+    k = stacked_sphere(4, 60, 3)
+    leaves, interior = _stacked_ball(k)
+    inner = set(interior)
+    assert (len(leaves), len(interior)) == (60, 59)
+    assert [s for s in leaves if inner.issuperset(itertools.combinations(s, 5))] == [
+        (0, 1, 3, 4, 5, 8)]
+    assert interior == sorted(k.missing_simplices(4))
+    assert ball_route_steps(k) == reference_stacked_steps(k)
 
 
 def engine_scans(k, t, link):
@@ -890,6 +960,11 @@ def test_stacked_step_leaves_a_part_with_g2_irreducible():
     node, parts = _Engine(MODE_EDGE, False).step(k, None, None, None)
     assert (node.kind, node.leaf_kind, node.facets, parts) == ("leaf", "irreducible_base",
                                                                k.facets, [])
+    # and it bounds no stacked ball: each vertex off a facet is antipodal
+    # to one of its vertices, so the facet has no common neighbour
+    assert outcome(lambda: _stacked_ball(k)) == (
+        DecompositionError,
+        "a part with g2 = 0 bounds no stacked ball: facet (0, 1, 2, 3, 4) lies in 0 ball simplices")
 
 
 def test_exhausted_step_budget_reports_the_cut_off():
@@ -900,17 +975,18 @@ def test_exhausted_step_budget_reports_the_cut_off():
         DecompositionError, "step budget exhausted; decomposition cut off")
 
 
-def test_debug_oracle_checks_the_carried_missing_facets(monkeypatch):
+def test_debug_oracle_checks_the_ball_interior_faces(monkeypatch):
     k = linear_chain(4, 6, 3, fixed=(0,))
     assert rebuild(decompose(k, 0, debug=True)) == k
-    split = _Engine.split
+    ball = _Engine.ball
 
-    def drop_last(self, k, tau, pieces, t, t1, missing):
-        node, parts = split(self, k, tau, pieces, t, t1, missing)
-        return node, [(*part[:3], part[3] and part[3][:-1]) for part in parts]
+    def drop_last(self, leaves, interior):
+        node, parts = ball(self, leaves, interior)
+        return node, [(*part[:3], (part[3][0], part[3][1][:-1])) for part in parts]
 
-    monkeypatch.setattr(_Engine, "split", drop_last)
-    with pytest.raises(DecompositionError, match="carried missing facets differ"):
+    monkeypatch.setattr(_Engine, "ball", drop_last)
+    with pytest.raises(DecompositionError,
+                       match="the interior faces of a ball part differ from its missing facets"):
         decompose(k, 0, debug=True)
 
 
