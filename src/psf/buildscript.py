@@ -30,11 +30,10 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
-from .complexes import Complex, ComplexError, Simplex, _integer
+from .complexes import Complex, ComplexError, Simplex, _faces, _integer
 from .build import (SplitMix64, _glue_fresh_boundary, boundary_simplex, cone, connected_sum,
                     edge_fold, facet_subdivision, fold_deltas, handle_addition,
                     one_vertex_suspension, random_admissible, stacked_sphere, vertex_fold)
@@ -175,11 +174,6 @@ def _construct(step: dict, operand) -> Complex:
 # A complex's edge and triangle multiplicity tables: face -> number of
 # maximal faces holding it.
 _Tables = tuple[Counter, Counter]
-
-
-def _faces(facets, size: int):
-    """Every ``size``-subset of every facet, once per facet."""
-    return chain.from_iterable(map(combinations, facets, repeat(size)))
 
 
 def _count_faces(facets) -> _Tables:

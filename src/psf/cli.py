@@ -77,6 +77,7 @@ def _verdicts(k: Complex) -> tuple[str, str]:
 
 def cmd_info(args) -> int:
     k = _read_complex(args.path)
+    report = is_normal_pseudomanifold(k)  # first, so f_vector reads the face tables it counts
     fv = f_vector(k)
     print(f"dimension: {k.dim}")
     print(f"vertices: {len(k.vertices)}")
@@ -90,7 +91,6 @@ def cmd_info(args) -> int:
             print(f"g2 = {g2(k)}")
         if k.dim >= 3:
             print(f"g3 = {g3(k)}")
-    report = is_normal_pseudomanifold(k)
     print(f"normal pseudomanifold: {'yes' if report.normal else 'no'}")
     if k.dim in (3, 4) and report.normal:
         singular, unknown = _verdicts(k)

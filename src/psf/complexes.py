@@ -3,7 +3,8 @@
 Vertices are bare non-negative integers and simplices are strictly
 increasing tuples of vertex labels, so every operation is exact and
 deterministic.  A :class:`Complex` is immutable after construction;
-its tables are computed on demand and cached.
+its tables are computed on demand and cached, or, for the face tables,
+handed in by the normality check that has just counted them.
 
 One of them is the facet index, the sorted facets through each vertex,
 built in one pass over the sorted ``facets``: ``facets_through`` reads
@@ -72,6 +73,11 @@ def _integer_rows(rows: list) -> Iterable[tuple[int, ...]]:
     if set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
         return rows
     return (tuple(map(_integer, row)) for row in rows)
+
+
+def _faces(facets: Iterable[Simplex], size: int) -> Iterable[Simplex]:
+    """Every ``size``-subset of every facet, once per facet."""
+    return itertools.chain.from_iterable(map(itertools.combinations, facets, itertools.repeat(size)))
 
 
 def simplex(vertices: Iterable[int]) -> Simplex:
@@ -237,6 +243,13 @@ class Complex:
             cached = frozenset(acc)
             self._faces[k] = cached
         return cached
+
+    def _adopt_faces(self, tables: Mapping[int, Iterable[Simplex]]) -> None:
+        """Cache ``tables``, dimension -> all faces of that dimension as a
+        caller enumerated them; a dimension already cached keeps its own."""
+        for j, faces in tables.items():
+            if j not in self._faces:
+                self._faces[j] = frozenset(faces)
 
     def f_counts(self) -> tuple[int, ...]:
         """Face counts (f_-1, f_0, ..., f_dim)."""

@@ -33,12 +33,21 @@ chi(lk v) = deg v - (triangles through v) + (facets through v) on a
 3-complex, whose vertex links are connected.
 
 The normality check gives each vertex one bit through a dense index
-and decides link connectivity by merging bitmasks: each residue of a
-facet through a face joins the mask reached so far once it meets it,
-pass after pass, and the link is connected when no residue is left
-over.  The
-facet-graph cut for strong connectivity runs only when some link is
-disconnected: a pure complex whose links, that of the empty face
+and decides link connectivity by merging bitmasks: each facet through
+a face joins the mask reached so far once it meets it off the face,
+pass after pass, and the link is connected when no facet is left over.
+Most faces need no merge, by the small-link lemma: let K be a pure
+d-complex whose every ridge lies in exactly two facets, and s a face
+of at most d - 1 vertices, so lk s has dimension j = d - |s| >= 1.
+Every ridge of lk s lies in exactly two facets of lk s, since
+r + s is a ridge of K.  A facet g of lk s has j + 1 ridges, and the
+facets across them are distinct and differ from g, since any two
+ridges of g span g; all lie in g's component.  So each component of
+lk s has at least j + 2 facets, and a disconnected lk s at least
+2(d - |s| + 2): a face in fewer facets is proven connected, not
+sampled.  With s empty, lk s = K needs 2(d + 2) facets to fall apart.
+The facet-graph cut for strong connectivity runs only when some link
+is disconnected: a pure complex whose links, that of the empty face
 included, are all connected is strongly connected (Bagchi and Datta,
 Lower bound theorem for normal pseudomanifolds, Expo. Math. 2008).
 The same argument gives the homology of a link already proven normal
@@ -56,7 +65,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .complexes import Complex, Simplex, UnknownVertex
+from .complexes import Complex, Simplex, UnknownVertex, _faces
 from .enumeration import DimensionTooSmall, g_from_counts
 from .enumeration import g2 as _g2
 from .enumeration import g3 as _g3
@@ -109,7 +118,7 @@ def is_pseudomanifold(k: Complex) -> bool:
     """Pure, and every codimension-1 face lies in exactly two facets."""
     if not k.is_pure or k.dim < 1:
         return False
-    return all(len(k.facets_through(r)) == 2 for r in k.faces(k.dim - 1))
+    return all(n == 2 for n in _ridge_degrees(k).values())
 
 
 def _cut_components(facets: Iterable[Simplex], barrier: set[int]) -> list[frozenset[Simplex]]:
@@ -155,48 +164,71 @@ def _is_boundary_simplex(k: Complex) -> bool:
 def is_normal_pseudomanifold(k: Complex) -> NormalityReport:
     """Purity, ridge degrees, strong connectivity and connected links.
 
-    No link is built.  A counter over the ridges of the facets gives the
-    ridge degrees.  Each vertex gets one bit through a dense index, so a
-    mask's width is the vertex count whatever the labels, and one pass
-    over the facets lists the facet masks through every face of
-    dimension at most dim - 2, the empty face included.  The link of
-    such a face is connected exactly when the residues ``m ^ face_mask``
-    of those masks form one connected piece (``_masks_connected``); the
-    witnesses are taken in order of dimension and then of label.  The
-    facet-graph cut runs only when some link is disconnected, since
-    otherwise the complex is strongly connected (Bagchi and Datta, see
-    the module docstring).
+    No link is built.  One C-level counter per face size gives the ridge
+    degrees and the facets through each face of dimension at most
+    dim - 2, the empty face included.  Each vertex gets one bit through a
+    dense index and keeps the masks of its star.  A face's link is
+    connected exactly when the masks through it, read off its smallest
+    vertex star, are one piece less the face (``_masks_connected``).
+    When no ridge is bad, a face s in fewer than 2(dim - |s| + 2) facets
+    (``_fewest_to_split``) is proven connected by the small-link lemma
+    of the module docstring, not sampled, and only ``PSF_DEBUG_VERIFY=1``
+    merges it, raising ``AssertionError`` if the lemma fails.  Witnesses
+    go by dimension, then label.  The facet-graph cut runs only when some
+    link is disconnected (Bagchi and Datta, module docstring).  The
+    counted faces become ``k``'s face tables of dimensions 0 to dim - 1.
     """
     pure = k.is_pure
     if not pure or k.dim < 1:
         return NormalityReport(pure, False, pure, False)
-    witnesses: dict = {}
-    facets = k.maximal_faces
+    d, witnesses, facets = k.dim, {}, k.maximal_faces
+    debug = os.environ.get("PSF_DEBUG_VERIFY") == "1"
 
-    ridges = Counter(r for f in facets for r in itertools.combinations(f, k.dim))
+    ridges = _ridge_degrees(k)
     bad_ridges = [r for r, n in ridges.items() if n != 2]
     if bad_ridges:
         witnesses["ridges"] = sorted(bad_ridges)[:10]
 
     bit = _bits(k.vertices)
-    through: dict[Simplex, list[int]] = {}
-    for f in facets:
-        m = sum(map(bit.__getitem__, f))
-        for size in range(k.dim):
-            for face in itertools.combinations(f, size):
-                through.setdefault(face, []).append(m)
+    masks = [sum(map(bit.__getitem__, f)) for f in facets]
+    star: dict[int, list[int]] = {v: [] for v in k.vertices}
+    for f, m in zip(facets, masks):
+        for v in f:
+            star[v].append(m)
+    counts = [{(): len(masks)}, {(v,): len(ms) for v, ms in star.items()}]
+    counts += [Counter(_faces(facets, size)) for size in range(2, d)]
     bad_links = []
-    for face, masks in through.items():
-        face_mask = sum(map(bit.__getitem__, face))
-        if not _masks_connected([m ^ face_mask for m in masks]):
-            bad_links.append(face)
+    for size, table in enumerate(counts[:d]):
+        fewest = 0 if bad_ridges else _fewest_to_split(d, size)
+        for face, n in table.items():
+            if n < fewest and not debug:
+                continue
+            face_mask = sum(map(bit.__getitem__, face))
+            group = min(map(star.__getitem__, face), key=len, default=masks)
+            if not _masks_connected([m for m in group if m & face_mask == face_mask], face_mask):
+                if n < fewest:
+                    raise AssertionError(f"the link of {face} lies in {n} < {fewest} facets "
+                                         "but is disconnected")
+                bad_links.append(face)
     bad_links.sort(key=lambda face: (len(face), face))
     if bad_links:
         witnesses["disconnected_links"] = bad_links[:10]
+    k._adopt_faces({**dict(enumerate(counts[1:d])), d - 1: ridges})
 
     links_ok = not bad_links
     strong = links_ok or is_strongly_connected(k)
     return NormalityReport(pure, not bad_ridges, strong, links_ok, witnesses)
+
+
+def _fewest_to_split(d: int, size: int) -> int:
+    """The fewest facets through a face of ``size`` vertices with a
+    disconnected link when every ridge has degree 2 (small-link lemma)."""
+    return 2 * (d - size + 2)
+
+
+def _ridge_degrees(k: Complex) -> Counter:
+    """Ridge -> the number of facets of the pure complex ``k`` through it."""
+    return Counter(_faces(k.maximal_faces, k.dim))
 
 
 def _bits(vertices: Iterable[int]) -> dict[int, int]:
@@ -205,16 +237,17 @@ def _bits(vertices: Iterable[int]) -> dict[int, int]:
     return {v: 1 << i for i, v in enumerate(vertices)}
 
 
-def _masks_connected(masks: list[int]) -> bool:
-    """Whether nonempty vertex sets, given as bitmasks, form one connected
-    piece, two sets being joined when they meet: every set that meets
-    the reached mask is merged into it, pass after pass, until a pass
-    merges nothing."""
+def _masks_connected(masks: list[int], face_mask: int) -> bool:
+    """Whether vertex sets that all hold ``face_mask``, given as bitmasks,
+    are one connected piece once the face is taken out of each, two
+    sets being joined when they meet off the face: every set that does
+    so with the reached mask is merged into it, pass after pass, until
+    a pass merges nothing."""
     reached, *rest = masks
     while rest:
         left = []
         for m in rest:
-            if m & reached:
+            if m & reached != face_mask:
                 reached |= m
             else:
                 left.append(m)

@@ -1,4 +1,6 @@
 import itertools
+import re
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -205,6 +207,64 @@ def pure_complexes(draw):
 @given(pure_complexes())
 def test_link_connectivity_matches_reference_on_random_pure_complexes(k):
     assert_links_match_reference(k)
+
+
+def tight_wedge(d, s):
+    """Two copies of the boundary of a (d + 1)-simplex sharing exactly the
+    face (0, ..., s - 1), disjoint for s = 0: the shared face lies in
+    2(d - s + 2) facets, the fewest through which a link can fall apart
+    when every ridge has degree 2."""
+    sphere = boundary_simplex(d + 1)
+    copy = sphere.relabel({v: v + d + 2 for v in range(s, d + 2)})
+    return Complex(sphere.maximal_faces | copy.maximal_faces), tuple(range(s))
+
+
+TIGHT = [(d, s) for d in (2, 3, 4) for s in range(d)]
+
+
+@pytest.mark.parametrize("d, s", TIGHT)
+def test_a_link_at_the_small_link_threshold_is_merged(d, s):
+    k, shared = tight_wedge(d, s)
+    ridges = Counter(r for f in k.maximal_faces for r in itertools.combinations(f, d))
+    assert set(ridges.values()) == {2}
+    assert len(k.facets_through(shared)) == 2 * (d - s + 2)
+    report = is_normal_pseudomanifold(k)
+    assert report.witnesses["disconnected_links"] == [shared]
+    assert_links_match_reference(k)
+
+
+def ridge_failures():
+    """Complexes with a ridge not in two facets, where every face is merged."""
+    wedge = two_spheres_at_a_vertex()
+    return [Complex(sorted(wedge.maximal_faces)[1:]), pinched_complex().skeleton(3),
+            Complex(list(wedge.maximal_faces) + [(0, 1, 2, 9)]),
+            Complex([[0, 1, 2], [0, 1, 3], [0, 1, 4], [2, 5, 6]])]
+
+
+def test_the_check_hands_its_face_tables_to_the_complex(shared_corpus):
+    complexes = [k for _, k in shared_corpus] + [tight_wedge(*ds)[0] for ds in TIGHT]
+    complexes += ridge_failures()
+    assert not any(is_normal_pseudomanifold(k).ridge_degrees_ok for k in ridge_failures())
+    for k in complexes:
+        fresh = Complex._trusted(k.maximal_faces)
+        is_normal_pseudomanifold(fresh)
+        assert set(fresh._faces) == set(range(k.dim))
+        for j in range(-1, k.dim + 1):
+            assert fresh.faces(j) == Complex._trusted(k.maximal_faces).faces(j)
+
+
+def test_debug_verify_merges_the_links_the_lemma_skips(monkeypatch):
+    monkeypatch.setenv("PSF_DEBUG_VERIFY", "1")
+    wedges = [tight_wedge(*ds) for ds in TIGHT]
+    for k, shared in wedges:
+        assert is_normal_pseudomanifold(k).witnesses["disconnected_links"] == [shared]
+    monkeypatch.setattr(verify, "_fewest_to_split", lambda d, size: 2 * (d - size + 2) + 1)
+    for k, shared in wedges:
+        with pytest.raises(AssertionError, match=re.escape(f"link of {shared} lies in")):
+            is_normal_pseudomanifold(k)
+    monkeypatch.delenv("PSF_DEBUG_VERIFY")
+    for k, _ in wedges:
+        assert is_normal_pseudomanifold(k).links_connected
 
 
 def test_pinched_complex_fails_link_connectivity():
