@@ -27,13 +27,12 @@ Python encoder that ``indent`` selects.
 from __future__ import annotations
 
 import json
-import os
 from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
-from .complexes import Complex, ComplexError, Simplex, _faces, _integer
+from .complexes import Complex, ComplexError, Simplex, _debug, _faces, _integer
 from .build import (SplitMix64, _glue_fresh_boundary, boundary_simplex, cone, connected_sum,
                     edge_fold, facet_subdivision, fold_deltas, handle_addition,
                     one_vertex_suspension, random_admissible, stacked_sphere, vertex_fold)
@@ -249,7 +248,7 @@ def replay(doc: dict) -> ReplayResult:
     step's complex and face tables until the last step that references
     it.  Under ``PSF_DEBUG_VERIFY=1`` every row is recounted from the
     complex's own faces, and a difference raises ComplexError."""
-    debug = os.environ.get("PSF_DEBUG_VERIFY") == "1"
+    debug = _debug()
     ledger: list[LedgerRow] = []
 
     def ledger_step(i: int, step: dict, result: Complex, live: dict, last_use: dict) -> _Tables:

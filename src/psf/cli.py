@@ -174,7 +174,7 @@ def cmd_decompose(args) -> int:
         f"connected_sums={counters['connected_sums']}",
         f"inverse_subdivisions={counters['inverse_subdivisions']}",
     )
-    edge, vertex = (fold_deltas(op, 4)[0] for op in ("edge_fold", "vertex_fold"))
+    edge, vertex = (fold_deltas(op, k.dim)[0] for op in ("edge_fold", "vertex_fold"))
     print(f"g2 accounting: {edge}*{m} + {vertex}*{n} + {base_g2} = {total}, g2(input) = {g2(k)}")
     if args.output:
         _write_text(args.output, dump_script(tree.to_dict()))

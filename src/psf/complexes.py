@@ -80,6 +80,11 @@ def _faces(facets: Iterable[Simplex], size: int) -> Iterable[Simplex]:
     return itertools.chain.from_iterable(map(itertools.combinations, facets, itertools.repeat(size)))
 
 
+def _debug() -> bool:
+    """Whether ``PSF_DEBUG_VERIFY=1`` turns the library's debug oracles on."""
+    return os.environ.get("PSF_DEBUG_VERIFY") == "1"
+
+
 def simplex(vertices: Iterable[int]) -> Simplex:
     """Normalise an iterable of labels into a sorted simplex tuple."""
     vs = tuple(sorted(vertices))
@@ -140,7 +145,7 @@ class Complex:
         non-negative labels.  Only ``PSF_DEBUG_VERIFY=1`` lists them, to
         check each as ``__init__`` would (``simplex`` raises on a repeated
         or negative label) and raise on one it would have changed."""
-        if os.environ.get("PSF_DEBUG_VERIFY") == "1":
+        if _debug():
             facets = list(facets)
             for f in facets:
                 if simplex(f) != f:
@@ -236,12 +241,7 @@ class Complex:
             return frozenset({()})
         cached = self._faces.get(k)
         if cached is None:
-            acc: set[Simplex] = set()
-            for f in self._maximal:
-                if len(f) >= k + 1:
-                    acc.update(itertools.combinations(f, k + 1))
-            cached = frozenset(acc)
-            self._faces[k] = cached
+            cached = self._faces[k] = frozenset(_faces(self._maximal, k + 1))
         return cached
 
     def _adopt_faces(self, tables: Mapping[int, Iterable[Simplex]]) -> None:

@@ -11,12 +11,12 @@ identical vertex labels, not merely up to isomorphism.
 from __future__ import annotations
 
 import itertools
-import os
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import Complex, ComplexError, Simplex, UnknownVertex, fresh_labels, simplex
+from .complexes import (Complex, ComplexError, Simplex, UnknownVertex, _debug, _faces, fresh_labels,
+                        simplex)
 from .build import InadmissibleFold, edge_fold, fold_deltas, one_vertex_suspension, vertex_fold
 from .buildscript import SCRIPT_VERSION, ScriptError, _integer, _operand_keys, _run_script, replay
 from .enumeration import g2 as _g2
@@ -330,6 +330,9 @@ class TreeNode:
         if not (isinstance(data, dict) and isinstance(data.get("kind"), str)
                 and isinstance(data.get("leaf_kind"), (str, type(None)))):
             raise MalformedTree(f"bad tree node {data!r}: kind and leaf_kind must be strings")
+        kind, leaf_kind = data["kind"], data.get("leaf_kind")
+        if leaf_kind not in (("boundary_simplex", "irreducible_base") if kind == "leaf" else (None,)):
+            raise MalformedTree(f"bad tree node {data!r}: leaf_kind {leaf_kind!r} on a {kind} node")
         fields = {}
         for key, depth in _FIELDS.items():
             if data.get(key) is not None:
@@ -337,7 +340,7 @@ class TreeNode:
                     fields[key] = _integers(data[key], depth)
                 except (TypeError, ComplexError) as exc:
                     raise MalformedTree(f"bad field {key!r} in tree node {data!r}: {exc}") from exc
-        return cls(data["kind"], leaf_kind=data.get("leaf_kind"), **fields)
+        return cls(kind, leaf_kind=leaf_kind, **fields)
 
 
 def _integers(value, depth: int):
@@ -386,13 +389,16 @@ class DecompositionTree:
         return self.counters["edge_folds"]
 
     def g2_accounting(self) -> tuple[int, int, int, int]:
-        """``(m, n, base, 6m + 10n + base)`` for m edge folds and n vertex
-        folds, where base is the g2 of the terminal bases (suspension bases
-        and irreducible leaves); the total is the g2 the tree accounts for."""
+        """``(m, n, base, C(d, 2)m + C(d + 1, 2)n + base)`` for m edge folds
+        and n vertex folds of a d-complex, where base is the g2 of the
+        terminal bases (suspension bases and irreducible leaves); the total
+        is the g2 the tree accounts for.  d is read off node 0, which has no
+        children: a leaf's facets have d + 1 vertices, a base's d."""
         m, n = self.edge_fold_count, self.vertex_fold_count
         base = sum(_g2(Complex(s.facets)) for s in self.steps if s.kind == "suspension_base"
                    or (s.kind == "leaf" and s.leaf_kind == "irreducible_base"))
-        folds = fold_deltas("edge_fold", 4)[0] * m + fold_deltas("vertex_fold", 4)[0] * n
+        d = len(self.steps[0].facets[0]) - (self.steps[0].kind == "leaf")
+        folds = fold_deltas("edge_fold", d)[0] * m + fold_deltas("vertex_fold", d)[0] * n
         return m, n, base, folds + base
 
     def to_dict(self) -> dict:
@@ -491,25 +497,26 @@ def _off_star(k: Complex, t: int, link: Complex, j: int) -> list[Simplex]:
 
 
 def _stacked_ball(k: Complex) -> tuple[list[Simplex], list[Simplex]]:
-    """The stacked 5-ball that the stacked 4-sphere ``k`` bounds: its
-    5-simplices, and its interior 4-faces in sorted order.
+    """The stacked (d + 1)-ball that the stacked d-sphere ``k`` bounds
+    (d = k.dim >= 3): its (d + 1)-simplices, and its sorted interior d-faces.
 
-    A ball simplex through a 4-face s is s + a for an apex a whose
-    tetrahedra with the triangles of s are all faces of ``k``, so a is
+    A ball simplex through a d-face s is s + a for an apex a whose
+    ridges with the (d - 2)-faces of s are all faces of ``k``, so a is
     a common neighbour of s.  The search starts at the least facet of
-    ``k``, which must find one apex, and crosses every 4-face of a found
+    ``k``, which must find one apex, and crosses every d-face of a found
     simplex that is not a facet of ``k``, which must find two.  Every
     facet of ``k`` must lie in exactly one found simplex.  The simplices
     are met as a tree, each new one across one new interior face, so
     there are one more simplices than interior faces and each interior
     face lies in exactly two.  A failed check raises DecompositionError.
     """
-    facets, tetrahedra = k.maximal_faces, k.faces(3)
+    d = k.dim
+    facets, ridges = k.maximal_faces, k.faces(d - 1)
 
     def apexes(s: Simplex) -> list[int]:
         common = frozenset.intersection(*map(k.neighbors, s))
-        return [a for a in common if all(tuple(sorted((*r, a))) in tetrahedra
-                                         for r in itertools.combinations(s, 3))]
+        return [a for a in common if all(tuple(sorted((*r, a))) in ridges
+                                         for r in itertools.combinations(s, d - 1))]
 
     def refuse(why: str):
         return DecompositionError(f"a part with g2 = 0 bounds no stacked ball: {why}")
@@ -521,7 +528,7 @@ def _stacked_ball(k: Complex) -> tuple[list[Simplex], list[Simplex]]:
     leaves = [tuple(sorted((*start, *found)))]
     seen, interior, covered = set(leaves), set(), set()
     for s in leaves:  # grows while it is read
-        for a, face in zip(reversed(s), itertools.combinations(s, 5)):
+        for a, face in zip(reversed(s), itertools.combinations(s, d + 1)):
             if face in facets:
                 if face in covered:
                     raise refuse(f"facet {face} lies in two ball simplices")
@@ -542,17 +549,16 @@ def _stacked_ball(k: Complex) -> tuple[list[Simplex], list[Simplex]]:
 
 
 def _ball_boundary(leaves) -> Complex:
-    """The 4-faces that lie in exactly one of the 5-simplices ``leaves``."""
-    counts = Counter(itertools.chain.from_iterable(
-        itertools.combinations(s, 5) for s in leaves))
+    """The d-faces that lie in exactly one of the (d + 1)-simplices ``leaves``."""
+    counts = Counter(_faces(leaves, len(leaves[0]) - 1))
     return Complex._trusted(f for f, c in counts.items() if c == 1)
 
 
 class _Engine:
     """The decomposition loop.  A part is ``(complex, t, t1, None)``
     whose complex is proven a normal pseudomanifold, or a ball part
-    ``(None, None, None, (leaves, interior))``: a stacked 4-sphere held
-    as the 5-simplices of the stacked ball it bounds and the ball's
+    ``(None, None, None, (leaves, interior))``: a stacked d-sphere held
+    as the (d + 1)-simplices of the stacked ball it bounds and the ball's
     sorted interior faces (see ``_stacked_ball``).
     """
 
@@ -644,17 +650,19 @@ class _Engine:
         A is the one that holds the least facet, and part B's copy of tau
         takes the labels after the largest.  This is the split of the
         bounded sphere along its missing facet tau: its two sides are the
-        facets of the two subballs, and each keeps its interior faces."""
+        facets of the two subballs, and each keeps its interior faces.
+        One width n = d + 1 serves the leaf, the faces and tau's copy."""
+        n = len(leaves[0]) - 1
         if len(leaves) == 1:
-            facets = tuple(itertools.combinations(leaves[0], 5))
-            return TreeNode("leaf", leaf_kind="boundary_simplex", n=5, facets=facets), []
+            facets = tuple(itertools.combinations(leaves[0], n))
+            return TreeNode("leaf", leaf_kind="boundary_simplex", n=n, facets=facets), []
         tau, inner = interior[0], set(interior)
         through: dict[Simplex, list[Simplex]] = {}  # interior face -> its two simplices
         inner_of: dict[Simplex, list[Simplex]] = {}
         least = home = None
         for s in leaves:
             faces = inner_of[s] = []
-            for face in itertools.combinations(s, 5):
+            for face in itertools.combinations(s, n):
                 if face in inner:
                     faces.append(face)
                     through.setdefault(face, []).append(s)
@@ -669,7 +677,7 @@ class _Engine:
                             side.add(s)
                             stack.append(s)
         top = max(s[-1] for s in leaves)
-        pairing = dict(zip(tau, range(top + 1, top + 6)))
+        pairing = dict(zip(tau, range(top + 1, top + 1 + n)))
 
         def moved(s: Simplex) -> Simplex:
             return tuple(sorted(map(pairing.get, s, s)))
@@ -796,12 +804,7 @@ class _Engine:
         return node, parts
 
 
-def decompose(
-    k: Complex,
-    t: int,
-    mode: str = MODE_EDGE,
-    debug: Optional[bool] = None,
-) -> DecompositionTree:
+def decompose(k: Complex, t: int, mode: str = MODE_EDGE) -> DecompositionTree:
     """Decompose an optimal normal 4-pseudomanifold into certified leaves.
 
     Each step reduces one complex: it exhausts inverse facet
@@ -857,20 +860,21 @@ def decompose(
         Datta, 2008), and the certificate and (i) give every ridge two
         facets.
       So vertex links are normal, and verdicts do not prove them again;
-    - *the stacked ball*: a normal part with g2 = 0 is a stacked sphere
-      (Bagchi and Datta, 2008), so it needs no verdict and bounds a
-      stacked 5-ball B, found once by ``_stacked_ball`` and emitted
-      without another proof (``_Engine.ball``).  B is built from one
-      simplex by gluing simplices on boundary facets, each with a new
-      vertex, so every face of B with at most four vertices lies in a
-      boundary facet (such a face of the glued facet F lies in a new
-      facet of the new simplex F + v), and B is flag: a clique through
-      v lies in F + v.  So the simplices of B are the 6-cliques of the
-      part's graph (McMullen and Walkup, 1971), and the search is
-      exact: a common neighbour a of a 4-face s of B gives the clique
-      s + a, which is a simplex of B.  The interior faces of B are the missing
-      facets of the part: an interior face has its 4-sets in the part
-      and is no facet of it, and a missing facet is a 5-clique, so a
+    - *the stacked ball*: a normal part of dimension d >= 3 with g2 = 0
+      is a stacked sphere (Bagchi and Datta, 2008), so it needs no
+      verdict and bounds a stacked (d + 1)-ball B, found once by
+      ``_stacked_ball`` and emitted without another proof
+      (``_Engine.ball``).  B is built from one simplex by gluing
+      simplices on boundary facets, each with a new vertex, so every
+      face of B with at most d vertices lies in a boundary facet (such
+      a face of the glued facet F lies in a new facet of the new simplex
+      F + v), and B is flag: a clique through v lies in F + v.  So the
+      simplices of B are the (d + 2)-cliques of the part's graph
+      (McMullen and Walkup, 1971), and the search is exact: a common
+      neighbour a of a d-face s of B gives the clique s + a, which is a
+      simplex of B.  The interior faces of B are the missing facets of
+      the part: an interior face has its d-sets in the part and is no
+      facet of it, and a missing facet is a (d + 1)-clique, so a
       face of B, and not on the boundary.  The first missing facet tau
       is the first interior face.  Cutting the dual tree of B at tau
       leaves two subballs, whose boundaries are the two parts of the
@@ -881,8 +885,8 @@ def decompose(
       across faces through r, none of them tau, so its two facets lie
       on one side, and every vertex of tau separates its link, the
       split signature of classification.
-    A failed certificate raises DecompositionError.  ``debug`` (or
-    ``PSF_DEBUG_VERIFY=1``) checks every part in full, a ball part
+    A failed certificate raises DecompositionError.
+    ``PSF_DEBUG_VERIFY=1`` checks every part in full, a ball part
     rebuilt from its simplices: normal, g2 = 0, and its interior faces
     equal to its sorted missing facets.  It also replays the tree's
     script: it must give back ``k``, with (g2, g3) changed by
@@ -914,9 +918,7 @@ def decompose(
         raise ModeMismatch(f"tracked vertex {t} is not singular; singular set is {singular}")
     t1 = next((v for v in singular if v != t), None)
 
-    if debug is None:
-        debug = os.environ.get("PSF_DEBUG_VERIFY", "") == "1"
-    engine = _Engine(mode, debug)
+    engine = _Engine(mode, _debug())
     root = engine.run((k, t, t1, None))
     tree = DecompositionTree(engine.steps, root)
     if engine.debug:

@@ -60,12 +60,11 @@ boundary map on triangles is left to compute (``_normal_betti``), with
 from __future__ import annotations
 
 import itertools
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .complexes import Complex, Simplex, UnknownVertex, _faces
+from .complexes import Complex, Simplex, UnknownVertex, _debug, _faces
 from .enumeration import DimensionTooSmall, g_from_counts
 from .enumeration import g2 as _g2
 from .enumeration import g3 as _g3
@@ -182,7 +181,7 @@ def is_normal_pseudomanifold(k: Complex) -> NormalityReport:
     if not pure or k.dim < 1:
         return NormalityReport(pure, False, pure, False)
     d, witnesses, facets = k.dim, {}, k.maximal_faces
-    debug = os.environ.get("PSF_DEBUG_VERIFY") == "1"
+    debug = _debug()
 
     ridges = _ridge_degrees(k)
     bad_ridges = [r for r, n in ridges.items() if n != 2]
@@ -307,7 +306,7 @@ def _normal_betti(k: Complex) -> tuple[int, int, int, int]:
     edge = _bits(k.faces(1))
     r2 = _gf2_rank([edge[(a, b)] | edge[(a, c)] | edge[(b, c)] for a, b, c in k.faces(2)])
     betti = (0, f1 - f0 + 1 - r2, f2 - r2 - f3 + 1, 1)
-    if os.environ.get("PSF_DEBUG_VERIFY") == "1" and betti != homology_gf2(k):
+    if _debug() and betti != homology_gf2(k):
         raise AssertionError(f"one-rank betti {betti} differ from homology_gf2 {homology_gf2(k)}")
     return betti
 
@@ -367,7 +366,7 @@ def _classify_normal_vertices(k: Complex) -> dict[int, SingularityVerdict]:
     The verdicts are read off one count over the triangles (see the
     module docstring); only the links of a 4-complex with g2 > 0 are
     built, for their homology."""
-    triangles = Counter(v for t in k.faces(2) for v in t) if k.dim in (3, 4) else Counter()
+    triangles = Counter(itertools.chain.from_iterable(k.faces(2))) if k.dim in (3, 4) else Counter()
     verdicts = {}
     for v in sorted(k.vertices):
         degree = len(k.neighbors(v))

@@ -532,6 +532,9 @@ def reference_tree_node(data: dict) -> TreeNode:
     if not (isinstance(data, dict) and isinstance(data.get("kind"), str)
             and isinstance(data.get("leaf_kind"), (str, type(None)))):
         raise MalformedTree(f"bad tree node {data!r}: kind and leaf_kind must be strings")
+    kind, leaf_kind = data["kind"], data.get("leaf_kind")
+    if leaf_kind not in (("boundary_simplex", "irreducible_base") if kind == "leaf" else (None,)):
+        raise MalformedTree(f"bad tree node {data!r}: leaf_kind {leaf_kind!r} on a {kind} node")
     fields = {}
     for key, depth in _FIELDS.items():
         if data.get(key) is not None:
@@ -539,12 +542,12 @@ def reference_tree_node(data: dict) -> TreeNode:
                 fields[key] = reference_integers(data[key], depth)
             except (TypeError, ComplexError) as exc:
                 raise MalformedTree(f"bad field {key!r} in tree node {data!r}: {exc}") from exc
-    return TreeNode(data["kind"], leaf_kind=data.get("leaf_kind"), **fields)
+    return TreeNode(kind, leaf_kind=leaf_kind, **fields)
 
 
 def reference_stacked_steps(k):
     """The nodes, in post-order, of the split-by-split stacked path that
-    ``decompose._Engine.ball`` replaced, on a stacked 4-sphere ``k``.
+    ``decompose._Engine.ball`` replaced, on a stacked d-sphere ``k``.
 
     A part that is no simplex boundary is cut along its first missing
     facet by the global cut and split by ``decompose._split``, ridge

@@ -219,10 +219,11 @@ def test_decompose_refusals_name_the_fault():
         assert str(exc.value) == text
 
 
-def test_decompose_vertex_folds_with_decorations():
+def test_decompose_vertex_folds_with_decorations(monkeypatch):
     record = vertex_folded_instance(45, folds=2, sums=1, subdivisions=1)
     k, t = record.complex, record.tracked
-    tree = decompose(k, t, mode=MODE_ONE, debug=True)
+    monkeypatch.setenv("PSF_DEBUG_VERIFY", "1")
+    tree = decompose(k, t, mode=MODE_ONE)
     assert tree.vertex_fold_count == 2
     assert tree.edge_fold_count == 0
     assert rebuild(tree) == k
@@ -310,6 +311,22 @@ def test_malformed_tree_rejected():
         {"version": 1, "root": 0, "counters": counters, "steps": [leaf]})) == Complex([[0], [1]])
 
 
+def test_tree_json_refuses_an_unknown_or_misplaced_leaf_kind(corpus_trees):
+    leaf = {"kind": "leaf", "leaf_kind": "boundary_simplex", "n": 2, "facets": [[0], [1]]}
+    split = {"kind": "split", "children": [0, 0], "pairs": [[0, 2]]}
+    for node, fault in (
+        (dict(leaf, leaf_kind="banana"), "leaf_kind 'banana' on a leaf node"),
+        ({key: v for key, v in leaf.items() if key != "leaf_kind"}, "leaf_kind None on a leaf node"),
+        (dict(split, leaf_kind="boundary_simplex"), "leaf_kind 'boundary_simplex' on a split node"),
+    ):
+        assert outcome(lambda: TreeNode.from_dict(node)) == (
+            MalformedTree, f"bad tree node {node!r}: {fault}")
+    # engine trees of every mode still load, suspension bases among them
+    assert any(node.kind == "suspension_base" for _, tree in corpus_trees for node in tree.steps)
+    for _, tree in corpus_trees:
+        assert DecompositionTree.from_dict(json.loads(json.dumps(tree.to_dict()))) == tree
+
+
 def _positions(value, depth, path=()):
     """Each position inside a field of ``depth`` list levels, with the
     number of list levels below it."""
@@ -370,6 +387,16 @@ def test_loaded_tree_counters_come_from_its_steps():
             DecompositionTree.from_dict({**doc, "counters": {**doc["counters"], name: value}})
     with pytest.raises(MalformedTree, match="differ from the steps'"):
         DecompositionTree.from_dict({key: v for key, v in doc.items() if key != "counters"})
+
+
+def test_g2_accounting_reads_the_dimension_off_node_0():
+    # a vertex fold of a 3-complex adds C(4, 2) = 6 to g2, not the 10 of
+    # dimension 4
+    b4 = boundary_simplex(4)
+    leaf = TreeNode("leaf", leaf_kind="boundary_simplex", n=4, facets=b4.facets)
+    unfold = TreeNode("vertex_unfold", children=(0,), source_facet=(0, 1, 2, 3),
+                      target_facet=(1, 2, 3, 4), pairs=((0, 4), (1, 1), (2, 2), (3, 3)))
+    assert DecompositionTree([leaf, unfold], 1).g2_accounting() == (0, 1, 0, 6)
 
 
 def test_rebuild_holds_only_live_complexes():
@@ -452,11 +479,12 @@ def test_decompose_stack_does_not_grow_with_tree_depth():
     assert rebuild(tree) == chain
 
 
-def test_optimality_preserved_across_steps():
+def test_optimality_preserved_across_steps(monkeypatch):
     record = vertex_folded_instance(50, folds=1, sums=1)
     k, t = record.complex, record.tracked
     # debug mode re-verifies normality and optimality on every intermediate
-    tree = decompose(k, t, mode=MODE_ONE, debug=True)
+    monkeypatch.setenv("PSF_DEBUG_VERIFY", "1")
+    tree = decompose(k, t, mode=MODE_ONE)
     assert rebuild(tree) == k
 
 
@@ -610,9 +638,9 @@ def engine_record(shared_corpus):
     read back off the two part complexes, every unfolding, as
     ``(complex, result)``, and every part it hands to the singular step,
     as ``(complex, t, link)``, while it decomposes two chains and the
-    corpus in every mode that succeeds, the corpus and the shorter chain
-    under the debug oracle.  A split of a ball part is read off the
-    boundaries of its ball and of its two subballs."""
+    corpus in every mode that succeeds, all under the debug oracle.  A
+    split of a ball part is read off the boundaries of its ball and of
+    its two subballs."""
     parts, splits, unfolds, singular = [], [], [], []
     step, split, unfold = _Engine.step, decompose_module._split, decompose_module._unfold
     singular_step, ball_step = _Engine.singular, _Engine.ball
@@ -658,8 +686,9 @@ def engine_record(shared_corpus):
         patch.setattr(_Engine, "ball", record_ball)
         patch.setattr(decompose_module, "_split", record_split)
         patch.setattr(decompose_module, "_unfold", record_unfold)
+        patch.setenv("PSF_DEBUG_VERIFY", "1")
         for k, t, mode in done:
-            decompose(k, t, mode, debug=True)
+            decompose(k, t, mode)
         decompose(linear_chain(4, 50, 50, fixed=(0,)), 0)
     return parts, splits, unfolds, singular
 
@@ -716,12 +745,13 @@ def test_tree_scripts_replay_with_an_exact_g_ledger(corpus_trees):
 
 def test_debug_decompositions_check_every_fold_row(monkeypatch):
     record = vertex_folded_instance(101)
-    decompose(record.complex, record.tracked, MODE_ONE, debug=True)
+    monkeypatch.setenv("PSF_DEBUG_VERIFY", "1")
+    decompose(record.complex, record.tracked, MODE_ONE)
     monkeypatch.setattr(buildscript, "fold_deltas", lambda op, d: (0, 0))
     with pytest.raises(DecompositionError, match=r"tree script step \d+ \(vertex_fold\) "
                                                  r"changed \(g2, g3\) by \(10, -10\), "
                                                  r"expected \(0, 0\)"):
-        decompose(record.complex, record.tracked, MODE_ONE, debug=True)
+        decompose(record.complex, record.tracked, MODE_ONE)
 
 
 def unfoldings_at(k, tau):
@@ -808,13 +838,13 @@ def test_ball_interior_faces_match_the_parts(engine_record):
                for leaves, interior in balls) > 50
     for leaves, interior in balls:
         k = _ball_boundary(leaves)
-        assert interior == sorted(k.missing_simplices(4))
+        assert interior == sorted(k.missing_simplices(k.dim))
         assert g2(k) == 0
         assert len(leaves) == len(interior) + 1
 
 
 def ball_route_steps(k):
-    """The nodes the engine makes for the stacked 4-sphere ``k``."""
+    """The nodes the engine makes for the stacked sphere ``k``."""
     engine = _Engine(MODE_EDGE, False)
     engine.run((k, None, None, None))
     return engine.steps
@@ -828,13 +858,13 @@ def relabelled(k, seed):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.sampled_from(["stacked", "chain"]), st.integers(1, 40), st.integers(0, 10**6),
-       st.booleans())
-def test_ball_route_matches_the_split_by_split_reference(family, size, seed, relabel):
+@given(st.sampled_from([3, 4]), st.sampled_from(["stacked", "chain"]), st.integers(1, 40),
+       st.integers(0, 10**6), st.booleans())
+def test_ball_route_matches_the_split_by_split_reference(d, family, size, seed, relabel):
     if family == "stacked":
-        k = stacked_sphere(4, size, seed)
+        k = stacked_sphere(d, size, seed)
     else:
-        k = linear_chain(4, 1 + size % 12, seed, fixed=(0,))
+        k = linear_chain(d, 1 + size % 12, seed, fixed=(0,))
     if relabel:
         k = relabelled(k, seed)
     assert ball_route_steps(k) == reference_stacked_steps(k)
@@ -851,6 +881,23 @@ def test_ball_search_crosses_a_simplex_that_holds_no_facet():
         (0, 1, 3, 4, 5, 8)]
     assert interior == sorted(k.missing_simplices(4))
     assert ball_route_steps(k) == reference_stacked_steps(k)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 20, 60])
+def test_ball_route_on_stacked_3_spheres(monkeypatch, m):
+    # the ball route reads the dimension off the part; the debug oracle
+    # checks every ball part of these 3-dimensional trees in full
+    monkeypatch.setenv("PSF_DEBUG_VERIFY", "1")
+    for seed in range(1, 6):
+        k = stacked_sphere(3, m, seed)
+        leaves, interior = _stacked_ball(k)
+        assert _ball_boundary(leaves) == k
+        assert len(leaves) == m
+        assert interior == sorted(k.missing_simplices(3))
+        engine = _Engine(MODE_ONE, True)
+        root = engine.run((k, None, None, None))
+        assert engine.steps == reference_stacked_steps(k)
+        assert rebuild(DecompositionTree(engine.steps, root)) == k
 
 
 def engine_scans(k, t, link):
@@ -977,7 +1024,8 @@ def test_exhausted_step_budget_reports_the_cut_off():
 
 def test_debug_oracle_checks_the_ball_interior_faces(monkeypatch):
     k = linear_chain(4, 6, 3, fixed=(0,))
-    assert rebuild(decompose(k, 0, debug=True)) == k
+    monkeypatch.setenv("PSF_DEBUG_VERIFY", "1")
+    assert rebuild(decompose(k, 0)) == k
     ball = _Engine.ball
 
     def drop_last(self, leaves, interior):
@@ -987,7 +1035,7 @@ def test_debug_oracle_checks_the_ball_interior_faces(monkeypatch):
     monkeypatch.setattr(_Engine, "ball", drop_last)
     with pytest.raises(DecompositionError,
                        match="the interior faces of a ball part differ from its missing facets"):
-        decompose(k, 0, debug=True)
+        decompose(k, 0)
 
 
 def run_with_unfold(monkeypatch, kind, record, change, debug=False):
@@ -1092,11 +1140,12 @@ def test_decompose_checks_normality_in_full_once(monkeypatch, shared_corpus):
 
     monkeypatch.setattr(decompose_module, "is_normal_pseudomanifold", counted)
     monkeypatch.setattr(importlib.import_module("psf.verify"), "is_normal_pseudomanifold", counted)
+    monkeypatch.delenv("PSF_DEBUG_VERIFY", raising=False)
     inputs = corpus_inputs(shared_corpus) + [(linear_chain(4, 50, 50, fixed=(0,)), 0, MODE_ONE)]
     done = 0
     for k, t, mode in inputs:
         calls.clear()
-        done += not isinstance(outcome(lambda: decompose(k, t, mode, debug=False)), tuple)
+        done += not isinstance(outcome(lambda: decompose(k, t, mode)), tuple)
         assert calls == [k]
     assert done == 33
 
