@@ -3,11 +3,13 @@
 number of folds F.
 
 For each F given on the command line this times
-``vertex_folded_instance(3, folds=F)`` and
-``edge_folded_instance(3, edge_folds=F)``, each built in a fresh child
-process so that no cache or warm allocator carries over between points,
-and then ``decompose`` on the result at its tracked vertex, in
-``MODE_ONE`` for vertex folds and ``MODE_EDGE`` for edge folds.  Each
+``vertex_folded_instance(3, folds=F)``,
+``edge_folded_instance(3, edge_folds=F)`` and
+``suspension_instance(3, extra_vertex_folds=F)``, each built in a fresh
+child process so that no cache or warm allocator carries over between
+points, and then ``decompose`` on the result at its tracked vertex, in
+``MODE_ONE`` for vertex folds, ``MODE_EDGE`` for edge folds and
+``MODE_SUSPENSION`` for suspensions.  Each
 point runs in three fresh children, one after the other, and the
 minimum of each time is kept: one run cannot tell a change from the
 spread of a shared host, and the minimum is the run least disturbed by
@@ -17,9 +19,12 @@ it.  It prints one JSON line per point:
 
 Each line holds the fold kind, F, the seed, the minimum build and
 decomposition time in seconds over the three children
-(``time.perf_counter`` around each, inside the child) and the facet
-count of the result, which must be the same in all three children.
-The children import ``psf`` from this checkout's ``src/``.
+(``time.perf_counter`` around each, inside the child), the facet count
+of the result and the number of GF(2) link ranks (``_normal_betti``
+calls) the decomposition made, which must be the same in all three
+children.  The children import ``psf`` from this checkout's ``src/``,
+and inherit the environment, so ``PSF_DEBUG_VERIFY=1`` runs every debug
+oracle on these instances.
 """
 
 import argparse
@@ -33,22 +38,34 @@ RUNS = 3
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 CHILD = """
-import json, sys, time
-from psf.corpus import edge_folded_instance, vertex_folded_instance
-from psf.decompose import MODE_EDGE, MODE_ONE, decompose
+import importlib, json, sys, time
+from psf.corpus import edge_folded_instance, suspension_instance, vertex_folded_instance
+from psf.decompose import MODE_EDGE, MODE_ONE, MODE_SUSPENSION, decompose
 kind, folds, seed = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 start = time.perf_counter()
 if kind == "vertex":
     record, mode = vertex_folded_instance(seed, folds=folds), MODE_ONE
-else:
+elif kind == "edge":
     record, mode = edge_folded_instance(seed, edge_folds=folds), MODE_EDGE
+else:
+    record, mode = suspension_instance(seed, extra_vertex_folds=folds), MODE_SUSPENSION
+ranks = [0]
+def counted(link, rank=importlib.import_module("psf.verify")._normal_betti):
+    ranks[0] += 1
+    return rank(link)
+for name in ("psf.verify", "psf.decompose"):
+    module = importlib.import_module(name)
+    if hasattr(module, "_normal_betti"):
+        module._normal_betti = counted
 built = time.perf_counter()
 decompose(record.complex, record.tracked, mode)
 done = time.perf_counter()
 print(json.dumps({"kind": kind, "folds": folds, "seed": seed, "build_s": round(built - start, 4),
                   "decompose_s": round(done - built, 4),
-                  "facets": len(record.complex.maximal_faces)}))
+                  "facets": len(record.complex.maximal_faces), "normal_betti_calls": ranks[0]}))
 """
+
+KINDS = ("vertex", "edge", "suspension")
 
 
 def child(kind: str, folds: int) -> dict:
@@ -61,11 +78,12 @@ def child(kind: str, folds: int) -> dict:
 
 def point(kind: str, folds: int) -> dict:
     """The point with the minimum times over ``RUNS`` children, which
-    must agree on the facet count."""
+    must agree on the facet count and the rank count."""
     runs = [child(kind, folds) for _ in range(RUNS)]
-    facets = {run["facets"] for run in runs}
-    if len(facets) != 1:
-        raise RuntimeError(f"{kind} F = {folds}: facet counts {sorted(facets)} differ between runs")
+    for key in ("facets", "normal_betti_calls"):
+        seen = {run[key] for run in runs}
+        if len(seen) != 1:
+            raise RuntimeError(f"{kind} F = {folds}: {key} {sorted(seen)} differ between runs")
     return {**runs[0], **{key: min(run[key] for run in runs) for key in ("build_s", "decompose_s")}}
 
 
@@ -77,7 +95,7 @@ def main() -> int:
     if min(args.folds) < 1:
         parser.error("every F must be at least 1")
     for folds in args.folds:
-        for kind in ("vertex", "edge"):
+        for kind in KINDS:
             print(json.dumps(point(kind, folds)), flush=True)
     return 0
 

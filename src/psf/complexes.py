@@ -394,15 +394,21 @@ def _colors(k: Complex) -> dict[int, int]:
     isomorphism invariant; a hash collision can only merge classes.
     """
     # The faces of the link of v are the faces through v less v, up to
-    # the size of the largest maximal face through v.
-    through = Counter((v, len(f)) for j in range(1, k.dim + 1) for f in k.faces(j) for v in f)
+    # the size of the largest maximal face through v.  One C-level count
+    # per face size; above dimension 0 each top face is maximal.
+    top = k.dim + 1
+    through = {j + 1: Counter(itertools.chain.from_iterable(k.faces(j))) for j in range(1, top)}
+    maximal = [(size, through[size] if size == top > 1 else Counter(itertools.chain.from_iterable(
+                   f for f in k.maximal_faces if len(f) == size)))
+               for size in sorted(set(map(len, k.maximal_faces)))]
     colors = {}
     for v in k.vertices:
-        profile = tuple(sorted(len(f) for f in k.facets_through((v,))))
-        link_f = (1, *(through[v, size] for size in range(2, profile[-1] + 1)))
+        profile = tuple(itertools.chain.from_iterable(
+            itertools.repeat(size, counts[v]) for size, counts in maximal))
+        link_f = (1, *(through[size][v] for size in range(2, profile[-1] + 1)))
         colors[v] = hash((len(k.neighbors(v)), profile, link_f))
     for _ in range(len(k.vertices) + 1):
-        new = {v: hash((c, tuple(sorted(colors[u] for u in k.neighbors(v)))))
+        new = {v: hash((c, tuple(sorted(map(colors.__getitem__, k.neighbors(v))))))
                for v, c in colors.items()}
         stable = len(set(new.values())) == len(set(colors.values()))
         colors = new

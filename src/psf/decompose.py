@@ -11,6 +11,7 @@ identical vertex labels, not merely up to isomorphism.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
@@ -33,6 +34,8 @@ from .verify import (
     _classify_normal_vertices,
     _cut_components,
     _is_boundary_simplex,
+    _normal_betti,
+    _optimality_numbers,
     is_normal_pseudomanifold,
     optimality_check,
 )
@@ -259,9 +262,11 @@ def recognize_one_vertex_suspension(k: Complex, t: int, t1: int):
     forward ``one_vertex_suspension`` of that link at ``t1``, with apex
     ``t``, gives back ``k`` exactly.
     """
-    if t not in k.vertices:
-        return None
-    base = k.link((t,))
+    return None if t not in k.vertices else _suspension_of(k, k.link((t,)), t, t1)
+
+
+def _suspension_of(k: Complex, base: Complex, t: int, t1: int):
+    """``recognize_one_vertex_suspension`` with ``base`` = lk t built."""
     if t1 not in base.vertices or one_vertex_suspension(base, t1, apex=t) != k:
         return None
     return base, t1
@@ -548,6 +553,35 @@ def _stacked_ball(k: Complex) -> tuple[list[Simplex], list[Simplex]]:
     return leaves, sorted(interior)
 
 
+def _link_homology(link: Complex) -> Optional[tuple[int, int]]:
+    """The GF(2) (b1, b2) of the normal vertex link ``link`` where its
+    verdict reads them, None where g2(link) = 0 decides it."""
+    return None if _g2(link) == 0 else _normal_betti(link)[1:3]
+
+
+# How much lk t's (b1, b2) drops when a fold at t, or along an edge
+# through t, is undone (see ``decompose``).
+_LINK_DROPS = {"vertex_fold": (1, 1), "edge_fold": (0, 1)}
+
+
+def _split_homology(a: Complex, ta, b: Complex, tb, homology):
+    """lk t's (b1, b2) in the parts ``a`` and ``b`` of a split, which hold
+    t as ``ta`` and ``tb``, by the split rule of ``decompose``."""
+    if homology is None or ta is None or tb is None:
+        # with t off tau, the part that holds t keeps lk t whole, and
+        # the other never reads the numbers
+        return homology, homology
+    small, ts, large = (a, ta, b) if len(a.maximal_faces) <= len(b.maximal_faces) else (b, tb, a)
+    if _g2(small) == 0:
+        got = (0, 0)
+    elif _g2(large) == 0:
+        got = homology
+    else:
+        got = _normal_betti(small.link((ts,)))[1:3]
+    rest = tuple(map(operator.sub, homology, got))
+    return (got, rest) if small is a else (rest, got)
+
+
 def _ball_boundary(leaves) -> Complex:
     """The d-faces that lie in exactly one of the (d + 1)-simplices ``leaves``."""
     counts = Counter(_faces(leaves, len(leaves[0]) - 1))
@@ -555,23 +589,26 @@ def _ball_boundary(leaves) -> Complex:
 
 
 class _Engine:
-    """The decomposition loop.  A part is ``(complex, t, t1, None)``
-    whose complex is proven a normal pseudomanifold, or a ball part
-    ``(None, None, None, (leaves, interior))``: a stacked d-sphere held
-    as the (d + 1)-simplices of the stacked ball it bounds and the ball's
-    sorted interior faces (see ``_stacked_ball``).
+    """The decomposition loop.  A part is ``(complex, t, t1, homology,
+    None)`` whose complex is proven a normal pseudomanifold, with
+    ``homology`` the GF(2) (b1, b2) of lk t carried by the rules of
+    ``decompose``, or None where no rule gives them; or a ball part
+    ``(None, None, None, None, (leaves, interior))``: a stacked d-sphere
+    held as the (d + 1)-simplices of the stacked ball it bounds and the
+    ball's sorted interior faces (see ``_stacked_ball``).
     """
 
-    def __init__(self, mode: str, debug: bool):
+    def __init__(self, mode: str, debug: bool, link: Optional[Complex] = None):
         self.mode = mode
         self.debug = debug
+        self.link = link  # lk t of the first part, which its step takes
         self.steps: list[TreeNode] = []
-        self.budget = 100_000
+        self.budget, self.taken = 100_000, 0
 
-    def verdict(self, v: int, link: Complex) -> str:
+    def verdict(self, v: int, link: Complex, homology=None) -> str:
         # the link of a vertex of a normal complex is normal, since
         # lk(s, lk(v)) = lk(s + v)
-        verdict = _classify(v, link)
+        verdict = _classify(v, link, homology)
         if verdict.status == "unknown":
             raise UnknownSingularity(f"vertex {v} has an unknown link verdict")
         return verdict.status
@@ -619,22 +656,29 @@ class _Engine:
                 return index
             stack[-1][2].append(index)  # a child of the node below
 
-    def step(self, k: Optional[Complex], t: Optional[int], t1: Optional[int],
+    def step(self, k: Optional[Complex], t: Optional[int], t1: Optional[int], homology,
              ball) -> tuple[TreeNode, list]:
         """Reduce one complex: its node, without children yet, and the
         parts that become those children."""
-        self.budget -= 1
-        if self.budget < 0:
+        self.taken += 1
+        if self.taken > self.budget:
             raise DecompositionError("step budget exhausted; decomposition cut off")
         self.check_state(k, t, ball)
         if ball is not None:
             return self.ball(*ball)
         if _is_boundary_simplex(k):
             return TreeNode("leaf", leaf_kind="boundary_simplex", n=k.dim + 1, facets=k.facets), []
-        link = None if t not in k.vertices else k.link((t,))
-        if link is None or self.verdict(t, link) != "singular":
+        if t not in k.vertices:
             return self.stacked(k)
-        return self.singular(k, t, t1, link)
+        link, self.link = k.link((t,)) if self.link is None else self.link, None
+        if homology is None:
+            homology = _link_homology(link)
+        elif self.debug and _normal_betti(link)[1:3] != homology:
+            raise DecompositionError(f"step {self.taken} carries (b1, b2) = {homology} for the link "
+                                     f"of {t}, whose homology gives {_normal_betti(link)[1:3]}")
+        if self.verdict(t, link, homology) != "singular":
+            return self.stacked(k)
+        return self.singular(k, t, t1, link, homology)
 
     def stacked(self, k: Complex):
         """An irreducible leaf if g2 != 0, else the first step of the
@@ -687,12 +731,13 @@ class _Engine:
         part_b = ([moved(s) for s in leaves if s not in side],
                   sorted(moved(f) for f in interior[1:] if through[f][0] not in side))
         node = TreeNode("split", missing_facet=tau, pairs=tuple(pairing.items()))
-        return node, [(None, None, None, part_a), (None, None, None, part_b)]
+        return node, [(None, None, None, None, part_a), (None, None, None, None, part_b)]
 
-    def singular(self, k: Complex, t: int, t1, link: Complex):
-        """Reduce ``k`` at its singular vertex t, whose link is ``link``.
-        Its scans read the star of t off that link (``_off_star``): a
-        face s off t lies in the star of t iff s is a face of lk t."""
+    def singular(self, k: Complex, t: int, t1, link: Complex, homology):
+        """Reduce ``k`` at its singular vertex t, whose link is ``link``
+        with (b1, b2) = ``homology``.  Its scans read the star of t off
+        that link (``_off_star``): a face s off t lies in the star of t
+        iff s is a face of lk t."""
         # reduction outside the star of t
         outside = [u for (u,) in _off_star(k, t, link, 0)]
         for u in outside:
@@ -701,7 +746,7 @@ class _Engine:
             except LinkNotSimplexBoundary:
                 continue
             node = TreeNode("inverse_subdivision", vertex=u, facet=tuple(sorted(k.neighbors(u))))
-            return node, [(reduced, t, t1, None)]
+            return node, [(reduced, t, t1, homology, None)]
         if outside:
             u = outside[0]
             link = k.link((u,))
@@ -716,7 +761,7 @@ class _Engine:
                     f"no reinsertable missing facet in the link of {u}; retriangulation case"
                 )
             missing = tuple(sorted(in_complex[0] + (u,)))
-            return self.classified(k, missing, t, t1)
+            return self.classified(k, missing, t, t1, homology)
 
         # all vertices are now in the star of t; the 2-skeleton must match it
         stray = _off_star(k, t, link, k.dim - 2)
@@ -726,7 +771,7 @@ class _Engine:
 
         if self.mode == MODE_SUSPENSION and t1 is not None and t1 in k.vertices:
             if self.verdict(t1, k.link((t1,))) == "singular":
-                found = recognize_one_vertex_suspension(k, t, t1)
+                found = _suspension_of(k, link, t, t1)
                 if found:
                     base, pole = found
                     if _g2(base) != _g2(base.link((pole,))):
@@ -739,7 +784,7 @@ class _Engine:
 
         tau = self.choose_interior(k, interior, t, t1)
         missing = tuple(sorted(tau + (t,)))
-        return self.classified(k, missing, t, t1)
+        return self.classified(k, missing, t, t1, homology)
 
     def choose_interior(self, k: Complex, interior, t, t1) -> Simplex:
         """In suspension mode the first interior face in the star of t1
@@ -750,10 +795,10 @@ class _Engine:
         in_star = [f3 for f3 in off if self.mode == MODE_SUSPENSION and k.has_face(f3 + (t1,))]
         return (in_star or off or interior)[0]
 
-    def classified(self, k: Complex, missing, t, t1):
+    def classified(self, k: Complex, missing, t, t1, homology):
         cls = classify_missing_facet(k, missing)
         if cls.kind == "connected_sum_split":
-            return self.split(k, cls.report.missing_facet, cls.pieces, t, t1)
+            return self.split(k, cls.report.missing_facet, cls.pieces, t, t1, homology)
         if cls.kind == "vertex_fold":
             fold, fixed, where = vertex_fold, (cls.vertex,), {"vertex": cls.vertex}
         elif cls.kind == "edge_fold":
@@ -785,9 +830,11 @@ class _Engine:
             pairs=unfold.pairs,
             **where,
         )
-        return node, [(unfold.complex, t, t1, None)]
+        drop = homology is not None and t in fixed and _LINK_DROPS[cls.kind]
+        homology = tuple(map(operator.sub, homology, drop)) if drop else None
+        return node, [(unfold.complex, t, t1, homology, None)]
 
-    def split(self, k: Complex, tau: Simplex, pieces, t, t1):
+    def split(self, k: Complex, tau: Simplex, pieces, t, t1, homology):
         """Split ``k`` along its missing facet ``tau`` into the ``pieces``
         of its cut; the parts keep the proofs listed in ``decompose``."""
         split = _split(k, tau, pieces)
@@ -796,12 +843,48 @@ class _Engine:
             w = mapped.get(v, v)
             return w if w in part.vertices else None
 
-        parts = [
-            (part, locate(part, t, mapped), locate(part, t1, mapped), None)
+        (a, ta, t1a), (b, tb, t1b) = [
+            (part, locate(part, t, mapped), locate(part, t1, mapped))
             for part, mapped in ((split.part_a, {}), (split.part_b, split.pairing))
         ]
+        ha, hb = _split_homology(a, ta, b, tb, homology)
+        parts = [(a, ta, t1a, ha, None), (b, tb, t1b, hb, None)]
         node = TreeNode("split", missing_facet=tau, pairs=tuple(sorted(split.pairing.items())))
         return node, parts
+
+
+def _start(k: Complex, t: int, mode: str):
+    """Check the input of ``decompose``, refusing in this order; then
+    the engine, which holds lk t for the root's step, and the root part."""
+    if mode not in MODES:
+        raise ModeMismatch(f"unknown mode {mode!r}; expected one of {MODES}")
+    if k.dim != 4:
+        raise DecompositionError("decomposition engine requires dimension 4")
+    if t not in k.vertices:
+        raise UnknownVertex(f"vertex {t} not in complex")
+    report = is_normal_pseudomanifold(k)
+    if not report.normal:
+        raise DecompositionError(f"input is not a normal pseudomanifold: {report}")
+    link = k.link((t,))
+    g2_k, g2_link, g3_k, g3_link = _optimality_numbers(k, link)
+    if g2_k != g2_link or g3_k != g3_link:
+        raise NotOptimal(f"complex is not g2- and g3-optimal at vertex {t}: g2(K) = {g2_k}, "
+                         f"g2(lk {t}) = {g2_link}, g3(K) = {g3_k}, g3(lk {t}) = {g3_link}")
+
+    homology = _link_homology(link)
+    verdicts = _classify_normal_vertices(k, {t: _classify(t, link, homology)})
+    unknown = [v for v, verdict in verdicts.items() if verdict.status == "unknown"]
+    if unknown:
+        raise UnknownSingularity(f"vertices {unknown} have unknown link verdicts")
+    singular = [v for v, verdict in verdicts.items() if verdict.singular]
+
+    limit = 1 if mode == MODE_ONE else 2
+    if len(singular) > limit:
+        raise ModeMismatch(f"{len(singular)} singular vertices exceed mode {mode!r}")
+    if singular and t not in singular:
+        raise ModeMismatch(f"tracked vertex {t} is not singular; singular set is {singular}")
+    t1 = next((v for v in singular if v != t), None)
+    return _Engine(mode, _debug(), link), (k, t, t1, homology, None)
 
 
 def decompose(k: Complex, t: int, mode: str = MODE_EDGE) -> DecompositionTree:
@@ -884,42 +967,62 @@ def decompose(k: Complex, t: int, mode: str = MODE_EDGE) -> DecompositionTree:
       ridge r not inside tau lies in a chain of simplices of B joined
       across faces through r, none of them tau, so its two facets lie
       on one side, and every vertex of tau separates its link, the
-      split signature of classification.
+      split signature of classification;
+    - *the homology of lk t*: lk t is built once at entry, for the
+      optimality test, t's verdict and the root's step, and its GF(2)
+      Betti numbers (b1, b2) are carried from part to part, so no
+      verdict at t computes them again (``_Engine.step``).  Each lk t
+      is a normal 3-pseudomanifold L, with b0 = 0 and b3 = 1
+      (``_normal_betti``).  Homology is over GF(2) (Munkres, Elements of
+      Algebraic Topology, 1984).  Let M be L less the open tetrahedra
+      of a set of its facets.  Then H_i(L, M) = 0 for i < 3, by excision
+      onto the tetrahedra rel their boundaries, so H1(M) = H1(L); and
+      for one tetrahedron H3(M) = 0, since the only nonzero 3-cycle of L
+      is the sum of its facets, so H3(L) = H3(L, M) and H2(M) = H2(L).
+      The rules:
+      - an inverse subdivision at u outside the star of t keeps the
+        numbers: no facet through t changes, and the restored facet is
+        the vertex set of lk u, which does not hold t;
+      - a split along tau keeps them in the part that holds t if t is
+        not in tau: the facets through t are joined across ridges
+        through t, none inside tau, so they lie on one side.  If t is in
+        tau, lk t is lk t(A) # lk t'(B) along tau - t: its facets are
+        those of A through t and of B through t' less tau and its copy.
+        The summands less their open copies of tau - t meet in a
+        2-sphere S; Mayer-Vietoris, with H1(S) = H~0(S) = 0 and H3(lk t)
+        mapping onto H2(S), makes b1 and b2 add.  A part with g2 = 0 is
+        a stacked sphere (Bagchi and Datta, 2008), so its links are
+        stacked 3-spheres with (b1, b2) = (0, 0), and the other part
+        keeps the parent's numbers; if both parts have g2 > 0, the
+        smaller's lk t is built and its numbers are subtracted;
+      - an unfolding whose fixed face holds t lowers them by
+        ``_LINK_DROPS``.  Let L be lk t after it and L' = lk t before,
+        D = tau - t and D' = tau' - t, and M = L less both open
+        tetrahedra.  The fold fixes t and is admissible (the step
+        refolds it), so it maps M onto L' gluing the spheres of D and
+        D', Y = dD u dD', into one sphere S and nothing else: (L', S)
+        and (M, Y) have one quotient.  The pair sequences give H1(L') =
+        H1(L', S) = H1(M, Y), of dimension b1(M) + dim H~0(Y), since
+        H1(Y) = 0 and M is connected.  At a vertex unfolding at t, D and
+        D' are disjoint, so b1(L') = b1(L) + 1, and L has 4, 6, 4 and 2
+        more vertices, edges, triangles and tetrahedra, so the Euler
+        characteristic b2 - b1 is the same: (b1, b2) drops by (1, 1).
+        At an edge unfolding along t t1, D and D' meet at t1, so
+        b1(L') = b1(L), and L has 3, 6, 4 and 2 more, so b2 - b1 drops
+        by one: (b1, b2) drops by (0, 1);
+      - any other unfolding carries nothing, and the next step computes
+        the numbers from its link where its verdict reads them.
     A failed certificate raises DecompositionError.
     ``PSF_DEBUG_VERIFY=1`` checks every part in full, a ball part
     rebuilt from its simplices: normal, g2 = 0, and its interior faces
-    equal to its sorted missing facets.  It also replays the tree's
+    equal to its sorted missing facets, and compares the carried (b1,
+    b2) with those of the built link.  It also replays the tree's
     script: it must give back ``k``, with (g2, g3) changed by
     ``fold_deltas`` at each unfolding and additive at each split and
     inverse subdivision.
     """
-    if mode not in MODES:
-        raise ModeMismatch(f"unknown mode {mode!r}; expected one of {MODES}")
-    if k.dim != 4:
-        raise DecompositionError("decomposition engine requires dimension 4")
-    if t not in k.vertices:
-        raise UnknownVertex(f"vertex {t} not in complex")
-    report = is_normal_pseudomanifold(k)
-    if not report.normal:
-        raise DecompositionError(f"input is not a normal pseudomanifold: {report}")
-    if not optimality_check(k, t).optimal:
-        raise NotOptimal(f"complex is not g2- and g3-optimal at vertex {t}")
-
-    verdicts = _classify_normal_vertices(k)
-    unknown = [v for v, verdict in verdicts.items() if verdict.status == "unknown"]
-    if unknown:
-        raise UnknownSingularity(f"vertices {unknown} have unknown link verdicts")
-    singular = [v for v, verdict in verdicts.items() if verdict.singular]
-
-    limit = 1 if mode == MODE_ONE else 2
-    if len(singular) > limit:
-        raise ModeMismatch(f"{len(singular)} singular vertices exceed mode {mode!r}")
-    if singular and t not in singular:
-        raise ModeMismatch(f"tracked vertex {t} is not singular; singular set is {singular}")
-    t1 = next((v for v in singular if v != t), None)
-
-    engine = _Engine(mode, _debug())
-    root = engine.run((k, t, t1, None))
+    engine, part = _start(k, t, mode)
+    root = engine.run(part)
     tree = DecompositionTree(engine.steps, root)
     if engine.debug:
         replayed = replay(tree.to_script())

@@ -62,7 +62,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .complexes import Complex, Simplex, UnknownVertex, _debug, _faces
 from .enumeration import DimensionTooSmall, g_from_counts
@@ -360,17 +360,20 @@ def classify_vertices(k: Complex) -> dict[int, SingularityVerdict]:
     return {v: classify_vertex(k, v) for v in sorted(k.vertices)}
 
 
-def _classify_normal_vertices(k: Complex) -> dict[int, SingularityVerdict]:
+def _classify_normal_vertices(k: Complex, given: Optional[dict] = None
+                              ) -> dict[int, SingularityVerdict]:
     """``classify_vertices`` for a complex the caller has just proven a
     normal pseudomanifold, whose vertex links are therefore normal.
     The verdicts are read off one count over the triangles (see the
     module docstring); only the links of a 4-complex with g2 > 0 are
-    built, for their homology."""
+    built, for their homology, and ``given`` verdicts are taken as they are."""
     triangles = Counter(itertools.chain.from_iterable(k.faces(2))) if k.dim in (3, 4) else Counter()
     verdicts = {}
     for v in sorted(k.vertices):
         degree = len(k.neighbors(v))
-        if k.dim == 3:
+        if given and v in given:
+            verdicts[v] = given[v]
+        elif k.dim == 3:
             verdicts[v] = _surface_verdict(v, degree - triangles[v] + len(k.facets_through((v,))))
         elif k.dim == 4 and g_from_counts(3, degree, triangles[v])[0] == 0:
             verdicts[v] = SingularityVerdict(v, "nonsingular", "stacked")
@@ -385,15 +388,17 @@ def _surface_verdict(v: int, chi: int) -> SingularityVerdict:
     return SingularityVerdict(v, "singular", f"closed surface with euler characteristic {chi}")
 
 
-def _classify(v: int, link: Complex) -> SingularityVerdict:
+def _classify(v: int, link: Complex, homology: Optional[tuple[int, int]] = None
+              ) -> SingularityVerdict:
     """The verdict at ``v`` from its link, which the caller builds and
-    has proven a normal 2- or 3-pseudomanifold."""
+    has proven a normal 2- or 3-pseudomanifold; ``homology`` is its GF(2)
+    (b1, b2) where the caller knows them (b0 = 0 and b3 = 1)."""
     if link.dim == 2:
         f = link.f_counts()
         return _surface_verdict(v, f[1] - f[2] + f[3])
     if _g2(link) == 0:
         return SingularityVerdict(v, "nonsingular", "stacked")
-    betti = _normal_betti(link)
+    betti = _normal_betti(link) if homology is None else (0, *homology, 1)
     if betti != (0, 0, 0, 1):
         return SingularityVerdict(v, "singular", f"link gf2 betti {betti}")
     return SingularityVerdict(v, "unknown", "sphere-like homology but no constructive certificate")
@@ -409,5 +414,10 @@ def optimality_check(k: Complex, t: int) -> OptimalityResult:
         raise UnknownVertex(f"vertex {t} not in complex")
     if k.dim != 4:
         raise ValueError("optimality check is defined for dimension 4")
-    link = k.link((t,))
-    return OptimalityResult(_g2(k) == _g2(link), _g3(k) == _g3(link))
+    g2_k, g2_link, g3_k, g3_link = _optimality_numbers(k, k.link((t,)))
+    return OptimalityResult(g2_k == g2_link, g3_k == g3_link)
+
+
+def _optimality_numbers(k: Complex, link: Complex) -> tuple[int, int, int, int]:
+    """(g2(k), g2(link), g3(k), g3(link)) for the link of a vertex of k."""
+    return _g2(k), _g2(link), _g3(k), _g3(link)

@@ -481,6 +481,28 @@ def joint_colors(k1, k2):
     return colors[0], colors[1]
 
 
+def reference_colors(k):
+    """``complexes._colors`` as it counted the link f-vectors before its
+    per-size C-level counts: one ``(v, len(f))`` key per vertex of every
+    face, and the facet profile read off ``facets_through`` per vertex."""
+    # The faces of the link of v are the faces through v less v, up to
+    # the size of the largest maximal face through v.
+    through = Counter((v, len(f)) for j in range(1, k.dim + 1) for f in k.faces(j) for v in f)
+    colors = {}
+    for v in k.vertices:
+        profile = tuple(sorted(len(f) for f in k.facets_through((v,))))
+        link_f = (1, *(through[v, size] for size in range(2, profile[-1] + 1)))
+        colors[v] = hash((len(k.neighbors(v)), profile, link_f))
+    for _ in range(len(k.vertices) + 1):
+        new = {v: hash((c, tuple(sorted(colors[u] for u in k.neighbors(v)))))
+               for v, c in colors.items()}
+        stable = len(set(new.values())) == len(set(colors.values()))
+        colors = new
+        if stable:
+            break
+    return colors
+
+
 _TOKEN = re.compile(r"[^ \t\v\f\r]+")
 _LABEL = re.compile(r"-?[0-9]+")
 

@@ -393,12 +393,16 @@ def test_decompose_command(tmp_path, capsys):
                                       + "\n").encode()
 
 
-def test_decompose_not_optimal_exit(tmp_path):
+def test_decompose_not_optimal_exit(tmp_path, capsys):
     j = join(boundary_simplex(2), Complex([[3, 4], [4, 5], [3, 5]]))
     susp = one_vertex_suspension(j, 0)
     path = write_complex(tmp_path, "susp.txt", susp)
     apex = max(susp.vertices)
     assert main(["decompose", path, "--vertex", str(apex), "--mode", "one-singularity"]) == 5
+    # the four numbers say why: g3 is not optimal at the apex
+    assert capsys.readouterr().out == (
+        "not optimal: complex is not g2- and g3-optimal at vertex 6: "
+        "g2(K) = 1, g2(lk 6) = 1, g3(K) = 0, g3(lk 6) = -1\n")
 
 
 def test_decompose_edge_mode_cli(tmp_path, capsys):

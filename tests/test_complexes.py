@@ -1,4 +1,5 @@
 import functools
+import importlib
 import itertools
 import json
 import random
@@ -458,6 +459,48 @@ def test_sorted_colors_are_a_relabelling_invariant(seed, rnd):
     assert sorted(_colors(_relabelled(k, rnd)).values()) == sorted(_colors(k).values())
 
 
+def roundtrip_pairs(seed=1):
+    """The 20 complexes of the ``roundtrip`` benchmark corpus at ``seed``,
+    each with its seeded relabelling, drawn in the benchmark's order."""
+    rng = random.Random(f"roundtrip:{seed}")
+    recipes = (
+        [(vertex_folded_instance, dict(folds=1, sums=i % 3, subdivisions=i % 2)) for i in range(5)]
+        + [(vertex_folded_instance, dict(folds=2, sums=i % 2)) for i in range(3)]
+        + [(edge_folded_instance, dict(edge_folds=1, sums=i % 3, subdivisions=i % 2))
+           for i in range(5)]
+        + [(edge_folded_instance, dict(edge_folds=1, vertex_folds=1, sums=i % 2)) for i in range(3)]
+        + [(suspension_instance, dict(extra_vertex_folds=i % 2, sums=i % 2, subdivisions=i // 2))
+           for i in range(4)]
+    )
+    pairs = []
+    for make, kwargs in recipes:
+        k = make(rng.getrandbits(31), **kwargs).complex
+        labels = sorted(k.vertices)
+        mapping = dict(zip(labels, rng.sample(range(2 * len(labels)), len(labels))))
+        pairs.append((k, k.relabel(mapping)))
+    return pairs
+
+
+def assert_colors_match_the_reference(k):
+    # the same values in the same order: is_isomorphic reads both
+    assert list(_colors(k).items()) == list(reference.reference_colors(k).items())
+
+
+def test_colors_match_the_reference_count(monkeypatch):
+    pairs = roundtrip_pairs()
+    low = [Complex([()]), Complex([(0,), (3,), (7,)]), triangle_circle(), boundary_simplex(3),
+           Complex([(0, 1, 2), (2, 3), (4,)]), Complex([(0, 1), (1, 2, 3, 4), (5,)]),
+           join(triangle_circle(), Complex([(5,), (6,)]))]
+    for k in [*_vf2_bases(), *itertools.chain.from_iterable(pairs), *low]:
+        assert_colors_match_the_reference(k)
+    # and is_isomorphic finds the same mapping with either colouring
+    mappings = [is_isomorphic(a, b) for a, b in pairs]
+    assert all(a.relabel(m) == b for (a, b), m in zip(pairs, mappings))
+    monkeypatch.setattr(importlib.import_module("psf.complexes"), "_colors",
+                        reference.reference_colors)
+    assert [is_isomorphic(a, b) for a, b in pairs] == mappings
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.frozensets(st.integers(0, 6), max_size=5).map(lambda s: tuple(sorted(s))),
                 max_size=12))
@@ -649,3 +692,11 @@ def test_outputs_depend_only_on_the_facet_set(shared_corpus):
         for route, built in enumerate(routes(k, seed)):
             assert built == k
             assert observed(built) == expected, (name, route)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(pure_complexes(), mixed_antichains().map(Complex),
+                 st.builds(stacked_sphere, st.integers(2, 4), st.integers(1, 6),
+                           st.integers(0, 10**6))))
+def test_colors_match_the_reference_on_drawn_complexes(k):
+    assert_colors_match_the_reference(k)

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,7 @@ from reference import (link_anchors_reference, outcome, reference_stacked_steps,
 
 # the package exports the function decompose under the module's name
 decompose_module = importlib.import_module("psf.decompose")
+verify_module = importlib.import_module("psf.verify")
 
 
 def test_inverse_facet_subdivision_round_trip():
@@ -195,8 +197,11 @@ def test_decompose_boundary_simplex_single_leaf():
 
 def test_decompose_requires_optimality():
     k = handle_instance(5).complex
-    with pytest.raises(NotOptimal):
+    with pytest.raises(NotOptimal) as refusal:
         decompose(k, sorted(k.vertices)[0], mode=MODE_ONE)
+    # the refusal names g2 and g3 of K and of the link of the vertex
+    assert str(refusal.value) == ("complex is not g2- and g3-optimal at vertex 0: g2(K) = 15, "
+                                  "g2(lk 0) = 0, g3(K) = -20, g3(lk 0) = 0")
 
 
 def test_decompose_mode_mismatch():
@@ -633,7 +638,7 @@ def part_complex(part):
 
 @pytest.fixture(scope="module")
 def engine_record(shared_corpus):
-    """Every part the engine steps, as ``(complex, t, t1, ball)``, every
+    """Every part the engine steps, as ``(complex, t, t1, homology, ball)``, every
     split it makes, as ``(complex, tau, sides, parts)`` with the sides
     read back off the two part complexes, every unfolding, as
     ``(complex, result)``, and every part it hands to the singular step,
@@ -645,13 +650,13 @@ def engine_record(shared_corpus):
     step, split, unfold = _Engine.step, decompose_module._split, decompose_module._unfold
     singular_step, ball_step = _Engine.singular, _Engine.ball
 
-    def record_step(self, k, t, t1, ball):
-        parts.append((k, t, t1, ball))
-        return step(self, k, t, t1, ball)
+    def record_step(self, k, t, t1, homology, ball):
+        parts.append((k, t, t1, homology, ball))
+        return step(self, k, t, t1, homology, ball)
 
-    def record_singular(self, k, t, t1, link):
+    def record_singular(self, k, t, t1, link, homology):
         singular.append((k, t, link))
-        return singular_step(self, k, t, t1, link)
+        return singular_step(self, k, t, t1, link, homology)
 
     def record(k, tau, pairing, part_a, part_b):
         back = {w: v for v, w in pairing.items()}
@@ -754,6 +759,103 @@ def test_debug_decompositions_check_every_fold_row(monkeypatch):
         decompose(record.complex, record.tracked, MODE_ONE)
 
 
+def folded_records():
+    return [make(seed) for seed in range(1, 16)
+            for make in (vertex_folded_instance, edge_folded_instance, suspension_instance)]
+
+
+def folded_inputs():
+    """``(complex, t, mode)`` for the vertex-, edge- and suspension-folded
+    instances of seeds 1 to 15, each at its tracked vertex in every mode."""
+    return [(r.complex, r.tracked, mode) for r in folded_records() for mode in MODES]
+
+
+def tree_or_refusal(k, t, mode):
+    got = outcome(lambda: decompose(k, t, mode))
+    return got if isinstance(got, tuple) else got.to_dict()
+
+
+def test_carried_link_homology_passes_the_debug_oracle(monkeypatch, shared_corpus):
+    # under debug every step compares the carried (b1, b2) of lk t with
+    # those of its built link; the oracle must pass and change nothing
+    inputs = folded_inputs() + corpus_inputs(shared_corpus)
+    monkeypatch.delenv("PSF_DEBUG_VERIFY", raising=False)
+    plain = [tree_or_refusal(*x) for x in inputs]
+    assert sum(isinstance(got, dict) for got in plain) == 105 + 32
+    monkeypatch.setenv("PSF_DEBUG_VERIFY", "1")
+    assert [tree_or_refusal(*x) for x in inputs] == plain
+
+
+def count_normal_betti(monkeypatch):
+    """Count ``_normal_betti`` calls by phase (``entry`` or ``engine``,
+    inside ``_Engine.run``) and by the module whose binding was called."""
+    calls = Counter()
+    phase = ["entry"]
+    real = verify_module._normal_betti
+    for module in (verify_module, decompose_module):
+        def counted(link, name=module.__name__):
+            calls[phase[0], name] += 1
+            return real(link)
+        monkeypatch.setattr(module, "_normal_betti", counted)
+    run = _Engine.run
+
+    def engine_run(self, *args):
+        phase[0] = "engine"
+        try:
+            return run(self, *args)
+        finally:
+            phase[0] = "entry"
+
+    monkeypatch.setattr(_Engine, "run", engine_run)
+    return calls
+
+
+def test_the_engine_computes_no_homology_at_t(monkeypatch):
+    # lk t's homology is computed once at entry and carried after; in
+    # suspension mode only the verdicts at t1 compute homology (through
+    # verify's binding), and no mode computes it at t again
+    monkeypatch.delenv("PSF_DEBUG_VERIFY", raising=False)
+    calls = count_normal_betti(monkeypatch)
+    at_t1 = 0
+    for record in folded_records():
+        k, t = record.complex, record.tracked
+        singular = 1 + (record.companion is not None)
+        for mode in MODES:
+            calls.clear()
+            if isinstance(outcome(lambda: decompose(k, t, mode)), tuple):
+                continue
+            assert calls["entry", "psf.decompose"] + calls["entry", "psf.verify"] == singular
+            assert calls["engine", "psf.decompose"] == 0
+            if mode != MODE_SUSPENSION:
+                assert calls["engine", "psf.verify"] == 0
+            at_t1 += calls["engine", "psf.verify"]
+    assert at_t1 > 0
+    # sixteen folds at t: one rank in all, down from one per singular step
+    calls.clear()
+    record = vertex_folded_instance(3, folds=16)
+    tree = decompose(record.complex, record.tracked, MODE_ONE)
+    assert tree.vertex_fold_count == 16
+    assert sum(calls.values()) == 1
+
+
+@pytest.mark.parametrize("kind, build, mode, wrong", [
+    ("vertex_fold", lambda: vertex_folded_instance(3, folds=2), MODE_ONE, (1, 0)),
+    ("edge_fold", lambda: edge_folded_instance(3), MODE_EDGE, (0, 0)),
+])
+def test_a_wrong_homology_rule_fails_the_debug_oracle(monkeypatch, kind, build, mode, wrong):
+    record = build()
+    monkeypatch.delenv("PSF_DEBUG_VERIFY", raising=False)
+    good = tree_or_refusal(record.complex, record.tracked, mode)
+    # a drop too small still reads singular, so without debug nothing shows
+    monkeypatch.setitem(decompose_module._LINK_DROPS, kind, wrong)
+    assert tree_or_refusal(record.complex, record.tracked, mode) == good
+    monkeypatch.setenv("PSF_DEBUG_VERIFY", "1")
+    with pytest.raises(DecompositionError, match=r"^step \d+ carries \(b1, b2\) = \(\d+, \d+\) "
+                                                 r"for the link of \d+, whose homology gives "
+                                                 r"\(\d+, \d+\)$"):
+        decompose(record.complex, record.tracked, mode)
+
+
 def unfoldings_at(k, tau):
     """Every vertex and edge unfolding of ``k`` along ``tau`` that succeeds."""
     for fixed in [*tau, *itertools.combinations(tau, 2)]:
@@ -805,7 +907,7 @@ def test_ridge_certificate_matches_normality(engine_record, fold_images):
         expected = (DecompositionError, f"splitting along {tau} leaves a part that is not normal")
         assert outcome(lambda: split_connected_sum(k, tau)) == expected
         engine = _Engine(MODE_EDGE, False)
-        assert outcome(lambda: engine.split(k, tau, [bad_side, rest], 0, None)) == expected
+        assert outcome(lambda: engine.split(k, tau, [bad_side, rest], 0, None, None)) == expected
     error, message = outcome(lambda: _stacked_ball(bad))
     assert error is DecompositionError
     assert message.startswith("a part with g2 = 0 bounds no stacked ball: ")
@@ -846,7 +948,7 @@ def test_ball_interior_faces_match_the_parts(engine_record):
 def ball_route_steps(k):
     """The nodes the engine makes for the stacked sphere ``k``."""
     engine = _Engine(MODE_EDGE, False)
-    engine.run((k, None, None, None))
+    engine.run((k, None, None, None, None))
     return engine.steps
 
 
@@ -895,7 +997,7 @@ def test_ball_route_on_stacked_3_spheres(monkeypatch, m):
         assert len(leaves) == m
         assert interior == sorted(k.missing_simplices(3))
         engine = _Engine(MODE_ONE, True)
-        root = engine.run((k, None, None, None))
+        root = engine.run((k, None, None, None, None))
         assert engine.steps == reference_stacked_steps(k)
         assert rebuild(DecompositionTree(engine.steps, root)) == k
 
@@ -937,7 +1039,7 @@ def singular_outcome(k, t):
     scans against the face-by-face definitions."""
     link = k.link((t,))
     assert engine_scans(k, t, link) == star_scans(k, t)
-    return outcome(lambda: _Engine(MODE_EDGE, False).singular(k, t, None, link))
+    return outcome(lambda: _Engine(MODE_EDGE, False).singular(k, t, None, link, None))
 
 
 @pytest.mark.parametrize("t, strays", [(0, [(2, 4, 6)]),
@@ -998,13 +1100,13 @@ def test_singular_step_leaves_a_boundary_simplex_irreducible():
     node, parts = singular_outcome(k, 0)
     assert (node.kind, node.leaf_kind, node.facets, parts) == ("leaf", "irreducible_base",
                                                                k.facets, [])
-    assert _Engine(MODE_EDGE, False).step(k, 0, None, None)[0].leaf_kind == "boundary_simplex"
+    assert _Engine(MODE_EDGE, False).step(k, 0, None, None, None)[0].leaf_kind == "boundary_simplex"
 
 
 def test_stacked_step_leaves_a_part_with_g2_irreducible():
     # no tracked vertex and g2 = 2: an irreducible leaf, with no split
     k = cross_polytope_boundary(5)
-    node, parts = _Engine(MODE_EDGE, False).step(k, None, None, None)
+    node, parts = _Engine(MODE_EDGE, False).step(k, None, None, None, None)
     assert (node.kind, node.leaf_kind, node.facets, parts) == ("leaf", "irreducible_base",
                                                                k.facets, [])
     # and it bounds no stacked ball: each vertex off a facet is antipodal
@@ -1018,7 +1120,7 @@ def test_exhausted_step_budget_reports_the_cut_off():
     record = vertex_folded_instance(3)
     engine = _Engine(MODE_EDGE, False)
     engine.budget = 0
-    assert outcome(lambda: engine.run((record.complex, record.tracked, None, None))) == (
+    assert outcome(lambda: engine.run((record.complex, record.tracked, None, None, None))) == (
         DecompositionError, "step budget exhausted; decomposition cut off")
 
 
@@ -1030,7 +1132,7 @@ def test_debug_oracle_checks_the_ball_interior_faces(monkeypatch):
 
     def drop_last(self, leaves, interior):
         node, parts = ball(self, leaves, interior)
-        return node, [(*part[:3], (part[3][0], part[3][1][:-1])) for part in parts]
+        return node, [(*part[:4], (part[4][0], part[4][1][:-1])) for part in parts]
 
     monkeypatch.setattr(_Engine, "ball", drop_last)
     with pytest.raises(DecompositionError,
@@ -1052,7 +1154,7 @@ def run_with_unfold(monkeypatch, kind, record, change, debug=False):
     monkeypatch.setattr(decompose_module, "_unfold", changed)
     engine = _Engine(MODE_EDGE, debug)
     engine.budget = 50  # a missed check must not leave the engine stepping for long
-    return outcome(lambda: engine.run((record.complex, record.tracked, record.companion, None)))
+    return outcome(lambda: engine.run((record.complex, record.tracked, record.companion, None, None)))
 
 
 @pytest.mark.parametrize("kind", ["vertex", "edge"])
