@@ -10,10 +10,13 @@ child process so that no cache or warm allocator carries over between
 points, and then ``decompose`` on the result at its tracked vertex, in
 ``MODE_ONE`` for vertex folds, ``MODE_EDGE`` for edge folds and
 ``MODE_SUSPENSION`` for suspensions.  Each
-point runs in three fresh children, one after the other, and the
-minimum of each time is kept: one run cannot tell a change from the
-spread of a shared host, and the minimum is the run least disturbed by
-it.  It prints one JSON line per point:
+point runs in three fresh children, and the minimum of each time is
+kept: one run cannot tell a change from the spread of a shared host,
+and the minimum is the run least disturbed by it.  The children run in
+three rounds over all points rather than three in a row per point, so
+that one busy stretch of the host slows one run of several points
+instead of every run of one.  It prints one JSON line per point, each
+as its last round ends:
 
     python scripts/fold_curve.py 1 2 4 8 12 16
 
@@ -76,10 +79,21 @@ def child(kind: str, folds: int) -> dict:
     return json.loads(out)
 
 
-def point(kind: str, folds: int) -> dict:
-    """The point with the minimum times over ``RUNS`` children, which
-    must agree on the facet count and the rank count."""
-    runs = [child(kind, folds) for _ in range(RUNS)]
+def points(folds: list[int]):
+    """Each (F, kind) point in order, run in ``RUNS`` rounds over all of
+    them; a point is yielded as soon as its last round has run."""
+    order = [(kind, f) for f in folds for kind in KINDS]
+    runs = {key: [] for key in order}
+    for round_ in range(RUNS):
+        for key in order:
+            runs[key].append(child(*key))
+            if round_ == RUNS - 1:
+                yield merged(*key, runs[key])
+
+
+def merged(kind: str, folds: int, runs: list[dict]) -> dict:
+    """The point with the minimum times over its children, which must
+    agree on the facet count and the rank count."""
     for key in ("facets", "normal_betti_calls"):
         seen = {run[key] for run in runs}
         if len(seen) != 1:
@@ -94,9 +108,8 @@ def main() -> int:
     args = parser.parse_args()
     if min(args.folds) < 1:
         parser.error("every F must be at least 1")
-    for folds in args.folds:
-        for kind in KINDS:
-            print(json.dumps(point(kind, folds)), flush=True)
+    for point in points(args.folds):
+        print(json.dumps(point), flush=True)
     return 0
 
 

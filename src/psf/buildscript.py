@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .complexes import Complex, ComplexError, Simplex, _debug, _faces, _integer
 from .build import (SplitMix64, _glue_fresh_boundary, boundary_simplex, cone, connected_sum,
@@ -54,8 +53,7 @@ class ScriptError(ComplexError):
     step: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class LedgerRow:
+class LedgerRow(NamedTuple):
     step: int
     op: str
     g2: Optional[int]
@@ -75,8 +73,7 @@ class LedgerRow:
             self.expected_g3 is None or self.delta_g3 == self.expected_g3))
 
 
-@dataclass
-class ReplayResult:
+class ReplayResult(NamedTuple):
     final: Complex
     ledger: list[LedgerRow]
 

@@ -29,7 +29,6 @@ from .decompose import (
 )
 from .enumeration import f_vector, g1, g2, g3, h_vector
 from .fileio import ParseError, format_complex, parse_complex
-from .identities import run_identity_suite
 from .verify import _classify_normal_vertices, is_normal_pseudomanifold
 
 EXIT_OK = 0
@@ -186,6 +185,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify_identities(args) -> int:
+    from .identities import run_identity_suite  # only this command needs the module
+
     report = run_identity_suite(
         scripts=args.seeds, max_ops=args.ops, base_seed=args.base_seed
     )

@@ -274,14 +274,14 @@ class Complex:
         """The maximal faces that contain ``face``, sorted: all for ``()``,
         none for an absent face.  A face of two or more vertices filters
         the smallest group of its vertices in the facet index."""
+        vs = set(face)
+        if not vs:
+            return self.facets
         if self._through is None:
             self._through = defaultdict(list)
             for f in self.facets:
                 for v in f:
                     self._through[v].append(f)
-        vs = set(face)
-        if not vs:
-            return self.facets
         first = min(vs, key=lambda v: len(self._through.get(v, ())))
         group = self._through.get(first, ())
         for v in vs - {first}:

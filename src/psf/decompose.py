@@ -14,7 +14,7 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .complexes import (Complex, ComplexError, Simplex, UnknownVertex, _debug, _faces, fresh_labels,
                         simplex)
@@ -104,8 +104,7 @@ def inverse_facet_subdivision(k: Complex, u: int) -> Complex:
     return Complex._trusted(facets)
 
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(NamedTuple):
     part_a: Complex
     part_b: Complex
     missing_facet: Simplex
@@ -160,8 +159,7 @@ def _ridge_certificate(k: Complex, t: Simplex) -> bool:
         len(k.facets_through(r)) == 2 for r in itertools.combinations(t, len(t) - 1))
 
 
-@dataclass(frozen=True)
-class UnfoldResult:
+class UnfoldResult(NamedTuple):
     complex: Complex
     source_facet: Simplex
     target_facet: Simplex

@@ -6,9 +6,8 @@ complex this library can hold in memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .complexes import Complex, ComplexError
 
@@ -17,8 +16,7 @@ class DimensionTooSmall(ComplexError):
     pass
 
 
-@dataclass(frozen=True)
-class FVector:
+class FVector(NamedTuple):
     """Face counts (f_-1, f_0, ..., f_d) with f_-1 = 1."""
 
     entries: tuple[int, ...]
@@ -34,8 +32,7 @@ class FVector:
         return self.entries[k + 1]
 
 
-@dataclass(frozen=True)
-class GVector:
+class GVector(NamedTuple):
     """h-vector (h_0..h_{d+1}) together with g_i = h_i - h_{i-1}."""
 
     h: tuple[int, ...]

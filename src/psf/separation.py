@@ -18,8 +18,7 @@ shared ridges directly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .complexes import Complex, ComplexError, FaceNotPresent, Simplex, simplex
 from .verify import _cut_components
@@ -46,15 +45,13 @@ class SideAssignmentInconsistent(SeparationError):
     """The two-point side anchors cannot be oriented coherently."""
 
 
-@dataclass(frozen=True)
-class VertexSeparation:
+class VertexSeparation(NamedTuple):
     vertex: int
     separates: bool
     sides: Optional[tuple[frozenset[Simplex], frozenset[Simplex]]]
 
 
-@dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(NamedTuple):
     missing_facet: Simplex
     per_vertex: dict[int, VertexSeparation]
 
@@ -63,8 +60,7 @@ class SeparationReport:
         return tuple(v for v in self.missing_facet if not self.per_vertex[v].separates)
 
 
-@dataclass(frozen=True)
-class MissingFacetClass:
+class MissingFacetClass(NamedTuple):
     """The inverse operation a missing facet admits, read off ``report``;
     a split carries the two ``pieces`` of its global cut."""
 

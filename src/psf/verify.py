@@ -61,8 +61,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .complexes import Complex, Simplex, UnknownVertex, _debug, _faces
 from .enumeration import DimensionTooSmall, g_from_counts
@@ -70,13 +69,12 @@ from .enumeration import g2 as _g2
 from .enumeration import g3 as _g3
 
 
-@dataclass(frozen=True)
-class NormalityReport:
+class NormalityReport(NamedTuple):
     pure: bool
     ridge_degrees_ok: bool
     strongly_connected: bool
     links_connected: bool
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict = {}  # one dict shared by every default; the library passes its own
 
     @property
     def normal(self) -> bool:
@@ -88,8 +86,7 @@ class NormalityReport:
         )
 
 
-@dataclass(frozen=True)
-class SingularityVerdict:
+class SingularityVerdict(NamedTuple):
     vertex: int
     status: str  # "nonsingular" | "singular" | "unknown"
     certificate: str
@@ -99,8 +96,7 @@ class SingularityVerdict:
         return self.status == "singular"
 
 
-@dataclass(frozen=True)
-class OptimalityResult:
+class OptimalityResult(NamedTuple):
     g2_optimal: bool
     g3_optimal: bool
 
@@ -179,7 +175,7 @@ def is_normal_pseudomanifold(k: Complex) -> NormalityReport:
     """
     pure = k.is_pure
     if not pure or k.dim < 1:
-        return NormalityReport(pure, False, pure, False)
+        return NormalityReport(pure, False, pure, False, {})
     d, witnesses, facets = k.dim, {}, k.maximal_faces
     debug = _debug()
 

@@ -431,6 +431,14 @@ def test_verify_identities_command(capsys):
     assert "all identities exact" in out
 
 
+def test_only_verify_identities_imports_the_identity_suite():
+    env = dict(os.environ, PYTHONPATH=str(Path(psf.__file__).parents[1]))
+    code = "import sys, psf.cli; print('psf.identities' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=120, check=True)
+    assert run.stdout == "False\n"
+
+
 @pytest.mark.parametrize("option, value", [
     ("--seeds", "0"), ("--seeds", "-3"), ("--ops", "0"), ("--ops", "-5"),
 ], ids=["0", "-3", "ops-0", "ops-minus-5"])

@@ -285,6 +285,12 @@ def test_facets_through_matches_a_scan(k):
     assert absent > 0
 
 
+def test_facets_through_the_empty_face_builds_no_index():
+    k = vertex_folded_instance(3).complex
+    assert k.facets_through(()) == k.facets
+    assert k._through is None
+
+
 @functools.lru_cache(maxsize=None)
 def corpus_complex(seed):
     return (vertex_folded_instance, edge_folded_instance, suspension_instance)[seed % 3](seed).complex

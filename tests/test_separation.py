@@ -203,7 +203,7 @@ def _blank_witness(value):
     on both sides of a link, and the ridge and vertex whose readings
     disagree.  The parity system named the first in its iteration order
     and the second in its solving order."""
-    if isinstance(value, tuple) and isinstance(value[1], str):
+    if type(value) is tuple and isinstance(value[1], str):
         text = re.sub(r"^vertex \d+ meets", "vertex meets", value[1])
         return value[0], re.sub(r"^parity conflict between .*", "parity conflict", text)
     return value
@@ -234,7 +234,7 @@ def test_side_readings_match_the_parity_system(fold_images):
         got = side_outcomes(k, tau)
         assert got == parity_outcomes(k, tau), tau
         for (name, _), value in got.items():
-            seen[name, value[0] if isinstance(value, tuple) else "unfolded"] += 1
+            seen[name, value[0] if type(value) is tuple else "unfolded"] += 1
     assert seen["two_sided", True] and seen["two_sided", False]
     assert seen["vertex_unfold", "unfolded"] and seen["edge_unfold", "unfolded"]
     assert seen["vertex_unfold", SideAssignmentInconsistent]

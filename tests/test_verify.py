@@ -1,7 +1,6 @@
 import itertools
 import re
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -185,7 +184,7 @@ def test_normality_report_is_label_blind(shared_corpus):
         report = is_normal_pseudomanifold(k)
         witnesses = {key: [tuple(map(sparse, face)) for face in faces]
                      for key, faces in report.witnesses.items()}
-        assert is_normal_pseudomanifold(far) == replace(report, witnesses=witnesses)
+        assert is_normal_pseudomanifold(far) == report._replace(witnesses=witnesses)
         if report.normal:
             verdicts = {sparse(v): (verdict.status, verdict.certificate)
                         for v, verdict in _classify_normal_vertices(k).items()}
