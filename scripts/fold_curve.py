@@ -23,11 +23,14 @@ as its last round ends:
 Each line holds the fold kind, F, the seed, the minimum build and
 decomposition time in seconds over the three children
 (``time.perf_counter`` around each, inside the child), the facet count
-of the result and the number of GF(2) link ranks (``_normal_betti``
-calls) the decomposition made, which must be the same in all three
-children.  The children import ``psf`` from this checkout's ``src/``,
-and inherit the environment, so ``PSF_DEBUG_VERIFY=1`` runs every debug
-oracle on these instances.
+of the result, the number of GF(2) link ranks (``_normal_betti``
+calls) the decomposition made and ``script_sha256``, the sha256 of the
+instance's build script as ``dump_script`` writes it.  The last three
+must be the same in all three children, so two checkouts whose curves
+agree on ``script_sha256`` at every F built the same instances.  The
+children import ``psf`` from this checkout's ``src/``, and inherit the
+environment, so ``PSF_DEBUG_VERIFY=1`` runs every debug oracle on
+these instances.
 """
 
 import argparse
@@ -41,7 +44,8 @@ RUNS = 3
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 CHILD = """
-import importlib, json, sys, time
+import hashlib, importlib, json, sys, time
+from psf.buildscript import dump_script
 from psf.corpus import edge_folded_instance, suspension_instance, vertex_folded_instance
 from psf.decompose import MODE_EDGE, MODE_ONE, MODE_SUSPENSION, decompose
 kind, folds, seed = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
@@ -63,9 +67,11 @@ for name in ("psf.verify", "psf.decompose"):
 built = time.perf_counter()
 decompose(record.complex, record.tracked, mode)
 done = time.perf_counter()
+script_sha256 = hashlib.sha256(dump_script(record.script).encode()).hexdigest()
 print(json.dumps({"kind": kind, "folds": folds, "seed": seed, "build_s": round(built - start, 4),
                   "decompose_s": round(done - built, 4),
-                  "facets": len(record.complex.maximal_faces), "normal_betti_calls": ranks[0]}))
+                  "facets": len(record.complex.maximal_faces), "normal_betti_calls": ranks[0],
+                  "script_sha256": script_sha256}))
 """
 
 KINDS = ("vertex", "edge", "suspension")
@@ -93,8 +99,8 @@ def points(folds: list[int]):
 
 def merged(kind: str, folds: int, runs: list[dict]) -> dict:
     """The point with the minimum times over its children, which must
-    agree on the facet count and the rank count."""
-    for key in ("facets", "normal_betti_calls"):
+    agree on the facet count, the rank count and the script digest."""
+    for key in ("facets", "normal_betti_calls", "script_sha256"):
         seen = {run[key] for run in runs}
         if len(seen) != 1:
             raise RuntimeError(f"{kind} F = {folds}: {key} {sorted(seen)} differ between runs")

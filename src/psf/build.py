@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .complexes import (Complex, ComplexError, FaceNotPresent, Simplex, VertexOverlap,
@@ -281,6 +282,11 @@ def fold_deltas(op: str, d: int) -> tuple[int, int]:
 # -- admissible-pair searches -------------------------------------------
 
 _HANDLE_ATTEMPTS = 400  # facet pairs a seeded handle search samples
+# Matchings per table shape, filled by ``_star_counts``.  A shape is the
+# table of a facet pair of a d-complex at a vertex or an edge: at most d
+# rows and d columns, no row empty.  So pure complexes of dimension at
+# most d add at most sum((2**n - 1)**n for n <= d) shapes: 50,978 for d <= 4.
+_SHAPE_COUNTS: dict[tuple, int] = {}
 
 
 def _count_matchings(rows) -> int:
@@ -288,10 +294,11 @@ def _count_matchings(rows) -> int:
     permanent): the one counter of every fold search and draw.
 
     A column is any one bit.  Its one caller, ``_star_counts``, passes
-    rows cut from the partner table of one star, whose bits number the
-    face's link, after dropping every pair with an empty row.  It is a
-    DP over the sets of columns the rows so far have taken; rows are
-    read one at a time, and none after a row that leaves no way open."""
+    a live pair's partner rows cut to the second facet, whose bits
+    number the face's link, the first time the pair's table shape is
+    met.  It is a DP over the sets of columns the rows so far have
+    taken; rows are read one at a time, and none after a row that
+    leaves no way open."""
     ways = {0: 1}
     for row in rows:
         taken: dict[int, int] = {}
@@ -347,50 +354,72 @@ def _star_counts(k: Complex, face: set[int], avoid: Optional[int]):
     exactly in it, in sorted (f1, f2) order, each with its number of
     admissible bijections when that is not 0.
 
-    One partner table serves the whole star.  The link vertices of the
-    face (those of its facets outside it) are numbered, each facet gets
-    the bitmask of its link vertices, and y's row, the bitmask of the z
-    with ``_pair_ok(k, y, z, face)``, is made the first time y is asked
-    for; the relation is symmetric, so its bit for a z whose row exists
-    is read off that row.  Two facets meet exactly in the face when
-    their masks are disjoint, and y's row in their pair is its row
-    masked by the other facet.  A pair with an empty row is dropped;
-    the others go to ``_count_matchings``, once per distinct tuple of
-    rows in the star.
+    The link vertices of the face (those of its facets outside it) are
+    numbered.  y's partner row is the bitmask of the z with
+    ``_pair_ok(k, y, z, face)``: z is refused when it is a neighbor of y
+    or of one of y's neighbors off the face, so the row is read off one
+    bitmask of link neighbors per vertex.  ``verdicts[y]`` spells the
+    row out, '1' at each partner's number.  Over the star's positions,
+    ``at[z]`` holds the facets through z and ``reach[y]`` the facets
+    that hold a partner of y.  The later facets in every ``reach`` of
+    f1's link vertices are exactly the f2 that leave none of f1's rows
+    empty and meet f1 only in the face: a facet through one of f1's link
+    vertices y holds no partner of y, since its other vertices are y's
+    neighbors and y is its own partner only when f1 is the face plus y.
+    So only those live pairs are visited.  A pair's table is keyed by its
+    shape, f2's columns of f1's verdicts, each facet in its own vertex
+    order: it does not depend on how the link is numbered, so
+    ``_count_matchings`` counts each shape once per process, in
+    ``_SHAPE_COUNTS``.
     """
     facets = [f for f in k.facets_through(face) if avoid not in f]
-    bits: dict[int, int] = {}
-    rests, masks = [], []
-    for f in facets:
-        rest = [v for v in f if v not in face]
-        rests.append(rest)
-        masks.append(sum(bits.setdefault(v, 1 << len(bits)) for v in rest))
-    partners: dict[int, int] = {}
-
-    def partner(y: int) -> int:
-        row = partners.get(y)
-        if row is None:
-            mine = bits[y]
-            row = partners[y] = sum(b for z, b in bits.items() if (
-                partners[z] & mine if z in partners else _pair_ok(k, y, z, face)))
-        return row
-
-    counts: dict[tuple[int, ...], int] = {}
+    if len(facets) < 2:  # no pair, and a face that is a facet has no link
+        return []
+    rests = [[v for v in f if v not in face] for f in facets]
+    index = {v: t for t, v in enumerate(dict.fromkeys(v for rest in rests for v in rest))}
+    at = dict.fromkeys(index, 0)
+    for j, rest in enumerate(rests):
+        for v in rest:
+            at[v] |= 1 << j
+    near: dict[int, int] = {}
+    for v, t in index.items():
+        for w in k.neighbors(v):
+            if w not in face:
+                near[w] = near.get(w, 0) | 1 << t
+    width = len(index)
+    partner, verdicts, reach = {}, {}, {}
+    for y in index:
+        bad = near.get(y, 0)
+        for w in k.neighbors(y):
+            bad |= near.get(w, 0)
+        partner[y] = ~bad & ((1 << width) - 1)
+        verdicts[y] = f"{partner[y]:0{width}b}"[::-1]
+        held = 0
+        for ok, a in zip(verdicts[y], at.values()):
+            if ok == "1":
+                held |= a
+        reach[y] = held
+    columns = [itemgetter(*[index[z] for z in rest]) for rest in rests]
     counted = []
-    for i, f1 in enumerate(facets):
-        mask1, table1 = masks[i], [partner(y) for y in rests[i]]
-        for f2, mask2 in zip(facets[i + 1:], masks[i + 1:]):
-            if mask1 & mask2:
-                continue
-            rows = tuple([row & mask2 for row in table1])
-            if 0 in rows:
-                continue
-            n = counts.get(rows)
+    for i, (f1, rest) in enumerate(zip(facets, rests)):
+        live = ~0 << i + 1  # the later positions; the reach masks make it finite
+        for y in rest:
+            live &= reach[y]
+        if not live:
+            continue
+        table = list(zip(*[verdicts[y] for y in rest]))
+        while live:
+            j = (live & -live).bit_length() - 1
+            live ^= 1 << j
+            shape = columns[j](table)
+            n = _SHAPE_COUNTS.get(shape)
             if n is None:
-                n = counts[rows] = _count_matchings(rows)
+                mask = sum(1 << index[z] for z in rests[j])
+                n = _SHAPE_COUNTS[shape] = _count_matchings([partner[y] & mask for y in rest])
             if n:
-                counted.append((f1, f2, n))
+                counted.append((f1, facets[j], n))
     return counted
+
 
 def _counted_pairs(k: Complex, size: int, fixed_face, avoid: Optional[int]):
     """The facet pairs that miss ``avoid`` and meet in ``size`` vertices,

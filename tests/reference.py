@@ -14,8 +14,8 @@ from collections import Counter
 
 import pytest
 
-from psf.build import (_HANDLE_ATTEMPTS, _admissible_bijections, check_handle_admissible,
-                       fold_deltas)
+from psf.build import (_HANDLE_ATTEMPTS, _admissible_bijections, _count_matchings, _pair_ok,
+                       check_handle_admissible, fold_deltas)
 from psf.buildscript import LedgerRow, _construct, _g2g3, _need, validate_script
 from psf.complexes import Complex, ComplexError, _integer, fresh_labels
 from psf.decompose import _FIELDS, MalformedTree, TreeNode, _refold, _split
@@ -41,6 +41,54 @@ def facet_pairs_sharing(k, count):
             seen.add(key)
             if len(set(f1) & set(f2)) == count:
                 yield key
+
+
+def star_counts_reference(k, face, avoid):
+    """The all-pairs walk that ``build._star_counts`` replaced: every
+    pair of facets through ``face`` that miss ``avoid``, with its number
+    of admissible bijections when that is not 0, in sorted (f1, f2)
+    order.
+
+    The link vertices are numbered and y's partner row is made with
+    ``_pair_ok`` the first time y is asked for, each other row's bit for
+    y read off that row once it exists.  Every pair is visited: two
+    facets meet exactly in the face when their link masks are disjoint,
+    a pair with an empty row is dropped, and the rest go to
+    ``_count_matchings`` once per distinct tuple of rows in the star.
+    """
+    facets = [f for f in k.facets_through(face) if avoid not in f]
+    bits = {}
+    rests, masks = [], []
+    for f in facets:
+        rest = [v for v in f if v not in face]
+        rests.append(rest)
+        masks.append(sum(bits.setdefault(v, 1 << len(bits)) for v in rest))
+    partners = {}
+
+    def partner(y: int) -> int:
+        row = partners.get(y)
+        if row is None:
+            mine = bits[y]
+            row = partners[y] = sum(b for z, b in bits.items() if (
+                partners[z] & mine if z in partners else _pair_ok(k, y, z, face)))
+        return row
+
+    counts = {}
+    counted = []
+    for i, f1 in enumerate(facets):
+        mask1, table1 = masks[i], [partner(y) for y in rests[i]]
+        for f2, mask2 in zip(facets[i + 1:], masks[i + 1:]):
+            if mask1 & mask2:
+                continue
+            rows = tuple([row & mask2 for row in table1])
+            if 0 in rows:
+                continue
+            n = counts.get(rows)
+            if n is None:
+                n = counts[rows] = _count_matchings(rows)
+            if n:
+                counted.append((f1, f2, n))
+    return counted
 
 
 def listing_draw(kind, k, rng, fixed=(), avoid=None):

@@ -6,12 +6,16 @@ must return the same triple and leave the random stream in the same
 state, on every fold step of the random build scripts and of the
 corpus recipes.  The draw index counts triples in search order, so the
 order of the star search at a fixed face is checked against the
-unfixed search as well.
+unfixed search as well.  The live-pair walk behind every draw must
+give the list of the all-pairs walk in ``reference.py`` on each star,
+and each table shape it counts must stand for its table.
 """
 
 import copy
 import itertools
+import random
 import re
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +25,7 @@ import psf.buildscript
 from psf.build import (
     SplitMix64,
     _count_matchings,
+    _star_counts,
     check_edge_fold_admissible,
     facet_subdivision,
     find_edge_folds,
@@ -37,7 +42,7 @@ from psf.corpus import (
     suspension_instance,
     vertex_folded_instance,
 )
-from reference import listing_draw, oracle_folds
+from reference import listing_draw, oracle_folds, star_counts_reference
 
 # -- the matching counter ------------------------------------------------
 
@@ -65,6 +70,59 @@ def test_count_matchings_matches_brute_force(table, empty):
     # a column is any one bit, as in the rows of a fixed face's partner table
     spread = [3 * j + 1 for j in range(len(table))]
     assert _count_matchings(_mask_rows(table, spread)) == _brute_count(table)
+
+
+def _table_of(shape):
+    """The table a shape of ``_star_counts`` stands for: the rows of f1
+    over the columns of f2, as booleans."""
+    columns = shape if isinstance(shape[0], tuple) else (shape,)
+    return [[ok == "1" for ok in row] for row in zip(*columns)]
+
+
+def _shape(table, width, rng):
+    """The shape ``_star_counts`` gives a table: each row becomes a
+    verdict string over a link of ``width`` vertices, the table's columns
+    at random link positions and the other verdicts random, and the
+    shape is read off the transposed strings at the columns' positions."""
+    columns = rng.sample(range(width), len(table))
+    rows = []
+    for row in table:
+        verdicts = [rng.choice("01") for _ in range(width)]
+        for c, ok in zip(columns, row):
+            verdicts[c] = "1" if ok else "0"
+        rows.append("".join(verdicts))
+    return itemgetter(*columns)(list(zip(*rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n)),
+    st.integers(0, 12), st.randoms(use_true_random=False))
+def test_shape_key_stands_for_its_table(table, spare, rng):
+    shape = _shape(table, len(table) + spare, rng)
+    assert _table_of(shape) == table
+    assert _count_matchings(_mask_rows(_table_of(shape))) == _brute_count(table)
+    # the link's numbering and its other verdicts do not change the shape
+    assert _shape(table, len(table) + 12, random.Random(rng.random())) == shape
+    shuffled = rng.sample(table, len(table))
+    assert _count_matchings(_mask_rows(_table_of(_shape(shuffled, 2 * len(table), rng)))) == \
+        _brute_count(table)
+
+
+def test_shape_table_stays_within_its_bound(monkeypatch):
+    """The bound stated at ``_SHAPE_COUNTS``, for complexes of dimension
+    at most 4, after the fold draws of many scripts and of a 24-fold
+    instance; each stored count is that of its shape's table."""
+    monkeypatch.setattr(psf.build, "_SHAPE_COUNTS", {})
+    for seed in range(200):
+        random_script(seed)
+    vertex_folded_instance(3, folds=24)
+    shapes = psf.build._SHAPE_COUNTS
+    assert 0 < len(shapes) <= sum((2 ** n - 1) ** n for n in range(1, 5))
+    for shape, n in shapes.items():
+        table = _table_of(shape)
+        assert 1 <= len(table) <= 4 and all(any(row) for row in table)
+        assert n == _brute_count(table)
 
 
 @pytest.mark.parametrize("table,count", [
@@ -138,6 +196,40 @@ def test_many_fold_draws_match_listing(checked_draws, make):
     every size up to that of six folds."""
     make()
     assert len(checked_draws) == 6
+
+
+@pytest.fixture
+def checked_stars(monkeypatch):
+    """Route every star walk of the fold searches and draws through a
+    check against ``star_counts_reference``, the all-pairs walk; the list
+    records ``(face, avoid)`` per star."""
+    stars = []
+
+    def walk(k, face, avoid):
+        found = _star_counts(k, face, avoid)
+        assert found == star_counts_reference(k, face, avoid)
+        stars.append((tuple(sorted(face)), avoid))
+        return found
+
+    monkeypatch.setattr(psf.build, "_star_counts", walk)
+    return stars
+
+
+def test_live_pair_walk_matches_all_pairs_walk_on_corpus_draws(checked_stars):
+    for seed in range(1, 16):
+        vertex_folded_instance(seed, folds=2)
+        edge_folded_instance(seed, edge_folds=1, vertex_folds=1)
+        suspension_instance(seed, extra_vertex_folds=1)
+    assert {len(face) for face, _ in checked_stars} == {1, 2}
+    assert any(avoid is not None for _, avoid in checked_stars)
+    assert len(checked_stars) == 15 * 6
+
+
+def test_live_pair_walk_matches_all_pairs_walk_on_unfixed_groups(checked_stars):
+    k = linear_chain(4, 8, 3, fixed=(0, 1))
+    list(find_vertex_folds(k))
+    assert list(find_edge_folds(k))
+    assert len(checked_stars) == len(k.vertices) + len(k.faces(1))
 
 
 def test_unfixed_draw_matches_listing():

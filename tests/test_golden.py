@@ -1,8 +1,9 @@
 """Golden digests: fixed seeds must keep giving byte-identical output.
 
 Each entry hashes (sha256) one artifact: a random build script, the
-facet file of a seeded corpus instance, or the decomposition tree JSON
-of a folded instance.  A refactor of the constructors, the fold
+build script of a many-fold corpus instance, the facet file of a
+seeded corpus instance, or the decomposition tree JSON of a folded
+instance.  A refactor of the constructors, the fold
 searches or the engine must leave every digest unchanged; a deliberate
 change of output has to update the table and say why.  Running this
 file with ``PYTHONPATH=src python3 tests/test_golden.py`` prints the
@@ -47,6 +48,13 @@ FOLDED = {
         MODE_SUSPENSION),
 }
 
+# many folds at one face: their draws walk stars of hundreds of facets
+MANY_FOLDS = {
+    "script of vertex_folded_instance(3, folds=12)": lambda: vertex_folded_instance(3, folds=12),
+    "script of edge_folded_instance(3, edge_folds=8)": (
+        lambda: edge_folded_instance(3, edge_folds=8)),
+}
+
 PLAIN = {
     "handle_instance(17)": lambda: handle_instance(17).complex,
     "linear_chain(4, 12, 18, fixed=(0,))": lambda: linear_chain(4, 12, 18, fixed=(0,)),
@@ -81,6 +89,8 @@ GOLDEN = {
     'tree of suspension_instance(15)': '7a4720ffea282397c7368fdd07c81533544fb193d7d2b5307685fb08ba369edc',
     'suspension_instance(16, extra_vertex_folds=1, subdivisions=1)': 'e205f6a0d62e466a336dfdd5c765a4707f0e5ad9afa82415191a20e932d8f422',
     'tree of suspension_instance(16, extra_vertex_folds=1, subdivisions=1)': '42dfe8920d757ef425103d0f11406eb308bc51475750ca3e032414d7f16eb133',
+    'script of vertex_folded_instance(3, folds=12)': '9d4b1a54db9a96d7034219a85832fbb61f832eb02f88139963e3ef647ecd7f5a',
+    'script of edge_folded_instance(3, edge_folds=8)': '8f90c58586959e7dd7a411d74aeb670a303e217260628e43278e5cee5ff2d88c',
     'handle_instance(17)': '9ef7c0524cfc4903d513d6a41fd58a7be31afce9a5024a3a58ccbb3f9919c460',
     'linear_chain(4, 12, 18, fixed=(0,))': '9910e3b91931fbc6f6b491a3ea5bd7bc454f972388cc8c8b67b7ce3d9f860600',
     'linear_chain(3, 6, 19, fixed=(0, 1))': 'bd234aa26c266c50a4c360d6eb403bde6bd0001e126714ff719232a3b20a3a35',
@@ -102,6 +112,8 @@ def golden_digests() -> dict[str, str]:
         out[name] = _sha(format_complex(record.complex))
         tree = decompose(record.complex, record.tracked, mode=mode)
         out[f"tree of {name}"] = _sha(json.dumps(tree.to_dict(), indent=2, sort_keys=True))
+    for name, make in MANY_FOLDS.items():
+        out[name] = _sha(dump_script(make().script))
     for name, make in PLAIN.items():
         out[name] = _sha(format_complex(make()))
     return out
