@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Build and decomposition time of many-fold instances against the
-number of folds F.
+"""Build and decomposition time and peak memory of many-fold instances
+against the number of folds F.
 
 For each F given on the command line this times
 ``vertex_folded_instance(3, folds=F)``,
@@ -24,8 +24,11 @@ Each line holds the fold kind, F, the seed, the minimum build and
 decomposition time in seconds over the three children
 (``time.perf_counter`` around each, inside the child), the facet count
 of the result, the number of GF(2) link ranks (``_normal_betti``
-calls) the decomposition made and ``script_sha256``, the sha256 of the
-instance's build script as ``dump_script`` writes it.  The last three
+calls) the decomposition made, ``peak_rss_mb``, the largest peak
+resident set size in MB of the three children (each child's own
+``ru_maxrss``, read after its decomposition, in KiB on Linux), and
+``script_sha256``, the sha256 of the instance's build script as
+``dump_script`` writes it.  The facet count, the rank count and the digest
 must be the same in all three children, so two checkouts whose curves
 agree on ``script_sha256`` at every F built the same instances.  The
 children import ``psf`` from this checkout's ``src/``, and inherit the
@@ -44,7 +47,7 @@ RUNS = 3
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 CHILD = """
-import hashlib, importlib, json, sys, time
+import hashlib, importlib, json, resource, sys, time
 from psf.buildscript import dump_script
 from psf.corpus import edge_folded_instance, suspension_instance, vertex_folded_instance
 from psf.decompose import MODE_EDGE, MODE_ONE, MODE_SUSPENSION, decompose
@@ -71,6 +74,7 @@ script_sha256 = hashlib.sha256(dump_script(record.script).encode()).hexdigest()
 print(json.dumps({"kind": kind, "folds": folds, "seed": seed, "build_s": round(built - start, 4),
                   "decompose_s": round(done - built, 4),
                   "facets": len(record.complex.maximal_faces), "normal_betti_calls": ranks[0],
+                  "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
                   "script_sha256": script_sha256}))
 """
 
@@ -98,13 +102,15 @@ def points(folds: list[int]):
 
 
 def merged(kind: str, folds: int, runs: list[dict]) -> dict:
-    """The point with the minimum times over its children, which must
-    agree on the facet count, the rank count and the script digest."""
+    """The point with the minimum times and the maximum peak over its
+    children, which must agree on the facet count, the rank count and the
+    script digest."""
     for key in ("facets", "normal_betti_calls", "script_sha256"):
         seen = {run[key] for run in runs}
         if len(seen) != 1:
             raise RuntimeError(f"{kind} F = {folds}: {key} {sorted(seen)} differ between runs")
-    return {**runs[0], **{key: min(run[key] for run in runs) for key in ("build_s", "decompose_s")}}
+    return {**runs[0], **{key: min(run[key] for run in runs) for key in ("build_s", "decompose_s")},
+            "peak_rss_mb": max(run["peak_rss_mb"] for run in runs)}
 
 
 def main() -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .complexes import (Complex, ComplexError, Simplex, UnknownVertex, _debug, _faces, fresh_labels,
@@ -292,8 +291,7 @@ _SHAPES = {
 }
 
 
-@dataclass
-class TreeNode:
+class TreeNode(NamedTuple):
     """One decomposition step.
 
     Kinds: ``leaf`` (a certified terminal complex, stored verbatim),
@@ -369,8 +367,7 @@ def _lists(value, depth: int):
     return list(map(list, value)) if depth == 2 else list(value) if depth else value
 
 
-@dataclass
-class DecompositionTree:
+class DecompositionTree(NamedTuple):
     steps: list[TreeNode]
     root: int
 
@@ -586,15 +583,24 @@ def _ball_boundary(leaves) -> Complex:
     return Complex._trusted(f for f, c in counts.items() if c == 1)
 
 
+class _Part(NamedTuple):
+    """A part proven a normal pseudomanifold; ``homology`` is the GF(2)
+    (b1, b2) of lk t carried by ``decompose``'s rules, or None if none do."""
+    complex: Complex
+    t: Optional[int] = None
+    t1: Optional[int] = None
+    homology: Optional[tuple[int, int]] = None
+
+
+class _BallPart(NamedTuple):
+    """A stacked d-sphere held as the (d + 1)-simplices of the stacked ball
+    it bounds and the ball's sorted interior faces (``_stacked_ball``)."""
+    leaves: list[Simplex]
+    interior: list[Simplex]
+
+
 class _Engine:
-    """The decomposition loop.  A part is ``(complex, t, t1, homology,
-    None)`` whose complex is proven a normal pseudomanifold, with
-    ``homology`` the GF(2) (b1, b2) of lk t carried by the rules of
-    ``decompose``, or None where no rule gives them; or a ball part
-    ``(None, None, None, None, (leaves, interior))``: a stacked d-sphere
-    held as the (d + 1)-simplices of the stacked ball it bounds and the
-    ball's sorted interior faces (see ``_stacked_ball``).
-    """
+    """The decomposition loop over ``_Part`` and ``_BallPart`` records."""
 
     def __init__(self, mode: str, debug: bool, link: Optional[Complex] = None):
         self.mode = mode
@@ -611,59 +617,55 @@ class _Engine:
             raise UnknownSingularity(f"vertex {v} has an unknown link verdict")
         return verdict.status
 
-    def check_state(self, k: Optional[Complex], t: Optional[int], ball):
+    def check_state(self, part):
         if not self.debug:
             return
-        if ball is not None:
-            k = _ball_boundary(ball[0])
+        ball = type(part) is _BallPart
+        k = _ball_boundary(part.leaves) if ball else part.complex
         report = is_normal_pseudomanifold(k)
         if not report.normal:
             raise DecompositionError(f"intermediate complex is not normal: {report}")
-        if t is not None and t in k.vertices:
-            if not optimality_check(k, t).optimal:
-                raise DecompositionError(f"optimality lost at vertex {t}")
-        if ball is not None:
-            if _g2(k) != 0:
-                raise DecompositionError("a ball part has g2 != 0")
-            if ball[1] != sorted(k.missing_simplices(k.dim)):
-                raise DecompositionError("the interior faces of a ball part differ from "
-                                         "its missing facets")
+        if not ball and part.t in k.vertices and not optimality_check(k, part.t).optimal:
+            raise DecompositionError(f"optimality lost at vertex {part.t}")
+        if ball and _g2(k) != 0:
+            raise DecompositionError("a ball part has g2 != 0")
+        if ball and part.interior != sorted(k.missing_simplices(k.dim)):
+            raise DecompositionError("the interior faces of a ball part differ from "
+                                     "its missing facets")
 
     # -- the work-stack loop --
 
     def run(self, part) -> int:
         """Reduce ``part`` depth first and return the index of its node.
 
-        Parts are expanded in order and each node is recorded after its
-        children, so node indices follow the post-order of the tree.
-        """
-        node, parts = self.step(*part)
-        stack = [(node, iter(parts), [])]
+        An entry holds a node, its parts still to take, last first, and
+        its children's indices; the bottom one, a sentinel, gets the root's.
+        A part is popped as it is taken, so none stays referenced once
+        stepped, and each node is made once after its children, so node
+        indices follow the post-order of the tree."""
+        stack = [(None, [part], [])]
         while True:
             node, parts, children = stack[-1]
-            part = next(parts, None)
-            if part is not None:
-                child, child_parts = self.step(*part)
-                stack.append((child, iter(child_parts), []))
+            if parts:
+                child, child_parts = self.step(parts.pop())
+                stack.append((child, child_parts[::-1], []))
                 continue
             stack.pop()
-            node.children = tuple(children)
-            self.steps.append(node)
-            index = len(self.steps) - 1
             if not stack:
-                return index
-            stack[-1][2].append(index)  # a child of the node below
+                return children[0]
+            self.steps.append(node._replace(children=tuple(children)))
+            stack[-1][2].append(len(self.steps) - 1)  # a child of the node below
 
-    def step(self, k: Optional[Complex], t: Optional[int], t1: Optional[int], homology,
-             ball) -> tuple[TreeNode, list]:
-        """Reduce one complex: its node, without children yet, and the
-        parts that become those children."""
+    def step(self, part) -> tuple[TreeNode, list]:
+        """Reduce one part: its node, without children yet, and the parts
+        that become those children."""
         self.taken += 1
         if self.taken > self.budget:
             raise DecompositionError("step budget exhausted; decomposition cut off")
-        self.check_state(k, t, ball)
-        if ball is not None:
-            return self.ball(*ball)
+        self.check_state(part)
+        if type(part) is _BallPart:
+            return self.ball(*part)
+        k, t, t1, homology = part
         if _is_boundary_simplex(k):
             return TreeNode("leaf", leaf_kind="boundary_simplex", n=k.dim + 1, facets=k.facets), []
         if t not in k.vertices:
@@ -724,12 +726,11 @@ class _Engine:
         def moved(s: Simplex) -> Simplex:
             return tuple(sorted(map(pairing.get, s, s)))
 
-        part_a = ([s for s in leaves if s in side],
-                  [f for f in interior[1:] if through[f][0] in side])
-        part_b = ([moved(s) for s in leaves if s not in side],
-                  sorted(moved(f) for f in interior[1:] if through[f][0] not in side))
-        node = TreeNode("split", missing_facet=tau, pairs=tuple(pairing.items()))
-        return node, [(None, None, None, None, part_a), (None, None, None, None, part_b)]
+        part_a = _BallPart([s for s in leaves if s in side],
+                           [f for f in interior[1:] if through[f][0] in side])
+        part_b = _BallPart([moved(s) for s in leaves if s not in side],
+                           sorted(moved(f) for f in interior[1:] if through[f][0] not in side))
+        return TreeNode("split", missing_facet=tau, pairs=tuple(pairing.items())), [part_a, part_b]
 
     def singular(self, k: Complex, t: int, t1, link: Complex, homology):
         """Reduce ``k`` at its singular vertex t, whose link is ``link``
@@ -744,7 +745,7 @@ class _Engine:
             except LinkNotSimplexBoundary:
                 continue
             node = TreeNode("inverse_subdivision", vertex=u, facet=tuple(sorted(k.neighbors(u))))
-            return node, [(reduced, t, t1, homology, None)]
+            return node, [_Part(reduced, t, t1, homology)]
         if outside:
             u = outside[0]
             link = k.link((u,))
@@ -830,7 +831,7 @@ class _Engine:
         )
         drop = homology is not None and t in fixed and _LINK_DROPS[cls.kind]
         homology = tuple(map(operator.sub, homology, drop)) if drop else None
-        return node, [(unfold.complex, t, t1, homology, None)]
+        return node, [_Part(unfold.complex, t, t1, homology)]
 
     def split(self, k: Complex, tau: Simplex, pieces, t, t1, homology):
         """Split ``k`` along its missing facet ``tau`` into the ``pieces``
@@ -846,9 +847,8 @@ class _Engine:
             for part, mapped in ((split.part_a, {}), (split.part_b, split.pairing))
         ]
         ha, hb = _split_homology(a, ta, b, tb, homology)
-        parts = [(a, ta, t1a, ha, None), (b, tb, t1b, hb, None)]
         node = TreeNode("split", missing_facet=tau, pairs=tuple(sorted(split.pairing.items())))
-        return node, parts
+        return node, [_Part(a, ta, t1a, ha), _Part(b, tb, t1b, hb)]
 
 
 def _start(k: Complex, t: int, mode: str):
@@ -882,7 +882,7 @@ def _start(k: Complex, t: int, mode: str):
     if singular and t not in singular:
         raise ModeMismatch(f"tracked vertex {t} is not singular; singular set is {singular}")
     t1 = next((v for v in singular if v != t), None)
-    return _Engine(mode, _debug(), link), (k, t, t1, homology, None)
+    return _Engine(mode, _debug(), link), _Part(k, t, t1, homology)
 
 
 def decompose(k: Complex, t: int, mode: str = MODE_EDGE) -> DecompositionTree:

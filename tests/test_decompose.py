@@ -54,7 +54,9 @@ from psf.decompose import (
     split_connected_sum,
     vertex_unfold,
     _FIELDS,
+    _BallPart,
     _Engine,
+    _Part,
     _ball_boundary,
     _off_star,
     _ridge_certificate,
@@ -631,13 +633,12 @@ def corpus_inputs(shared_corpus):
 
 def part_complex(part):
     """The complex of an engine part: a ball part's is its boundary."""
-    k, *_, ball = part
-    return k if ball is None else _ball_boundary(ball[0])
+    return _ball_boundary(part.leaves) if type(part) is _BallPart else part.complex
 
 
 @pytest.fixture(scope="module")
 def engine_record(shared_corpus):
-    """Every part the engine steps, as ``(complex, t, t1, homology, ball)``, every
+    """Every part the engine steps, as its ``_Part`` or ``_BallPart``, every
     split it makes, as ``(complex, tau, sides, parts)`` with the sides
     read back off the two part complexes, every unfolding, as
     ``(complex, result)``, and every part it hands to the singular step,
@@ -649,9 +650,9 @@ def engine_record(shared_corpus):
     step, split, unfold = _Engine.step, decompose_module._split, decompose_module._unfold
     singular_step, ball_step = _Engine.singular, _Engine.ball
 
-    def record_step(self, k, t, t1, homology, ball):
-        parts.append((k, t, t1, homology, ball))
-        return step(self, k, t, t1, homology, ball)
+    def record_step(self, part):
+        parts.append(part)
+        return step(self, part)
 
     def record_singular(self, k, t, t1, link, homology):
         singular.append((k, t, link))
@@ -682,7 +683,7 @@ def engine_record(shared_corpus):
 
     inputs = corpus_inputs(shared_corpus)
     inputs.append((linear_chain(4, 25, 25, fixed=(0,)), 0, MODE_EDGE))
-    done = [x for x in inputs if not isinstance(outcome(lambda: decompose(*x)), tuple)]
+    done = [x for x in inputs if type(outcome(lambda: decompose(*x))) is not tuple]
     assert len(done) == 33  # of 40: the handle and some modes are refused
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_Engine, "step", record_step)
@@ -727,7 +728,7 @@ def corpus_trees(shared_corpus):
     """``(complex, tree)`` for each corpus input that decomposes."""
     trees = [(k, outcome(lambda: decompose(k, t, mode)))
              for k, t, mode in corpus_inputs(shared_corpus)]
-    return [(k, tree) for k, tree in trees if not isinstance(tree, tuple)]
+    return [(k, tree) for k, tree in trees if type(tree) is not tuple]
 
 
 def test_tree_scripts_replay_with_an_exact_g_ledger(corpus_trees):
@@ -771,7 +772,7 @@ def folded_inputs():
 
 def tree_or_refusal(k, t, mode):
     got = outcome(lambda: decompose(k, t, mode))
-    return got if isinstance(got, tuple) else got.to_dict()
+    return got if type(got) is tuple else got.to_dict()
 
 
 def test_carried_link_homology_passes_the_debug_oracle(monkeypatch, shared_corpus):
@@ -821,7 +822,7 @@ def test_the_engine_computes_no_homology_at_t(monkeypatch):
         singular = 1 + (record.companion is not None)
         for mode in MODES:
             calls.clear()
-            if isinstance(outcome(lambda: decompose(k, t, mode)), tuple):
+            if type(outcome(lambda: decompose(k, t, mode))) is tuple:
                 continue
             assert calls["entry", "psf.decompose"] + calls["entry", "psf.verify"] == singular
             assert calls["engine", "psf.decompose"] == 0
@@ -931,7 +932,7 @@ def test_stacked_splits_match_classification(engine_record):
 
 def test_ball_interior_faces_match_the_parts(engine_record):
     parts, splits, _, _ = engine_record
-    balls = [ball for *_, ball in parts if ball is not None]
+    balls = [part for part in parts if type(part) is _BallPart]
     # part B of a split holds its subball relabelled onto fresh labels
     part_b = {halves[1] for *_, halves in splits}
     assert len(balls) > 100
@@ -947,7 +948,7 @@ def test_ball_interior_faces_match_the_parts(engine_record):
 def ball_route_steps(k):
     """The nodes the engine makes for the stacked sphere ``k``."""
     engine = _Engine(MODE_EDGE, False)
-    engine.run((k, None, None, None, None))
+    engine.run(_Part(k))
     return engine.steps
 
 
@@ -996,7 +997,7 @@ def test_ball_route_on_stacked_3_spheres(monkeypatch, m):
         assert len(leaves) == m
         assert interior == sorted(k.missing_simplices(3))
         engine = _Engine(MODE_ONE, True)
-        root = engine.run((k, None, None, None, None))
+        root = engine.run(_Part(k))
         assert engine.steps == reference_stacked_steps(k)
         assert rebuild(DecompositionTree(engine.steps, root)) == k
 
@@ -1099,13 +1100,13 @@ def test_singular_step_leaves_a_boundary_simplex_irreducible():
     node, parts = singular_outcome(k, 0)
     assert (node.kind, node.leaf_kind, node.facets, parts) == ("leaf", "irreducible_base",
                                                                k.facets, [])
-    assert _Engine(MODE_EDGE, False).step(k, 0, None, None, None)[0].leaf_kind == "boundary_simplex"
+    assert _Engine(MODE_EDGE, False).step(_Part(k, 0))[0].leaf_kind == "boundary_simplex"
 
 
 def test_stacked_step_leaves_a_part_with_g2_irreducible():
     # no tracked vertex and g2 = 2: an irreducible leaf, with no split
     k = cross_polytope_boundary(5)
-    node, parts = _Engine(MODE_EDGE, False).step(k, None, None, None, None)
+    node, parts = _Engine(MODE_EDGE, False).step(_Part(k))
     assert (node.kind, node.leaf_kind, node.facets, parts) == ("leaf", "irreducible_base",
                                                                k.facets, [])
     # and it bounds no stacked ball: each vertex off a facet is antipodal
@@ -1119,8 +1120,25 @@ def test_exhausted_step_budget_reports_the_cut_off():
     record = vertex_folded_instance(3)
     engine = _Engine(MODE_EDGE, False)
     engine.budget = 0
-    assert outcome(lambda: engine.run((record.complex, record.tracked, None, None, None))) == (
+    assert outcome(lambda: engine.run(_Part(record.complex, record.tracked))) == (
         DecompositionError, "step budget exhausted; decomposition cut off")
+
+
+def test_the_engine_releases_each_part_once_it_is_taken(monkeypatch):
+    # each unfolding's part is nearly as large as its parent, and the
+    # chain of them is F deep: an engine that kept every taken part
+    # alive until its ancestors finished peaked at 5.7 MB here, one that
+    # releases each part as it is taken at 0.9 MB (Python 3.11, 64-bit)
+    monkeypatch.delenv("PSF_DEBUG_VERIFY", raising=False)
+    record = vertex_folded_instance(3, folds=8)
+    tracemalloc.start()
+    try:
+        tree = decompose(record.complex, record.tracked, MODE_ONE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree.vertex_fold_count == 8
+    assert peak < 2_000_000
 
 
 def test_debug_oracle_checks_the_ball_interior_faces(monkeypatch):
@@ -1131,7 +1149,7 @@ def test_debug_oracle_checks_the_ball_interior_faces(monkeypatch):
 
     def drop_last(self, leaves, interior):
         node, parts = ball(self, leaves, interior)
-        return node, [(*part[:4], (part[4][0], part[4][1][:-1])) for part in parts]
+        return node, [part._replace(interior=part.interior[:-1]) for part in parts]
 
     monkeypatch.setattr(_Engine, "ball", drop_last)
     with pytest.raises(DecompositionError,
@@ -1153,7 +1171,7 @@ def run_with_unfold(monkeypatch, kind, record, change, debug=False):
     monkeypatch.setattr(decompose_module, "_unfold", changed)
     engine = _Engine(MODE_EDGE, debug)
     engine.budget = 50  # a missed check must not leave the engine stepping for long
-    return outcome(lambda: engine.run((record.complex, record.tracked, record.companion, None, None)))
+    return outcome(lambda: engine.run(_Part(record.complex, record.tracked, record.companion)))
 
 
 @pytest.mark.parametrize("kind", ["vertex", "edge"])
@@ -1246,7 +1264,7 @@ def test_decompose_checks_normality_in_full_once(monkeypatch, shared_corpus):
     done = 0
     for k, t, mode in inputs:
         calls.clear()
-        done += not isinstance(outcome(lambda: decompose(k, t, mode)), tuple)
+        done += type(outcome(lambda: decompose(k, t, mode))) is not tuple
         assert calls == [k]
     assert done == 33
 

@@ -3,14 +3,20 @@ classes whose fields cannot be assigned, that compare and hash by their
 fields, and whose repr reads ``Name(field=value, ...)``."""
 
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import psf
 from psf import Complex, join
 from psf.build import boundary_simplex, one_vertex_suspension
 from psf.buildscript import LedgerRow, ReplayResult, random_script, replay
 from psf.corpus import pinched_complex, vertex_folded_instance
-from psf.decompose import SplitResult, UnfoldResult, split_connected_sum, vertex_unfold
+from psf.decompose import (MODE_ONE, DecompositionTree, SplitResult, TreeNode, UnfoldResult,
+                           decompose, split_connected_sum, vertex_unfold)
 from psf.enumeration import FVector, GVector, f_vector, h_vector
 from psf.separation import (MissingFacetClass, SeparationReport, VertexSeparation,
                             classify_missing_facet, separates_link, separation_report)
@@ -44,6 +50,8 @@ MADE = {
     ReplayResult: lambda k, tau, t: replay(random_script(5)),
     FVector: lambda k, tau, t: f_vector(k),
     GVector: lambda k, tau, t: h_vector(k),
+    TreeNode: lambda k, tau, t: decompose(k, t, MODE_ONE).steps[-1],
+    DecompositionTree: lambda k, tau, t: decompose(k, t, MODE_ONE),
 }
 
 
@@ -89,3 +97,15 @@ def test_each_early_normality_report_owns_its_witnesses():
     first, second = is_normal_pseudomanifold(impure), is_normal_pseudomanifold(impure)
     assert first == second == (False, False, False, False, {})
     assert first.witnesses is not second.witnesses
+
+
+@pytest.mark.parametrize("module", ["psf", "psf.cli"])
+def test_no_import_of_psf_loads_dataclasses(module):
+    # every record on the import path of psf and its CLI is a NamedTuple,
+    # so a fresh interpreter that imports them loads no dataclasses (with
+    # inspect, ast, dis and tokenize)
+    env = dict(os.environ, PYTHONPATH=str(Path(psf.__file__).parents[1]))
+    code = f"import sys, {module}; print('dataclasses' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
