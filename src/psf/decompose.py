@@ -20,6 +20,7 @@ from .complexes import (Complex, ComplexError, Simplex, UnknownVertex, _debug, _
 from .build import InadmissibleFold, edge_fold, fold_deltas, one_vertex_suspension, vertex_fold
 from .buildscript import SCRIPT_VERSION, ScriptError, _integer, _operand_keys, _run_script, replay
 from .enumeration import g2 as _g2
+from .enumeration import g3 as _g3
 from .separation import (
     PreconditionUnmet,
     SeparationReport,
@@ -34,7 +35,6 @@ from .verify import (
     _cut_components,
     _is_boundary_simplex,
     _normal_betti,
-    _optimality_numbers,
     is_normal_pseudomanifold,
     optimality_check,
 )
@@ -602,12 +602,11 @@ class _BallPart(NamedTuple):
 class _Engine:
     """The decomposition loop over ``_Part`` and ``_BallPart`` records."""
 
-    def __init__(self, mode: str, debug: bool, link: Optional[Complex] = None):
+    def __init__(self, mode: str, debug: bool):
         self.mode = mode
         self.debug = debug
-        self.link = link  # lk t of the first part, which its step takes
         self.steps: list[TreeNode] = []
-        self.budget, self.taken = 100_000, 0
+        self.taken = 0
 
     def verdict(self, v: int, link: Complex, homology=None) -> str:
         # the link of a vertex of a normal complex is normal, since
@@ -642,11 +641,17 @@ class _Engine:
         its children's indices; the bottom one, a sentinel, gets the root's.
         A part is popped as it is taken, so none stays referenced once
         stepped, and each node is made once after its children, so node
-        indices follow the post-order of the tree."""
+        indices follow the post-order of the tree.  A tree takes at most
+        2 Phi + 1 steps (``decompose``), so step 2 Phi + 2 is refused."""
+        k = part.complex
+        bound = 2 * (len(k.vertices) - k.dim - 2 + _g2(k)) + 1
         stack = [(None, [part], [])]
         while True:
             node, parts, children = stack[-1]
             if parts:
+                if self.taken == bound:
+                    raise DecompositionError(f"the decomposition exceeds its proved bound of {bound} "
+                                             "steps (2 Phi + 1); a part invariant failed")
                 child, child_parts = self.step(parts.pop())
                 stack.append((child, child_parts[::-1], []))
                 continue
@@ -660,8 +665,6 @@ class _Engine:
         """Reduce one part: its node, without children yet, and the parts
         that become those children."""
         self.taken += 1
-        if self.taken > self.budget:
-            raise DecompositionError("step budget exhausted; decomposition cut off")
         self.check_state(part)
         if type(part) is _BallPart:
             return self.ball(*part)
@@ -670,7 +673,7 @@ class _Engine:
             return TreeNode("leaf", leaf_kind="boundary_simplex", n=k.dim + 1, facets=k.facets), []
         if t not in k.vertices:
             return self.stacked(k)
-        link, self.link = k.link((t,)) if self.link is None else self.link, None
+        link = k.link((t,))
         if homology is None:
             homology = _link_homology(link)
         elif self.debug and _normal_betti(link)[1:3] != homology:
@@ -853,7 +856,7 @@ class _Engine:
 
 def _start(k: Complex, t: int, mode: str):
     """Check the input of ``decompose``, refusing in this order; then
-    the engine, which holds lk t for the root's step, and the root part."""
+    the engine and the root part."""
     if mode not in MODES:
         raise ModeMismatch(f"unknown mode {mode!r}; expected one of {MODES}")
     if k.dim != 4:
@@ -864,7 +867,7 @@ def _start(k: Complex, t: int, mode: str):
     if not report.normal:
         raise DecompositionError(f"input is not a normal pseudomanifold: {report}")
     link = k.link((t,))
-    g2_k, g2_link, g3_k, g3_link = _optimality_numbers(k, link)
+    g2_k, g2_link, g3_k, g3_link = _g2(k), _g2(link), _g3(k), _g3(link)
     if g2_k != g2_link or g3_k != g3_link:
         raise NotOptimal(f"complex is not g2- and g3-optimal at vertex {t}: g2(K) = {g2_k}, "
                          f"g2(lk {t}) = {g2_link}, g3(K) = {g3_k}, g3(lk {t}) = {g3_link}")
@@ -882,7 +885,7 @@ def _start(k: Complex, t: int, mode: str):
     if singular and t not in singular:
         raise ModeMismatch(f"tracked vertex {t} is not singular; singular set is {singular}")
     t1 = next((v for v in singular if v != t), None)
-    return _Engine(mode, _debug(), link), _Part(k, t, t1, homology)
+    return _Engine(mode, _debug()), _Part(k, t, t1, homology)
 
 
 def decompose(k: Complex, t: int, mode: str = MODE_EDGE) -> DecompositionTree:
@@ -966,10 +969,10 @@ def decompose(k: Complex, t: int, mode: str = MODE_EDGE) -> DecompositionTree:
       across faces through r, none of them tau, so its two facets lie
       on one side, and every vertex of tau separates its link, the
       split signature of classification;
-    - *the homology of lk t*: lk t is built once at entry, for the
-      optimality test, t's verdict and the root's step, and its GF(2)
-      Betti numbers (b1, b2) are carried from part to part, so no
-      verdict at t computes them again (``_Engine.step``).  Each lk t
+    - *the homology of lk t*: lk t is built at entry, for the
+      optimality test and t's verdict, and its GF(2) Betti numbers
+      (b1, b2) are carried from part to part, so no verdict at t
+      computes them again (``_Engine.step``).  Each lk t
       is a normal 3-pseudomanifold L, with b0 = 0 and b3 = 1
       (``_normal_betti``).  Homology is over GF(2) (Munkres, Elements of
       Algebraic Topology, 1984).  Let M be L less the open tetrahedra
@@ -1009,7 +1012,21 @@ def decompose(k: Complex, t: int, mode: str = MODE_EDGE) -> DecompositionTree:
         b1(L') = b1(L), and L has 3, 6, 4 and 2 more, so b2 - b1 drops
         by one: (b1, b2) drops by (0, 1);
       - any other unfolding carries nothing, and the next step computes
-        the numbers from its link where its verdict reads them.
+        the numbers from its link where its verdict reads them;
+    - *the step bound*: Phi = f0 - d - 2 + g2 >= 0 on every part, a
+      normal pseudomanifold of dimension d >= 3 (f0 >= d + 2, and g2 >= 0
+      by Bagchi and Datta, 2008).  Each internal node lowers the sum of
+      Phi over the open parts: a split into A and B, classified or of a
+      stacked ball, by 1: a vertex off tau keeps its whole star on one
+      side, so f0(A) + f0(B) = f0(k) + d + 1 and g2(A) + g2(B) = g2(k);
+      an inverse subdivision by 1, one vertex fewer and g2 kept; a vertex
+      unfolding by d(d - 1)/2, with d vertices more and g2 lower by
+      C(d + 1, 2) (``classified`` checks it); an edge unfolding by
+      (d - 1)(d - 2)/2, with d - 1 more and g2 lower by C(d, 2).  So a
+      tree has at most Phi(k) internal nodes and one leaf more than
+      splits: at most 2 Phi(k) + 1 steps, which ``_Engine.run``
+      enforces.  A stacked sphere of n summands has Phi = n - 1 and
+      takes 2n - 1 steps.
     A failed certificate raises DecompositionError.
     ``PSF_DEBUG_VERIFY=1`` checks every part in full, a ball part
     rebuilt from its simplices: normal, g2 = 0, and its interior faces

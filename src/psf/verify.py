@@ -410,10 +410,5 @@ def optimality_check(k: Complex, t: int) -> OptimalityResult:
         raise UnknownVertex(f"vertex {t} not in complex")
     if k.dim != 4:
         raise ValueError("optimality check is defined for dimension 4")
-    g2_k, g2_link, g3_k, g3_link = _optimality_numbers(k, k.link((t,)))
-    return OptimalityResult(g2_k == g2_link, g3_k == g3_link)
-
-
-def _optimality_numbers(k: Complex, link: Complex) -> tuple[int, int, int, int]:
-    """(g2(k), g2(link), g3(k), g3(link)) for the link of a vertex of k."""
-    return _g2(k), _g2(link), _g3(k), _g3(link)
+    link = k.link((t,))
+    return OptimalityResult(_g2(k) == _g2(link), _g3(k) == _g3(link))

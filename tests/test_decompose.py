@@ -723,6 +723,12 @@ def test_no_part_is_cut_twice_along_one_missing_facet(monkeypatch, build, mode):
     assert len(set(cuts)) == len(cuts)
 
 
+def phi(k):
+    """Phi(k) = f0 - d - 2 + g2, which each internal node of a tree lowers
+    over its open parts: a tree of k has at most 2 Phi(k) + 1 steps."""
+    return len(k.vertices) - k.dim - 2 + g2(k)
+
+
 @pytest.fixture(scope="module")
 def corpus_trees(shared_corpus):
     """``(complex, tree)`` for each corpus input that decomposes."""
@@ -745,6 +751,15 @@ def test_tree_scripts_replay_with_an_exact_g_ledger(corpus_trees):
         assert len(folds) == tree.vertex_fold_count + tree.edge_fold_count
         for row in folds:
             assert (row.delta_g2, row.delta_g3) == fold_deltas(row.op, 4)
+        # Phi falls by 1 at a split or an inverse subdivision, by 6 at a
+        # vertex and by 3 at an edge unfolding, to the leaves' sum, read
+        # for a suspension base off its rebuilt suspension
+        kinds = Counter(node.kind for node in tree.steps)
+        leaves = sum(phi(rebuild(DecompositionTree([node], 0)))
+                     for node in tree.steps if not node.children)
+        assert len(tree.steps) == (2 * phi(k) + 1 - kinds["inverse_subdivision"]
+                                   - 11 * kinds["vertex_unfold"] - 5 * kinds["edge_unfold"]
+                                   - 2 * leaves)
         assert rebuild(tree) == k
 
 
@@ -969,7 +984,10 @@ def test_ball_route_matches_the_split_by_split_reference(d, family, size, seed, 
         k = linear_chain(d, 1 + size % 12, seed, fixed=(0,))
     if relabel:
         k = relabelled(k, seed)
-    assert ball_route_steps(k) == reference_stacked_steps(k)
+    steps = ball_route_steps(k)
+    assert steps == reference_stacked_steps(k)
+    # a stacked sphere takes exactly the proved bound
+    assert len(steps) == 2 * phi(k) + 1
 
 
 def test_ball_search_crosses_a_simplex_that_holds_no_facet():
@@ -1116,12 +1134,25 @@ def test_stacked_step_leaves_a_part_with_g2_irreducible():
         "a part with g2 = 0 bounds no stacked ball: facet (0, 1, 2, 3, 4) lies in 0 ball simplices")
 
 
-def test_exhausted_step_budget_reports_the_cut_off():
+def test_a_stalled_engine_stops_at_the_proved_bound(monkeypatch):
+    # a singular step that hands its part back unchanged lowers no Phi:
+    # the engine takes the 2 Phi + 1 steps that the input allows and
+    # refuses the next
     record = vertex_folded_instance(3)
+    assert phi(record.complex) == 16
+    stalled = []
+
+    def stall(self, k, t, t1, link, homology):
+        stalled.append(self.taken)
+        return TreeNode("inverse_subdivision"), [_Part(k, t, t1, homology)]
+
+    monkeypatch.setattr(_Engine, "singular", stall)
     engine = _Engine(MODE_EDGE, False)
-    engine.budget = 0
     assert outcome(lambda: engine.run(_Part(record.complex, record.tracked))) == (
-        DecompositionError, "step budget exhausted; decomposition cut off")
+        DecompositionError,
+        "the decomposition exceeds its proved bound of 33 steps (2 Phi + 1); a part invariant failed")
+    assert engine.taken == 33
+    assert stalled == list(range(1, 34))
 
 
 def test_the_engine_releases_each_part_once_it_is_taken(monkeypatch):
@@ -1170,7 +1201,6 @@ def run_with_unfold(monkeypatch, kind, record, change, debug=False):
 
     monkeypatch.setattr(decompose_module, "_unfold", changed)
     engine = _Engine(MODE_EDGE, debug)
-    engine.budget = 50  # a missed check must not leave the engine stepping for long
     return outcome(lambda: engine.run(_Part(record.complex, record.tracked, record.companion)))
 
 
